@@ -171,6 +171,12 @@ def _cmd_make_score(args) -> int:
 
 def _cmd_score(args) -> int:
     table = jsonio.load_outcome_table(_read_json(args.file))
+    if not 0 <= args.report < len(table):
+        raise ValueError(f"--report must be in [0, {len(table)}), got {args.report}")
+    if not 0 <= args.outcome < table.n_outcomes:
+        raise ValueError(
+            f"--outcome must be in [0, {table.n_outcomes}), got {args.outcome}"
+        )
     value = float(table.payoffs[args.report, args.outcome])
     _emit({"report": args.report, "outcome": args.outcome, "score": value})
     return _PASS

@@ -50,6 +50,7 @@ __all__ = [
     "eval_convex",
     "subgradient",
     "conjugate",
+    "mask_witnesses",
     "check_subgradient_selection",
     "bregman_divergence",
 ]
@@ -182,6 +183,29 @@ class CheckReport:
             "witnesses": [w.to_obj() for w in self.witnesses],
             "info": dict(self.info),
         }
+
+
+def mask_witnesses(kind: str, mask, slack, detail, index=None) -> list:
+    """One :class:`Witness` per ``True`` entry of ``mask``, in row-major
+    (``np.argwhere``) order.
+
+    ``slack`` has the shape of ``mask`` and gives each witness its
+    slack.  ``detail`` is a fixed string or a function of the entry's
+    index tuple.  ``index``, when given, maps that tuple to the
+    witness's indices; by default they are the tuple itself.
+    """
+    hits = np.argwhere(mask).tolist()
+    slacks = np.asarray(slack)[mask].tolist()
+    fixed = isinstance(detail, str)
+    return [
+        Witness(
+            kind=kind,
+            indices=tuple(ij) if index is None else index(*ij),
+            slack=s,
+            detail=detail if fixed else detail(*ij),
+        )
+        for ij, s in zip(hits, slacks)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +482,10 @@ def check_subgradient_selection(
     diag = np.diag(inner)
     # slack[i, j] = G(t_i) + d_i(t_j - t_i) - G(t_j)
     slack = evals[:, None] + inner - diag[:, None] - evals[None, :]
-    witnesses = []
-    for i, j in np.argwhere(slack > tol):
-        if i == j:
-            continue
-        witnesses.append(
-            Witness(
-                kind="pair",
-                indices=(int(i), int(j)),
-                slack=float(slack[i, j]),
-                detail="subgradient inequality violated",
-            )
-        )
+    mask = (slack > tol) & ~np.eye(len(ts), dtype=bool)
+    witnesses = mask_witnesses(
+        "pair", mask, slack, "subgradient inequality violated"
+    )
     return CheckReport.from_witnesses(witnesses, {"tol": tol})
 
 

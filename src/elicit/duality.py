@@ -24,9 +24,9 @@ from .core import (
     ConvexSpec,
     SquaredNorm,
     TypeSpace,
-    Witness,
     conjugate,
     eval_convex,
+    mask_witnesses,
 )
 from .properties import LabeledSample
 
@@ -114,34 +114,21 @@ def check_duality_identities(
     div_dual = (conjs[None, :] - inner) + evals[:, None]
     div_gap = div_primal - div_dual
 
-    witnesses = []
-    for i, j in np.argwhere(fy < -tol):
-        witnesses.append(
-            Witness(
-                kind="fenchel-young",
-                indices=(int(i), int(j)),
-                slack=float(-fy[i, j]),
-                detail="G(t) + G*(d) < <t, d>",
-            )
+    witnesses = (
+        mask_witnesses("fenchel-young", fy < -tol, -fy, "G(t) + G*(d) < <t, d>")
+        + mask_witnesses(
+            "difference",
+            np.abs(diff_identity) > tol,
+            np.abs(diff_identity),
+            "A(d,t) - A*(t,d) != G(t) - G*(d)",
         )
-    for i, j in np.argwhere(np.abs(diff_identity) > tol):
-        witnesses.append(
-            Witness(
-                kind="difference",
-                indices=(int(i), int(j)),
-                slack=float(abs(diff_identity[i, j])),
-                detail="A(d,t) - A*(t,d) != G(t) - G*(d)",
-            )
+        + mask_witnesses(
+            "divergence-symmetry",
+            np.abs(div_gap) > tol,
+            np.abs(div_gap),
+            "mixed divergences disagree",
         )
-    for i, j in np.argwhere(np.abs(div_gap) > tol):
-        witnesses.append(
-            Witness(
-                kind="divergence-symmetry",
-                indices=(int(i), int(j)),
-                slack=float(abs(div_gap[i, j])),
-                detail="mixed divergences disagree",
-            )
-        )
+    )
     info = {
         "tol": tol,
         "max_fenchel_young_violation": float(max(0.0, -fy.min())),

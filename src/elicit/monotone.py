@@ -23,6 +23,7 @@ from .core import (
     ScoreTable,
     TypeSpace,
     Witness,
+    mask_witnesses,
 )
 
 __all__ = [
@@ -130,19 +131,9 @@ def check_wmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> Ch
     """Weak monotonicity: d_t(t'-t) + d_{t'}(t-t') <= tol per pair."""
     w = cmon_weights(ts, fam)
     pair = w + w.T
-    witnesses = []
-    m = len(ts)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pair[i, j] > tol:
-                witnesses.append(
-                    Witness(
-                        kind="pair",
-                        indices=(i, j),
-                        slack=float(pair[i, j]),
-                        detail="weak monotonicity violated",
-                    )
-                )
+    witnesses = mask_witnesses(
+        "pair", np.triu(pair > tol, 1), pair, "weak monotonicity violated"
+    )
     return CheckReport.from_witnesses(witnesses, {"tol": tol})
 
 
@@ -228,30 +219,6 @@ def check_path_independence(
     return CheckReport.from_witnesses([witness], info)
 
 
-def _truthful_witnesses(
-    values: np.ndarray,
-    report_of: np.ndarray,
-    pairs,
-    tol: float,
-) -> list:
-    out = []
-    for i, j in pairs:
-        ri, rj = report_of[i], report_of[j]
-        gain_i = values[rj, i] - values[ri, i]
-        gain_j = values[ri, j] - values[rj, j]
-        worst = max(gain_i, gain_j)
-        if worst > tol:
-            out.append(
-                Witness(
-                    kind="pair",
-                    indices=(int(i), int(j)),
-                    slack=float(worst),
-                    detail="misreport gains within pair",
-                )
-            )
-    return out
-
-
 def check_local_truthful(
     score: ScoreTable,
     ts: TypeSpace,
@@ -273,22 +240,27 @@ def check_local_truthful(
     if report_of.min() < 0 or report_of.max() >= len(score):
         raise ValueError("report_of refers to a report outside the table")
     values = score.payoff_matrix(ts)
-    m = len(ts)
+    # gain[i, j]: what type i gains by sending type j's report
+    offered = values[report_of]
+    own = np.diag(offered)
+    if not np.all(np.isfinite(own)):
+        raise ValueError("truthful reports must score finite values")
+    gain = offered.T - own[:, None]
+    worst = np.where(gain.T > gain, gain.T, gain)
     gaps = np.linalg.norm(
         ts.points[:, None, :] - ts.points[None, :, :], axis=-1
     )
-    local_pairs = [
-        (i, j) for i in range(m) for j in range(i + 1, m) if gaps[i, j] <= radius
-    ]
-    all_pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    witnesses = _truthful_witnesses(values, report_of, local_pairs, tol)
-    global_witnesses = _truthful_witnesses(values, report_of, all_pairs, tol)
+    local = np.triu(gaps <= radius, 1)
+    violated = np.triu(worst > tol, 1)
+    witnesses = mask_witnesses(
+        "pair", local & violated, worst, "misreport gains within pair"
+    )
     local_passed = not witnesses
-    global_passed = not global_witnesses
+    global_passed = not violated.any()
     info = {
         "tol": tol,
         "radius": radius,
-        "checked_pairs": len(local_pairs),
+        "checked_pairs": int(local.sum()),
         "global_passed": global_passed,
         "agrees": local_passed == global_passed,
     }

@@ -26,7 +26,9 @@ from .core import (
     ScoreTable,
     TypeSpace,
     Witness,
+    _as_matrix,
     conjugate,
+    mask_witnesses,
     subgradient,
 )
 
@@ -48,17 +50,6 @@ __all__ = [
 TIE_TOL = 1e-9
 
 
-def _as_points(points, what: str) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2:
-        raise DimensionMismatchError(f"{what} must be a 2-D array of row vectors")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"{what} must be finite")
-    return pts
-
-
 @dataclass
 class PowerDiagramSpec:
     """Sites p_i with weights w_i; the cell of site i collects the points
@@ -68,7 +59,7 @@ class PowerDiagramSpec:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.sites = _as_points(self.sites, "sites")
+        self.sites = _as_matrix(self.sites, "sites")
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if len(self.sites) == 0:
             raise ValueError("diagram needs at least one site")
@@ -99,7 +90,7 @@ class LabeledSample:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.points = _as_points(self.points, "points")
+        self.points = _as_matrix(self.points, "points")
         self.labels = np.asarray(self.labels, dtype=int).reshape(-1)
         if len(self.labels) != len(self.points):
             raise DimensionMismatchError("one label per point required")
@@ -126,7 +117,7 @@ def _power_costs(diag: PowerDiagramSpec, points: np.ndarray) -> np.ndarray:
 def power_cells(diag: PowerDiagramSpec, points) -> Labeling:
     """Label each point with its least-power-distance site; ties break
     toward the lowest site index and raise the tie flag."""
-    points = _as_points(points, "points")
+    points = _as_matrix(points, "points")
     if points.shape[1] != diag.dim:
         raise DimensionMismatchError("points dimension != diagram dimension")
     costs = _power_costs(diag, points)
@@ -166,7 +157,7 @@ def fit_weights(sites, sample: LabeledSample, tol: float = DEFAULT_TOL) -> FitWe
     Solved by Phase-I simplex; a feasible w is normalized to min 0, and
     infeasibility returns the constraints in the Farkas support.
     """
-    sites = _as_points(sites, "sites")
+    sites = _as_matrix(sites, "sites")
     m = len(sites)
     if len(sample) and sample.labels.max() >= m:
         raise ValueError("sample label exceeds site count")
@@ -214,7 +205,7 @@ def check_wmon_cells(
 ) -> CheckReport:
     """Pairwise monotonicity across labels: for t in cell i and t' in
     cell j, require p_i . (t' - t) <= p_j . (t' - t)."""
-    sites = _as_points(sites, "sites")
+    sites = _as_matrix(sites, "sites")
     if len(sample) and sample.labels.max() >= len(sites):
         raise ValueError("sample label exceeds site count")
     if len(sample) == 0:
@@ -226,24 +217,14 @@ def check_wmon_cells(
     diag_own = np.einsum("ij,ij->i", site_of, sample.points)
     # slack for pair (a, b): (p_la - p_lb) . (t_b - t_a)
     slack = inner + inner.T - diag_own[:, None] - diag_own[None, :]
-    witnesses = []
-    k = len(sample)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if sample.labels[a] == sample.labels[b]:
-                continue
-            if slack[a, b] > tol:
-                witnesses.append(
-                    Witness(
-                        kind="pair",
-                        indices=(a, b),
-                        slack=float(slack[a, b]),
-                        detail=(
-                            f"labels ({int(sample.labels[a])}, "
-                            f"{int(sample.labels[b])}) break monotonicity"
-                        ),
-                    )
-                )
+    labels = sample.labels
+    mixed = labels[:, None] != labels[None, :]
+    witnesses = mask_witnesses(
+        "pair",
+        np.triu(mixed & (slack > tol), 1),
+        slack,
+        lambda a, b: f"labels ({labels[a]}, {labels[b]}) break monotonicity",
+    )
     return CheckReport.from_witnesses(witnesses, {"tol": tol})
 
 
@@ -282,41 +263,42 @@ def check_level_set_convexity(
     arbitrarily close to the endpoints."""
     if len(sample) == 0:
         raise ValueError("sample must be nonempty")
+    if not eps >= 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     pts = sample.points
     labels = sample.labels
     k = len(sample)
+    # diffs[b, c] = t_c - t_b; row a holds the segments leaving t_a
+    diffs = pts[None, :, :] - pts[:, None, :]
+    sq = np.vecdot(diffs, diffs)
+    dist = np.sqrt(sq)
     witnesses = []
     for a in range(k):
-        for b in range(a + 1, k):
-            if labels[a] != labels[b]:
-                continue
-            seg = pts[b] - pts[a]
-            seg_sq = float(seg @ seg)
-            if seg_sq == 0.0:
-                continue
-            for c in range(k):
-                if labels[c] == labels[a]:
-                    continue
-                rel = pts[c] - pts[a]
-                tau = float(rel @ seg) / seg_sq
-                if not 0.0 < tau < 1.0:
-                    continue
-                if min(np.linalg.norm(rel), np.linalg.norm(pts[c] - pts[b])) <= eps:
-                    continue
-                perp = rel - tau * seg
-                dist = float(np.sqrt(perp @ perp))
-                if dist <= eps:
-                    witnesses.append(
-                        Witness(
-                            kind="sandwich",
-                            indices=(a, b, c),
-                            slack=float(eps - dist),
-                            detail=(
-                                f"label {int(labels[c])} point between two "
-                                f"label {int(labels[a])} points"
-                            ),
-                        )
-                    )
+        # (b, c): segment from t_a to t_b, candidate point t_c
+        seg = diffs[a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.vecdot(seg[None, :, :], seg[:, None, :]) / sq[a][:, None]
+            perp = seg[None, :, :] - tau[:, :, None] * seg[:, None, :]
+            gap = np.sqrt(np.vecdot(perp, perp))
+        same = labels == labels[a]
+        hit = (
+            ((np.arange(k) > a) & same & (sq[a] > 0.0))[:, None]
+            & ~same[None, :]
+            & (0.0 < tau)
+            & (tau < 1.0)
+            & (dist[a][None, :] > eps)
+            & (dist > eps)
+            & (gap <= eps)
+        )
+        witnesses += mask_witnesses(
+            "sandwich",
+            hit,
+            eps - gap,
+            lambda b, c: (
+                f"label {labels[c]} point between two label {labels[a]} points"
+            ),
+            index=lambda b, c: (a, b, c),
+        )
     return CheckReport.from_witnesses(witnesses, {"eps": eps})
 
 
@@ -330,7 +312,7 @@ def bregman_to_power(
     ||dG_{t_j}||^2 / 4 - G*(dG_{t_j}); the conjugate is evaluated over
     ``grid``, which is exact whenever the grid contains the sites.
     """
-    sites = _as_points(bregman_sites, "sites")
+    sites = _as_matrix(bregman_sites, "sites")
     new_sites = np.empty_like(sites)
     weights = np.empty(len(sites))
     for j, t in enumerate(sites):

@@ -27,6 +27,7 @@ from .core import (
     Witness,
     eval_convex,
     ext_mul,
+    mask_witnesses,
     require_extended_real,
     subgradient,
 )
@@ -165,9 +166,10 @@ def check_proper(
     (such ties carry their near-zero slack as the witness).
     """
     if beliefs is None:
-        belief_rows = [(i, table.reports[i]) for i in range(len(table))]
+        truth = list(range(len(table)))
+        belief_rows = table.reports
     else:
-        belief_rows = []
+        truth, belief_rows = [], []
         for b in beliefs:
             b = _as_distribution(b, "belief")
             idx = table.find_report(b)
@@ -175,35 +177,50 @@ def check_proper(
                 raise ValueError(
                     f"belief {b.tolist()} does not match any report row"
                 )
-            belief_rows.append((idx, b))
+            truth.append(idx)
+            belief_rows.append(b)
+        belief_rows = np.reshape(belief_rows, (len(truth), table.n_outcomes))
 
-    witnesses = []
-    for bi, (truth_idx, belief) in enumerate(belief_rows):
-        s_truth = expected_score(table, truth_idx, belief)
-        for q in range(len(table)):
-            if q == truth_idx:
-                continue
-            gain = expected_score(table, q, belief) - s_truth
-            if gain > tol:
-                witnesses.append(
-                    Witness(
-                        kind="deviation",
-                        indices=(truth_idx, q),
-                        slack=float(gain),
-                        detail=f"belief #{bi} prefers report {q}",
-                    )
-                )
-            elif strict and gain >= -tol:
-                distinct = np.max(np.abs(table.reports[q] - belief)) > tol
-                if distinct:
-                    witnesses.append(
-                        Witness(
-                            kind="tie",
-                            indices=(truth_idx, q),
-                            slack=float(max(gain, 0.0)),
-                            detail="strictness fails: deviation ties",
-                        )
-                    )
+    # score[b, q] = expected_score(table, q, belief b): the same sum in
+    # the same outcome order, where one -inf term makes the score -inf
+    n_beliefs, m = len(truth), len(table)
+    score = np.zeros((n_beliefs, m))
+    sunk = np.zeros((n_beliefs, m), dtype=bool)
+    far = np.zeros((n_beliefs, m))  # max-norm distance, belief to report
+    with np.errstate(invalid="ignore"):
+        for o in range(table.n_outcomes):
+            prob = belief_rows[:, o][:, None]
+            term = np.where(prob == 0.0, 0.0, prob * table.payoffs[:, o][None, :])
+            sunk |= term == -np.inf
+            score += term
+            far = np.maximum(far, np.abs(table.reports[:, o][None, :] - prob))
+        score[sunk] = -np.inf
+        gain = score - score[np.arange(n_beliefs), truth][:, None]
+    deviation = np.arange(m)[None, :] != np.asarray(truth)[:, None]
+    ahead = deviation & (gain > tol)
+    witnesses = mask_witnesses(
+        "deviation",
+        ahead,
+        gain,
+        lambda b, q: f"belief #{b} prefers report {q}",
+        index=lambda b, q: (truth[b], q),
+    )
+    if strict:
+        tied = deviation & ~ahead & (gain >= -tol) & (far > tol)
+        ties = mask_witnesses(
+            "tie",
+            tied,
+            np.where(0.0 > gain, 0.0, gain),
+            "strictness fails: deviation ties",
+            index=lambda b, q: (truth[b], q),
+        )
+        # interleave both kinds in (belief, report) order
+        order = np.argsort(
+            np.concatenate([np.flatnonzero(ahead), np.flatnonzero(tied)]),
+            kind="stable",
+        )
+        merged = witnesses + ties
+        witnesses = [merged[k] for k in order]
     return CheckReport.from_witnesses(witnesses, {"tol": tol, "strict": strict})
 
 
@@ -370,17 +387,12 @@ def check_truthful(
     if not np.all(np.isfinite(truthful)):
         raise ValueError("truthful reports must score finite values")
     gains = values - truthful[None, :]
-    witnesses = []
-    for r, i in np.argwhere(gains > tol):
-        if r == i:
-            continue
-        witnesses.append(
-            Witness(
-                kind="deviation",
-                indices=(int(i), int(r)),
-                slack=float(gains[r, i]),
-                detail=f"type {int(i)} prefers report {int(r)}",
-            )
-        )
+    witnesses = mask_witnesses(
+        "deviation",
+        (gains > tol) & ~np.eye(len(ts), dtype=bool),
+        gains,
+        lambda r, i: f"type {i} prefers report {r}",
+        index=lambda r, i: (i, r),
+    )
     min_slack = float(-gains[~np.eye(len(ts), dtype=bool)].max()) if len(ts) > 1 else 0.0
     return CheckReport.from_witnesses(witnesses, {"tol": tol, "min_slack": min_slack})

@@ -7,7 +7,11 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from elicit import LinearFamily, MaxAffine, TypeSpace
+from elicit import CheckReport, LinearFamily, MaxAffine, TypeSpace, Witness
+from elicit.core import eval_convex
+from elicit.duality import conjugate_value
+from elicit.monotone import cmon_weights
+from elicit.scoring import expected_score
 
 
 def central_diff_grad(f, t, h=1e-6):
@@ -79,3 +83,176 @@ def kl_divergence(p, q):
     q = np.asarray(q, dtype=float)
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+# ---------------------------------------------------------------------------
+# loop references for the verifiers that build witnesses from masks: the
+# same checks written as explicit pair and triple loops, witness by witness
+
+
+def loop_check_wmon(ts, fam, tol):
+    w = cmon_weights(ts, fam)
+    out = []
+    for i in range(len(ts)):
+        for j in range(i + 1, len(ts)):
+            slack = w[i, j] + w[j, i]
+            if slack > tol:
+                out.append(Witness("pair", (i, j), float(slack), "weak monotonicity violated"))
+    return CheckReport.from_witnesses(out, {"tol": tol})
+
+
+def loop_check_subgradient_selection(g, fam, ts, tol):
+    evals = [eval_convex(g, t) for t in ts.points]
+    inner = fam.vectors @ ts.points.T
+    out = []
+    for i in range(len(ts)):
+        for j in range(len(ts)):
+            slack = evals[i] + inner[i, j] - inner[i, i] - evals[j]
+            if i != j and slack > tol:
+                out.append(
+                    Witness("pair", (i, j), float(slack), "subgradient inequality violated")
+                )
+    return CheckReport.from_witnesses(out, {"tol": tol})
+
+
+def loop_check_truthful(score, ts, tol):
+    values = score.payoff_matrix(ts)
+    m = len(ts)
+    out = []
+    for r in range(m):
+        for i in range(m):
+            gain = values[r, i] - values[i, i]
+            if r != i and gain > tol:
+                out.append(
+                    Witness("deviation", (i, r), float(gain), f"type {i} prefers report {r}")
+                )
+    gains = values - np.diag(values)[None, :]
+    min_slack = float(-gains[~np.eye(m, dtype=bool)].max()) if m > 1 else 0.0
+    return CheckReport.from_witnesses(out, {"tol": tol, "min_slack": min_slack})
+
+
+def loop_check_local_truthful(score, ts, report_of, radius, tol):
+    values = score.payoff_matrix(ts)
+    report_of = list(report_of)
+    m = len(ts)
+    gaps = np.linalg.norm(ts.points[:, None, :] - ts.points[None, :, :], axis=-1)
+    local, found, global_passed = 0, [], True
+    for i in range(m):
+        for j in range(i + 1, m):
+            ri, rj = report_of[i], report_of[j]
+            worst = max(values[rj, i] - values[ri, i], values[ri, j] - values[rj, j])
+            is_local = gaps[i, j] <= radius
+            local += bool(is_local)
+            if worst > tol:
+                global_passed = False
+                if is_local:
+                    found.append(
+                        Witness("pair", (i, j), float(worst), "misreport gains within pair")
+                    )
+    info = {
+        "tol": tol,
+        "radius": radius,
+        "checked_pairs": local,
+        "global_passed": global_passed,
+        "agrees": (not found) == global_passed,
+    }
+    return CheckReport.from_witnesses(found, info)
+
+
+def loop_check_wmon_cells(sites, sample, tol):
+    pts, labels = sample.points, sample.labels
+    site_of = np.asarray(sites, dtype=float)[labels]
+    inner = site_of @ pts.T
+    own = np.einsum("ij,ij->i", site_of, pts)
+    out = []
+    for a in range(len(sample)):
+        for b in range(a + 1, len(sample)):
+            la, lb = int(labels[a]), int(labels[b])
+            slack = inner[a, b] + inner[b, a] - own[a] - own[b]
+            if la != lb and slack > tol:
+                out.append(
+                    Witness("pair", (a, b), float(slack), f"labels ({la}, {lb}) break monotonicity")
+                )
+    return CheckReport.from_witnesses(out, {"tol": tol})
+
+
+def loop_check_level_set_convexity(sample, eps):
+    pts, labels = sample.points, sample.labels
+    k = len(sample)
+    out = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            seg = pts[b] - pts[a]
+            seg_sq = float(seg @ seg)
+            if labels[a] != labels[b] or seg_sq == 0.0:
+                continue
+            for c in range(k):
+                rel = pts[c] - pts[a]
+                tau = float(rel @ seg) / seg_sq
+                if labels[c] == labels[a] or not 0.0 < tau < 1.0:
+                    continue
+                if min(np.linalg.norm(rel), np.linalg.norm(pts[c] - pts[b])) <= eps:
+                    continue
+                perp = rel - tau * seg
+                dist = float(np.sqrt(perp @ perp))
+                if dist <= eps:
+                    detail = (
+                        f"label {int(labels[c])} point between two "
+                        f"label {int(labels[a])} points"
+                    )
+                    out.append(Witness("sandwich", (a, b, c), float(eps - dist), detail))
+    return CheckReport.from_witnesses(out, {"eps": eps})
+
+
+def loop_check_proper(table, beliefs, strict, tol):
+    if beliefs is None:
+        rows = [(i, table.reports[i]) for i in range(len(table))]
+    else:
+        rows = [(table.find_report(b), np.asarray(b, dtype=float)) for b in beliefs]
+    out = []
+    for bi, (truth, belief) in enumerate(rows):
+        s_truth = expected_score(table, truth, belief)
+        for q in range(len(table)):
+            if q == truth:
+                continue
+            gain = expected_score(table, q, belief) - s_truth
+            if gain > tol:
+                out.append(
+                    Witness("deviation", (truth, q), float(gain), f"belief #{bi} prefers report {q}")
+                )
+            elif strict and gain >= -tol:
+                if np.max(np.abs(table.reports[q] - belief)) > tol:
+                    out.append(
+                        Witness(
+                            "tie", (truth, q), float(max(gain, 0.0)),
+                            "strictness fails: deviation ties",
+                        )
+                    )
+    return CheckReport.from_witnesses(out, {"tol": tol, "strict": strict})
+
+
+def loop_duality_witnesses(g, grid, duals, tol):
+    """Witness list of ``check_duality_identities`` (its ``info`` is
+    left to the library's own tests)."""
+    duals = np.asarray(duals, dtype=float).reshape(len(duals), -1)
+    evals = [eval_convex(g, t) for t in grid.points]
+    conjs = [conjugate_value(g, d, grid) for d in duals]
+    inner = grid.points @ duals.T
+    kinds = [
+        ("fenchel-young", "G(t) + G*(d) < <t, d>"),
+        ("difference", "A(d,t) - A*(t,d) != G(t) - G*(d)"),
+        ("divergence-symmetry", "mixed divergences disagree"),
+    ]
+    found = {kind: [] for kind, _ in kinds}
+    for i in range(len(grid)):
+        for j in range(len(duals)):
+            e, c, x = evals[i], conjs[j], inner[i, j]
+            slacks = [
+                -(e + c - x),
+                abs(((x - c) - (x - e)) - (e - c)),
+                abs(((e + c) - x) - ((c - x) + e)),
+            ]
+            for (kind, detail), slack in zip(kinds, slacks):
+                if slack > tol:
+                    found[kind].append(Witness(kind, (i, j), float(slack), detail))
+    return [w for kind, _ in kinds for w in found[kind]]

@@ -308,3 +308,58 @@ class TestSubcommands:
         assert code == 0
         code, _, _ = run_cli(["check-wmon", fam, "--tol", "1e-9"], capsys)
         assert code == 2
+
+
+class TestInputErrors:
+    """Malformed input exits 1 with one line on stderr and nothing on stdout."""
+
+    def assert_usage_error(self, args, capsys, message):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("elicit: error:") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "report,outcome,message",
+        [
+            ("-1", "0", "--report"),
+            ("5", "0", "--report"),
+            ("0", "-1", "--outcome"),
+            ("0", "2", "--outcome"),
+        ],
+    )
+    def test_score_index_out_of_range(self, tmp_path, capsys, report, outcome, message):
+        _, out, _ = run_cli(["make-score", "--g", "brier", "--reports", "grid:4"], capsys)
+        table = write(tmp_path, "table.json", json.loads(out))
+        self.assert_usage_error(
+            ["score", table, "--report", report, "--outcome", outcome], capsys, message
+        )
+
+    def test_check_local_non_finite_own_report(self, tmp_path, capsys):
+        doc = {
+            "score": {
+                "reports": [0, 1],
+                "linear": [[1.0], [0.0]],
+                "constant": [0.0, "-inf"],
+            },
+            "typeSpace": {"dim": 1, "points": [[0.0], [1.0]]},
+        }
+        path = write(tmp_path, "score.json", doc)
+        self.assert_usage_error(
+            ["check-local", path, "--radius", "2.0"],
+            capsys,
+            "truthful reports must score finite values",
+        )
+
+    def test_level_convexity_negative_eps(self, tmp_path, capsys):
+        sample = write(
+            tmp_path,
+            "sample.json",
+            {"points": [[0.0], [0.5], [1.0]], "labels": [0, 1, 0]},
+        )
+        code, _, _ = run_cli(["level-convexity", sample], capsys)
+        assert code == 2
+        self.assert_usage_error(
+            ["level-convexity", sample, "--eps", "-1"], capsys, "eps must be nonnegative"
+        )

@@ -163,6 +163,18 @@ class TestLocalTruthful:
         assert not report.passed
         assert report.witnesses[0].indices == (0, 1)
 
+    def test_non_finite_own_report_rejected(self):
+        from elicit import ScoreTable
+
+        score = ScoreTable(
+            reports=[0, 1], linear=[[1.0], [0.0]], constant=[0.0, -np.inf]
+        )
+        with pytest.raises(ValueError, match="truthful reports must score finite"):
+            check_local_truthful(score, TWO, report_of=[0, 1], radius=2.0)
+        # -inf is fine on a report no type sends
+        report = check_local_truthful(score, TWO, report_of=[0, 0], radius=2.0)
+        assert report.passed
+
     def test_radius_beyond_diameter_matches_global(self):
         ts = TypeSpace(np.linspace(-1, 1, 9).reshape(-1, 1))
         score = make_direct_score(SquaredNorm(), ts)

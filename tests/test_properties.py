@@ -133,6 +133,18 @@ class TestWmonCells:
         assert check_wmon_cells(self.SITES, sample).passed
 
 
+    def test_pairwise_pass_does_not_imply_fittable_weights(self):
+        # the three constraints w_j - w_i <= ||p_j - t||^2 - ||p_i - t||^2
+        # along the site cycle 1 -> 0 -> 2 -> 1 sum to -10 < 0, so no
+        # weights exist, yet every pair of labels is monotone
+        sites = np.array([[0.0, 3.0], [3.0, 1.0], [1.0, -3.0]])
+        sample = LabeledSample(
+            points=[[2.0, 4.0], [-3.0, -2.0], [1.0, -2.0]], labels=[1, 0, 2]
+        )
+        assert check_wmon_cells(sites, sample).passed
+        assert not fit_weights(sites, sample).feasible
+
+
 class TestSaksYuEquivalence:
     def test_fit_matches_wmon_verdict_on_generated_samples(self):
         rng = np.random.default_rng(7)
@@ -212,6 +224,13 @@ class TestLevelSetConvexity:
         report = check_level_set_convexity(sample)
         assert not report.passed
         assert report.witnesses[0].indices == (0, 2, 1)
+
+    def test_negative_eps_rejected(self):
+        # a negative eps would make the sandwich test unable to fail
+        sample = LabeledSample(points=[[0.0], [0.5], [1.0]], labels=[0, 1, 0])
+        assert not check_level_set_convexity(sample).passed
+        with pytest.raises(ValueError, match="eps"):
+            check_level_set_convexity(sample, eps=-1.0)
 
     def test_power_cell_labelings_pass(self):
         rng = np.random.default_rng(13)
