@@ -13,6 +13,7 @@ a --tol flag overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,6 +50,10 @@ _PASS, _FAIL, _USAGE = 0, 2, 1
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_object(path: str) -> dict:
+    return jsonio.require_object(_read_json(path), path)
 
 
 def _emit(payload) -> None:
@@ -151,7 +156,7 @@ def _cmd_rev_interval(args) -> int:
 
 
 def _cmd_myerson(args) -> int:
-    obj = _read_json(args.file)
+    obj = _read_object(args.file)
     alloc = payments.StepAllocation(
         breakpoints=np.asarray(obj["breakpoints"], dtype=float),
         values=np.asarray(obj["values"], dtype=float),
@@ -195,7 +200,7 @@ def _cmd_check_proper(args) -> int:
 
 
 def _cmd_check_truthful(args) -> int:
-    obj = _read_json(args.file)
+    obj = _read_object(args.file)
     score = jsonio.load_score_table(obj["score"])
     ts = jsonio.load_typespace(obj["typeSpace"])
     report = scoring.check_truthful(score, ts, tol=_tol(args))
@@ -204,7 +209,7 @@ def _cmd_check_truthful(args) -> int:
 
 
 def _cmd_check_local(args) -> int:
-    obj = _read_json(args.file)
+    obj = _read_object(args.file)
     score = jsonio.load_score_table(obj["score"])
     ts = jsonio.load_typespace(obj["typeSpace"])
     report_of = obj.get("reportOf", list(range(len(ts))))
@@ -216,7 +221,7 @@ def _cmd_check_local(args) -> int:
 
 
 def _cmd_decision_score(args) -> int:
-    obj = _read_json(args.file)
+    obj = _read_object(args.file)
     g = jsonio.load_convex(obj["g"])
     reports = [np.asarray(q, dtype=float) for q in obj["reports"]]
     spec = scoring.make_decision_score(g, obj["decisions"], reports, tol=_tol(args))
@@ -287,7 +292,7 @@ def _cmd_breg2power(args) -> int:
 
 def _cmd_duality_check(args) -> int:
     g = jsonio.load_convex(_read_json(args.g))
-    obj = _read_json(args.grids)
+    obj = _read_object(args.grids)
     grid = jsonio.load_typespace(obj["typeSpace"])
     duals = np.asarray(obj["duals"], dtype=float)
     report = duality.check_duality_identities(g, grid, duals, tol=_tol(args))
@@ -297,7 +302,7 @@ def _cmd_duality_check(args) -> int:
 
 def _cmd_game(args) -> int:
     g = jsonio.load_convex(_read_json(args.g))
-    obj = _read_json(args.grids)
+    obj = _read_object(args.grids)
     grid = jsonio.load_typespace(obj["typeSpace"])
     duals = np.asarray(obj["duals"], dtype=float)
     eqs = duality.elicitation_game_equilibria(g, grid, duals, grid)
@@ -323,6 +328,7 @@ def _cmd_game(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elicit",
@@ -429,12 +435,14 @@ def main(argv: Optional[list] = None) -> int:
             payload["weight"] = exc.weight
         _emit(payload)
         return _FAIL
+    except KeyError as exc:  # a JSON object lacks a field
+        print(f"elicit: error: missing key {exc}", file=sys.stderr)
+        return _USAGE
     except (
         ElicitError,
         DomainError,
         DimensionMismatchError,
         ValueError,
-        KeyError,
         OSError,
         json.JSONDecodeError,
     ) as exc:

@@ -375,12 +375,37 @@ class ScoreTable:
 # convex-function operations
 
 
-def _check_simplex(t: np.ndarray) -> None:
-    if np.any(t < -SIMPLEX_TOL) or abs(float(t.sum()) - 1.0) > SIMPLEX_TOL:
+def _check_simplex(points: np.ndarray) -> None:
+    rows = np.atleast_2d(points)  # raise for the first row off the simplex
+    off = (rows < -SIMPLEX_TOL).any(axis=1) | (abs(rows.sum(axis=1) - 1.0) > SIMPLEX_TOL)
+    if off.any():
         raise DomainError(
-            f"point {t.tolist()} is not on the probability simplex "
-            f"(tolerance {SIMPLEX_TOL})"
+            f"point {rows[np.argmax(off)].tolist()} is not on the probability "
+            f"simplex (tolerance {SIMPLEX_TOL})"
         )
+
+
+def _eval_rows(g: ConvexSpec, pts: np.ndarray) -> np.ndarray:
+    """G at every row of the 2-D array ``pts``, each value bitwise as
+    for that row alone: an entropy row sums its positive terms only."""
+    if isinstance(g, MaxAffine):
+        if g.dim != pts.shape[1]:
+            raise DimensionMismatchError(f"expected dimension {g.dim}, got {pts.shape[1]}")
+        pieces = np.matmul(g.slopes[None], pts[:, :, None])[:, :, 0]
+        return (pieces + g.intercepts).max(axis=1)
+    if isinstance(g, SquaredNorm):
+        return np.vecdot(pts, pts)
+    if isinstance(g, NegEntropy):
+        _check_simplex(pts)
+        pos = pts > 0.0
+        terms = pts * np.log(pts, out=np.zeros_like(pts), where=pos)
+        sizes = pos.sum(axis=1)  # >= 1 on the simplex
+        out = np.empty(len(pts))
+        for size in set(sizes.tolist()):  # one pairwise sum per row length
+            rows = sizes == size
+            out[rows] = terms[rows][pos[rows]].reshape(-1, size).sum(axis=1)
+        return out
+    raise TypeError(f"unknown convex spec {type(g).__name__}")
 
 
 def eval_convex(g: ConvexSpec, t) -> float:
@@ -389,18 +414,7 @@ def eval_convex(g: ConvexSpec, t) -> float:
     Raises :class:`DomainError` for negative-entropy inputs off the
     simplex beyond tolerance.
     """
-    t = _as_vector(t, "point")
-    if isinstance(g, MaxAffine):
-        if g.dim != len(t):
-            raise DimensionMismatchError(f"expected dimension {g.dim}, got {len(t)}")
-        return float(np.max(g.slopes @ t + g.intercepts))
-    if isinstance(g, SquaredNorm):
-        return float(t @ t)
-    if isinstance(g, NegEntropy):
-        _check_simplex(t)
-        pos = t[t > 0.0]
-        return float(np.sum(pos * np.log(pos)))
-    raise TypeError(f"unknown convex spec {type(g).__name__}")
+    return float(_eval_rows(g, _as_vector(t, "point")[None])[0])
 
 
 def subgradient(g: ConvexSpec, t) -> np.ndarray:
@@ -429,41 +443,33 @@ def subgradient(g: ConvexSpec, t) -> np.ndarray:
     raise TypeError(f"unknown convex spec {type(g).__name__}")
 
 
-def _max_affine_breakpoints(g: MaxAffine, lo: float, hi: float) -> np.ndarray:
-    """1-D crossing points of all piece pairs, clipped to [lo, hi]."""
-    a = g.slopes[:, 0]
-    b = g.intercepts
-    pts = []
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if a[i] != a[j]:
-                x = (b[j] - b[i]) / (a[i] - a[j])
-                if lo <= x <= hi:
-                    pts.append(x)
-    return np.asarray(pts, dtype=float)
-
-
-def conjugate(g: ConvexSpec, d, grid: TypeSpace) -> float:
+def conjugate(g: ConvexSpec, d, grid: TypeSpace):
     """Discrete Legendre transform: max over the grid of <d, v> - G(v).
 
+    ``d`` is one dual vector (float result) or a 2-D array of them, one
+    per row (array result); G is evaluated once, on the whole grid.
     The result is a certified lower bound on the true conjugate, and is
     exact whenever a maximizer lies on the grid.  For 1-D max-affine
     functions the piece-crossing points inside the grid's hull are also
     scanned, which makes the 1-D max-affine conjugate exact.
     """
-    d = _as_vector(d, "dual vector")
-    if len(d) != grid.dim:
+    d = np.asarray(d, dtype=float)
+    duals = _as_matrix(np.atleast_2d(d), "dual vector")
+    if duals.shape[1] != grid.dim:
         raise DimensionMismatchError("dual vector dimension != grid dimension")
-    values = grid.points @ d - np.array([eval_convex(g, v) for v in grid.points])
-    best = float(np.max(values))
+    pts = grid.points
+    # stacked matrix-vector products: bitwise the per-vector pts @ d
+    inner = np.matmul(pts[None], duals[:, :, None])[:, :, 0]
+    best = (inner - _eval_rows(g, pts)).max(axis=1)
     if isinstance(g, MaxAffine) and grid.dim == 1:
-        lo = float(grid.points.min())
-        hi = float(grid.points.max())
-        for x in _max_affine_breakpoints(g, lo, hi):
-            cand = d[0] * x - eval_convex(g, [x])
-            if cand > best:
-                best = cand
-    return best
+        a, b = g.slopes[:, 0], g.intercepts
+        for i in range(len(a)):  # crossings of piece i with later ones; bounds memory
+            j = np.arange(i + 1, len(a))[a[i + 1 :] != a[i]]
+            x = (b[j] - b[i]) / (a[i] - a[j])
+            x = x[(pts.min() <= x) & (x <= pts.max())]
+            cand = duals[:, :1] * x - _eval_rows(g, x[:, None])  # d[0] * x keeps -0.0
+            best = np.maximum(best, cand.max(axis=1, initial=-np.inf))
+    return float(best[0]) if d.ndim < 2 else best
 
 
 def check_subgradient_selection(
@@ -477,7 +483,7 @@ def check_subgradient_selection(
     Witnesses list every violating pair together with its slack.
     """
     fam.check_aligned(ts)
-    evals = np.array([eval_convex(g, t) for t in ts.points])
+    evals = _eval_rows(g, ts.points)
     inner = fam.vectors @ ts.points.T  # inner[i, j] = d_i . t_j
     diag = np.diag(inner)
     # slack[i, j] = G(t_i) + d_i(t_j - t_i) - G(t_j)

@@ -8,7 +8,9 @@ within tolerance rather than by symbolic subdifferentials.
 
 The conjugate is represented implicitly through grid evaluation, except
 for the squared norm where the closed form ||d||^2 / 4 applies whenever
-the maximizer d/2 lies inside the grid's bounding box.
+the maximizer d/2 lies inside the grid's bounding box.  Duals are priced
+as a batch: one call evaluates G once on the grid and takes every dual
+vector's grid maximum together.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import (
     ConvexSpec,
     SquaredNorm,
     TypeSpace,
+    _eval_rows,
     conjugate,
     eval_convex,
     mask_witnesses,
@@ -45,17 +48,25 @@ __all__ = [
 EQUALITY_TOL = 1e-6
 
 
-def conjugate_value(g: ConvexSpec, d, grid: TypeSpace) -> float:
-    """Grid conjugate, upgraded to the closed form for the squared norm
-    when the true maximizer d/2 falls inside the grid's bounding box."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if isinstance(g, SquaredNorm):
-        half = d / 2.0
-        lo = grid.points.min(axis=0)
-        hi = grid.points.max(axis=0)
-        if np.all(half >= lo - 1e-12) and np.all(half <= hi + 1e-12):
-            return float(half @ half)
-    return conjugate(g, d, grid)
+def conjugate_value(g: ConvexSpec, d, grid: TypeSpace):
+    """Grid conjugate of one dual vector or of each row of a 2-D batch,
+    upgraded to the closed form for the squared norm on the rows whose
+    true maximizer d/2 falls inside the grid's bounding box."""
+    d = np.asarray(d, dtype=float)
+    values = conjugate(g, d, grid)
+    if not isinstance(g, SquaredNorm):
+        return values
+    half = np.atleast_1d(d / 2.0)
+    lo, hi = grid.points.min(axis=0) - 1e-12, grid.points.max(axis=0) + 1e-12
+    inside = np.all((half >= lo) & (half <= hi), axis=-1)
+    closed = np.where(inside, np.vecdot(half, half), values)
+    return float(closed) if d.ndim < 2 else closed
+
+
+def _dual_rows(duals) -> np.ndarray:
+    """Dual vectors as rows; a 1-D array lists 1-D duals."""
+    duals = np.asarray(duals, dtype=float)
+    return duals.reshape(-1, 1) if duals.ndim == 1 else duals
 
 
 def dual_report_score(g: ConvexSpec, d, t, grid: TypeSpace) -> float:
@@ -76,15 +87,8 @@ def biconjugate(g: ConvexSpec, t, grid: TypeSpace, duals) -> float:
     """G**(t) by two nested conjugations: max over the dual grid of
     <t, d> - G*(d)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    duals = np.asarray(duals, dtype=float)
-    if duals.ndim == 1:
-        duals = duals.reshape(-1, 1)
-    values = [float(t @ d) - conjugate_value(g, d, grid) for d in duals]
-    return max(values)
-
-
-def _conjugates(g: ConvexSpec, duals: np.ndarray, grid: TypeSpace) -> np.ndarray:
-    return np.array([conjugate_value(g, d, grid) for d in duals])
+    duals = _dual_rows(duals)
+    return float(np.max(np.vecdot(duals, t) - conjugate_value(g, duals, grid)))
 
 
 def check_duality_identities(
@@ -100,11 +104,9 @@ def check_duality_identities(
     (c) the mixed divergence G(t) + G*(d) - <t, d> agrees between its
         two evaluation orders within tol.
     """
-    duals = np.asarray(duals, dtype=float)
-    if duals.ndim == 1:
-        duals = duals.reshape(-1, 1)
-    evals = np.array([eval_convex(g, t) for t in grid.points])
-    conjs = _conjugates(g, duals, grid)
+    duals = _dual_rows(duals)
+    evals = _eval_rows(g, grid.points)
+    conjs = conjugate_value(g, duals, grid)
     inner = grid.points @ duals.T  # inner[i, j] = <t_i, d_j>
 
     fy = evals[:, None] + conjs[None, :] - inner
@@ -161,28 +163,24 @@ def elicitation_game_equilibria(
     """Pure equilibria of the two-player elicitation game on finite
     strategy grids: the pairs where Fenchel-Young holds with equality
     within ``eq_tol``.  Conjugates are evaluated over ``grid``."""
-    d_grid = np.asarray(d_grid, dtype=float)
-    if d_grid.ndim == 1:
-        d_grid = d_grid.reshape(-1, 1)
+    d_grid = _dual_rows(d_grid)
     if len(d_grid) == 0:
         return []
-    evals = np.array([eval_convex(g, t) for t in t_grid.points])
-    conjs = _conjugates(g, d_grid, grid)
+    evals = _eval_rows(g, t_grid.points)
+    conjs = conjugate_value(g, d_grid, grid)
     inner = d_grid @ t_grid.points.T  # inner[j, i] = <d_j, t_i>
     gap = conjs[:, None] + evals[None, :] - inner
-    out: List[Equilibrium] = []
-    for j, i in np.argwhere(np.abs(gap) <= eq_tol):
-        out.append(
-            Equilibrium(
-                d_index=int(j),
-                t_index=int(i),
-                d=d_grid[j].copy(),
-                t=t_grid.points[i].copy(),
-                value_primal=float(evals[i]),
-                value_dual=float(conjs[j]),
-            )
+    return [
+        Equilibrium(
+            d_index=int(j),
+            t_index=int(i),
+            d=d_grid[j].copy(),
+            t=t_grid.points[i].copy(),
+            value_primal=float(evals[i]),
+            value_dual=float(conjs[j]),
         )
-    return out
+        for j, i in np.argwhere(np.abs(gap) <= eq_tol)
+    ]
 
 
 def dual_property(sample: LabeledSample) -> dict:

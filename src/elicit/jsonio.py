@@ -29,6 +29,7 @@ from .scoring import OutcomeScoreTable
 __all__ = [
     "dumps",
     "parse_extended",
+    "require_object",
     "load_convex",
     "convex_to_obj",
     "load_typespace",
@@ -121,6 +122,13 @@ def parse_extended(v: Any, what: str = "value") -> float:
     return x
 
 
+def require_object(obj: Any, what: str) -> dict:
+    """Return ``obj`` if it is a JSON object; raise ValueError otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return obj
+
+
 def _finite_matrix(rows: Any, what: str) -> np.ndarray:
     arr = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -135,8 +143,7 @@ def _finite_matrix(rows: Any, what: str) -> np.ndarray:
 def load_convex(obj: dict) -> ConvexSpec:
     """{"maxAffine": [{"a": [...], "b": ...}, ...]} or
     {"analytic": "squaredNorm" | "negEntropy"}."""
-    if not isinstance(obj, dict):
-        raise ValueError("convex spec must be a JSON object")
+    require_object(obj, "convex spec")
     if "maxAffine" in obj:
         pieces = obj["maxAffine"]
         if not isinstance(pieces, list) or not pieces:
@@ -177,6 +184,7 @@ def convex_to_obj(g: ConvexSpec) -> dict:
 
 def load_typespace(obj: dict) -> TypeSpace:
     """{"dim": n, "points": [[...], ...]}"""
+    require_object(obj, "type space")
     pts = _finite_matrix(obj["points"], "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
@@ -192,6 +200,7 @@ def typespace_to_obj(ts: TypeSpace) -> dict:
 
 def load_family_file(obj: dict) -> tuple:
     """{"typeSpace": {...}, "family": [[...], ...]} -> (ts, fam)."""
+    require_object(obj, "family file")
     ts = load_typespace(obj["typeSpace"])
     fam = LinearFamily(_finite_matrix(obj["family"], "family"))
     fam.check_aligned(ts)
@@ -204,6 +213,7 @@ def load_family_file(obj: dict) -> tuple:
 
 def load_score_table(obj: dict) -> ScoreTable:
     """{"reports": [...], "linear": [[...]], "constant": [...]}"""
+    require_object(obj, "score table")
     constants = [parse_extended(c, "constant") for c in obj["constant"]]
     return ScoreTable(
         reports=list(obj["reports"]),
@@ -222,6 +232,7 @@ def score_table_to_obj(score: ScoreTable) -> dict:
 
 def load_outcome_table(obj: dict) -> OutcomeScoreTable:
     """{"nOutcomes": n, "reports": [[...]], "payoffs": [[...]]}"""
+    require_object(obj, "outcome table")
     payoffs = [
         [parse_extended(s, "payoff") for s in row] for row in obj["payoffs"]
     ]
@@ -248,6 +259,7 @@ def outcome_table_to_obj(table: OutcomeScoreTable) -> dict:
 
 def load_diagram(obj: dict) -> PowerDiagramSpec:
     """{"sites": [[...]], "weights": [...]}"""
+    require_object(obj, "diagram")
     return PowerDiagramSpec(
         sites=_finite_matrix(obj["sites"], "sites"),
         weights=_finite_matrix(obj["weights"], "weights"),
@@ -260,14 +272,16 @@ def diagram_to_obj(diag: PowerDiagramSpec) -> dict:
 
 def load_sample(obj: dict) -> LabeledSample:
     """{"points": [[...]], "labels": [...]}"""
+    require_object(obj, "sample")
     return LabeledSample(
         points=_finite_matrix(obj["points"], "points"),
-        labels=np.asarray(obj["labels"], dtype=int),
+        labels=obj["labels"],
     )
 
 
 def load_points(obj: dict) -> np.ndarray:
     """{"points": [[...]]}"""
+    require_object(obj, "points file")
     pts = _finite_matrix(obj["points"], "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)

@@ -91,7 +91,10 @@ class LabeledSample:
 
     def __post_init__(self):
         self.points = _as_matrix(self.points, "points")
-        self.labels = np.asarray(self.labels, dtype=int).reshape(-1)
+        labels = np.asarray(self.labels, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(labels) & (labels == np.trunc(labels))):
+            raise ValueError("labels must be integers")
+        self.labels = labels.astype(int)
         if len(self.labels) != len(self.points):
             raise DimensionMismatchError("one label per point required")
         if len(self.labels) and self.labels.min() < 0:
@@ -313,10 +316,6 @@ def bregman_to_power(
     ``grid``, which is exact whenever the grid contains the sites.
     """
     sites = _as_matrix(bregman_sites, "sites")
-    new_sites = np.empty_like(sites)
-    weights = np.empty(len(sites))
-    for j, t in enumerate(sites):
-        d = subgradient(g, t)
-        new_sites[j] = d / 2.0
-        weights[j] = float(d @ d) / 4.0 - conjugate(g, d, grid)
-    return PowerDiagramSpec(sites=new_sites, weights=weights)
+    duals = np.array([subgradient(g, t) for t in sites]).reshape(sites.shape)
+    weights = np.vecdot(duals, duals) / 4.0 - conjugate(g, duals, grid)
+    return PowerDiagramSpec(sites=duals / 2.0, weights=weights)

@@ -163,7 +163,8 @@ def check_proper(
     compares the truthful row against every listed report as deviation.
     ``beliefs=None`` checks all report rows against each other.  Strict
     mode additionally flags distinct reports that tie within ``tol``
-    (such ties carry their near-zero slack as the witness).
+    (such ties carry their near-zero slack as the witness).  A belief
+    whose own report scores a non-finite value raises ValueError.
     """
     if beliefs is None:
         truth = list(range(len(table)))
@@ -195,7 +196,10 @@ def check_proper(
             score += term
             far = np.maximum(far, np.abs(table.reports[:, o][None, :] - prob))
         score[sunk] = -np.inf
-        gain = score - score[np.arange(n_beliefs), truth][:, None]
+        own = score[np.arange(n_beliefs), truth]
+        if not np.all(np.isfinite(own)):
+            raise ValueError("truthful reports must score finite values")
+        gain = score - own[:, None]
     deviation = np.arange(m)[None, :] != np.asarray(truth)[:, None]
     ahead = deviation & (gain > tol)
     witnesses = mask_witnesses(

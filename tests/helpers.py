@@ -7,9 +7,18 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from elicit import CheckReport, LinearFamily, MaxAffine, TypeSpace, Witness
-from elicit.core import eval_convex
-from elicit.duality import conjugate_value
+from elicit import (
+    CheckReport,
+    DimensionMismatchError,
+    DomainError,
+    LinearFamily,
+    MaxAffine,
+    NegEntropy,
+    SquaredNorm,
+    TypeSpace,
+    Witness,
+)
+from elicit.core import SIMPLEX_TOL
 from elicit.monotone import cmon_weights
 from elicit.scoring import expected_score
 
@@ -102,7 +111,7 @@ def loop_check_wmon(ts, fam, tol):
 
 
 def loop_check_subgradient_selection(g, fam, ts, tol):
-    evals = [eval_convex(g, t) for t in ts.points]
+    evals = [loop_eval_convex(g, t) for t in ts.points]
     inner = fam.vectors @ ts.points.T
     out = []
     for i in range(len(ts)):
@@ -235,8 +244,8 @@ def loop_duality_witnesses(g, grid, duals, tol):
     """Witness list of ``check_duality_identities`` (its ``info`` is
     left to the library's own tests)."""
     duals = np.asarray(duals, dtype=float).reshape(len(duals), -1)
-    evals = [eval_convex(g, t) for t in grid.points]
-    conjs = [conjugate_value(g, d, grid) for d in duals]
+    evals = [loop_eval_convex(g, t) for t in grid.points]
+    conjs = [loop_conjugate_value(g, d, grid) for d in duals]
     inner = grid.points @ duals.T
     kinds = [
         ("fenchel-young", "G(t) + G*(d) < <t, d>"),
@@ -256,3 +265,60 @@ def loop_duality_witnesses(g, grid, duals, tol):
                 if slack > tol:
                     found[kind].append(Witness(kind, (i, j), float(slack), detail))
     return [w for kind, _ in kinds for w in found[kind]]
+
+
+# ---------------------------------------------------------------------------
+# loop references for the batched conjugate: G at one point at a time, and
+# the grid conjugate of one dual vector at a time, each evaluating G again
+
+
+def loop_eval_convex(g, t) -> float:
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if isinstance(g, MaxAffine):
+        if g.dim != len(t):
+            raise DimensionMismatchError(f"expected dimension {g.dim}, got {len(t)}")
+        return float(np.max(g.slopes @ t + g.intercepts))
+    if isinstance(g, SquaredNorm):
+        return float(t @ t)
+    if isinstance(g, NegEntropy):
+        if np.any(t < -SIMPLEX_TOL) or abs(float(t.sum()) - 1.0) > SIMPLEX_TOL:
+            raise DomainError(
+                f"point {t.tolist()} is not on the probability simplex "
+                f"(tolerance {SIMPLEX_TOL})"
+            )
+        pos = t[t > 0.0]
+        return float(np.sum(pos * np.log(pos)))
+    raise TypeError(f"unknown convex spec {type(g).__name__}")
+
+
+def loop_conjugate(g, d, grid) -> float:
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if not np.all(np.isfinite(d)):
+        raise ValueError("dual vector must be finite")
+    if len(d) != grid.dim:
+        raise DimensionMismatchError("dual vector dimension != grid dimension")
+    values = grid.points @ d - np.array([loop_eval_convex(g, v) for v in grid.points])
+    best = float(np.max(values))
+    if isinstance(g, MaxAffine) and grid.dim == 1:
+        lo, hi = float(grid.points.min()), float(grid.points.max())
+        a, b = g.slopes[:, 0], g.intercepts
+        for i in range(len(a)):
+            for j in range(i + 1, len(a)):
+                if a[i] != a[j]:
+                    x = (b[j] - b[i]) / (a[i] - a[j])
+                    if lo <= x <= hi:
+                        cand = d[0] * x - loop_eval_convex(g, [x])
+                        if cand > best:
+                            best = float(cand)
+    return best
+
+
+def loop_conjugate_value(g, d, grid) -> float:
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if isinstance(g, SquaredNorm):
+        half = d / 2.0
+        lo = grid.points.min(axis=0)
+        hi = grid.points.max(axis=0)
+        if np.all(half >= lo - 1e-12) and np.all(half <= hi + 1e-12):
+            return float(half @ half)
+    return loop_conjugate(g, d, grid)

@@ -1,0 +1,215 @@
+"""The batched conjugate and row evaluation against the one-at-a-time
+loops of ``helpers``: bitwise equal values (compared as bytes, so the
+sign of a zero counts) and the same errors."""
+
+import numpy as np
+import pytest
+
+from elicit import (
+    DimensionMismatchError,
+    DomainError,
+    MaxAffine,
+    NegEntropy,
+    SquaredNorm,
+    TypeSpace,
+    biconjugate,
+    bregman_to_power,
+    simplex_grid,
+    subgradient,
+)
+from elicit.core import _eval_rows, conjugate, eval_convex
+from elicit.duality import conjugate_value
+from helpers import (
+    loop_conjugate,
+    loop_conjugate_value,
+    loop_eval_convex,
+    random_max_affine,
+    random_typespace,
+)
+
+SEEDS = range(10)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def simplex_rows(rng, n, m):
+    """Lattice points plus random rows, with exact zeros and +-1e-10
+    coordinates, all on the simplex within tolerance."""
+    pts = rng.dirichlet(np.ones(n), size=m)
+    pts[rng.random(pts.shape) < 0.3] = 0.0
+    tiny = rng.random(pts.shape) < 0.1
+    pts[tiny] = rng.choice([1e-10, -1e-10], size=int(tiny.sum()))
+    pts[:, 0] = 1.0 - pts[:, 1:].sum(axis=1)
+    rows = np.vstack([simplex_grid(n, 3), pts])
+    ok = (rows.min(axis=1) >= -1e-9) & (np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)
+    return np.unique(rows[ok], axis=0)
+
+
+def assert_batch_matches_loop(g, duals, grid):
+    batch = conjugate(g, duals, grid)
+    assert bits(batch) == bits([loop_conjugate(g, d, grid) for d in duals])
+    for k in (0, len(duals) - 1):  # the one-vector form is the batch's row
+        one = conjugate(g, duals[k], grid)
+        assert isinstance(one, float)
+        assert bits(one) == bits(batch[k])
+    return batch
+
+
+# ---------------------------------------------------------------------------
+# G on rows
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 12])
+def test_entropy_rows_with_zeros_match_the_loop(seed, n):
+    # from 8 coordinates on numpy sums in eight lanes, so a row that kept
+    # its zeros would regroup the sum of its positive terms
+    pts = simplex_rows(np.random.default_rng(seed), n, 200)
+    assert (pts == 0.0).any() and (np.abs(pts) == 1e-10).any()
+    ref = [loop_eval_convex(NegEntropy(), t) for t in pts]
+    assert bits(_eval_rows(NegEntropy(), pts)) == bits(ref)
+    assert bits([eval_convex(NegEntropy(), t) for t in pts]) == bits(ref)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_squared_norm_and_max_affine_rows_match_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    for dim in (1, 2, 3, 5):
+        pts = rng.normal(size=(40, dim))
+        for g in (SquaredNorm(), random_max_affine(rng, dim, max_pieces=30)):
+            ref = [loop_eval_convex(g, t) for t in pts]
+            assert bits(_eval_rows(g, pts)) == bits(ref)
+            assert bits([eval_convex(g, t) for t in pts]) == bits(ref)
+
+
+# ---------------------------------------------------------------------------
+# the grid conjugate
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_entropy_conjugate_matches_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    for n in (3, 9):
+        grid = TypeSpace(simplex_rows(rng, n, 60))
+        assert_batch_matches_loop(NegEntropy(), rng.normal(scale=3.0, size=(25, n)), grid)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_squared_norm_conjugate_value_both_branches(seed):
+    rng = np.random.default_rng(seed)
+    grid = random_typespace(rng, 2, max_points=80)
+    lo, hi = grid.points.min(axis=0), grid.points.max(axis=0)
+    inside = 2.0 * rng.uniform(lo, hi, size=(20, 2))  # d/2 in the box
+    outside = 2.0 * (hi + rng.uniform(0.1, 1.0, size=(20, 2)))
+    duals = np.vstack([inside, outside])
+    grid_max = assert_batch_matches_loop(SquaredNorm(), duals, grid)
+    values = conjugate_value(SquaredNorm(), duals, grid)
+    assert bits(values) == bits([loop_conjugate_value(SquaredNorm(), d, grid) for d in duals])
+    assert bits(conjugate_value(SquaredNorm(), duals[0], grid)) == bits(values[0])
+    # the closed form took the inside rows, the grid max the others
+    assert bits(values[20:]) == bits(grid_max[20:])
+    assert bits(values[:20]) == bits(np.vecdot(inside / 2.0, inside / 2.0))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_max_affine_conjugate_matches_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    for dim in (2, 3, 4):
+        g = random_max_affine(rng, dim, max_pieces=12)
+        grid = random_typespace(rng, dim, max_points=120)
+        assert_batch_matches_loop(g, rng.normal(scale=2.0, size=(30, dim)), grid)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_1d_max_affine_breakpoints_beat_a_coarse_grid(seed):
+    rng = np.random.default_rng(seed)
+    g = random_max_affine(rng, 1, max_pieces=12)
+    g = MaxAffine(np.vstack([g.slopes, [[3.0], [-3.0]]]), np.append(g.intercepts, [0.0, 0.0]))
+    grid = TypeSpace([[-2.0], [-0.5], [1.5]])
+    duals = rng.uniform(-4.0, 4.0, size=(40, 1))
+    batch = assert_batch_matches_loop(g, duals, grid)
+    on_grid = (grid.points @ duals.T - _eval_rows(g, grid.points)[:, None]).max(axis=0)
+    assert (batch > on_grid).sum() >= 5
+
+
+def test_1d_max_affine_breakpoint_keeps_a_negative_zero():
+    # d * x at the kink x = 0 is -0.0 for d < 0, and the loop keeps it
+    absval = MaxAffine([[1.0], [-1.0]], [0.0, 0.0])
+    grid = TypeSpace([[-1.0], [2.0]])
+    batch = assert_batch_matches_loop(absval, np.array([[-0.5], [0.5]]), grid)
+    assert np.signbit(batch[0]) and not np.signbit(batch[1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_biconjugate_and_bregman_to_power_match_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    grid = random_typespace(rng, 2, max_points=60)
+    duals = rng.normal(scale=3.0, size=(30, 2))
+    for t in grid.points[:5]:
+        ref = max(float(t @ d) - loop_conjugate_value(SquaredNorm(), d, grid) for d in duals)
+        assert bits(biconjugate(SquaredNorm(), t, grid, duals)) == bits(ref)
+
+    sgrid = TypeSpace(simplex_rows(rng, 3, 40))
+    sites = sgrid.points[sgrid.points.min(axis=1) >= 1e-3][:6]
+    diag = bregman_to_power(NegEntropy(), sites, sgrid)
+    d = [subgradient(NegEntropy(), t) for t in sites]
+    assert bits(diag.sites) == bits([x / 2.0 for x in d])
+    ref = [float(x @ x) / 4.0 - loop_conjugate(NegEntropy(), x, sgrid) for x in d]
+    assert bits(diag.weights) == bits(ref)
+
+
+# ---------------------------------------------------------------------------
+# errors
+
+
+def same_error(call, reference):
+    with pytest.raises(Exception) as got:
+        call()
+    with pytest.raises(Exception) as want:
+        reference()
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    return got.value
+
+
+def test_off_simplex_grid_row_raises_like_the_loop():
+    grid = TypeSpace([[0.2, 0.3, 0.5], [0.6, 0.6, -0.2], [0.7, 0.7, -0.4]])
+    duals = np.zeros((4, 3))
+    err = same_error(
+        lambda: conjugate(NegEntropy(), duals, grid),
+        lambda: loop_conjugate(NegEntropy(), duals[0], grid),
+    )
+    assert isinstance(err, DomainError) and "[0.6, 0.6, -0.2]" in str(err)
+    same_error(
+        lambda: conjugate(NegEntropy(), duals[0], grid),
+        lambda: loop_conjugate(NegEntropy(), duals[0], grid),
+    )
+
+
+@pytest.mark.parametrize("g", [NegEntropy(), SquaredNorm(), MaxAffine([[1.0, 0.0]], [0.0])])
+def test_dual_of_wrong_dimension_raises_like_the_loop(g):
+    grid = TypeSpace([[0.5, 0.5], [1.0, 0.0]])
+    duals = np.ones((3, 3))
+    for f in (conjugate, conjugate_value):
+        err = same_error(lambda: f(g, duals, grid), lambda: loop_conjugate(g, duals[0], grid))
+        assert isinstance(err, DimensionMismatchError)
+        same_error(lambda: f(g, duals[0], grid), lambda: loop_conjugate(g, duals[0], grid))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_dual_raises_like_the_loop(bad):
+    grid = TypeSpace([[0.5, 0.5], [1.0, 0.0]])
+    duals = np.ones((3, 2))
+    duals[1, 0] = bad
+    ref = lambda: [loop_conjugate(SquaredNorm(), d, grid) for d in duals]  # noqa: E731
+    err = same_error(lambda: conjugate(SquaredNorm(), duals, grid), ref)
+    assert isinstance(err, ValueError)
+    same_error(lambda: conjugate(SquaredNorm(), duals[1], grid), ref)
+
+
+def test_max_affine_of_wrong_dimension_raises_like_the_loop():
+    g = MaxAffine([[1.0, 0.0]], [0.0])
+    grid = TypeSpace([[0.5], [1.0]])
+    same_error(lambda: conjugate(g, [[1.0]], grid), lambda: loop_conjugate(g, [1.0], grid))
+    same_error(lambda: eval_convex(g, [1.0]), lambda: loop_eval_convex(g, [1.0]))

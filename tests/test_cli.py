@@ -363,3 +363,73 @@ class TestInputErrors:
         self.assert_usage_error(
             ["level-convexity", sample, "--eps", "-1"], capsys, "eps must be nonnegative"
         )
+
+    def test_check_proper_non_finite_own_score(self, tmp_path, capsys):
+        table = write(
+            tmp_path,
+            "table.json",
+            {
+                "reports": [[0, 0, 1], [0.5, 0, 0.5]],
+                "payoffs": [["-inf", "-inf", 0], [-1, "-inf", -1]],
+            },
+        )
+        beliefs = write(tmp_path, "beliefs.json", {"beliefs": [[1e-10, -1e-10, 1]]})
+        self.assert_usage_error(
+            ["check-proper", table, beliefs],
+            capsys,
+            "truthful reports must score finite values",
+        )
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["check-truthful", "{f}"], "must be a JSON object"),
+            (["check-local", "{f}", "--radius", "1"], "must be a JSON object"),
+            (["myerson", "{f}", "--t", "0.5"], "must be a JSON object"),
+            (["decision-score", "{f}"], "must be a JSON object"),
+            (["check-wmon", "{f}"], "family file must be a JSON object"),
+            (["score", "{f}", "--report", "0", "--outcome", "0"], "outcome table must"),
+            (["level-convexity", "{f}"], "sample must be a JSON object"),
+            (["homothet", "{f}", "--alpha", "2"], "diagram must be a JSON object"),
+            (["duality-check", "{g}", "{f}"], "must be a JSON object"),
+            (["game", "{g}", "{f}"], "must be a JSON object"),
+        ],
+    )
+    def test_top_level_list_is_not_an_object(self, tmp_path, capsys, args, message):
+        f = write(tmp_path, "list.json", [[0.0], [1.0]])
+        g = write(tmp_path, "g.json", {"analytic": "squaredNorm"})
+        argv = [a.format(f=f, g=g) for a in args]
+        self.assert_usage_error(argv, capsys, message)
+
+    def test_nested_list_is_not_an_object(self, tmp_path, capsys):
+        path = write(tmp_path, "doc.json", {"score": [1, 2], "typeSpace": {"points": [[0.0]]}})
+        self.assert_usage_error(
+            ["check-truthful", path], capsys, "score table must be a JSON object"
+        )
+
+    def test_missing_key_is_named(self, tmp_path, capsys):
+        path = write(tmp_path, "doc.json", {"typeSpace": {"dim": 1, "points": [[0.0], [1.0]]}})
+        self.assert_usage_error(["check-truthful", path], capsys, "missing key 'score'")
+        fam = write(tmp_path, "fam.json", {"typeSpace": {"points": [[0.0]]}})
+        self.assert_usage_error(["check-cmon", fam], capsys, "missing key 'family'")
+
+    def test_non_integer_label(self, tmp_path, capsys):
+        sample = write(
+            tmp_path,
+            "sample.json",
+            {"points": [[0.0], [0.5], [1.0]], "labels": [0, 1.7, 0]},
+        )
+        self.assert_usage_error(
+            ["level-convexity", sample], capsys, "labels must be integers"
+        )
+
+
+def test_parser_is_built_once_and_a_usage_error_leaves_it_clean(tmp_path, capsys):
+    fam = write(tmp_path, "fam.json", FIG_FAMILY)
+    args = ["rev-interval", fam, "--anchor", "0=0", "--anchor", "1=0.5", "--target", "2"]
+    alone = run_cli(args, capsys)
+    code, out, err = run_cli(["check-wmon"], capsys)
+    assert code == 1 and out == "" and "required" in err
+    assert run_cli(args, capsys) == alone
+    assert alone[0] == 0
+    assert cli._build_parser() is cli._build_parser()

@@ -218,6 +218,19 @@ class TestHomothet:
             homothet_transform(diag, alpha=0.0, p0=[0.0])
 
 
+class TestLabeledSample:
+    def test_non_integer_label_is_rejected(self):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            LabeledSample(points=[[0.0], [0.5], [1.0]], labels=[0, 1.7, 0])
+        with pytest.raises(ValueError, match="labels must be integers"):
+            LabeledSample(points=[[0.0], [1.0]], labels=[0.0, np.nan])
+
+    def test_integral_float_labels_are_kept(self):
+        sample = LabeledSample(points=[[0.0], [1.0]], labels=[0.0, 1.0])
+        assert sample.labels.dtype.kind == "i"
+        assert sample.labels.tolist() == [0, 1]
+
+
 class TestLevelSetConvexity:
     def test_one_dimensional_sandwich(self):
         sample = LabeledSample(points=[[0.0], [1.0], [2.0]], labels=[0, 1, 0])

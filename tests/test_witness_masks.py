@@ -21,6 +21,7 @@ from elicit import (
     check_truthful,
     check_wmon,
     check_wmon_cells,
+    expected_score,
     jsonio,
     make_scoring_rule,
     simplex_grid,
@@ -157,15 +158,28 @@ def case_proper_ties(rng):
 
 def test_mixed_infinite_terms_score_minus_inf():
     # a belief within tolerance of its report may put -1e-10 on one
-    # outcome and 1e-10 on another where that report pays -inf; its
-    # expected score is -inf, as in expected_score, never nan
+    # outcome and 1e-10 on another where a deviation pays -inf; that
+    # deviation's expected score is -inf, as in expected_score, never nan
+    table = OutcomeScoreTable(
+        reports=[[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]],
+        payoffs=[[-1.0, -1.0, 0.0], [-np.inf, -np.inf, 0.5], [-1.0, -2.0, -1.0]],
+    )
+    beliefs = [[1e-10, -1e-10, 1.0], [0.5, 0.0, 0.5]]
+    assert expected_score(table, 1, beliefs[0]) == -np.inf
+    report = check_proper(table, beliefs)
+    assert report.to_obj() == loop_check_proper(table, beliefs, False, 1e-9).to_obj()
+    assert not report.passed
+
+
+def test_non_finite_own_score_is_rejected():
+    # the same mixed terms on the belief's own report make its truthful
+    # score -inf; every deviation would then gain +inf
     table = OutcomeScoreTable(
         reports=[[0.0, 0.0, 1.0], [0.5, 0.0, 0.5]],
         payoffs=[[-np.inf, -np.inf, 0.0], [-1.0, -np.inf, -1.0]],
     )
-    beliefs = [[1e-10, -1e-10, 1.0], [0.5, 0.0, 0.5]]
-    report = check_proper(table, beliefs)
-    assert report.to_obj() == loop_check_proper(table, beliefs, False, 1e-9).to_obj()
+    with pytest.raises(ValueError, match="truthful reports must score finite values"):
+        check_proper(table, [[1e-10, -1e-10, 1.0], [0.5, 0.0, 0.5]])
 
 
 class _Witnesses:
