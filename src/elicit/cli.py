@@ -443,6 +443,7 @@ def main(argv: Optional[list] = None) -> int:
         DomainError,
         DimensionMismatchError,
         ValueError,
+        TypeError,  # a JSON field of the wrong type
         OSError,
         json.JSONDecodeError,
     ) as exc:

@@ -11,8 +11,8 @@ conjugation, and the Bregman-style regret divergence.
 Vectors are numpy float64 arrays.  Extended reals are plain floats where
 ``-inf`` is a legal value for score constants and payoffs (log-score
 style); ``+inf`` and ``nan`` are rejected at every public boundary.  The
-multiplication convention ``0 * (-inf) == 0`` is implemented by
-:func:`ext_mul`.
+multiplication convention ``0 * (-inf) == 0``, also for a probability
+within ``SIMPLEX_TOL`` below 0, is implemented by :func:`ext_mul`.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ def require_extended_real(x: float, what: str = "value") -> float:
 
 
 def ext_mul(p: float, x: float) -> float:
-    """Multiply with the convention 0 * (-inf) == 0."""
-    if p == 0.0:
+    """Multiply with the convention 0 * (-inf) == 0; a probability in
+    [-SIMPLEX_TOL, 0) is rounding noise on 0 and times -inf gives 0 too."""
+    if p == 0.0 or (x == -math.inf and -SIMPLEX_TOL <= p < 0.0):
         return 0.0
     return p * x
 

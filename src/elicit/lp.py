@@ -3,7 +3,8 @@
 Desk-scale only: the tableau is dense and pivoting follows Bland's rule,
 trading speed for guaranteed termination.  Infeasibility comes with a
 Farkas certificate y >= 0, y^T A = 0, y^T b < 0 whose support names an
-irreducible conflicting subset of constraints.
+irreducible conflicting subset of constraints.  No library code calls
+it; the weight-fitting tests use it as an independent reference.
 """
 
 from __future__ import annotations

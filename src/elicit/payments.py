@@ -119,6 +119,15 @@ class PaymentResult:
         )
 
 
+def _paths_from(weights: np.ndarray, source: int, tol: float) -> np.ndarray:
+    """Longest-path values from ``source``; a positive cycle raises
+    :class:`NotImplementableError` carrying it."""
+    res = longest_paths(weights, source=source, tol=tol)
+    if res.cycle is not None:
+        raise NotImplementableError(res.cycle, res.cycle_weight)
+    return res.dist
+
+
 def rochet_payments(
     ts: TypeSpace,
     fam: LinearFamily,
@@ -135,11 +144,7 @@ def rochet_payments(
     fam.check_aligned(ts)
     if not 0 <= t0 < len(ts):
         raise ValueError(f"base type {t0} out of range")
-    weights = cmon_weights(ts, fam)
-    res = longest_paths(weights, source=t0, tol=tol)
-    if res.cycle is not None:
-        raise NotImplementableError(res.cycle, res.cycle_weight)
-    surplus = res.dist
+    surplus = _paths_from(cmon_weights(ts, fam), t0, tol)
     own = np.einsum("ij,ij->i", fam.vectors, ts.points)
     payments = own - surplus
     result = PaymentResult(surplus, payments, t0, fam)
@@ -202,25 +207,16 @@ def revenue_interval(
         if not 0 <= idx < len(ts):
             raise ValueError(f"type index {idx} out of range")
     weights = cmon_weights(ts, fam)
-
-    dists: Dict[int, np.ndarray] = {}
-    for s in anchors:
-        res = longest_paths(weights, source=s, tol=tol)
-        if res.cycle is not None:
-            raise NotImplementableError(res.cycle, res.cycle_weight)
-        dists[s] = res.dist
+    dists = {s: _paths_from(weights, s, tol) for s in anchors}
     _check_anchor_consistency(anchors, dists, tol)
 
     if target in anchors:
         v = anchors[target]
         return RevenueInterval(v, v, anchors, target)
 
-    res_target = longest_paths(weights, source=target, tol=tol)
-    if res_target.cycle is not None:
-        raise NotImplementableError(res_target.cycle, res_target.cycle_weight)
-
+    from_target = _paths_from(weights, target, tol)
     lower = max(v + dists[s][target] for s, v in anchors.items())
-    upper = min(v - res_target.dist[s] for s, v in anchors.items())
+    upper = min(v - from_target[s] for s, v in anchors.items())
     return RevenueInterval(float(lower), float(upper), anchors, target)
 
 
@@ -234,18 +230,14 @@ def check_revenue_equivalence(
     it everywhere; witnesses are targets whose interval has width > tol."""
     fam.check_aligned(ts)
     weights = cmon_weights(ts, fam)
-    fwd = longest_paths(weights, source=t0, tol=tol)
-    if fwd.cycle is not None:
-        raise NotImplementableError(fwd.cycle, fwd.cycle_weight)
-    bwd = longest_paths(weights.T, source=t0, tol=tol)
-    if bwd.cycle is not None:
-        raise NotImplementableError(bwd.cycle, bwd.cycle_weight)
+    fwd = _paths_from(weights, t0, tol)
+    bwd = _paths_from(weights.T, t0, tol)
     witnesses = []
     for target in range(len(ts)):
         if target == t0:
             continue
-        lower = fwd.dist[target]
-        upper = -bwd.dist[target]  # longest path target -> t0, reversed graph
+        lower = fwd[target]
+        upper = -bwd[target]  # longest path target -> t0, reversed graph
         width = float(upper - lower)
         if width > tol:
             witnesses.append(

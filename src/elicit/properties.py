@@ -3,10 +3,12 @@
 A finite-report property is elicitable exactly when its level sets form
 a power diagram, so this module provides: nearest-site labeling under
 the power distance, the affine score a diagram induces, fitting weights
-to a labeled sample (a linear feasibility problem once sites are
-fixed), the pairwise monotonicity check on cells, homothets that
-preserve every cell boundary, a sandwich test for level-set convexity,
-and the conversion from Bregman-divergence diagrams to power diagrams.
+to a labeled sample (with sites fixed, difference constraints
+w_j - w_i <= c_ij on the longest-path kernel of ``monotone``: canonical
+weights, or a site cycle whose c_ij sum below zero), the pairwise
+monotonicity check on cells, homothets that preserve every cell
+boundary, a sandwich test for level-set convexity, and the conversion
+from Bregman-divergence diagrams to power diagrams.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import lp
 from .core import (
     DEFAULT_TOL,
     CheckReport,
@@ -31,6 +32,7 @@ from .core import (
     mask_witnesses,
     subgradient,
 )
+from .monotone import longest_paths
 
 __all__ = [
     "PowerDiagramSpec",
@@ -112,9 +114,9 @@ class Labeling:
     ties: np.ndarray
 
 
-def _power_costs(diag: PowerDiagramSpec, points: np.ndarray) -> np.ndarray:
-    diffs = points[:, None, :] - diag.sites[None, :, :]
-    return np.einsum("kmn,kmn->km", diffs, diffs) - diag.weights[None, :]
+def _sq_dists(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    diffs = points[:, None, :] - sites[None, :, :]
+    return np.einsum("kmn,kmn->km", diffs, diffs)
 
 
 def power_cells(diag: PowerDiagramSpec, points) -> Labeling:
@@ -123,7 +125,7 @@ def power_cells(diag: PowerDiagramSpec, points) -> Labeling:
     points = _as_matrix(points, "points")
     if points.shape[1] != diag.dim:
         raise DimensionMismatchError("points dimension != diagram dimension")
-    costs = _power_costs(diag, points)
+    costs = _sq_dists(points, diag.sites) - diag.weights[None, :]
     labels = costs.argmin(axis=1)
     best = costs[np.arange(len(points)), labels]
     ties = (costs <= best[:, None] + TIE_TOL).sum(axis=1) >= 2
@@ -144,7 +146,7 @@ def score_from_diagram(diag: PowerDiagramSpec) -> ScoreTable:
 @dataclass
 class FitWeightsResult:
     """Outcome of weight fitting; infeasibility is a certified answer,
-    not an error, and carries the conflicting constraints."""
+    not an error, and carries a site cycle of conflicting constraints."""
 
     feasible: bool
     weights: Optional[np.ndarray] = None
@@ -154,52 +156,43 @@ class FitWeightsResult:
 def fit_weights(sites, sample: LabeledSample, tol: float = DEFAULT_TOL) -> FitWeightsResult:
     """Fit weights so every sample point lands in its labeled cell.
 
-    With sites fixed the cell-membership constraints are linear in w:
-    for a point t labeled i and any other site j,
-        w_j - w_i <= ||p_j - t||^2 - ||p_i - t||^2.
-    Solved by Phase-I simplex; a feasible w is normalized to min 0, and
-    infeasibility returns the constraints in the Farkas support.
+    With sites fixed the cell-membership constraints are difference
+    constraints w_j - w_i <= c_ij, c_ij the least ||p_j - t||^2 -
+    ||p_i - t||^2 over points t labeled i (+inf if none), solved by
+    longest paths on -c.  Feasible: the componentwise largest w with
+    max 0, shifted to min 0.  Infeasible: a site cycle whose c_ij sum
+    below -tol, one witness (k, i, j) per edge in cycle order, with k
+    the lowest-index point labeled i attaining c_ij and c_ij as slack.
     """
     sites = _as_matrix(sites, "sites")
     m = len(sites)
-    if len(sample) and sample.labels.max() >= m:
-        raise ValueError("sample label exceeds site count")
-    if len(sample) and sample.points.shape[1] != sites.shape[1]:
-        raise DimensionMismatchError("sample dimension != sites dimension")
-    rows = []
-    rhs = []
-    meta = []  # (sample index, labeled site, competitor site)
-    for k in range(len(sample)):
-        t = sample.points[k]
-        i = int(sample.labels[k])
-        di = float((sites[i] - t) @ (sites[i] - t))
-        for j in range(m):
-            if j == i:
-                continue
-            row = np.zeros(m)
-            row[j] = 1.0
-            row[i] = -1.0
-            dj = float((sites[j] - t) @ (sites[j] - t))
-            rows.append(row)
-            rhs.append(dj - di)
-            meta.append((k, i, j))
-    if not rows:
+    if len(sample) == 0:
         return FitWeightsResult(feasible=True, weights=np.zeros(m))
-    res = lp.feasible_point(np.asarray(rows), np.asarray(rhs), tol=tol)
-    if res.feasible:
-        w = res.x - res.x.min()
-        return FitWeightsResult(feasible=True, weights=w)
-    witnesses = []
-    for r in np.flatnonzero(res.farkas > tol):
-        k, i, j = meta[int(r)]
-        witnesses.append(
-            Witness(
-                kind="constraint",
-                indices=(k, i, j),
-                slack=float(res.farkas[int(r)]),
-                detail=f"point {k} labeled {i} conflicts against site {j}",
-            )
+    labels = sample.labels
+    if labels.max() >= m:
+        raise ValueError("sample label exceeds site count")
+    if sample.points.shape[1] != sites.shape[1]:
+        raise DimensionMismatchError("sample dimension != sites dimension")
+    sq = _sq_dists(sample.points, sites)
+    rel = sq - sq[np.arange(len(sample)), labels][:, None]
+    c = np.full((m, m), np.inf)
+    np.minimum.at(c, labels, rel)
+    res = longest_paths(-c, source=None, tol=tol)
+    if res.cycle is None:
+        w = -res.dist
+        return FitWeightsResult(feasible=True, weights=w - w.min())
+    src = np.asarray(res.cycle)
+    dst = np.roll(src, -1)
+    tightest = np.where(labels[:, None] == src, rel[:, dst], np.inf).argmin(axis=0)
+    witnesses = [
+        Witness(
+            kind="constraint",
+            indices=(k, i, j),
+            slack=float(rel[k, j]),
+            detail=f"point {k} labeled {i} conflicts against site {j}",
         )
+        for k, i, j in zip(tightest.tolist(), src.tolist(), dst.tolist())
+    ]
     return FitWeightsResult(feasible=False, witnesses=witnesses)
 
 

@@ -138,7 +138,8 @@ def make_scoring_rule(g: ConvexSpec, reports: Sequence) -> OutcomeScoreTable:
 
 def expected_score(table: OutcomeScoreTable, report_idx: int, belief) -> float:
     """Expectation of a report's payoffs under ``belief``; outcomes with
-    zero belief contribute zero even against a -inf payoff."""
+    zero belief, or one within SIMPLEX_TOL below zero, contribute zero
+    even against a -inf payoff."""
     belief = _as_distribution(belief, "belief")
     if len(belief) != table.n_outcomes:
         raise DimensionMismatchError("belief dimension != outcome count")
@@ -191,7 +192,12 @@ def check_proper(
     with np.errstate(invalid="ignore"):
         for o in range(table.n_outcomes):
             prob = belief_rows[:, o][:, None]
-            term = np.where(prob == 0.0, 0.0, prob * table.payoffs[:, o][None, :])
+            payoff = table.payoffs[:, o][None, :]
+            # as in ext_mul: zero, or rounding noise below zero on -inf
+            void = (prob == 0.0) | (
+                (payoff == -np.inf) & (prob >= -SIMPLEX_TOL) & (prob < 0.0)
+            )
+            term = np.where(void, 0.0, prob * payoff)
             sunk |= term == -np.inf
             score += term
             far = np.maximum(far, np.abs(table.reports[:, o][None, :] - prob))

@@ -322,3 +322,55 @@ def loop_conjugate_value(g, d, grid) -> float:
         if np.all(half >= lo - 1e-12) and np.all(half <= hi + 1e-12):
             return float(half @ half)
     return loop_conjugate(g, d, grid)
+
+
+def loop_fit_weights(sites, sample):
+    """The cell-membership rows A w <= b that weight fitting once handed
+    to the dense simplex ``lp.feasible_point``, one row per point k and
+    competitor site j, with (k, label of k, j) per row."""
+    sites = np.asarray(sites, dtype=float)
+    m = len(sites)
+    rows, rhs, meta = [], [], []
+    for k in range(len(sample)):
+        t = sample.points[k]
+        i = int(sample.labels[k])
+        di = float((sites[i] - t) @ (sites[i] - t))
+        for j in range(m):
+            if j == i:
+                continue
+            row = np.zeros(m)
+            row[j] = 1.0
+            row[i] = -1.0
+            dj = float((sites[j] - t) @ (sites[j] - t))
+            rows.append(row)
+            rhs.append(dj - di)
+            meta.append((k, i, j))
+    return np.asarray(rows).reshape(-1, m), np.asarray(rhs), meta
+
+
+def recheck_fit_certificate(sites, points, labels, edges, tol):
+    """Recheck an infeasible weight fit from the inputs alone.
+
+    ``edges`` lists ``(indices, slack)`` per witness, ``indices`` being
+    ``(k, i, j)``: point k is labeled i, the edges close a site cycle in
+    order, each slack is c_ij (the least ||p_j - t||^2 - ||p_i - t||^2
+    over points t labeled i, attained at t_k), and the slacks sum below
+    -tol, so summing the constraints w_j - w_i <= c_ij gives 0 < 0.
+    """
+    sites = np.asarray(sites, dtype=float)
+    points = np.asarray(points, dtype=float)
+    labels = np.asarray(labels)
+    sq = ((points[:, None, :] - sites[None, :, :]) ** 2).sum(axis=-1)
+    rel = sq - sq[np.arange(len(points)), labels][:, None]
+    assert edges, "an infeasible fit needs a certificate"
+    heads = [int(ind[1]) for ind, _ in edges]
+    assert len(set(heads)) == len(heads), "the cycle repeats a site"
+    total = 0.0
+    for n, (ind, slack) in enumerate(edges):
+        k, i, j = (int(x) for x in ind)
+        assert j == heads[(n + 1) % len(edges)], "the edges do not close a cycle"
+        assert i != j and labels[k] == i
+        assert abs(slack - rel[k, j]) <= 1e-12 * max(1.0, abs(slack))
+        assert slack <= rel[labels == i, j].min() + 1e-12 * max(1.0, abs(slack))
+        total += slack
+    assert total < -tol

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from elicit import cli, jsonio, make_scoring_rule, simplex_grid
+from helpers import recheck_fit_certificate
 
 FIG_FAMILY = {
     "typeSpace": {"dim": 1, "points": [[0.0], [1.0], [2.0]]},
@@ -185,6 +186,24 @@ class TestSubcommands:
         assert code == 2
         assert json.loads(out)["feasible"] is False
 
+    def test_fit_weights_infeasible_prints_a_site_cycle(self, tmp_path, capsys):
+        sites = [[0.0, 3.0], [3.0, 1.0], [1.0, -3.0]]
+        sample = {"points": [[2.0, 4.0], [-3.0, -2.0], [1.0, -2.0]], "labels": [1, 0, 2]}
+        code, out, _ = run_cli(
+            [
+                "fit-weights",
+                write(tmp_path, "sites.json", {"sites": sites}),
+                write(tmp_path, "sample.json", sample),
+            ],
+            capsys,
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["feasible"] is False
+        edges = [(w["indices"], w["slack"]) for w in doc["witnesses"]]
+        recheck_fit_certificate(sites, sample["points"], sample["labels"], edges, 1e-9)
+        assert sum(slack for _, slack in edges) == -10.0
+
     def test_homothet_then_relabel(self, tmp_path, capsys):
         diag = write(
             tmp_path, "diag.json", {"sites": [[0.0], [1.0]], "weights": [0.0, 0.0]}
@@ -280,6 +299,24 @@ class TestSubcommands:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["payoffs"]) == 2
+
+    def test_check_proper_rounding_below_zero_on_a_minus_inf_deviation(
+        self, tmp_path, capsys
+    ):
+        # the belief puts -1e-10 (within the simplex tolerance) where
+        # report 1 pays -inf: that term is 0, not +inf
+        table = write(
+            tmp_path,
+            "table.json",
+            {
+                "reports": [[0, 0, 1], [0.5, 0, 0.5]],
+                "payoffs": [[-1, -1, 0], [-1, "-inf", -1]],
+            },
+        )
+        beliefs = write(tmp_path, "beliefs.json", {"beliefs": [[1e-10, -1e-10, 1]]})
+        code, out, err = run_cli(["check-proper", table, beliefs], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
 
     def test_check_proper_with_beliefs_file(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -400,6 +437,30 @@ class TestInputErrors:
         g = write(tmp_path, "g.json", {"analytic": "squaredNorm"})
         argv = [a.format(f=f, g=g) for a in args]
         self.assert_usage_error(argv, capsys, message)
+
+    @pytest.mark.parametrize(
+        "args,doc,message",
+        [
+            (
+                ["check-truthful", "{f}"],
+                {
+                    "score": {"reports": 5, "linear": [[0.0]], "constant": [0.0]},
+                    "typeSpace": {"dim": 1, "points": [[0.0]]},
+                },
+                "not iterable",
+            ),
+            (
+                ["myerson", "{f}", "--t", "0.5"],
+                {"breakpoints": [0.0], "values": {"a": 1}},
+                "float() argument",
+            ),
+            (["breg2power", "{f}", "{s}"], {"maxAffine": [5]}, "not subscriptable"),
+        ],
+    )
+    def test_field_of_the_wrong_type(self, tmp_path, capsys, args, doc, message):
+        f = write(tmp_path, "doc.json", doc)
+        s = write(tmp_path, "sites.json", {"sites": [[0.0], [1.0]]})
+        self.assert_usage_error([a.format(f=f, s=s) for a in args], capsys, message)
 
     def test_nested_list_is_not_an_object(self, tmp_path, capsys):
         path = write(tmp_path, "doc.json", {"score": [1, 2], "typeSpace": {"points": [[0.0]]}})

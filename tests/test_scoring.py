@@ -24,7 +24,8 @@ from elicit import (
     make_scoring_rule,
     simplex_grid,
 )
-from helpers import random_max_affine, random_typespace
+from elicit.core import ext_mul
+from helpers import loop_check_proper, random_max_affine, random_typespace
 
 GRID2 = simplex_grid(2, 10)
 
@@ -91,6 +92,20 @@ class TestExpectedScore:
         table = make_scoring_rule(NegEntropy(), [[1.0, 0.0]])
         assert expected_score(table, 0, [1.0, 0.0]) == 0.0
 
+    def test_rounding_below_zero_times_neg_inf_is_zero(self):
+        # -1e-10 is within SIMPLEX_TOL of 0: against -inf it adds 0, as
+        # 0 does, while against a finite payoff it keeps its product
+        table = OutcomeScoreTable(
+            reports=[[0, 0, 1], [0.5, 0, 0.5]],
+            payoffs=[[-1, -1, 0], [-1, -np.inf, -1]],
+        )
+        belief = [1e-10, -1e-10, 1]
+        assert expected_score(table, 1, belief) == 1e-10 * -1 + 0.0 + -1.0
+        assert expected_score(table, 0, belief) == 1e-10 * -1 + -1e-10 * -1 + 0.0
+        assert ext_mul(-1e-10, -np.inf) == 0.0
+        assert ext_mul(-1e-10, -2.0) == 2e-10
+        assert ext_mul(1e-10, -np.inf) == -np.inf
+
     def test_brier_vertex_row_against_mixed_belief(self):
         table = make_scoring_rule(SquaredNorm(), [[1.0, 0.0]])
         assert table.payoffs[0] == pytest.approx([1.0, -1.0], abs=1e-12)
@@ -116,6 +131,17 @@ class TestCheckProper:
     def test_single_report_vacuous(self):
         table = make_scoring_rule(SquaredNorm(), [[0.25, 0.75]])
         assert check_proper(table, strict=True).passed
+
+    def test_rounding_below_zero_on_a_minus_inf_deviation(self):
+        table = OutcomeScoreTable(
+            reports=[[0, 0, 1], [0.5, 0, 0.5]],
+            payoffs=[[-1, -1, 0], [-1, -np.inf, -1]],
+        )
+        report = check_proper(table, beliefs=[[1e-10, -1e-10, 1]])
+        assert report.passed
+        assert report.to_obj() == loop_check_proper(
+            table, [[1e-10, -1e-10, 1]], False, 1e-9
+        ).to_obj()
 
     def test_unknown_belief_rejected(self):
         table = make_scoring_rule(SquaredNorm(), [[0.5, 0.5]])
