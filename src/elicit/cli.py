@@ -34,6 +34,7 @@ from .core import (
     SquaredNorm,
     TypeSpace,
     UnreachableActionError,
+    require_positive,
 )
 
 #: Errors that represent a correctly computed negative answer.
@@ -67,9 +68,7 @@ def _tol(args) -> float:
         value = float(os.environ["ELICIT_TOL"])
     else:
         value = DEFAULT_TOL
-    if value <= 0:
-        raise ValueError(f"tolerance must be positive, got {value}")
-    return value
+    return require_positive(value)
 
 
 def _report_exit(report) -> int:

@@ -47,6 +47,7 @@ __all__ = [
     "ScoreTable",
     "ext_mul",
     "require_extended_real",
+    "require_positive",
     "eval_convex",
     "subgradient",
     "conjugate",
@@ -128,6 +129,14 @@ def require_extended_real(x: float, what: str = "value") -> float:
     x = float(x)
     if math.isnan(x) or x == math.inf:
         raise ValueError(f"{what} must be finite or -inf, got {x}")
+    return x
+
+
+def require_positive(x: float, what: str = "tolerance") -> float:
+    """Validate a tolerance or radius as positive and finite.  Against a
+    nan or infinite tolerance no comparison fails, so no check could."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {x}")
     return x
 
 
@@ -483,6 +492,7 @@ def check_subgradient_selection(
 
     Witnesses list every violating pair together with its slack.
     """
+    require_positive(tol)
     fam.check_aligned(ts)
     evals = _eval_rows(g, ts.points)
     inner = fam.vectors @ ts.points.T  # inner[i, j] = d_i . t_j

@@ -30,6 +30,7 @@ from .core import (
     conjugate,
     eval_convex,
     mask_witnesses,
+    require_positive,
 )
 from .properties import LabeledSample
 
@@ -104,6 +105,7 @@ def check_duality_identities(
     (c) the mixed divergence G(t) + G*(d) - <t, d> agrees between its
         two evaluation orders within tol.
     """
+    require_positive(tol)
     duals = _dual_rows(duals)
     evals = _eval_rows(g, grid.points)
     conjs = conjugate_value(g, duals, grid)

@@ -4,6 +4,12 @@ Documents are emitted with sorted keys and floats rendered at 17
 significant digits so identical invocations are byte-identical
 (golden-file friendly).  Negative infinity is encoded as the JSON
 string "-inf"; +inf and nan are rejected.
+
+The writer, :func:`dumps`, dispatches on the exact type of each value.
+float, str, int, list, tuple and dicts whose keys are all str are
+rendered directly; numpy scalars and arrays, bool, None, subclasses of
+the builtin types and dicts with other keys are first turned into the
+builtin value they stand for.
 """
 
 from __future__ import annotations
@@ -50,6 +56,13 @@ __all__ = [
 # canonical writer
 
 
+#: The string encoder ``json.dumps(str)`` calls: ASCII output, every
+#: other character escaped.
+_encode_str = json.encoder.encode_basestring_ascii
+#: Key types of the dicts the writer renders directly: exactly str.
+_STR_ONLY = frozenset([str])
+
+
 def _format_float(x: float) -> str:
     if x == -math.inf:
         return '"-inf"'
@@ -58,51 +71,100 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _write(obj: Any, out: list) -> None:
-    if isinstance(obj, (np.floating,)):
+def _write(obj: Any, emit, plans: dict) -> None:
+    """Emit ``obj`` as canonical JSON text; ``plans`` maps the key tuple of
+    each dict seen so far in this document to its key order."""
+    kind = type(obj)
+    if kind is float:
+        # x - x is 0.0 for a finite float, nan for inf and nan
+        emit(format(obj, ".17g") if obj - obj == 0.0 else _format_float(obj))
+    elif kind is str:
+        emit(_encode_str(obj))
+    elif kind is int:
+        emit(int.__repr__(obj))
+    elif kind is list or kind is tuple:
+        emit("[")
+        first = True
+        for item in obj:
+            if not first:
+                emit(",")
+            first = False
+            _write(item, emit, plans)
+        emit("]")
+    elif kind is dict and set(map(type, obj)) <= _STR_ONLY:
+        keys = tuple(obj)
+        plan = plans.get(keys)
+        if plan is None:
+            # sorted keys, each with its encoded text, colon and separator
+            plan = plans[keys] = [
+                (key, ("," if k else "{") + _encode_str(key) + ":")
+                for k, key in enumerate(sorted(keys))
+            ]
+        for key, prefix in plan:
+            emit(prefix)
+            _write(obj[key], emit, plans)
+        emit("}" if plan else "{}")
+    else:
+        _write_other(obj, emit, plans)
+
+
+def _write_other(obj: Any, emit, plans: dict) -> None:
+    """Numpy values, bool, None, subclasses of the builtin types and dicts
+    with a key that is not a str, each rendered as the builtin value it
+    stands for."""
+    if isinstance(obj, np.floating):
         obj = float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         obj = int(obj)
     if isinstance(obj, np.bool_):
         obj = bool(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if obj is None:
-        out.append("null")
+        emit("null")
     elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        emit("true" if obj else "false")
     elif isinstance(obj, int):
-        out.append(str(obj))
+        emit(str(obj))
     elif isinstance(obj, float):
-        out.append(_format_float(obj))
+        emit(_format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        emit(_encode_str(obj))
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
+        _write(list(obj), emit, plans)
     elif isinstance(obj, dict):
-        out.append("{")
-        keys = sorted(str(k) for k in obj)
+        # keys are rendered as str(key); of keys with the same str the
+        # value of the last one is written, once per key
         lookup = {str(k): v for k, v in obj.items()}
-        for k, key in enumerate(keys):
-            if k:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _write(lookup[key], out)
-        out.append("}")
+        emit("{")
+        for k, key in enumerate(sorted(str(k) for k in obj)):
+            emit(("," if k else "") + _encode_str(key) + ":")
+            _write(lookup[key], emit, plans)
+        emit("}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj: Any) -> str:
-    """Canonical single-document JSON text (no trailing newline)."""
+    """Canonical single-document JSON text (no trailing newline).
+
+    Accepted values and their text:
+
+    - a finite float (numpy floating included): 17 significant digits,
+      ``format(x, ".17g")``; -inf: the string ``"-inf"``; +inf and nan
+      raise ``ValueError("cannot serialize inf")`` (or ``nan``);
+    - an int (numpy integer included): its decimal digits, any size;
+    - True/False (numpy bool included): ``true``/``false``; None: ``null``;
+    - a str: ASCII text with every other character escaped, as
+      ``json.dumps`` writes it;
+    - a list, tuple or numpy array: an array of its items;
+    - a dict: an object with the keys as ``str(key)`` in sorted order; of
+      keys with the same text, each is written with the last one's value.
+
+    Anything else raises ``TypeError("cannot serialize <type name>")``.
+    """
     out: list = []
-    _write(obj, out)
+    _write(obj, out.append, {})
     return "".join(out)
 
 

@@ -24,6 +24,7 @@ from .core import (
     TypeSpace,
     Witness,
     mask_witnesses,
+    require_positive,
 )
 
 __all__ = [
@@ -68,6 +69,7 @@ def longest_paths(
     cycle whose exact weight exceeds ``tol`` is returned as a witness
     (first detected, not minimal).
     """
+    require_positive(tol)
     m = weights.shape[0]
     eps = tol / max(1, 4 * m)
     if source is None:
@@ -90,7 +92,7 @@ def longest_paths(
     # an edge that still relaxes after m-1 rounds implies a positive cycle
     cand = dist[:, None] + weights
     np.fill_diagonal(cand, -np.inf)
-    best = cand.max(axis=0)
+    best = cand.max(axis=0, initial=-np.inf)  # initial: m may be 0
     for v in np.flatnonzero(best > dist + eps):
         u = int(cand[:, int(v)].argmax())
         cycle = _extract_cycle(pred, u, int(v), m)
@@ -129,6 +131,7 @@ def _cycle_weight(weights: np.ndarray, cycle: Sequence[int]) -> float:
 
 def check_wmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> CheckReport:
     """Weak monotonicity: d_t(t'-t) + d_{t'}(t-t') <= tol per pair."""
+    require_positive(tol)
     w = cmon_weights(ts, fam)
     pair = w + w.T
     witnesses = mask_witnesses(
@@ -144,6 +147,7 @@ def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> Ch
     positive-weight cycle; the witness, when one exists, is the cycle
     with its total weight.
     """
+    require_positive(tol)
     w = cmon_weights(ts, fam)
     res = longest_paths(w, source=None, tol=tol)
     if res.cycle is None:
@@ -232,8 +236,8 @@ def check_local_truthful(
     The report also runs the unrestricted check and records whether the
     local and global verdicts agree (``info['agrees']``).
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    require_positive(tol)
+    require_positive(radius, "radius")
     report_of = np.asarray(list(report_of), dtype=int)
     if len(report_of) != len(ts):
         raise DimensionMismatchError("report_of must cover every type")

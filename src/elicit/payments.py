@@ -26,6 +26,7 @@ from .core import (
     ScoreTable,
     TypeSpace,
     Witness,
+    require_positive,
 )
 from .monotone import cmon_weights, longest_paths
 
@@ -141,6 +142,7 @@ def rochet_payments(
     Raises :class:`NotImplementableError` carrying the positive cycle
     otherwise.  The induced score is verified truthful before returning.
     """
+    require_positive(tol)
     fam.check_aligned(ts)
     if not 0 <= t0 < len(ts):
         raise ValueError(f"base type {t0} out of range")
@@ -199,6 +201,7 @@ def revenue_interval(
     A target that is itself anchored yields the degenerate interval at
     its anchored value.
     """
+    require_positive(tol)
     fam.check_aligned(ts)
     if not anchors:
         raise ValueError("at least one anchor is required")
@@ -228,6 +231,7 @@ def check_revenue_equivalence(
 ) -> CheckReport:
     """Revenue equivalence holds iff pinning the surplus at one type pins
     it everywhere; witnesses are targets whose interval has width > tol."""
+    require_positive(tol)
     fam.check_aligned(ts)
     weights = cmon_weights(ts, fam)
     fwd = _paths_from(weights, t0, tol)

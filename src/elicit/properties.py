@@ -30,6 +30,7 @@ from .core import (
     _as_matrix,
     conjugate,
     mask_witnesses,
+    require_positive,
     subgradient,
 )
 from .monotone import longest_paths
@@ -164,6 +165,7 @@ def fit_weights(sites, sample: LabeledSample, tol: float = DEFAULT_TOL) -> FitWe
     below -tol, one witness (k, i, j) per edge in cycle order, with k
     the lowest-index point labeled i attaining c_ij and c_ij as slack.
     """
+    require_positive(tol)
     sites = _as_matrix(sites, "sites")
     m = len(sites)
     if len(sample) == 0:
@@ -201,6 +203,7 @@ def check_wmon_cells(
 ) -> CheckReport:
     """Pairwise monotonicity across labels: for t in cell i and t' in
     cell j, require p_i . (t' - t) <= p_j . (t' - t)."""
+    require_positive(tol)
     sites = _as_matrix(sites, "sites")
     if len(sample) and sample.labels.max() >= len(sites):
         raise ValueError("sample label exceeds site count")

@@ -29,6 +29,7 @@ from .core import (
     ext_mul,
     mask_witnesses,
     require_extended_real,
+    require_positive,
     subgradient,
 )
 
@@ -167,6 +168,7 @@ def check_proper(
     (such ties carry their near-zero slack as the witness).  A belief
     whose own report scores a non-finite value raises ValueError.
     """
+    require_positive(tol)
     if beliefs is None:
         truth = list(range(len(table)))
         belief_rows = table.reports
@@ -249,6 +251,7 @@ def check_expert_separation(
 ) -> CheckReport:
     """Informed beliefs must earn at least ``delta_accept``; the
     uninformed belief ``p_bar`` at most ``delta_reject``."""
+    require_positive(tol)
     witnesses = []
     values = []
     for i, p in enumerate(p_in):
@@ -321,6 +324,7 @@ def make_decision_score(
     the given report (else :class:`UnreachableActionError`); those rows
     get placeholder zeros and are flagged unconstrained.
     """
+    require_positive(tol)
     mats = [np.asarray(q, dtype=float) for q in reports]
     if not mats:
         raise ValueError("at least one report matrix is required")
@@ -390,6 +394,7 @@ def check_truthful(
     score: ScoreTable, ts: TypeSpace, tol: float = DEFAULT_TOL
 ) -> CheckReport:
     """Exhaustive pairwise truthfulness, reports indexed by types."""
+    require_positive(tol)
     if len(score) != len(ts):
         raise DimensionMismatchError("score table must have one report per type")
     values = score.payoff_matrix(ts)

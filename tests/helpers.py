@@ -3,6 +3,8 @@ implementations kept independent of the library code paths they check."""
 
 from __future__ import annotations
 
+import json
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -374,3 +376,64 @@ def recheck_fit_certificate(sites, points, labels, edges, tol):
         assert slack <= rel[labels == i, j].min() + 1e-12 * max(1.0, abs(slack))
         total += slack
     assert total < -tol
+
+
+# ---------------------------------------------------------------------------
+# loop reference for the canonical writer: the isinstance-chain writer that
+# normalizes every value before rendering it
+
+
+def _loop_format_float(x: float) -> str:
+    if x == -math.inf:
+        return '"-inf"'
+    if math.isnan(x) or x == math.inf:
+        raise ValueError(f"cannot serialize {x}")
+    return format(x, ".17g")
+
+
+def _loop_write(obj, out: list) -> None:
+    if isinstance(obj, (np.floating,)):
+        obj = float(obj)
+    if isinstance(obj, (np.integer,)):
+        obj = int(obj)
+    if isinstance(obj, np.bool_):
+        obj = bool(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_loop_format_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for k, item in enumerate(obj):
+            if k:
+                out.append(",")
+            _loop_write(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        keys = sorted(str(k) for k in obj)
+        lookup = {str(k): v for k, v in obj.items()}
+        for k, key in enumerate(keys):
+            if k:
+                out.append(",")
+            out.append(json.dumps(key))
+            out.append(":")
+            _loop_write(lookup[key], out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def loop_dumps(obj) -> str:
+    """Canonical single-document JSON text (no trailing newline)."""
+    out: list = []
+    _loop_write(obj, out)
+    return "".join(out)

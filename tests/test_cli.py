@@ -389,6 +389,40 @@ class TestInputErrors:
             "truthful reports must score finite values",
         )
 
+    @pytest.mark.parametrize(
+        "flag,env,shown",
+        [
+            ("nan", None, "nan"),
+            ("inf", None, "inf"),
+            ("0", None, "0.0"),
+            (None, "nan", "nan"),
+            (None, "inf", "inf"),
+        ],
+    )
+    def test_tolerance_must_be_positive_and_finite(
+        self, tmp_path, capsys, monkeypatch, flag, env, shown
+    ):
+        fam = write(tmp_path, "bad.json", BAD_FAMILY)
+        if env is not None:
+            monkeypatch.setenv("ELICIT_TOL", env)
+        args = ["check-wmon", fam] + (["--tol", flag] if flag is not None else [])
+        self.assert_usage_error(
+            args, capsys, f"tolerance must be positive and finite, got {shown}\n"
+        )
+
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_radius_must_be_positive_and_finite(self, tmp_path, capsys, radius):
+        doc = {
+            "score": {"reports": [0, 1], "linear": [[1.0], [0.0]], "constant": [0.0, 0.0]},
+            "typeSpace": {"dim": 1, "points": [[0.0], [1.0]]},
+        }
+        path = write(tmp_path, "score.json", doc)
+        self.assert_usage_error(
+            ["check-local", path, "--radius", radius],
+            capsys,
+            f"radius must be positive and finite, got {radius}\n",
+        )
+
     def test_level_convexity_negative_eps(self, tmp_path, capsys):
         sample = write(
             tmp_path,

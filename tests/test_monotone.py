@@ -110,6 +110,11 @@ class TestLongestPaths:
         res = longest_paths(weights, source=0)
         assert res.dist == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
+    def test_empty_graph_gives_an_empty_result(self):
+        res = longest_paths(np.zeros((0, 0)))
+        assert res.dist.shape == (0,) and res.pred.shape == (0,)
+        assert res.cycle is None
+
 
 class TestPathIndependence:
     TRIANGLE = ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
