@@ -7,7 +7,7 @@ cycle, infeasible weights, ...) whose certificate is still printed to
 stdout, and 1 for usage or input errors (diagnostics on stderr).
 
 The ELICIT_TOL environment variable overrides the default tolerance;
-a --tol flag overrides both.
+a --tol flag overrides both.  Either must be positive and finite.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ class Color(enum.IntEnum):
     RED = 1
 
 
-class Sorted(dict):
+class Table(dict):
     pass
 
 
@@ -65,8 +65,10 @@ def random_key(rng):
 
 def random_scalar(rng):
     kind = rng.integers(0, 17)
+    if kind == 0:
+        return float(rng.choice(FLOATS))
     if kind < 4:
-        return float(rng.choice(FLOATS)) if kind == 0 else float(rng.normal() * 10.0 ** rng.integers(-30, 30))
+        return float(rng.normal() * 10.0 ** rng.integers(-30, 30))
     if kind < 6:
         return int(rng.choice(INTS)) * (1 if kind == 4 else -1)
     if kind < 8:
@@ -119,7 +121,7 @@ def random_tree(rng, depth=0):
     else:
         keys = [random_key(rng) for _ in range(rng.integers(0, 5))]
     obj = {k: random_tree(rng, depth + 1) for k in keys}
-    return Sorted(obj) if rng.integers(0, 5) == 0 else obj
+    return Table(obj) if rng.integers(0, 5) == 0 else obj
 
 
 def outcome(fn, obj):
