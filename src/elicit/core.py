@@ -117,7 +117,7 @@ class UnreachableActionError(ElicitError):
 
 
 class NonPositiveScaleError(ElicitError):
-    """Homothet scale factors must be strictly positive."""
+    """Homothet scale factors must be positive and finite."""
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ cycle, a nonzero triangle circulation, or a local truthfulness failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,12 +46,21 @@ def cmon_weights(ts: TypeSpace, fam: LinearFamily) -> np.ndarray:
     return inner - np.diag(inner)[:, None]
 
 
+#: The predecessor graph is first searched for cycles after this many
+#: relaxation rounds, then after twice as many, and so on.  A failing
+#: family usually closes a positive predecessor cycle within a round or
+#: two, while passing families converge in a few to a few dozen rounds,
+#: so earlier walks would mostly tax inputs that pass.
+_FIRST_WALK = 8
+
+
 @dataclass
 class LongestPathResult:
     dist: np.ndarray
     pred: np.ndarray
     cycle: Optional[list]
     cycle_weight: float = 0.0
+    rounds: int = 0
 
 
 def longest_paths(
@@ -64,10 +73,22 @@ def longest_paths(
     ``source=None`` uses a virtual source connected to every node with
     weight 0, which turns the run into a pure positive-cycle detector.
     Relaxations must improve by more than an epsilon of ``tol / 4m`` so
-    float noise cannot masquerade as a cycle; any cycle with total
-    weight above ``tol`` is still guaranteed to be found.  The first
-    cycle whose exact weight exceeds ``tol`` is returned as a witness
-    (first detected, not minimal).
+    float noise cannot masquerade as a cycle.
+
+    A positive cycle usually shows up early as a cycle of the
+    predecessor array, so that array is walked after rounds 8, 16, 32,
+    ... (at most m - 1); the first predecessor cycle whose exact weight
+    exceeds ``tol`` ends the run.  Cycles are tried in order of their
+    smallest node, so the witness is the first one found on that
+    schedule, not a minimal one.  If no walk finds one, the final scan
+    after m - 1 rounds takes each edge that still relaxes and returns the
+    first cycle behind it, read off the predecessors, that weighs more
+    than ``tol``.  A cycle of weight above ``tol`` always leaves such an
+    edge, but when lighter cycles of higher mean weight dominate the
+    relaxation, every cycle read off can weigh ``tol`` or less, and no
+    cycle is reported.  ``rounds`` counts the relaxation rounds run, the
+    last one included when it improves nothing; it does not count the
+    scan.
     """
     require_positive(tol)
     m = weights.shape[0]
@@ -79,15 +100,21 @@ def longest_paths(
         dist[source] = 0.0
     pred = np.full(m, -1, dtype=int)
 
-    for _ in range(max(0, m - 1)):
+    rounds = 0
+    for rounds in range(1, m):
         cand = dist[:, None] + weights
         np.fill_diagonal(cand, -np.inf)
         best = cand.max(axis=0)
         improved = best > dist + eps
         if not improved.any():
-            return LongestPathResult(dist, pred, None)
+            return LongestPathResult(dist, pred, None, rounds=rounds)
         pred[improved] = cand[:, improved].argmax(axis=0)
         dist[improved] = best[improved]
+        if rounds >= _FIRST_WALK and rounds & (rounds - 1) == 0:
+            for cycle in _pred_cycles(pred):
+                w = _cycle_weight(weights, cycle)
+                if w > tol:
+                    return LongestPathResult(dist, pred, cycle, w, rounds)
 
     # an edge that still relaxes after m-1 rounds implies a positive cycle
     cand = dist[:, None] + weights
@@ -100,8 +127,37 @@ def longest_paths(
             continue
         w = _cycle_weight(weights, cycle)
         if w > tol:
-            return LongestPathResult(dist, pred, cycle, w)
-    return LongestPathResult(dist, pred, None)
+            return LongestPathResult(dist, pred, cycle, w, rounds)
+    return LongestPathResult(dist, pred, None, rounds=rounds)
+
+
+def _pred_cycles(pred: np.ndarray) -> Iterator[list]:
+    """Yield every cycle of the predecessor array along its edges,
+    starting from its smallest node, in increasing order of that node.
+
+    Each node has at most one predecessor (-1 for none), so following
+    predecessors m times from any node ends on a cycle or at a root;
+    pointer doubling takes those m steps for all nodes at once in
+    log2(m) array lookups, and the nodes it lands on are the cycle nodes.
+    """
+    m = len(pred)
+    hop = np.append(np.where(pred < 0, m, pred), m)  # m: absorbing root
+    for _ in range(m.bit_length()):  # 2**bit_length > m steps
+        hop = hop[hop]
+    on_cycle = np.zeros(m + 1, dtype=bool)
+    on_cycle[hop] = True
+    back = pred.tolist()
+    seen = set()
+    for s in np.flatnonzero(on_cycle[:m]).tolist():
+        if s in seen:
+            continue
+        walk = [s]
+        x = back[s]
+        while x != s:
+            walk.append(x)
+            x = back[x]
+        seen.update(walk)
+        yield [s] + walk[:0:-1]  # the walk runs against the edges
 
 
 def _extract_cycle(pred: np.ndarray, u: int, v: int, m: int) -> Optional[list]:
@@ -145,20 +201,22 @@ def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> Ch
 
     Builds the complete digraph with weights d_t(t'-t) and looks for a
     positive-weight cycle; the witness, when one exists, is the cycle
-    with its total weight.
+    with its total weight.  ``info['rounds']`` is the number of
+    Bellman-Ford relaxation rounds run (see :func:`longest_paths`).
     """
     require_positive(tol)
     w = cmon_weights(ts, fam)
     res = longest_paths(w, source=None, tol=tol)
+    info = {"tol": tol, "rounds": res.rounds}
     if res.cycle is None:
-        return CheckReport.from_witnesses([], {"tol": tol})
+        return CheckReport.from_witnesses([], info)
     witness = Witness(
         kind="cycle",
         indices=tuple(res.cycle),
         slack=res.cycle_weight,
         detail="positive-weight cycle",
     )
-    return CheckReport.from_witnesses([witness], {"tol": tol})
+    return CheckReport.from_witnesses([witness], info)
 
 
 def _edge_integral(

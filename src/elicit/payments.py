@@ -9,6 +9,7 @@ interval extends the anchored surplus values to a valid convex surplus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
@@ -84,8 +85,10 @@ def myerson_payment(alloc: StepAllocation, t: float, p0: float = 0.0) -> float:
     arithmetic over the binary values of the float inputs, so no
     quadrature error enters.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
+    if not math.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
     alloc.validate_monotone()
     tf = Fraction(float(t))
     total = Fraction(0)
@@ -206,6 +209,9 @@ def revenue_interval(
     if not anchors:
         raise ValueError("at least one anchor is required")
     anchors = {int(k): float(v) for k, v in anchors.items()}
+    for idx, v in anchors.items():
+        if not math.isfinite(v):
+            raise ValueError(f"anchor {idx} must be finite, got {v}")
     for idx in list(anchors) + [target]:
         if not 0 <= idx < len(ts):
             raise ValueError(f"type index {idx} out of range")

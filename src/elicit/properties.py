@@ -13,6 +13,7 @@ from Bregman-divergence diagrams to power diagrams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -239,11 +240,13 @@ def homothet_transform(
     makes the new power cost an affine reparameterization of the old one
     (alpha times it plus a site-independent term), fixing the argmin.
     """
-    if alpha <= 0:
-        raise NonPositiveScaleError(f"scale must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise NonPositiveScaleError(f"scale must be positive and finite, got {alpha}")
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     if len(p0) != diag.dim:
         raise DimensionMismatchError("offset dimension != diagram dimension")
+    if not np.all(np.isfinite(p0)):
+        raise ValueError(f"offset p0 must be finite, got {p0.tolist()}")
     sq = np.einsum("ij,ij->i", diag.sites, diag.sites)
     new_sites = alpha * diag.sites + p0
     new_weights = alpha * diag.weights + (alpha**2 - alpha) * sq + 2.0 * alpha * (
@@ -262,8 +265,8 @@ def check_level_set_convexity(
     arbitrarily close to the endpoints."""
     if len(sample) == 0:
         raise ValueError("sample must be nonempty")
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     pts = sample.points
     labels = sample.labels
     k = len(sample)

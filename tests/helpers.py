@@ -437,3 +437,75 @@ def loop_dumps(obj) -> str:
     out: list = []
     _loop_write(obj, out)
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# full-rounds reference for the Bellman-Ford kernel: every relaxation round
+# up to m - 1, then one scan for an edge that still relaxes
+
+
+def full_rounds_longest_paths(weights, source=None, tol=1e-9):
+    """Return ``(dist, cycle, cycle_weight)``; ``cycle`` is None when no
+    cycle of weight above ``tol`` was found."""
+    m = weights.shape[0]
+    eps = tol / max(1, 4 * m)
+    if source is None:
+        dist = np.zeros(m)
+    else:
+        dist = np.full(m, -np.inf)
+        dist[source] = 0.0
+    pred = np.full(m, -1, dtype=int)
+
+    for _ in range(max(0, m - 1)):
+        cand = dist[:, None] + weights
+        np.fill_diagonal(cand, -np.inf)
+        best = cand.max(axis=0)
+        improved = best > dist + eps
+        if not improved.any():
+            return dist, None, 0.0
+        pred[improved] = cand[:, improved].argmax(axis=0)
+        dist[improved] = best[improved]
+
+    cand = dist[:, None] + weights
+    np.fill_diagonal(cand, -np.inf)
+    best = cand.max(axis=0, initial=-np.inf)
+    for v in np.flatnonzero(best > dist + eps):
+        u = int(cand[:, int(v)].argmax())
+        cycle = _loop_extract_cycle(pred, u, int(v), m)
+        if cycle is None:
+            continue
+        w = sum(float(weights[a, b]) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        if w > tol:
+            return dist, cycle, w
+    return dist, None, 0.0
+
+
+def _loop_extract_cycle(pred, u, v, m):
+    trail = {v: 0}
+    order = [v]
+    x = u
+    for _ in range(2 * m):
+        if x < 0:
+            return None
+        if x in trail:
+            cycle = order[trail[x]:]
+            cycle.reverse()
+            return cycle
+        trail[x] = len(order)
+        order.append(x)
+        x = int(pred[x])
+    return None
+
+
+def recheck_cycle(weights, cycle, slack, tol):
+    """A cycle certificate re-checked from the edge weights alone: a
+    simple cycle of at least two nodes whose weight, summed edge by edge,
+    is above ``tol`` and equals the reported ``slack``."""
+    m = weights.shape[0]
+    cycle = [int(x) for x in cycle]
+    assert len(cycle) >= 2, cycle
+    assert len(set(cycle)) == len(cycle), f"not a simple cycle: {cycle}"
+    assert all(0 <= x < m for x in cycle), cycle
+    total = math.fsum(weights[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    assert total > tol, f"cycle {cycle} weighs {total}, not above {tol}"
+    assert math.isclose(total, slack, rel_tol=1e-12, abs_tol=1e-12), (total, slack)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,48 @@ class TestInputErrors:
             capsys,
             f"radius must be positive and finite, got {radius}\n",
         )
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["rev-interval", "{fam}", "--anchor", "0=nan", "--target", "2"],
+             "anchor 0 must be finite, got nan"),
+            (["rev-interval", "{fam}", "--anchor", "0=0", "--anchor", "1=-inf",
+              "--target", "2"], "anchor 1 must be finite, got -inf"),
+            (["level-convexity", "{sample}", "--eps", "inf"],
+             "eps must be nonnegative and finite, got inf"),
+            (["level-convexity", "{sample}", "--eps", "nan"],
+             "eps must be nonnegative and finite, got nan"),
+            (["homothet", "{diag}", "--alpha", "inf"],
+             "scale must be positive and finite, got inf"),
+            (["homothet", "{diag}", "--alpha", "2", "--p0", "inf"],
+             "offset p0 must be finite, got [inf]"),
+            (["myerson", "{alloc}", "--t", "nan"],
+             "t must be nonnegative and finite, got nan"),
+            (["myerson", "{alloc}", "--t", "inf"],
+             "t must be nonnegative and finite, got inf"),
+            (["myerson", "{alloc}", "--t", "1", "--p0", "nan"], "p0 must be finite, got nan"),
+            (["myerson", "{alloc}", "--t", "1", "--p0=-inf"],
+             "p0 must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_option_is_named(self, tmp_path, capsys, args, message):
+        files = {
+            "fam": write(tmp_path, "fam.json", FIG_FAMILY),
+            "sample": write(
+                tmp_path, "sample.json", {"points": [[0.0], [1.0], [2.0]], "labels": [0, 1, 0]}
+            ),
+            "diag": write(tmp_path, "diag.json", {"sites": [[0.0], [1.0]], "weights": [0.0, 0.0]}),
+            "alloc": write(
+                tmp_path, "alloc.json", {"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]}
+            ),
+        }
+        # a warning printed before the error would be a second stderr line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_usage_error(
+                [a.format(**files) for a in args], capsys, f"error: {message}\n"
+            )
 
     def test_level_convexity_negative_eps(self, tmp_path, capsys):
         sample = write(

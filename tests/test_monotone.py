@@ -16,7 +16,13 @@ from elicit import (
     subgradient,
 )
 from elicit.monotone import cmon_weights, longest_paths
-from helpers import brute_force_cmon, random_max_affine, random_typespace
+from helpers import (
+    brute_force_cmon,
+    full_rounds_longest_paths,
+    random_max_affine,
+    random_typespace,
+    recheck_cycle,
+)
 
 LINE = TypeSpace([[0.0], [1.0], [2.0]])
 INCREASING = LinearFamily([[0.0], [1.0], [2.0]])
@@ -114,6 +120,105 @@ class TestLongestPaths:
         res = longest_paths(np.zeros((0, 0)))
         assert res.dist.shape == (0,) and res.pred.shape == (0,)
         assert res.cycle is None
+
+
+def _family(kind, rng):
+    """A seeded family over 2-60 random types in R^1-R^3: random
+    functionals, the gradient of ||t||^2 with or without N(0, 0.05^2)
+    noise, or a subgradient selection of a random max-affine function
+    (types in one piece share a gradient, so the graph has zero-weight
+    2-cycles)."""
+    dim = int(rng.integers(1, 4))
+    ts = random_typespace(rng, dim, max_points=60)
+    m = len(ts)
+    if kind == "random":
+        vecs = rng.uniform(-2, 2, size=(m, dim))
+    elif kind == "near-truthful":
+        vecs = 2.0 * ts.points + rng.normal(scale=0.05, size=(m, dim))
+    elif kind == "gradient":
+        vecs = 2.0 * ts.points
+    else:
+        g = random_max_affine(rng, dim)
+        vecs = np.vstack([subgradient(g, t) for t in ts.points])
+    return ts, LinearFamily(vecs)
+
+
+class TestEarlyCycleDetection:
+    """The predecessor walk that stops Bellman-Ford early, against the
+    full-rounds reference in ``helpers``."""
+
+    # coarse tolerances leave positive cycles at or below tol, which the
+    # walk must pass over
+    TOLS = (1e-9, 1e-3, 0.05, 0.5, 10.0)
+
+    @pytest.mark.parametrize(
+        "kind,seed",
+        [("random", 601), ("near-truthful", 602), ("gradient", 603), ("max-affine", 604)],
+    )
+    def test_agrees_with_full_rounds_reference(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        walked = early = failed = tied = 0
+        for _ in range(60):
+            ts, fam = _family(kind, rng)
+            weights = cmon_weights(ts, fam)
+            tied += len(np.unique(fam.vectors, axis=0)) < len(ts)
+            tol = float(rng.choice(self.TOLS))
+            for source in (None, int(rng.integers(len(ts)))):
+                res = longest_paths(weights, source=source, tol=tol)
+                ref_dist, ref_cycle, _ = full_rounds_longest_paths(weights, source, tol)
+                assert (res.cycle is None) == (ref_cycle is None), (kind, source, tol)
+                if res.cycle is None:
+                    # the walk leaves the relaxation itself untouched
+                    np.testing.assert_array_equal(res.dist, ref_dist)
+                else:
+                    recheck_cycle(weights, res.cycle, res.cycle_weight, tol)
+                    failed += 1
+                    early += res.rounds < len(ts) - 1
+                walked += res.rounds >= 8
+        if kind in ("gradient", "max-affine"):
+            assert failed == 0
+        else:
+            assert early > 0
+        if kind == "max-affine":
+            # these converge before round 8, so no walk runs; they bring
+            # the zero-weight 2-cycles of tied gradients
+            assert tied > 0
+        else:
+            assert walked > 0
+
+    def test_final_scan_certifies_when_the_walk_finds_nothing(self, monkeypatch):
+        # nodes 0 and 1 close a cycle of weight 0.4, below tol = 1; nodes
+        # 2-4 close one of weight 6; every other edge weighs -100
+        m = 12
+        weights = np.full((m, m), -100.0)
+        weights[0, 1] = weights[1, 0] = 0.2
+        weights[2, 3] = weights[3, 4] = weights[4, 2] = 2.0
+        res = longest_paths(weights, tol=1.0)
+        assert res.rounds == 8
+        recheck_cycle(weights, res.cycle, res.cycle_weight, 1.0)
+        monkeypatch.setattr("elicit.monotone._pred_cycles", lambda pred: iter(()))
+        res = longest_paths(weights, tol=1.0)
+        assert res.rounds == m - 1
+        recheck_cycle(weights, res.cycle, res.cycle_weight, 1.0)
+        assert sorted(res.cycle) == [2, 3, 4]
+
+    @pytest.mark.parametrize("noise,tol", [(None, 1e-9), (None, 1.0), (0.2, 0.05)])
+    def test_failing_family_stops_within_sixteen_rounds(self, noise, tol):
+        # 400 types in R^3 with random functionals, or with the gradient
+        # of ||t||^2 plus N(0, noise^2) noise; in the latter, predecessor
+        # cycles of weight below tol form first and must be passed over
+        rng = np.random.default_rng(400)
+        pts = rng.uniform(-2, 2, size=(400, 3))
+        if noise is None:
+            vecs = rng.uniform(-2, 2, size=(400, 3))
+        else:
+            vecs = 2.0 * pts + rng.normal(scale=noise, size=(400, 3))
+        ts, fam = TypeSpace(pts), LinearFamily(vecs)
+        report = check_cmon(ts, fam, tol=tol)
+        assert not report.passed
+        assert report.info["rounds"] <= 16
+        (w,) = report.witnesses
+        recheck_cycle(cmon_weights(ts, fam), w.indices, w.slack, tol)
 
 
 class TestPathIndependence:

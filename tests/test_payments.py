@@ -73,6 +73,16 @@ class TestMyerson:
     def test_p0_shifts_payment(self):
         assert myerson_payment(self.STEP, 2.0, p0=0.25) == pytest.approx(1.25, abs=0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_type_rejected(self, t):
+        with pytest.raises(ValueError, match=f"t must be nonnegative and finite, got {t}"):
+            myerson_payment(self.STEP, t)
+
+    @pytest.mark.parametrize("p0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_p0_rejected(self, p0):
+        with pytest.raises(ValueError, match=f"p0 must be finite, got {p0}"):
+            myerson_payment(self.STEP, 2.0, p0=p0)
+
     def test_decreasing_allocation_rejected(self):
         alloc = StepAllocation(breakpoints=[0.0, 1.0], values=[1.0, 0.0])
         with pytest.raises(NotMonotoneError) as err:
@@ -120,6 +130,14 @@ class TestRevenueInterval:
     def test_target_in_anchors_is_degenerate(self):
         got = revenue_interval(LINE, INCREASING, anchors={0: 0.0, 1: 0.5}, target=1)
         assert got.lower == got.upper == 0.5
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anchor_rejected(self, value):
+        # a nan anchor used to give lower = upper = nan
+        with pytest.raises(ValueError, match=f"anchor 0 must be finite, got {value}"):
+            revenue_interval(LINE, INCREASING, anchors={0: value}, target=2)
+        with pytest.raises(ValueError, match="anchor 2 must be finite"):
+            revenue_interval(LINE, INCREASING, anchors={0: 0.0, 2: value}, target=1)
 
     def test_inconsistent_anchors_rejected(self):
         # anchor at type 1 below the path bound forced from type 2

@@ -217,6 +217,18 @@ class TestHomothet:
         with pytest.raises(NonPositiveScaleError):
             homothet_transform(diag, alpha=0.0, p0=[0.0])
 
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_non_finite_scale_rejected(self, alpha):
+        diag = PowerDiagramSpec(sites=[[0.0], [1.0]], weights=[0.0, 0.5])
+        with pytest.raises(NonPositiveScaleError, match=f"finite, got {alpha}"):
+            homothet_transform(diag, alpha=alpha, p0=[0.0])
+
+    @pytest.mark.parametrize("p0", [[np.inf], [np.nan]])
+    def test_non_finite_offset_rejected(self, p0):
+        diag = PowerDiagramSpec(sites=[[0.0], [1.0]], weights=[0.0, 0.5])
+        with pytest.raises(ValueError, match="offset p0 must be finite"):
+            homothet_transform(diag, alpha=2.0, p0=p0)
+
 
 class TestLabeledSample:
     def test_non_integer_label_is_rejected(self):
@@ -244,6 +256,19 @@ class TestLevelSetConvexity:
         assert not check_level_set_convexity(sample).passed
         with pytest.raises(ValueError, match="eps"):
             check_level_set_convexity(sample, eps=-1.0)
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_non_finite_eps_rejected(self, eps):
+        # at eps = inf no gap exceeds eps, so every sample would pass
+        sample = LabeledSample(points=[[0.0], [1.0], [2.0], [3.5]], labels=[0, 1, 0, 1])
+        assert not check_level_set_convexity(sample).passed
+        with pytest.raises(ValueError, match=f"eps must be nonnegative and finite, got {eps}"):
+            check_level_set_convexity(sample, eps=eps)
+
+    def test_zero_eps_is_allowed(self):
+        sample = LabeledSample(points=[[0.0], [1.0], [2.0]], labels=[0, 1, 0])
+        report = check_level_set_convexity(sample, eps=0.0)
+        assert not report.passed and report.info == {"eps": 0.0}
 
     def test_power_cell_labelings_pass(self):
         rng = np.random.default_rng(13)
