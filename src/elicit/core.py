@@ -371,7 +371,8 @@ class ScoreTable:
         """Matrix V[r, i] = score of report r at type i."""
         if ts.dim != self.dim:
             raise DimensionMismatchError("score table dimension != type space")
-        return self.linear @ ts.points.T + self.constant[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+            return self.linear @ ts.points.T + self.constant[:, None]
 
     def validate_regular(self, ts: TypeSpace) -> None:
         """Gamma-regularity: the best report is finite at every type."""

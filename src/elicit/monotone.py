@@ -40,10 +40,22 @@ __all__ = [
 
 
 def cmon_weights(ts: TypeSpace, fam: LinearFamily) -> np.ndarray:
-    """Complete-digraph edge weights w[i, j] = d_i . (t_j - t_i)."""
+    """Complete-digraph edge weights w[i, j] = d_i . (t_j - t_i).
+
+    Finite types and functionals can still give weights, or sums of
+    weights along a path or cycle of at most m edges, beyond the float
+    range; those raise ``ValueError`` instead of a numpy warning."""
     fam.check_aligned(ts)
-    inner = fam.vectors @ ts.points.T
-    return inner - np.diag(inner)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = fam.vectors @ ts.points.T
+        w = inner - np.diag(inner)[:, None]
+        # nan when a weight is nan; +inf when a sum of m weights could overflow
+        bound = len(w) * np.maximum(w.max(initial=0.0), -w.min(initial=0.0))
+    if not bound < np.inf:
+        raise ValueError(
+            "cmon weights d_i . (t_j - t_i), summed over up to m edges, overflow the float range"
+        )
+    return w
 
 
 #: The predecessor graph is first searched for cycles after this many
@@ -70,10 +82,16 @@ def longest_paths(
 ) -> LongestPathResult:
     """Bellman-Ford longest paths on a complete digraph.
 
-    ``source=None`` uses a virtual source connected to every node with
-    weight 0, which turns the run into a pure positive-cycle detector.
-    Relaxations must improve by more than an epsilon of ``tol / 4m`` so
-    float noise cannot masquerade as a cycle.
+    ``weights[u, v]`` is the weight of edge u -> v: finite, or ``-inf``
+    for no edge; a nan or ``+inf`` weight, a non-square matrix or a
+    source that is not a node raises ``ValueError``.  The diagonal is
+    ignored.  ``source=None`` uses a virtual source connected to every
+    node with weight 0, which turns the run into a pure positive-cycle
+    detector.  Relaxations must improve by more than an epsilon of
+    ``tol / 4m`` so float noise cannot masquerade as a cycle.  Each
+    round reads the weights transposed, ``wt[v, u] = weights[u, v]``, so
+    the best predecessor of every node is one argmax along a contiguous
+    row of a buffer filled in place.
 
     A positive cycle usually shows up early as a cycle of the
     predecessor array, so that array is walked after rounds 8, 16, 32,
@@ -91,7 +109,17 @@ def longest_paths(
     scan.
     """
     require_positive(tol)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
+        raise ValueError(f"weights must be a square matrix, got shape {weights.shape}")
     m = weights.shape[0]
+    if source is not None and not (isinstance(source, (int, np.integer)) and 0 <= source < m):
+        raise ValueError(f"source must be a node index in [0, {m}), got {source!r}")
+    wt = weights.T.copy()
+    np.fill_diagonal(wt, -np.inf)
+    if not wt.max(initial=-np.inf) < np.inf:  # one pass finds a nan or +inf
+        v, u = np.argwhere(~(wt < np.inf))[0]
+        raise ValueError(f"edge ({u}, {v}) weighs {weights[u, v]}; weights must be finite or -inf")
     eps = tol / max(1, 4 * m)
     if source is None:
         dist = np.zeros(m)
@@ -99,16 +127,24 @@ def longest_paths(
         dist = np.full(m, -np.inf)
         dist[source] = 0.0
     pred = np.full(m, -1, dtype=int)
+    if m == 0:
+        return LongestPathResult(dist, pred, None)
 
+    nodes = np.arange(m)
+    cand = np.empty_like(wt)
+    arg = np.empty(m, dtype=np.intp)
     rounds = 0
-    for rounds in range(1, m):
-        cand = dist[:, None] + weights
-        np.fill_diagonal(cand, -np.inf)
-        best = cand.max(axis=0)
+    while True:
+        np.add(wt, dist, out=cand)  # cand[v, u] = dist[u] + weights[u, v]
+        cand.argmax(axis=1, out=arg)
+        best = cand[nodes, arg]
         improved = best > dist + eps
+        if rounds == m - 1:
+            break  # this pass is the final scan
+        rounds += 1
         if not improved.any():
             return LongestPathResult(dist, pred, None, rounds=rounds)
-        pred[improved] = cand[:, improved].argmax(axis=0)
+        pred[improved] = arg[improved]
         dist[improved] = best[improved]
         if rounds >= _FIRST_WALK and rounds & (rounds - 1) == 0:
             for cycle in _pred_cycles(pred):
@@ -117,12 +153,8 @@ def longest_paths(
                     return LongestPathResult(dist, pred, cycle, w, rounds)
 
     # an edge that still relaxes after m-1 rounds implies a positive cycle
-    cand = dist[:, None] + weights
-    np.fill_diagonal(cand, -np.inf)
-    best = cand.max(axis=0, initial=-np.inf)  # initial: m may be 0
-    for v in np.flatnonzero(best > dist + eps):
-        u = int(cand[:, int(v)].argmax())
-        cycle = _extract_cycle(pred, u, int(v), m)
+    for v in np.flatnonzero(improved):
+        cycle = _extract_cycle(pred, int(arg[v]), int(v), m)
         if cycle is None:
             continue
         w = _cycle_weight(weights, cycle)

@@ -176,8 +176,16 @@ def fit_weights(sites, sample: LabeledSample, tol: float = DEFAULT_TOL) -> FitWe
         raise ValueError("sample label exceeds site count")
     if sample.points.shape[1] != sites.shape[1]:
         raise DimensionMismatchError("sample dimension != sites dimension")
-    sq = _sq_dists(sample.points, sites)
-    rel = sq - sq[np.arange(len(sample)), labels][:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = _sq_dists(sample.points, sites)
+        rel = sq - sq[np.arange(len(sample)), labels][:, None]
+        # as for cmon weights: nan, or +inf when a sum over m sites could overflow
+        bound = m * np.maximum(rel.max(initial=0.0), -rel.min(initial=0.0))
+    if not bound < np.inf:
+        raise ValueError(
+            "squared distances from sample points to sites, summed over up to m sites, "
+            "overflow the float range"
+        )
     c = np.full((m, m), np.inf)
     np.minimum.at(c, labels, rel)
     res = longest_paths(-c, source=None, tol=tol)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import combinations, permutations
+from typing import Optional
 
 import numpy as np
 
@@ -20,8 +21,15 @@ from elicit import (
     TypeSpace,
     Witness,
 )
-from elicit.core import SIMPLEX_TOL
-from elicit.monotone import cmon_weights
+from elicit.core import DEFAULT_TOL, SIMPLEX_TOL, require_positive
+from elicit.monotone import (
+    _FIRST_WALK,
+    LongestPathResult,
+    _cycle_weight,
+    _extract_cycle,
+    _pred_cycles,
+    cmon_weights,
+)
 from elicit.scoring import expected_score
 
 
@@ -495,6 +503,60 @@ def _loop_extract_cycle(pred, u, v, m):
         order.append(x)
         x = int(pred[x])
     return None
+
+
+# the kernel before its transposed layout, kept verbatim apart from its
+# name and docstring: ``longest_paths`` must match it bit for bit
+
+
+def columnwise_longest_paths(
+    weights: np.ndarray,
+    source: Optional[int] = None,
+    tol: float = DEFAULT_TOL,
+) -> LongestPathResult:
+    """``longest_paths`` as it was before it read the weights transposed:
+    each round reduces ``dist[:, None] + weights`` down its columns, once
+    for the maximum and again, on a copy, for the argmax of the columns
+    that improve."""
+    require_positive(tol)
+    m = weights.shape[0]
+    eps = tol / max(1, 4 * m)
+    if source is None:
+        dist = np.zeros(m)
+    else:
+        dist = np.full(m, -np.inf)
+        dist[source] = 0.0
+    pred = np.full(m, -1, dtype=int)
+
+    rounds = 0
+    for rounds in range(1, m):
+        cand = dist[:, None] + weights
+        np.fill_diagonal(cand, -np.inf)
+        best = cand.max(axis=0)
+        improved = best > dist + eps
+        if not improved.any():
+            return LongestPathResult(dist, pred, None, rounds=rounds)
+        pred[improved] = cand[:, improved].argmax(axis=0)
+        dist[improved] = best[improved]
+        if rounds >= _FIRST_WALK and rounds & (rounds - 1) == 0:
+            for cycle in _pred_cycles(pred):
+                w = _cycle_weight(weights, cycle)
+                if w > tol:
+                    return LongestPathResult(dist, pred, cycle, w, rounds)
+
+    # an edge that still relaxes after m-1 rounds implies a positive cycle
+    cand = dist[:, None] + weights
+    np.fill_diagonal(cand, -np.inf)
+    best = cand.max(axis=0, initial=-np.inf)  # initial: m may be 0
+    for v in np.flatnonzero(best > dist + eps):
+        u = int(cand[:, int(v)].argmax())
+        cycle = _extract_cycle(pred, u, int(v), m)
+        if cycle is None:
+            continue
+        w = _cycle_weight(weights, cycle)
+        if w > tol:
+            return LongestPathResult(dist, pred, cycle, w, rounds)
+    return LongestPathResult(dist, pred, None, rounds=rounds)
 
 
 def recheck_cycle(weights, cycle, slack, tol):

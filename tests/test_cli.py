@@ -14,6 +14,9 @@ FIG_FAMILY = {
     "typeSpace": {"dim": 1, "points": [[0.0], [1.0], [2.0]]},
     "family": [[0.0], [1.0], [2.0]],
 }
+CMON_OVERFLOW = (
+    "cmon weights d_i . (t_j - t_i), summed over up to m edges, overflow the float range"
+)
 BAD_FAMILY = {
     "typeSpace": {"dim": 1, "points": [[0.0], [1.0]]},
     "family": [[1.0], [0.0]],
@@ -460,6 +463,55 @@ class TestInputErrors:
             ),
         }
         # a warning printed before the error would be a second stderr line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_usage_error(
+                [a.format(**files) for a in args], capsys, f"error: {message}\n"
+            )
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["check-wmon", "{fam}"], CMON_OVERFLOW),
+            (["check-cmon", "{fam}"], CMON_OVERFLOW),
+            (["check-cmon", "{sum}"], CMON_OVERFLOW),
+            (["synth-payments", "{fam}"], CMON_OVERFLOW),
+            (["synth-payments", "{sum}"], CMON_OVERFLOW),
+            (["rev-interval", "{fam}", "--anchor", "0=0", "--target", "2"], CMON_OVERFLOW),
+            (["check-truthful", "{score}"], "truthful reports must score finite values"),
+            (["check-local", "{score}", "--radius", "1"],
+             "truthful reports must score finite values"),
+            (["fit-weights", "{sites}", "{sample}"],
+             "squared distances from sample points to sites, summed over up to m sites, "
+             "overflow the float range"),
+        ],
+    )
+    def test_overflowing_weights_are_one_line_errors(self, tmp_path, capsys, args, message):
+        # finite inputs whose products d_i . t_j leave the float range, or
+        # ("sum") whose finite weights 1e308 sum to more along a 2-cycle
+        points = [[1e200], [-1e200], [0.0]]
+        vectors = [[-1e200], [1e200], [0.0]]
+        type_space = {"dim": 1, "points": points}
+        files = {
+            "fam": write(tmp_path, "fam.json", {"typeSpace": type_space, "family": vectors}),
+            "score": write(
+                tmp_path,
+                "score.json",
+                {
+                    "score": {"reports": [0, 1, 2], "linear": vectors, "constant": [0, 0, 0]},
+                    "typeSpace": type_space,
+                },
+            ),
+            "sum": write(
+                tmp_path,
+                "sum.json",
+                {"typeSpace": {"dim": 1, "points": [[0.0], [1.0]]}, "family": [[1e308], [-1e308]]},
+            ),
+            "sites": write(tmp_path, "sites.json", {"sites": [[0.0], [1.0]]}),
+            "sample": write(
+                tmp_path, "sample.json", {"points": points, "labels": [0, 1, 0]}
+            ),
+        }
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.assert_usage_error(

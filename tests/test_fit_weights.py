@@ -1,6 +1,8 @@
 """Weight fitting on the difference-constraint kernel, checked against
 the dense simplex it replaced and against the inputs alone."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,13 @@ def test_three_site_cycle_sums_to_minus_ten():
     edges = [(w.indices, w.slack) for w in fit.witnesses]
     recheck_fit_certificate(sites, sample.points, sample.labels, edges, TOL)
 
+
+
+def test_overflowing_power_costs_are_rejected_without_a_warning():
+    # finite points whose squared distances to the sites exceed the float
+    # range; the constraint graph would hold nan edges
+    sample = LabeledSample(points=[[1e200], [-1e200], [0.5]], labels=[0, 1, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow the float range"):
+            fit_weights([[0.0], [1.0]], sample)

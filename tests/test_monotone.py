@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,18 +9,23 @@ from hypothesis import strategies as st
 from elicit import (
     EvaluationError,
     LinearFamily,
+    ScoreTable,
     SquaredNorm,
     TypeSpace,
     check_cmon,
     check_local_truthful,
     check_path_independence,
+    check_truthful,
     check_wmon,
     make_direct_score,
+    revenue_interval,
+    rochet_payments,
     subgradient,
 )
 from elicit.monotone import cmon_weights, longest_paths
 from helpers import (
     brute_force_cmon,
+    columnwise_longest_paths,
     full_rounds_longest_paths,
     random_max_affine,
     random_typespace,
@@ -219,6 +227,132 @@ class TestEarlyCycleDetection:
         assert report.info["rounds"] <= 16
         (w,) = report.witnesses
         recheck_cycle(cmon_weights(ts, fam), w.indices, w.slack, tol)
+
+
+def _assert_same_as_columnwise(weights, source, tol):
+    res = longest_paths(weights, source=source, tol=tol)
+    ref = columnwise_longest_paths(weights, source=source, tol=tol)
+    assert res.dist.tobytes() == ref.dist.tobytes()
+    assert res.pred.tobytes() == ref.pred.tobytes()
+    assert (res.cycle, res.cycle_weight, res.rounds) == (ref.cycle, ref.cycle_weight, ref.rounds)
+    return res
+
+
+class TestTransposedKernel:
+    """``longest_paths`` reads the weights transposed, yet every result
+    must equal, bit for bit, that of the column-wise kernel it replaced
+    (``helpers.columnwise_longest_paths``)."""
+
+    TOLS = TestEarlyCycleDetection.TOLS
+
+    @pytest.mark.parametrize(
+        "kind,seed",
+        [("random", 701), ("near-truthful", 702), ("gradient", 703), ("max-affine", 704)],
+    )
+    def test_families_match_bitwise(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        failed = 0
+        for _ in range(25):
+            ts, fam = _family(kind, rng)
+            weights = cmon_weights(ts, fam)
+            for tol in self.TOLS:
+                for source in (None, int(rng.integers(len(ts)))):
+                    failed += _assert_same_as_columnwise(weights, source, tol).cycle is not None
+        assert (failed > 0) == (kind in ("random", "near-truthful"))
+
+    def test_missing_edges_match_bitwise(self):
+        # about 30 % of the edges are -inf, as in a fit_weights graph
+        rng = np.random.default_rng(705)
+        for _ in range(40):
+            ts, fam = _family("random", rng)
+            weights = cmon_weights(ts, fam)
+            weights[rng.random(weights.shape) < 0.3] = -np.inf
+            for source in (None, int(rng.integers(len(ts)))):
+                _assert_same_as_columnwise(weights, source, float(rng.choice(self.TOLS)))
+
+    def test_positive_diagonal_is_ignored(self):
+        # a self-loop that counted would relax every round
+        rng = np.random.default_rng(706)
+        for _ in range(40):
+            m = int(rng.integers(2, 40))
+            weights = rng.normal(scale=float(rng.choice([0.1, 1.0, 3.0])), size=(m, m))
+            np.fill_diagonal(weights, rng.uniform(1.0, 10.0, size=m))
+            for source in (None, int(rng.integers(m))):
+                _assert_same_as_columnwise(weights, source, float(rng.choice(self.TOLS)))
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_tiny_graphs_match_bitwise(self, m):
+        rng = np.random.default_rng(707 + m)
+        for _ in range(10):
+            weights = rng.normal(size=(m, m))
+            for source in [None] + list(range(m)):
+                _assert_same_as_columnwise(weights, source, 1e-9)
+
+    @pytest.mark.parametrize(
+        "weights,source,message",
+        [
+            (np.zeros((3, 3)), -1, "source must be a node index in [0, 3), got -1"),
+            (np.zeros((3, 3)), 3, "source must be a node index in [0, 3), got 3"),
+            (np.zeros((3, 3)), 1.0, "source must be a node index in [0, 3), got 1.0"),
+            (np.zeros((0, 0)), 0, "source must be a node index in [0, 0), got 0"),
+            ([[0.0, np.nan], [0.0, 0.0]], None, "edge (0, 1) weighs nan"),
+            ([[0.0, 0.0], [np.inf, 0.0]], 0, "edge (1, 0) weighs inf"),
+            (np.zeros((2, 3)), None, "weights must be a square matrix, got shape (2, 3)"),
+            (np.zeros(3), None, "weights must be a square matrix, got shape (3,)"),
+        ],
+    )
+    def test_malformed_input_is_named(self, weights, source, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                longest_paths(weights, source=source)
+
+    def test_diagonal_may_hold_any_value(self):
+        weights = np.array([[np.nan, 1.0, -np.inf], [-1.0, np.inf, 0.5], [-5.0, -1.0, -np.inf]])
+        for diagonal in (weights, np.where(np.eye(3, dtype=bool), 0.0, weights)):
+            res = longest_paths(diagonal, source=0)
+            assert res.dist.tolist() == [0.0, 1.0, 1.5] and res.pred.tolist() == [-1, 0, 1]
+            assert res.cycle is None
+
+
+class TestOverflowingWeights:
+    """Finite types and functionals whose weights d_i . (t_j - t_i) leave
+    the float range (edge 0 -> 1 weighs +inf), or whose weights are finite
+    but sum to more than the float range along a cycle."""
+
+    TS = TypeSpace([[1e200], [-1e200], [0.0]])
+    FAMILY = LinearFamily([[-1e200], [1e200], [0.0]])
+    SUM_TS = TypeSpace([[0.0], [1.0]])
+    SUM_FAMILY = LinearFamily([[1e308], [-1e308]])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            cmon_weights,
+            check_wmon,
+            check_cmon,
+            rochet_payments,
+            lambda ts, fam: revenue_interval(ts, fam, anchors={0: 0.0}, target=1),
+        ],
+        ids=["cmon_weights", "check_wmon", "check_cmon", "rochet_payments", "revenue_interval"],
+    )
+    @pytest.mark.parametrize("overflow", ["edge", "cycle"])
+    def test_rejected_without_a_warning(self, call, overflow):
+        ts, fam = (self.TS, self.FAMILY) if overflow == "edge" else (self.SUM_TS, self.SUM_FAMILY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow the float range"):
+                call(ts, fam)
+
+    def test_overflowing_payoffs_raise_no_warning(self):
+        score = ScoreTable(reports=[0, 1, 2], linear=self.FAMILY.vectors, constant=[0.0] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(score.payoff_matrix(self.TS)).any()
+            with pytest.raises(ValueError, match="truthful reports must score finite values"):
+                check_truthful(score, self.TS)
+            with pytest.raises(ValueError, match="truthful reports must score finite values"):
+                check_local_truthful(score, self.TS, [0, 1, 2], radius=1.0)
 
 
 class TestPathIndependence:
