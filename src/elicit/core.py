@@ -12,7 +12,8 @@ Vectors are numpy float64 arrays.  Extended reals are plain floats where
 ``-inf`` is a legal value for score constants and payoffs (log-score
 style); ``+inf`` and ``nan`` are rejected at every public boundary.  The
 multiplication convention ``0 * (-inf) == 0``, also for a probability
-within ``SIMPLEX_TOL`` below 0, is implemented by :func:`ext_mul`.
+within ``SIMPLEX_TOL`` below 0, is applied by
+``scoring.OutcomeScoreTable.payoff_matrix``.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ __all__ = [
     "NegEntropy",
     "ConvexSpec",
     "ScoreTable",
-    "ext_mul",
     "require_extended_real",
     "require_positive",
     "eval_convex",
     "subgradient",
     "conjugate",
     "mask_witnesses",
+    "deviation_gains",
     "check_subgradient_selection",
     "bregman_divergence",
 ]
@@ -140,14 +141,6 @@ def require_positive(x: float, what: str = "tolerance") -> float:
     return x
 
 
-def ext_mul(p: float, x: float) -> float:
-    """Multiply with the convention 0 * (-inf) == 0; a probability in
-    [-SIMPLEX_TOL, 0) is rounding noise on 0 and times -inf gives 0 too."""
-    if p == 0.0 or (x == -math.inf and -SIMPLEX_TOL <= p < 0.0):
-        return 0.0
-    return p * x
-
-
 # ---------------------------------------------------------------------------
 # check reports
 
@@ -216,6 +209,29 @@ def mask_witnesses(kind: str, mask, slack, detail, index=None) -> list:
         )
         for ij, s in zip(hits, slacks)
     ]
+
+
+def deviation_gains(values, truth, axis: int) -> np.ndarray:
+    """What every report gains over each agent's truthful one: ``values``
+    minus the agent's own score, in the layout of ``values``.  Reports
+    run along ``axis``, agents (types or beliefs) along the other, and
+    agent a's truthful report is ``truth[a]``.  A non-finite own score
+    raises ``ValueError``; so does a ``+inf`` or nan gain (an overflow),
+    naming the first such agent and its report.  ``-inf`` gains are legal."""
+    by_agent = values.T if axis == 0 else values  # by_agent[agent, report]
+    own = by_agent[np.arange(len(by_agent)), truth]
+    if not np.isfinite(own).all():
+        raise ValueError("truthful reports must score finite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = values - np.expand_dims(own, axis)
+    if not (gains < np.inf).all():
+        by_agent = gains.T if axis == 0 else gains
+        a, r = np.argwhere(~(by_agent < np.inf))[0].tolist()
+        raise ValueError(
+            f"agent {a} gains {by_agent[a, r]} by report {r}: "
+            "deviation gains must be finite or -inf"
+        )
+    return gains
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +379,6 @@ class ScoreTable:
         t = _as_vector(t, "type")
         return float(self.linear[report_idx] @ t + self.constant[report_idx])
 
-    def evaluate_all(self, t) -> np.ndarray:
-        t = _as_vector(t, "type")
-        return self.linear @ t + self.constant
-
     def payoff_matrix(self, ts: TypeSpace) -> np.ndarray:
         """Matrix V[r, i] = score of report r at type i."""
         if ts.dim != self.dim:
@@ -419,13 +431,39 @@ def _eval_rows(g: ConvexSpec, pts: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown convex spec {type(g).__name__}")
 
 
-def eval_convex(g: ConvexSpec, t) -> float:
-    """Evaluate the convex function at ``t``.
+def eval_convex(g: ConvexSpec, t):
+    """Evaluate the convex function at ``t``: one point (float result) or
+    each row of a 2-D array (array result, bitwise as row by row).
 
     Raises :class:`DomainError` for negative-entropy inputs off the
-    simplex beyond tolerance.
+    simplex beyond tolerance, naming the first such row.
     """
-    return float(_eval_rows(g, _as_vector(t, "point")[None])[0])
+    t = np.asarray(t, dtype=float)
+    values = _eval_rows(g, _as_matrix(np.atleast_2d(t), "point"))
+    return float(values[0]) if t.ndim < 2 else values
+
+
+def _grad_rows(g: ConvexSpec, pts: np.ndarray) -> np.ndarray:
+    """One subgradient of G at every row of the 2-D array ``pts``, each
+    bitwise as for that row alone; a bad row raises the error of the
+    first one in row order."""
+    if isinstance(g, MaxAffine):
+        if g.dim != pts.shape[1]:
+            raise DimensionMismatchError(f"expected dimension {g.dim}, got {pts.shape[1]}")
+        pieces = np.matmul(g.slopes[None], pts[:, :, None])[:, :, 0]
+        return g.slopes[(pieces + g.intercepts).argmax(axis=1)]
+    if isinstance(g, SquaredNorm):
+        return 2.0 * pts
+    if isinstance(g, NegEntropy):
+        first = int(np.append((pts < INTERIOR_EPS).any(axis=1), True).argmax())
+        _check_simplex(pts[: first + 1])  # an earlier or the same row off the simplex wins
+        if first < len(pts):
+            raise DomainError(
+                "negative entropy has no finite subgradient on the simplex "
+                f"boundary (coordinates must be >= {INTERIOR_EPS})"
+            )
+        return 1.0 + np.log(pts)
+    raise TypeError(f"unknown convex spec {type(g).__name__}")
 
 
 def subgradient(g: ConvexSpec, t) -> np.ndarray:
@@ -435,23 +473,7 @@ def subgradient(g: ConvexSpec, t) -> np.ndarray:
     selection is deterministic.  Negative entropy requires a strictly
     interior point (all coordinates >= 1e-12).
     """
-    t = _as_vector(t, "point")
-    if isinstance(g, MaxAffine):
-        if g.dim != len(t):
-            raise DimensionMismatchError(f"expected dimension {g.dim}, got {len(t)}")
-        active = int(np.argmax(g.slopes @ t + g.intercepts))
-        return g.slopes[active].copy()
-    if isinstance(g, SquaredNorm):
-        return 2.0 * t
-    if isinstance(g, NegEntropy):
-        _check_simplex(t)
-        if np.any(t < INTERIOR_EPS):
-            raise DomainError(
-                "negative entropy has no finite subgradient on the simplex "
-                f"boundary (coordinates must be >= {INTERIOR_EPS})"
-            )
-        return 1.0 + np.log(t)
-    raise TypeError(f"unknown convex spec {type(g).__name__}")
+    return _grad_rows(g, _as_vector(t, "point")[None])[0]
 
 
 def conjugate(g: ConvexSpec, d, grid: TypeSpace):

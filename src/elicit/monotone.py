@@ -23,6 +23,7 @@ from .core import (
     ScoreTable,
     TypeSpace,
     Witness,
+    deviation_gains,
     mask_witnesses,
     require_positive,
 )
@@ -333,17 +334,17 @@ def check_local_truthful(
         raise DimensionMismatchError("report_of must cover every type")
     if report_of.min() < 0 or report_of.max() >= len(score):
         raise ValueError("report_of refers to a report outside the table")
-    values = score.payoff_matrix(ts)
     # gain[i, j]: what type i gains by sending type j's report
-    offered = values[report_of]
-    own = np.diag(offered)
-    if not np.all(np.isfinite(own)):
-        raise ValueError("truthful reports must score finite values")
-    gain = offered.T - own[:, None]
+    offered = score.payoff_matrix(ts)[report_of]
+    gain = deviation_gains(offered, np.arange(len(ts)), axis=0).T
     worst = np.where(gain.T > gain, gain.T, gain)
-    gaps = np.linalg.norm(
-        ts.points[:, None, :] - ts.points[None, :, :], axis=-1
-    )
+    with np.errstate(over="ignore"):
+        diff = ts.points[:, None, :] - ts.points[None, :, :]
+        gaps = np.linalg.norm(diff, axis=-1)
+        # the sum of squares overflows long before the distance does
+        wide = gaps == np.inf
+        if wide.any():
+            gaps[wide] = np.hypot.reduce(diff[wide], axis=-1)
     local = np.triu(gaps <= radius, 1)
     violated = np.triu(worst > tol, 1)
     witnesses = mask_witnesses(

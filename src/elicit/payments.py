@@ -27,6 +27,7 @@ from .core import (
     ScoreTable,
     TypeSpace,
     Witness,
+    deviation_gains,
     require_positive,
 )
 from .monotone import cmon_weights, longest_paths
@@ -154,7 +155,7 @@ def rochet_payments(
     payments = own - surplus
     result = PaymentResult(surplus, payments, t0, fam)
     values = result.induced_score().payoff_matrix(ts)
-    worst = float((values - np.diag(values)[None, :]).max())
+    worst = float(deviation_gains(values, np.arange(len(ts)), axis=0).max())
     if worst > tol:
         raise ElicitError(
             f"internal error: synthesized score violates truthfulness by {worst:.3g}"

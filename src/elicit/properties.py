@@ -29,10 +29,10 @@ from .core import (
     TypeSpace,
     Witness,
     _as_matrix,
+    _grad_rows,
     conjugate,
     mask_witnesses,
     require_positive,
-    subgradient,
 )
 from .monotone import longest_paths
 
@@ -323,6 +323,6 @@ def bregman_to_power(
     ``grid``, which is exact whenever the grid contains the sites.
     """
     sites = _as_matrix(bregman_sites, "sites")
-    duals = np.array([subgradient(g, t) for t in sites]).reshape(sites.shape)
+    duals = _grad_rows(g, sites)
     weights = np.vecdot(duals, duals) / 4.0 - conjugate(g, duals, grid)
     return PowerDiagramSpec(sites=duals / 2.0, weights=weights)

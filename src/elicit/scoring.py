@@ -25,12 +25,12 @@ from .core import (
     TypeSpace,
     UnreachableActionError,
     Witness,
+    _grad_rows,
+    deviation_gains,
     eval_convex,
-    ext_mul,
     mask_witnesses,
     require_extended_real,
     require_positive,
-    subgradient,
 )
 
 __all__ = [
@@ -48,9 +48,13 @@ __all__ = [
 
 
 def _as_distribution(p, what: str = "distribution") -> np.ndarray:
+    """``p`` as an array whose rows (along the last axis) each lie on
+    the probability simplex; the first one that does not is named."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any(p < -SIMPLEX_TOL) or abs(float(p.sum()) - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"{what} {p.tolist()} is not on the probability simplex")
+    off = (p < -SIMPLEX_TOL).any(axis=-1) | (abs(p.sum(axis=-1) - 1.0) > SIMPLEX_TOL)
+    if off.any():
+        bad = p.reshape(-1, p.shape[-1])[off.reshape(-1).argmax()]
+        raise ValueError(f"{what} {bad.tolist()} is not on the probability simplex")
     return p
 
 
@@ -85,16 +89,15 @@ class OutcomeScoreTable:
         self.payoffs = np.asarray(self.payoffs, dtype=float)
         if self.reports.ndim != 2 or self.payoffs.shape != self.reports.shape:
             raise DimensionMismatchError("reports and payoffs must be (m, n) alike")
-        for p in self.reports:
-            _as_distribution(p, "report")
-        for r, row in enumerate(self.payoffs):
-            for o, s in enumerate(row):
-                require_extended_real(s, "payoff")
-                if s == -np.inf and self.reports[r, o] > SIMPLEX_TOL:
-                    raise ValueError(
-                        f"-inf payoff at outcome {o} carrying probability "
-                        f"{self.reports[r, o]} under report {r}"
-                    )
+        _as_distribution(self.reports, "report")
+        bad = ~(self.payoffs < np.inf) | (self.payoffs == -np.inf) & (self.reports > SIMPLEX_TOL)
+        if bad.any():  # the first bad entry in row-major order
+            r, o = np.argwhere(bad)[0].tolist()
+            require_extended_real(self.payoffs[r, o], "payoff")
+            raise ValueError(
+                f"-inf payoff at outcome {o} carrying probability "
+                f"{self.reports[r, o]} under report {r}"
+            )
 
     @property
     def n_outcomes(self) -> int:
@@ -103,12 +106,46 @@ class OutcomeScoreTable:
     def __len__(self) -> int:
         return len(self.reports)
 
+    def _beliefs(self, beliefs) -> np.ndarray:
+        beliefs = np.asarray(beliefs, dtype=float)
+        if beliefs.ndim != 2 or beliefs.shape[1] != self.n_outcomes:
+            raise DimensionMismatchError("belief dimension != outcome count")
+        return beliefs
+
+    def payoff_matrix(self, beliefs) -> np.ndarray:
+        """Matrix E[b, q] = expected score of report q under belief row
+        b: the sum over outcomes, in order, of belief times payoff, where
+        a zero belief, or one within SIMPLEX_TOL below zero, times a -inf
+        payoff gives 0, and one -inf term makes the entry -inf."""
+        beliefs = self._beliefs(beliefs)
+        score = np.zeros((len(beliefs), len(self)))
+        sunk = np.zeros(score.shape, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+            for o in range(self.n_outcomes):
+                prob = beliefs[:, o, None]
+                payoff = self.payoffs[:, o]
+                # zero, or rounding noise below zero on -inf
+                void = (prob == 0.0) | (
+                    (payoff == -np.inf) & (prob >= -SIMPLEX_TOL) & (prob < 0.0)
+                )
+                term = np.where(void, 0.0, prob * payoff)
+                sunk |= term == -np.inf
+                score += term
+        score[sunk] = -np.inf
+        return score
+
+    def distances(self, beliefs) -> np.ndarray:
+        """Matrix F[b, q] = max-norm distance from belief row b to report q."""
+        beliefs = self._beliefs(beliefs)
+        far = np.zeros((len(beliefs), len(self)))
+        for o in range(self.n_outcomes):
+            np.maximum(far, np.abs(self.reports[:, o] - beliefs[:, o, None]), out=far)
+        return far
+
     def find_report(self, p, tol: float = SIMPLEX_TOL) -> Optional[int]:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        for i, r in enumerate(self.reports):
-            if np.max(np.abs(r - p)) <= tol:
-                return i
-        return None
+        """Index of the first report within ``tol`` of ``p`` in max norm."""
+        hits = np.flatnonzero(self.distances(np.reshape(p, (1, -1)))[0] <= tol)
+        return int(hits[0]) if hits.size else None
 
 
 def make_scoring_rule(g: ConvexSpec, reports: Sequence) -> OutcomeScoreTable:
@@ -120,21 +157,20 @@ def make_scoring_rule(g: ConvexSpec, reports: Sequence) -> OutcomeScoreTable:
     ln p(omega) with ln 0 = -inf, which is the same formula the
     interior rows reduce to.
     """
-    rows = [_as_distribution(p, "report") for p in reports]
-    if not rows:
+    reports = np.array(reports, dtype=float)  # a copy: the table keeps it
+    if len(reports) == 0:
         raise ValueError("at least one report is required")
-    n = len(rows[0])
-    payoffs = np.empty((len(rows), n))
-    for k, p in enumerate(rows):
-        if len(p) != n:
-            raise DimensionMismatchError("all reports must share one outcome space")
-        if isinstance(g, NegEntropy) and np.any(p < INTERIOR_EPS):
-            with np.errstate(divide="ignore"):
-                payoffs[k] = np.log(p)
-            continue
-        d = subgradient(g, p)
-        payoffs[k] = eval_convex(g, p) + d - float(d @ p)
-    return OutcomeScoreTable(np.vstack(rows), payoffs)
+    if reports.ndim != 2:
+        raise DimensionMismatchError("reports must be the rows of a 2-D array")
+    _as_distribution(reports, "report")
+    payoffs = np.empty_like(reports)
+    edge = (reports < INTERIOR_EPS).any(axis=1) & isinstance(g, NegEntropy)
+    with np.errstate(divide="ignore"):
+        payoffs[edge] = np.log(reports[edge])
+    inner = reports[~edge]
+    d = _grad_rows(g, inner)
+    payoffs[~edge] = eval_convex(g, inner)[:, None] + d - np.vecdot(d, inner)[:, None]
+    return OutcomeScoreTable(reports, payoffs)
 
 
 def expected_score(table: OutcomeScoreTable, report_idx: int, belief) -> float:
@@ -142,15 +178,18 @@ def expected_score(table: OutcomeScoreTable, report_idx: int, belief) -> float:
     zero belief, or one within SIMPLEX_TOL below zero, contribute zero
     even against a -inf payoff."""
     belief = _as_distribution(belief, "belief")
-    if len(belief) != table.n_outcomes:
-        raise DimensionMismatchError("belief dimension != outcome count")
-    total = 0.0
-    for prob, payoff in zip(belief, table.payoffs[report_idx]):
-        term = ext_mul(float(prob), float(payoff))
-        if term == -np.inf:
-            return -np.inf
-        total += term
-    return total
+    return float(table.payoff_matrix(belief[None])[0, report_idx])
+
+
+def _belief_rows(beliefs, n_outcomes: int) -> np.ndarray:
+    """The beliefs, each checked in order, as the rows of one array."""
+    rows = []
+    for b in beliefs:
+        b = _as_distribution(b, "belief")
+        if len(b) != n_outcomes:
+            raise DimensionMismatchError("belief dimension != outcome count")
+        rows.append(b)
+    return np.reshape(rows, (len(rows), n_outcomes))
 
 
 def check_proper(
@@ -165,57 +204,30 @@ def check_proper(
     compares the truthful row against every listed report as deviation.
     ``beliefs=None`` checks all report rows against each other.  Strict
     mode additionally flags distinct reports that tie within ``tol``
-    (such ties carry their near-zero slack as the witness).  A belief
-    whose own report scores a non-finite value raises ValueError.
+    (such ties carry their near-zero slack as the witness).  A
+    non-finite own score or an overflowing gain raises ValueError.
     """
     require_positive(tol)
-    if beliefs is None:
-        truth = list(range(len(table)))
-        belief_rows = table.reports
-    else:
-        truth, belief_rows = [], []
-        for b in beliefs:
-            b = _as_distribution(b, "belief")
-            idx = table.find_report(b)
-            if idx is None:
-                raise ValueError(
-                    f"belief {b.tolist()} does not match any report row"
-                )
-            truth.append(idx)
-            belief_rows.append(b)
-        belief_rows = np.reshape(belief_rows, (len(truth), table.n_outcomes))
-
-    # score[b, q] = expected_score(table, q, belief b): the same sum in
-    # the same outcome order, where one -inf term makes the score -inf
-    n_beliefs, m = len(truth), len(table)
-    score = np.zeros((n_beliefs, m))
-    sunk = np.zeros((n_beliefs, m), dtype=bool)
-    far = np.zeros((n_beliefs, m))  # max-norm distance, belief to report
-    with np.errstate(invalid="ignore"):
-        for o in range(table.n_outcomes):
-            prob = belief_rows[:, o][:, None]
-            payoff = table.payoffs[:, o][None, :]
-            # as in ext_mul: zero, or rounding noise below zero on -inf
-            void = (prob == 0.0) | (
-                (payoff == -np.inf) & (prob >= -SIMPLEX_TOL) & (prob < 0.0)
+    belief_rows = table.reports if beliefs is None else _belief_rows(beliefs, table.n_outcomes)
+    far = table.distances(belief_rows)  # also the strictness mask
+    truth = np.arange(len(table))
+    if beliefs is not None:  # each belief's truthful report is the first it matches
+        matched = far <= SIMPLEX_TOL
+        lost = ~matched.any(axis=1)
+        if lost.any():
+            raise ValueError(
+                f"belief {belief_rows[lost.argmax()].tolist()} does not match any report row"
             )
-            term = np.where(void, 0.0, prob * payoff)
-            sunk |= term == -np.inf
-            score += term
-            far = np.maximum(far, np.abs(table.reports[:, o][None, :] - prob))
-        score[sunk] = -np.inf
-        own = score[np.arange(n_beliefs), truth]
-        if not np.all(np.isfinite(own)):
-            raise ValueError("truthful reports must score finite values")
-        gain = score - own[:, None]
-    deviation = np.arange(m)[None, :] != np.asarray(truth)[:, None]
+        truth = matched.argmax(axis=1) if len(table) else truth  # no reports, no beliefs
+    gain = deviation_gains(table.payoff_matrix(belief_rows), truth, axis=1)
+    deviation = np.arange(len(table))[None, :] != truth[:, None]
     ahead = deviation & (gain > tol)
     witnesses = mask_witnesses(
         "deviation",
         ahead,
         gain,
         lambda b, q: f"belief #{b} prefers report {q}",
-        index=lambda b, q: (truth[b], q),
+        index=lambda b, q: (int(truth[b]), q),
     )
     if strict:
         tied = deviation & ~ahead & (gain >= -tol) & (far > tol)
@@ -224,7 +236,7 @@ def check_proper(
             tied,
             np.where(0.0 > gain, 0.0, gain),
             "strictness fails: deviation ties",
-            index=lambda b, q: (truth[b], q),
+            index=lambda b, q: (int(truth[b]), q),
         )
         # interleave both kinds in (belief, report) order
         order = np.argsort(
@@ -234,11 +246,6 @@ def check_proper(
         merged = witnesses + ties
         witnesses = [merged[k] for k in order]
     return CheckReport.from_witnesses(witnesses, {"tol": tol, "strict": strict})
-
-
-def value_function(table: OutcomeScoreTable, belief) -> float:
-    """Best achievable expected score under ``belief``."""
-    return max(expected_score(table, r, belief) for r in range(len(table)))
 
 
 def check_expert_separation(
@@ -252,21 +259,15 @@ def check_expert_separation(
     """Informed beliefs must earn at least ``delta_accept``; the
     uninformed belief ``p_bar`` at most ``delta_reject``."""
     require_positive(tol)
-    witnesses = []
-    values = []
-    for i, p in enumerate(p_in):
-        v = value_function(table, p)
-        values.append(v)
-        if v < delta_accept - tol:
-            witnesses.append(
-                Witness(
-                    kind="informed",
-                    indices=(i,),
-                    slack=float(delta_accept - v),
-                    detail=f"value {v:.6g} below accept threshold",
-                )
-            )
-    v_bar = value_function(table, p_bar)
+    beliefs = _belief_rows(list(p_in) + [p_bar], table.n_outcomes)
+    best = table.payoff_matrix(beliefs).max(axis=1)
+    values, v_bar = best[:-1], float(best[-1])
+    witnesses = mask_witnesses(
+        "informed",
+        values < delta_accept - tol,
+        delta_accept - values,
+        lambda i: f"value {values[i]:.6g} below accept threshold",
+    )
     if v_bar > delta_reject + tol:
         witnesses.append(
             Witness(
@@ -276,7 +277,7 @@ def check_expert_separation(
                 detail=f"uninformed value {v_bar:.6g} above reject threshold",
             )
         )
-    info = {"values_in": values, "value_bar": v_bar, "tol": tol}
+    info = {"values_in": values.tolist(), "value_bar": v_bar, "tol": tol}
     return CheckReport.from_witnesses(witnesses, info)
 
 
@@ -301,13 +302,8 @@ class DecisionScoreSpec:
         P = np.asarray(belief_matrix, dtype=float)
         if P.shape != (self.n_actions, self.n_outcomes):
             raise DimensionMismatchError("belief matrix has wrong shape")
-        total = 0.0
-        for i in range(self.n_actions):
-            di = float(self.decisions[report_idx, i])
-            if di == 0.0:
-                continue
-            total += di * float(P[i] @ self.scores[report_idx, i])
-        return total
+        d = self.decisions[report_idx]
+        return float(sum((d * np.vecdot(P, self.scores[report_idx]))[d != 0.0].tolist(), 0.0))
 
 
 def make_decision_score(
@@ -325,52 +321,39 @@ def make_decision_score(
     get placeholder zeros and are flagged unconstrained.
     """
     require_positive(tol)
-    mats = [np.asarray(q, dtype=float) for q in reports]
-    if not mats:
+    reports = np.array(reports, dtype=float)  # a copy: the table keeps it
+    if len(reports) == 0:
         raise ValueError("at least one report matrix is required")
-    shape = mats[0].shape
-    if len(shape) != 2:
+    if reports.ndim != 3:
         raise DimensionMismatchError("reports must be action-by-outcome matrices")
-    n_actions, n_outcomes = shape
-    for q in mats:
-        if q.shape != shape:
-            raise DimensionMismatchError("all report matrices must share a shape")
-        for row in q:
-            _as_distribution(row, "report row")
-
+    m, n_actions, n_outcomes = reports.shape
+    _as_distribution(reports, "report row")
     if callable(decision_rule):
-        decisions = np.asarray([decision_rule(q) for q in mats], dtype=float)
+        decisions = np.asarray([decision_rule(q) for q in reports], dtype=float)
     else:
         decisions = np.asarray(list(decision_rule), dtype=float)
-    if decisions.shape != (len(mats), n_actions):
+    if decisions.shape != (m, n_actions):
         raise DimensionMismatchError("one action distribution per report required")
-    for row in decisions:
-        _as_distribution(row, "decision distribution")
+    _as_distribution(decisions, "decision distribution")
 
-    scores = np.zeros((len(mats), n_actions, n_outcomes))
-    unconstrained = []
-    for k, q in enumerate(mats):
-        flat = q.reshape(-1)
-        gq = eval_convex(g, flat)
-        d = subgradient(g, flat).reshape(n_actions, n_outcomes)
-        base = gq - float(np.sum(d * q))
-        dead = []
-        for i in range(n_actions):
-            di = float(decisions[k, i])
-            if di <= INTERIOR_EPS:
-                if np.max(np.abs(d[i])) > tol:
-                    raise UnreachableActionError(
-                        f"report {k}: subgradient is nonzero on action {i} "
-                        f"which the decision rule never takes"
-                    )
-                dead.append(i)
-                continue
-            scores[k, i] = base + d[i] / di
-        unconstrained.append(dead)
+    flat = reports.reshape(m, -1)
+    d = _grad_rows(g, flat).reshape(reports.shape)  # raises for G's domain first
+    base = eval_convex(g, flat) - (d * reports).reshape(m, -1).sum(axis=1)
+    live = decisions > INTERIOR_EPS
+    stray = ~live & (np.abs(d).max(axis=2) > tol)
+    if stray.any():
+        k, i = np.argwhere(stray)[0].tolist()
+        raise UnreachableActionError(
+            f"report {k}: subgradient is nonzero on action {i} "
+            f"which the decision rule never takes"
+        )
+    share = np.divide(d, decisions[:, :, None], out=np.zeros_like(d), where=live[:, :, None])
+    scores = np.where(live[:, :, None], base[:, None, None] + share, 0.0)
+    unconstrained = [np.flatnonzero(~row).tolist() for row in live]
     return DecisionScoreSpec(
         n_actions=n_actions,
         n_outcomes=n_outcomes,
-        reports=np.stack(mats),
+        reports=reports,
         decisions=decisions,
         scores=scores,
         unconstrained=unconstrained,
@@ -381,13 +364,9 @@ def make_direct_score(g: ConvexSpec, ts: TypeSpace) -> ScoreTable:
     """Direct-revelation score A(r)(t) = G(r) + d_r(t - r), stored as
     linear part d_r and constant G(r) - <d_r, r>.  Truthful by the
     subgradient inequality."""
-    linear = np.empty((len(ts), ts.dim))
-    constant = np.empty(len(ts))
-    for i, t in enumerate(ts.points):
-        d = subgradient(g, t)
-        linear[i] = d
-        constant[i] = eval_convex(g, t) - float(d @ t)
-    return ScoreTable(reports=list(range(len(ts))), linear=linear, constant=constant)
+    d = _grad_rows(g, ts.points)
+    constant = eval_convex(g, ts.points) - np.vecdot(d, ts.points)
+    return ScoreTable(reports=list(range(len(ts))), linear=d, constant=constant)
 
 
 def check_truthful(
@@ -397,11 +376,7 @@ def check_truthful(
     require_positive(tol)
     if len(score) != len(ts):
         raise DimensionMismatchError("score table must have one report per type")
-    values = score.payoff_matrix(ts)
-    truthful = np.diag(values)
-    if not np.all(np.isfinite(truthful)):
-        raise ValueError("truthful reports must score finite values")
-    gains = values - truthful[None, :]
+    gains = deviation_gains(score.payoff_matrix(ts), np.arange(len(ts)), axis=0)
     witnesses = mask_witnesses(
         "deviation",
         (gains > tol) & ~np.eye(len(ts), dtype=bool),

@@ -19,9 +19,10 @@ from elicit import (
     NegEntropy,
     SquaredNorm,
     TypeSpace,
+    UnreachableActionError,
     Witness,
 )
-from elicit.core import DEFAULT_TOL, SIMPLEX_TOL, require_positive
+from elicit.core import DEFAULT_TOL, INTERIOR_EPS, SIMPLEX_TOL, require_positive
 from elicit.monotone import (
     _FIRST_WALK,
     LongestPathResult,
@@ -30,7 +31,7 @@ from elicit.monotone import (
     _pred_cycles,
     cmon_weights,
 )
-from elicit.scoring import expected_score
+from elicit.scoring import _as_distribution
 
 
 def central_diff_grad(f, t, h=1e-6):
@@ -223,18 +224,39 @@ def loop_check_level_set_convexity(sample, eps):
     return CheckReport.from_witnesses(out, {"eps": eps})
 
 
+def loop_expected_score(table, q, belief) -> float:
+    """Expected score of report q, one outcome at a time with the
+    ``ext_mul`` rules; the first -inf term makes the score -inf."""
+    total = 0.0
+    for prob, payoff in zip(belief.tolist(), table.payoffs[q].tolist()):
+        void = prob == 0.0 or (payoff == -math.inf and -SIMPLEX_TOL <= prob < 0.0)
+        term = 0.0 if void else prob * payoff
+        if term == -math.inf:
+            return -math.inf
+        total += term
+    return total
+
+
+def loop_find_report(table, p) -> Optional[int]:
+    """The first report row within SIMPLEX_TOL of ``p`` in max norm."""
+    for i, r in enumerate(table.reports.tolist()):
+        if max(abs(a - b) for a, b in zip(r, p)) <= SIMPLEX_TOL:
+            return i
+    return None
+
+
 def loop_check_proper(table, beliefs, strict, tol):
     if beliefs is None:
         rows = [(i, table.reports[i]) for i in range(len(table))]
     else:
-        rows = [(table.find_report(b), np.asarray(b, dtype=float)) for b in beliefs]
+        rows = [(loop_find_report(table, b), np.asarray(b, dtype=float)) for b in beliefs]
     out = []
     for bi, (truth, belief) in enumerate(rows):
-        s_truth = expected_score(table, truth, belief)
+        s_truth = loop_expected_score(table, truth, belief)
         for q in range(len(table)):
             if q == truth:
                 continue
-            gain = expected_score(table, q, belief) - s_truth
+            gain = loop_expected_score(table, q, belief) - s_truth
             if gain > tol:
                 out.append(
                     Witness("deviation", (truth, q), float(gain), f"belief #{bi} prefers report {q}")
@@ -282,6 +304,13 @@ def loop_duality_witnesses(g, grid, duals, tol):
 # the grid conjugate of one dual vector at a time, each evaluating G again
 
 
+def _loop_check_simplex(t) -> None:
+    if np.any(t < -SIMPLEX_TOL) or abs(float(t.sum()) - 1.0) > SIMPLEX_TOL:
+        raise DomainError(
+            f"point {t.tolist()} is not on the probability simplex (tolerance {SIMPLEX_TOL})"
+        )
+
+
 def loop_eval_convex(g, t) -> float:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if isinstance(g, MaxAffine):
@@ -291,11 +320,7 @@ def loop_eval_convex(g, t) -> float:
     if isinstance(g, SquaredNorm):
         return float(t @ t)
     if isinstance(g, NegEntropy):
-        if np.any(t < -SIMPLEX_TOL) or abs(float(t.sum()) - 1.0) > SIMPLEX_TOL:
-            raise DomainError(
-                f"point {t.tolist()} is not on the probability simplex "
-                f"(tolerance {SIMPLEX_TOL})"
-            )
+        _loop_check_simplex(t)
         pos = t[t > 0.0]
         return float(np.sum(pos * np.log(pos)))
     raise TypeError(f"unknown convex spec {type(g).__name__}")
@@ -332,6 +357,104 @@ def loop_conjugate_value(g, d, grid) -> float:
         if np.all(half >= lo - 1e-12) and np.all(half <= hi + 1e-12):
             return float(half @ half)
     return loop_conjugate(g, d, grid)
+
+
+# ---------------------------------------------------------------------------
+# loop references for the batched subgradients: one subgradient per point,
+# and the four constructors built one report (or site) at a time on it
+
+
+def loop_subgradient(g, t) -> np.ndarray:
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if isinstance(g, MaxAffine):
+        if g.dim != len(t):
+            raise DimensionMismatchError(f"expected dimension {g.dim}, got {len(t)}")
+        return g.slopes[int(np.argmax(g.slopes @ t + g.intercepts))].copy()
+    if isinstance(g, SquaredNorm):
+        return 2.0 * t
+    if isinstance(g, NegEntropy):
+        _loop_check_simplex(t)
+        if np.any(t < INTERIOR_EPS):
+            raise DomainError(
+                "negative entropy has no finite subgradient on the simplex "
+                f"boundary (coordinates must be >= {INTERIOR_EPS})"
+            )
+        return 1.0 + np.log(t)
+    raise TypeError(f"unknown convex spec {type(g).__name__}")
+
+
+def loop_make_scoring_rule(g, reports):
+    """``(reports, payoffs)`` of ``make_scoring_rule``."""
+    rows = [_as_distribution(p, "report") for p in reports]
+    if not rows:
+        raise ValueError("at least one report is required")
+    n = len(rows[0])
+    payoffs = np.empty((len(rows), n))
+    for k, p in enumerate(rows):
+        if len(p) != n:
+            raise DimensionMismatchError("all reports must share one outcome space")
+        if isinstance(g, NegEntropy) and np.any(p < INTERIOR_EPS):
+            with np.errstate(divide="ignore"):
+                payoffs[k] = np.log(p)
+            continue
+        d = loop_subgradient(g, p)
+        payoffs[k] = loop_eval_convex(g, p) + d - float(d @ p)
+    return np.vstack(rows), payoffs
+
+
+def loop_make_direct_score(g, ts):
+    """``(linear, constant)`` of ``make_direct_score``."""
+    linear = np.empty((len(ts), ts.dim))
+    constant = np.empty(len(ts))
+    for i, t in enumerate(ts.points):
+        d = loop_subgradient(g, t)
+        linear[i] = d
+        constant[i] = loop_eval_convex(g, t) - float(d @ t)
+    return linear, constant
+
+
+def loop_make_decision_score(g, decisions, reports, tol):
+    """``(scores, unconstrained)`` of ``make_decision_score`` for report
+    matrices and decision rows already validated."""
+    n_actions, n_outcomes = reports[0].shape
+    scores = np.zeros((len(reports), n_actions, n_outcomes))
+    unconstrained = []
+    for k, q in enumerate(reports):
+        flat = q.reshape(-1)
+        gq = loop_eval_convex(g, flat)
+        d = loop_subgradient(g, flat).reshape(n_actions, n_outcomes)
+        base = gq - float(np.sum(d * q))
+        dead = []
+        for i in range(n_actions):
+            di = float(decisions[k][i])
+            if di <= INTERIOR_EPS:
+                if np.max(np.abs(d[i])) > tol:
+                    raise UnreachableActionError(
+                        f"report {k}: subgradient is nonzero on action {i} "
+                        f"which the decision rule never takes"
+                    )
+                dead.append(i)
+                continue
+            scores[k, i] = base + d[i] / di
+        unconstrained.append(dead)
+    return scores, unconstrained
+
+
+def loop_expected_value(spec, k, belief_matrix) -> float:
+    """``DecisionScoreSpec.expected_value``, one action at a time."""
+    total = 0.0
+    for i in range(spec.n_actions):
+        di = float(spec.decisions[k, i])
+        if di != 0.0:
+            total += di * float(belief_matrix[i] @ spec.scores[k, i])
+    return total
+
+
+def loop_bregman_to_power(g, sites, grid):
+    """``(sites, weights)`` of the power diagram ``bregman_to_power`` builds."""
+    duals = [loop_subgradient(g, t) for t in np.asarray(sites, dtype=float)]
+    weights = [float(d @ d) / 4.0 - loop_conjugate(g, d, grid) for d in duals]
+    return np.array([d / 2.0 for d in duals]), np.array(weights)
 
 
 def loop_fit_weights(sites, sample):

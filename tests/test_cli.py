@@ -17,6 +17,7 @@ FIG_FAMILY = {
 CMON_OVERFLOW = (
     "cmon weights d_i . (t_j - t_i), summed over up to m edges, overflow the float range"
 )
+GAINS = "deviation gains must be finite or -inf"
 BAD_FAMILY = {
     "typeSpace": {"dim": 1, "points": [[0.0], [1.0]]},
     "family": [[1.0], [0.0]],
@@ -275,6 +276,25 @@ class TestSubcommands:
         assert code == 2
         assert json.loads(out)["info"]["agrees"] is True
 
+    def test_check_local_on_types_whose_squared_distance_overflows(self, tmp_path, capsys):
+        # the types are 2e200 apart: their squared distance leaves the
+        # float range, their distance does not
+        doc = {
+            "score": {"reports": [0, 1], "linear": [[1e-200], [-1e-200]], "constant": [0, 0]},
+            "typeSpace": {"dim": 1, "points": [[-1e200], [1e200]]},
+        }
+        path = write(tmp_path, "score.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["check-local", path, "--radius", "1e300"], capsys)
+        assert (code, err) == (2, "")
+        got = json.loads(out)
+        assert [(w["indices"], w["slack"]) for w in got["witnesses"]] == [([0, 1], 2)]
+        assert got["info"]["checked_pairs"] == 1
+        assert got["info"]["agrees"] is True
+        code, out, _ = run_cli(["check-local", path, "--radius", "1.9e200"], capsys)
+        assert code == 0 and json.loads(out)["info"]["checked_pairs"] == 0
+
     def test_decision_score(self, tmp_path, capsys):
         doc = {
             "g": {"analytic": "squaredNorm"},
@@ -481,6 +501,12 @@ class TestInputErrors:
             (["check-truthful", "{score}"], "truthful reports must score finite values"),
             (["check-local", "{score}", "--radius", "1"],
              "truthful reports must score finite values"),
+            # finite scores -1e308 and 1e308 whose difference overflows
+            (["check-truthful", "{spread}"], f"agent 0 gains inf by report 1: {GAINS}"),
+            (["check-local", "{spread}", "--radius", "5"], f"agent 0 gains inf by report 1: {GAINS}"),
+            (["check-proper", "{table}"], f"agent 0 gains inf by report 1: {GAINS}"),
+            # finite own scores, and a deviation score 1e200 * 1e200
+            (["check-truthful", "{deviant}"], f"agent 0 gains inf by report 1: {GAINS}"),
             (["fit-weights", "{sites}", "{sample}"],
              "squared distances from sample points to sites, summed over up to m sites, "
              "overflow the float range"),
@@ -510,6 +536,27 @@ class TestInputErrors:
             "sites": write(tmp_path, "sites.json", {"sites": [[0.0], [1.0]]}),
             "sample": write(
                 tmp_path, "sample.json", {"points": points, "labels": [0, 1, 0]}
+            ),
+            "spread": write(
+                tmp_path,
+                "spread.json",
+                {
+                    "score": {"reports": [0, 1], "linear": [[0], [0]], "constant": [-1e308, 1e308]},
+                    "typeSpace": {"dim": 1, "points": [[0.0], [1.0]]},
+                },
+            ),
+            "table": write(
+                tmp_path,
+                "table.json",
+                {"reports": [[0.5, 0.5], [0.4, 0.6]], "payoffs": [[-1e308, -1e308], [1e308, 1e308]]},
+            ),
+            "deviant": write(
+                tmp_path,
+                "deviant.json",
+                {
+                    "score": {"reports": [0, 1], "linear": [[0], [1e200]], "constant": [0, 0]},
+                    "typeSpace": {"dim": 1, "points": [[1e200], [0.0]]},
+                },
             ),
         }
         with warnings.catch_warnings():

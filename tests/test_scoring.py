@@ -24,8 +24,7 @@ from elicit import (
     make_scoring_rule,
     simplex_grid,
 )
-from elicit.core import ext_mul
-from helpers import loop_check_proper, random_max_affine, random_typespace
+from helpers import loop_check_proper, loop_expected_score, random_max_affine, random_typespace
 
 GRID2 = simplex_grid(2, 10)
 
@@ -92,6 +91,18 @@ class TestExpectedScore:
         table = make_scoring_rule(NegEntropy(), [[1.0, 0.0]])
         assert expected_score(table, 0, [1.0, 0.0]) == 0.0
 
+    def test_a_minus_inf_term_sinks_an_overflowed_sum(self):
+        # the first term overflows to +inf; the -inf term still wins, as
+        # in the one-outcome-at-a-time reference, instead of giving nan
+        table = OutcomeScoreTable(
+            reports=[[1, 0, 0], [0, 0, 1]],
+            payoffs=[[1.7976931348623157e308, 0, -np.inf], [0, 0, 0]],
+        )
+        belief = np.array([1 + 5e-10, -1e-9, 5e-10])
+        assert loop_expected_score(table, 0, belief) == -np.inf
+        assert expected_score(table, 0, belief) == -np.inf
+        assert table.payoff_matrix([belief])[0].tolist() == [-np.inf, 0.0]
+
     def test_rounding_below_zero_times_neg_inf_is_zero(self):
         # -1e-10 is within SIMPLEX_TOL of 0: against -inf it adds 0, as
         # 0 does, while against a finite payoff it keeps its product
@@ -102,9 +113,12 @@ class TestExpectedScore:
         belief = [1e-10, -1e-10, 1]
         assert expected_score(table, 1, belief) == 1e-10 * -1 + 0.0 + -1.0
         assert expected_score(table, 0, belief) == 1e-10 * -1 + -1e-10 * -1 + 0.0
-        assert ext_mul(-1e-10, -np.inf) == 0.0
-        assert ext_mul(-1e-10, -2.0) == 2e-10
-        assert ext_mul(1e-10, -np.inf) == -np.inf
+        # +1e-10 is a real probability: against -inf it sinks the score
+        assert expected_score(table, 1, [-1e-10, 1e-10, 1]) == -np.inf
+        assert table.payoff_matrix([belief, [-1e-10, 1e-10, 1]])[:, 1].tolist() == [
+            1e-10 * -1 + 0.0 + -1.0,
+            -np.inf,
+        ]
 
     def test_brier_vertex_row_against_mixed_belief(self):
         table = make_scoring_rule(SquaredNorm(), [[1.0, 0.0]])
