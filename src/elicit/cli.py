@@ -1,10 +1,12 @@
 """Batch front-end.
 
 One subcommand per public operation; every input is a JSON file and all
-stdout output is a single canonical JSON document.  Exit codes: 0 for a
-pass/success, 2 for a verified negative answer (failed check, positive
-cycle, infeasible weights, ...) whose certificate is still printed to
-stdout, and 1 for usage or input errors (diagnostics on stderr).
+stdout output is a single canonical JSON document.  Each handler returns
+that document and :func:`main` alone writes it, so the exit code follows
+from it: 2 for a verified negative answer (a document with ``passed`` or
+``feasible`` false, or the error payload of a certified negative such as
+a positive cycle), 0 for any other document, and 1 for usage or input
+errors, with one line on stderr and nothing on stdout.
 
 The ELICIT_TOL environment variable overrides the default tolerance;
 a --tol flag overrides both.  Either must be positive and finite.
@@ -24,8 +26,7 @@ import numpy as np
 from . import duality, jsonio, monotone, payments, properties, scoring
 from .core import (
     DEFAULT_TOL,
-    DimensionMismatchError,
-    DomainError,
+    CheckReport,
     ElicitError,
     InconsistentAnchorsError,
     NegEntropy,
@@ -57,22 +58,10 @@ def _read_object(path: str) -> dict:
     return jsonio.require_object(_read_json(path), path)
 
 
-def _emit(payload) -> None:
-    sys.stdout.write(jsonio.dumps(payload) + "\n")
-
-
 def _tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        value = float(args.tol)
-    elif os.environ.get("ELICIT_TOL"):
-        value = float(os.environ["ELICIT_TOL"])
-    else:
-        value = DEFAULT_TOL
-    return require_positive(value)
-
-
-def _report_exit(report) -> int:
-    return _PASS if report.passed else _FAIL
+    if args.tol is not None:
+        return require_positive(args.tol)
+    return require_positive(float(os.environ.get("ELICIT_TOL") or DEFAULT_TOL))
 
 
 def _parse_anchor(text: str) -> tuple:
@@ -95,85 +84,85 @@ def _load_g(spec: str):
     return jsonio.load_convex(_read_json(spec))
 
 
-def _load_reports(spec: str, n_outcomes: int) -> np.ndarray:
-    """'grid:K' for the simplex lattice, else a JSON file of rows."""
-    if spec.startswith("grid:"):
-        return scoring.simplex_grid(n_outcomes, int(spec.split(":", 1)[1]))
-    obj = _read_json(spec)
-    rows = obj["reports"] if isinstance(obj, dict) else obj
-    return np.asarray(rows, dtype=float)
+def _rows(path: str, key: str) -> np.ndarray:
+    """A file of rows: a bare JSON list, or the list under ``key``."""
+    obj = _read_json(path)
+    return np.asarray(obj[key] if isinstance(obj, dict) else obj, dtype=float)
+
+
+def _load_affine(path: str) -> tuple:
+    """(score, type space, whole object) of an affine-score file."""
+    obj = _read_object(path)
+    return jsonio.load_score_table(obj["score"]), jsonio.load_typespace(obj["typeSpace"]), obj
+
+
+def _load_grids(g_path: str, grids_path: str) -> tuple:
+    """(G, grid, duals) of a convex-spec file and a grids file."""
+    g = jsonio.load_convex(_read_json(g_path))
+    obj = _read_object(grids_path)
+    return g, jsonio.load_typespace(obj["typeSpace"]), np.asarray(obj["duals"], dtype=float)
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each returns its stdout document, a dict or a CheckReport
 
 
-def _cmd_check_wmon(args) -> int:
+def _cmd_check_wmon(args):
     ts, fam = jsonio.load_family_file(_read_json(args.file))
-    report = monotone.check_wmon(ts, fam, tol=_tol(args))
-    _emit(report.to_obj())
-    return _report_exit(report)
+    return monotone.check_wmon(ts, fam, tol=_tol(args))
 
 
-def _cmd_check_cmon(args) -> int:
+def _cmd_check_cmon(args):
     ts, fam = jsonio.load_family_file(_read_json(args.file))
-    report = monotone.check_cmon(ts, fam, tol=_tol(args))
-    _emit(report.to_obj())
-    return _report_exit(report)
+    return monotone.check_cmon(ts, fam, tol=_tol(args))
 
 
-def _cmd_synth_payments(args) -> int:
+def _cmd_synth_payments(args):
     ts, fam = jsonio.load_family_file(_read_json(args.file))
     result = payments.rochet_payments(ts, fam, t0=args.t0, tol=_tol(args))
-    _emit(
-        {
-            "surplus": result.surplus.tolist(),
-            "payments": result.payments.tolist(),
-            "baseType": result.base_type,
-            "score": jsonio.score_table_to_obj(result.induced_score()),
-            "typeSpace": jsonio.typespace_to_obj(ts),
-        }
-    )
-    return _PASS
+    return {
+        "surplus": result.surplus.tolist(),
+        "payments": result.payments.tolist(),
+        "baseType": result.base_type,
+        "score": jsonio.score_table_to_obj(result.induced_score()),
+        "typeSpace": jsonio.typespace_to_obj(ts),
+    }
 
 
-def _cmd_rev_interval(args) -> int:
+def _cmd_rev_interval(args):
     ts, fam = jsonio.load_family_file(_read_json(args.file))
     anchors = dict(_parse_anchor(a) for a in args.anchor)
     interval = payments.revenue_interval(
         ts, fam, anchors, target=args.target, tol=_tol(args)
     )
-    _emit(
-        {
-            "lower": interval.lower,
-            "upper": interval.upper,
-            "target": interval.target,
-            "anchors": {str(k): v for k, v in interval.fixed.items()},
-        }
-    )
-    return _PASS
+    return {
+        "lower": interval.lower,
+        "upper": interval.upper,
+        "target": interval.target,
+        "anchors": {str(k): v for k, v in interval.fixed.items()},
+    }
 
 
-def _cmd_myerson(args) -> int:
+def _cmd_myerson(args):
     obj = _read_object(args.file)
     alloc = payments.StepAllocation(
         breakpoints=np.asarray(obj["breakpoints"], dtype=float),
         values=np.asarray(obj["values"], dtype=float),
     )
     payment = payments.myerson_payment(alloc, args.t, p0=args.p0)
-    _emit({"payment": payment, "allocation": alloc.value_at(args.t), "t": args.t})
-    return _PASS
+    return {"payment": payment, "allocation": alloc.value_at(args.t), "t": args.t}
 
 
-def _cmd_make_score(args) -> int:
+def _cmd_make_score(args):
     g = _load_g(args.g)
-    reports = _load_reports(args.reports, args.outcomes)
-    table = scoring.make_scoring_rule(g, reports)
-    _emit(jsonio.outcome_table_to_obj(table))
-    return _PASS
+    if args.reports.startswith("grid:"):
+        reports = scoring.simplex_grid(args.outcomes, int(args.reports.split(":", 1)[1]))
+    else:
+        reports = _rows(args.reports, "reports")
+    return jsonio.outcome_table_to_obj(scoring.make_scoring_rule(g, reports))
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args):
     table = jsonio.load_outcome_table(_read_json(args.file))
     if not 0 <= args.report < len(table):
         raise ValueError(f"--report must be in [0, {len(table)}), got {args.report}")
@@ -182,145 +171,100 @@ def _cmd_score(args) -> int:
             f"--outcome must be in [0, {table.n_outcomes}), got {args.outcome}"
         )
     value = float(table.payoffs[args.report, args.outcome])
-    _emit({"report": args.report, "outcome": args.outcome, "score": value})
-    return _PASS
+    return {"report": args.report, "outcome": args.outcome, "score": value}
 
 
-def _cmd_check_proper(args) -> int:
+def _cmd_check_proper(args):
     table = jsonio.load_outcome_table(_read_json(args.file))
-    beliefs = None
-    if args.beliefs:
-        obj = _read_json(args.beliefs)
-        rows = obj["beliefs"] if isinstance(obj, dict) else obj
-        beliefs = np.asarray(rows, dtype=float)
-    report = scoring.check_proper(table, beliefs, strict=args.strict, tol=_tol(args))
-    _emit(report.to_obj())
-    return _report_exit(report)
+    beliefs = _rows(args.beliefs, "beliefs") if args.beliefs else None
+    return scoring.check_proper(table, beliefs, strict=args.strict, tol=_tol(args))
 
 
-def _cmd_check_truthful(args) -> int:
-    obj = _read_object(args.file)
-    score = jsonio.load_score_table(obj["score"])
-    ts = jsonio.load_typespace(obj["typeSpace"])
-    report = scoring.check_truthful(score, ts, tol=_tol(args))
-    _emit(report.to_obj())
-    return _report_exit(report)
+def _cmd_check_truthful(args):
+    score, ts, _ = _load_affine(args.file)
+    return scoring.check_truthful(score, ts, tol=_tol(args))
 
 
-def _cmd_check_local(args) -> int:
-    obj = _read_object(args.file)
-    score = jsonio.load_score_table(obj["score"])
-    ts = jsonio.load_typespace(obj["typeSpace"])
+def _cmd_check_local(args):
+    score, ts, obj = _load_affine(args.file)
     report_of = obj.get("reportOf", list(range(len(ts))))
-    report = monotone.check_local_truthful(
+    return monotone.check_local_truthful(
         score, ts, report_of, radius=args.radius, tol=_tol(args)
     )
-    _emit(report.to_obj())
-    return _report_exit(report)
 
 
-def _cmd_decision_score(args) -> int:
+def _cmd_decision_score(args):
     obj = _read_object(args.file)
     g = jsonio.load_convex(obj["g"])
     reports = [np.asarray(q, dtype=float) for q in obj["reports"]]
     spec = scoring.make_decision_score(g, obj["decisions"], reports, tol=_tol(args))
-    _emit(
-        {
-            "nActions": spec.n_actions,
-            "nOutcomes": spec.n_outcomes,
-            "decisions": spec.decisions.tolist(),
-            "scores": spec.scores.tolist(),
-            "unconstrained": spec.unconstrained,
-        }
-    )
-    return _PASS
+    return {
+        "nActions": spec.n_actions,
+        "nOutcomes": spec.n_outcomes,
+        "decisions": spec.decisions.tolist(),
+        "scores": spec.scores.tolist(),
+        "unconstrained": spec.unconstrained,
+    }
 
 
-def _cmd_power_label(args) -> int:
+def _cmd_power_label(args):
     diag = jsonio.load_diagram(_read_json(args.diagram))
     pts = jsonio.load_points(_read_json(args.points))
     labeling = properties.power_cells(diag, pts)
-    _emit({"labels": labeling.labels.tolist(), "ties": labeling.ties.tolist()})
-    return _PASS
+    return {"labels": labeling.labels.tolist(), "ties": labeling.ties.tolist()}
 
 
-def _load_sites(path: str) -> np.ndarray:
-    obj = _read_json(path)
-    rows = obj["sites"] if isinstance(obj, dict) else obj
-    sites = np.asarray(rows, dtype=float)
-    return sites.reshape(-1, 1) if sites.ndim == 1 else sites
-
-
-def _cmd_fit_weights(args) -> int:
-    sites = _load_sites(args.sites)
+def _cmd_fit_weights(args):
+    sites = _rows(args.sites, "sites")
     sample = jsonio.load_sample(_read_json(args.sample))
     result = properties.fit_weights(sites, sample, tol=_tol(args))
     if result.feasible:
-        _emit({"feasible": True, "weights": result.weights.tolist()})
-        return _PASS
-    _emit({"feasible": False, "witnesses": [w.to_obj() for w in result.witnesses]})
-    return _FAIL
+        return {"feasible": True, "weights": result.weights.tolist()}
+    return {"feasible": False, "witnesses": [w.to_obj() for w in result.witnesses]}
 
 
-def _cmd_homothet(args) -> int:
+def _cmd_homothet(args):
     diag = jsonio.load_diagram(_read_json(args.diagram))
     p0 = _parse_vector(args.p0) if args.p0 else [0.0] * diag.dim
-    out = properties.homothet_transform(diag, args.alpha, p0)
-    _emit(jsonio.diagram_to_obj(out))
-    return _PASS
+    return jsonio.diagram_to_obj(properties.homothet_transform(diag, args.alpha, p0))
 
 
-def _cmd_level_convexity(args) -> int:
+def _cmd_level_convexity(args):
     sample = jsonio.load_sample(_read_json(args.file))
-    report = properties.check_level_set_convexity(sample, eps=args.eps)
-    _emit(report.to_obj())
-    return _report_exit(report)
+    return properties.check_level_set_convexity(sample, eps=args.eps)
 
 
-def _cmd_breg2power(args) -> int:
+def _cmd_breg2power(args):
     g = jsonio.load_convex(_read_json(args.g))
-    sites = _load_sites(args.sites)
+    sites = _rows(args.sites, "sites")
     if args.grid:
         grid = jsonio.load_typespace(_read_json(args.grid))
     else:
         grid = TypeSpace(sites)  # conjugate is exact at the sites themselves
-    out = properties.bregman_to_power(g, sites, grid)
-    _emit(jsonio.diagram_to_obj(out))
-    return _PASS
+    return jsonio.diagram_to_obj(properties.bregman_to_power(g, sites, grid))
 
 
-def _cmd_duality_check(args) -> int:
-    g = jsonio.load_convex(_read_json(args.g))
-    obj = _read_object(args.grids)
-    grid = jsonio.load_typespace(obj["typeSpace"])
-    duals = np.asarray(obj["duals"], dtype=float)
-    report = duality.check_duality_identities(g, grid, duals, tol=_tol(args))
-    _emit(report.to_obj())
-    return _report_exit(report)
+def _cmd_duality_check(args):
+    g, grid, duals = _load_grids(args.g, args.grids)
+    return duality.check_duality_identities(g, grid, duals, tol=_tol(args))
 
 
-def _cmd_game(args) -> int:
-    g = jsonio.load_convex(_read_json(args.g))
-    obj = _read_object(args.grids)
-    grid = jsonio.load_typespace(obj["typeSpace"])
-    duals = np.asarray(obj["duals"], dtype=float)
+def _cmd_game(args):
+    g, grid, duals = _load_grids(args.g, args.grids)
     eqs = duality.elicitation_game_equilibria(g, grid, duals, grid)
-    _emit(
-        {
-            "equilibria": [
-                {
-                    "dIndex": e.d_index,
-                    "tIndex": e.t_index,
-                    "d": e.d.tolist(),
-                    "t": e.t.tolist(),
-                    "valuePrimal": e.value_primal,
-                    "valueDual": e.value_dual,
-                }
-                for e in eqs
-            ]
-        }
-    )
-    return _PASS
+    return {
+        "equilibria": [
+            {
+                "dIndex": e.d_index,
+                "tIndex": e.t_index,
+                "d": e.d.tolist(),
+                "t": e.t.tolist(),
+                "valuePrimal": e.value_primal,
+                "valueDual": e.value_dual,
+            }
+            for e in eqs
+        ]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +363,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _document(args) -> dict:
+    """The handler's stdout document; a certified negative answer is
+    turned into its error payload."""
+    try:
+        doc = args.handler(args)
+    except _CERTIFIED as exc:
+        doc = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, NotImplementableError):
+            doc["cycle"] = exc.cycle
+            doc["weight"] = exc.weight
+    return doc.to_obj() if isinstance(doc, CheckReport) else doc
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     try:
@@ -426,28 +383,19 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:  # argparse already printed a message
         return _USAGE if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
-    except _CERTIFIED as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, NotImplementableError):
-            payload["cycle"] = exc.cycle
-            payload["weight"] = exc.weight
-        _emit(payload)
-        return _FAIL
+        # an overflow, nan or division by zero in numpy raises FloatingPointError;
+        # like the OverflowError of int() on inf, it is an input error
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            doc = _document(args)
+        sys.stdout.write(jsonio.dumps(doc) + "\n")
     except KeyError as exc:  # a JSON object lacks a field
         print(f"elicit: error: missing key {exc}", file=sys.stderr)
         return _USAGE
-    except (
-        ElicitError,
-        DomainError,
-        DimensionMismatchError,
-        ValueError,
-        TypeError,  # a JSON field of the wrong type
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ElicitError, ValueError, TypeError, OSError, ArithmeticError) as exc:
         print(f"elicit: error: {exc}", file=sys.stderr)
         return _USAGE
+    negative = doc.get("passed") is False or doc.get("feasible") is False or "error" in doc
+    return _FAIL if negative else _PASS
 
 
 if __name__ == "__main__":

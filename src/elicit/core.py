@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -314,7 +314,6 @@ class MaxAffine:
 
     slopes: np.ndarray
     intercepts: np.ndarray
-    domain_hint: Optional[str] = None
 
     def __post_init__(self):
         self.slopes = _as_matrix(self.slopes, "slopes")
@@ -333,14 +332,10 @@ class MaxAffine:
 class SquaredNorm:
     """G(t) = <t, t>."""
 
-    domain_hint: Optional[str] = None
-
 
 @dataclass
 class NegEntropy:
     """G(t) = sum_i t_i ln t_i on the probability simplex, 0 ln 0 = 0."""
-
-    domain_hint: Optional[str] = "simplex"
 
 
 ConvexSpec = Union[MaxAffine, SquaredNorm, NegEntropy]
@@ -398,9 +393,16 @@ class ScoreTable:
 # convex-function operations
 
 
+def _off_simplex(rows: np.ndarray) -> np.ndarray:
+    """True for each row (along the last axis) that is not on the
+    probability simplex within SIMPLEX_TOL; a row with a nan is not."""
+    nonneg = (rows >= -SIMPLEX_TOL).all(axis=-1)
+    return ~(nonneg & (abs(rows.sum(axis=-1) - 1.0) <= SIMPLEX_TOL))
+
+
 def _check_simplex(points: np.ndarray) -> None:
     rows = np.atleast_2d(points)  # raise for the first row off the simplex
-    off = (rows < -SIMPLEX_TOL).any(axis=1) | (abs(rows.sum(axis=1) - 1.0) > SIMPLEX_TOL)
+    off = _off_simplex(rows)
     if off.any():
         raise DomainError(
             f"point {rows[np.argmax(off)].tolist()} is not on the probability "

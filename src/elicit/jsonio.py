@@ -28,6 +28,7 @@ from .core import (
     ScoreTable,
     SquaredNorm,
     TypeSpace,
+    _as_matrix,
 )
 from .properties import LabeledSample, PowerDiagramSpec
 from .scoring import OutcomeScoreTable
@@ -247,10 +248,7 @@ def convex_to_obj(g: ConvexSpec) -> dict:
 def load_typespace(obj: dict) -> TypeSpace:
     """{"dim": n, "points": [[...], ...]}"""
     require_object(obj, "type space")
-    pts = _finite_matrix(obj["points"], "points")
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    ts = TypeSpace(pts)
+    ts = TypeSpace(obj["points"])
     if "dim" in obj and int(obj["dim"]) != ts.dim:
         raise ValueError(f"declared dim {obj['dim']} != actual {ts.dim}")
     return ts
@@ -288,7 +286,7 @@ def score_table_to_obj(score: ScoreTable) -> dict:
     return {
         "reports": list(score.reports),
         "linear": score.linear.tolist(),
-        "constant": [(-math.inf if c == -math.inf else float(c)) for c in score.constant],
+        "constant": score.constant.tolist(),
     }
 
 
@@ -322,10 +320,7 @@ def outcome_table_to_obj(table: OutcomeScoreTable) -> dict:
 def load_diagram(obj: dict) -> PowerDiagramSpec:
     """{"sites": [[...]], "weights": [...]}"""
     require_object(obj, "diagram")
-    return PowerDiagramSpec(
-        sites=_finite_matrix(obj["sites"], "sites"),
-        weights=_finite_matrix(obj["weights"], "weights"),
-    )
+    return PowerDiagramSpec(sites=obj["sites"], weights=obj["weights"])
 
 
 def diagram_to_obj(diag: PowerDiagramSpec) -> dict:
@@ -335,16 +330,9 @@ def diagram_to_obj(diag: PowerDiagramSpec) -> dict:
 def load_sample(obj: dict) -> LabeledSample:
     """{"points": [[...]], "labels": [...]}"""
     require_object(obj, "sample")
-    return LabeledSample(
-        points=_finite_matrix(obj["points"], "points"),
-        labels=obj["labels"],
-    )
+    return LabeledSample(points=obj["points"], labels=obj["labels"])
 
 
 def load_points(obj: dict) -> np.ndarray:
     """{"points": [[...]]}"""
-    require_object(obj, "points file")
-    pts = _finite_matrix(obj["points"], "points")
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    return pts
+    return _as_matrix(require_object(obj, "points file")["points"], "points")

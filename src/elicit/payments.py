@@ -26,8 +26,8 @@ from .core import (
     NotMonotoneError,
     ScoreTable,
     TypeSpace,
-    Witness,
     deviation_gains,
+    mask_witnesses,
     require_positive,
 )
 from .monotone import cmon_weights, longest_paths
@@ -241,22 +241,13 @@ def check_revenue_equivalence(
     require_positive(tol)
     fam.check_aligned(ts)
     weights = cmon_weights(ts, fam)
-    fwd = _paths_from(weights, t0, tol)
-    bwd = _paths_from(weights.T, t0, tol)
-    witnesses = []
-    for target in range(len(ts)):
-        if target == t0:
-            continue
-        lower = fwd[target]
-        upper = -bwd[target]  # longest path target -> t0, reversed graph
-        width = float(upper - lower)
-        if width > tol:
-            witnesses.append(
-                Witness(
-                    kind="target",
-                    indices=(target,),
-                    slack=width,
-                    detail=f"surplus interval [{lower:.6g}, {upper:.6g}]",
-                )
-            )
+    lower = _paths_from(weights, t0, tol)
+    upper = -_paths_from(weights.T, t0, tol)  # longest paths target -> t0, reversed graph
+    width = upper - lower  # <= 0 at t0: both of its paths to itself weigh >= 0
+    witnesses = mask_witnesses(
+        "target",
+        width > tol,
+        width,
+        lambda t: f"surplus interval [{lower[t]:.6g}, {upper[t]:.6g}]",
+    )
     return CheckReport.from_witnesses(witnesses, {"tol": tol, "base_type": t0})

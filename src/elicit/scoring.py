@@ -26,6 +26,7 @@ from .core import (
     UnreachableActionError,
     Witness,
     _grad_rows,
+    _off_simplex,
     deviation_gains,
     eval_convex,
     mask_witnesses,
@@ -51,7 +52,7 @@ def _as_distribution(p, what: str = "distribution") -> np.ndarray:
     """``p`` as an array whose rows (along the last axis) each lie on
     the probability simplex; the first one that does not is named."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    off = (p < -SIMPLEX_TOL).any(axis=-1) | (abs(p.sum(axis=-1) - 1.0) > SIMPLEX_TOL)
+    off = _off_simplex(p)
     if off.any():
         bad = p.reshape(-1, p.shape[-1])[off.reshape(-1).argmax()]
         raise ValueError(f"{what} {bad.tolist()} is not on the probability simplex")
@@ -155,7 +156,8 @@ def make_scoring_rule(g: ConvexSpec, reports: Sequence) -> OutcomeScoreTable:
     Negative-entropy reports on the simplex boundary have no finite
     subgradient; their rows come from the limit rule S(p, omega) =
     ln p(omega) with ln 0 = -inf, which is the same formula the
-    interior rows reduce to.
+    interior rows reduce to.  A coordinate within SIMPLEX_TOL below 0
+    is read as 0.
     """
     reports = np.array(reports, dtype=float)  # a copy: the table keeps it
     if len(reports) == 0:
@@ -166,7 +168,7 @@ def make_scoring_rule(g: ConvexSpec, reports: Sequence) -> OutcomeScoreTable:
     payoffs = np.empty_like(reports)
     edge = (reports < INTERIOR_EPS).any(axis=1) & isinstance(g, NegEntropy)
     with np.errstate(divide="ignore"):
-        payoffs[edge] = np.log(reports[edge])
+        payoffs[edge] = np.log(np.maximum(reports[edge], 0.0))
     inner = reports[~edge]
     d = _grad_rows(g, inner)
     payoffs[~edge] = eval_convex(g, inner)[:, None] + d - np.vecdot(d, inner)[:, None]
@@ -372,7 +374,11 @@ def make_direct_score(g: ConvexSpec, ts: TypeSpace) -> ScoreTable:
 def check_truthful(
     score: ScoreTable, ts: TypeSpace, tol: float = DEFAULT_TOL
 ) -> CheckReport:
-    """Exhaustive pairwise truthfulness, reports indexed by types."""
+    """Exhaustive pairwise truthfulness, reports indexed by types.
+
+    ``info["min_slack"]`` is the least margin by which a type prefers its
+    own report over another one: 0.0 for a single type, and None when
+    every deviation scores -inf."""
     require_positive(tol)
     if len(score) != len(ts):
         raise DimensionMismatchError("score table must have one report per type")
@@ -384,5 +390,6 @@ def check_truthful(
         lambda r, i: f"type {i} prefers report {r}",
         index=lambda r, i: (i, r),
     )
-    min_slack = float(-gains[~np.eye(len(ts), dtype=bool)].max()) if len(ts) > 1 else 0.0
+    best = float(gains[~np.eye(len(ts), dtype=bool)].max(initial=-np.inf))
+    min_slack = 0.0 if len(ts) == 1 else None if best == -np.inf else -best
     return CheckReport.from_witnesses(witnesses, {"tol": tol, "min_slack": min_slack})

@@ -30,6 +30,7 @@ from elicit.monotone import (
     _extract_cycle,
     _pred_cycles,
     cmon_weights,
+    longest_paths,
 )
 from elicit.scoring import _as_distribution
 
@@ -147,8 +148,29 @@ def loop_check_truthful(score, ts, tol):
                     Witness("deviation", (i, r), float(gain), f"type {i} prefers report {r}")
                 )
     gains = values - np.diag(values)[None, :]
-    min_slack = float(-gains[~np.eye(m, dtype=bool)].max()) if m > 1 else 0.0
+    best = max((gains[r, i] for r in range(m) for i in range(m) if r != i), default=-np.inf)
+    min_slack = 0.0 if m == 1 else None if best == -np.inf else float(-best)
     return CheckReport.from_witnesses(out, {"tol": tol, "min_slack": min_slack})
+
+
+def loop_check_revenue_equivalence(ts, fam, t0, tol):
+    """The target loop ``check_revenue_equivalence`` had, on the library's
+    longest paths (the families here are implementable)."""
+    weights = cmon_weights(ts, fam)
+    fwd = longest_paths(weights, source=t0, tol=tol).dist
+    bwd = longest_paths(weights.T, source=t0, tol=tol).dist
+    witnesses = []
+    for target in range(len(ts)):
+        if target == t0:
+            continue
+        lower = fwd[target]
+        upper = -bwd[target]  # longest path target -> t0, reversed graph
+        width = float(upper - lower)
+        if width > tol:
+            witnesses.append(
+                Witness("target", (target,), width, f"surplus interval [{lower:.6g}, {upper:.6g}]")
+            )
+    return CheckReport.from_witnesses(witnesses, {"tol": tol, "base_type": t0})
 
 
 def loop_check_local_truthful(score, ts, report_of, radius, tol):
@@ -305,7 +327,8 @@ def loop_duality_witnesses(g, grid, duals, tol):
 
 
 def _loop_check_simplex(t) -> None:
-    if np.any(t < -SIMPLEX_TOL) or abs(float(t.sum()) - 1.0) > SIMPLEX_TOL:
+    # written as "not on", so that a nan coordinate is off the simplex
+    if not (np.all(t >= -SIMPLEX_TOL) and abs(float(t.sum()) - 1.0) <= SIMPLEX_TOL):
         raise DomainError(
             f"point {t.tolist()} is not on the probability simplex (tolerance {SIMPLEX_TOL})"
         )
@@ -395,7 +418,7 @@ def loop_make_scoring_rule(g, reports):
             raise DimensionMismatchError("all reports must share one outcome space")
         if isinstance(g, NegEntropy) and np.any(p < INTERIOR_EPS):
             with np.errstate(divide="ignore"):
-                payoffs[k] = np.log(p)
+                payoffs[k] = np.log(np.maximum(p, 0.0))
             continue
         d = loop_subgradient(g, p)
         payoffs[k] = loop_eval_convex(g, p) + d - float(d @ p)

@@ -295,6 +295,34 @@ class TestSubcommands:
         code, out, _ = run_cli(["check-local", path, "--radius", "1.9e200"], capsys)
         assert code == 0 and json.loads(out)["info"]["checked_pairs"] == 0
 
+    def test_make_score_reads_a_coordinate_just_below_zero_as_zero(self, tmp_path, capsys):
+        # ln of -1e-10 was nan; the limit rule gives ln 0 = -inf
+        reports = write(tmp_path, "reports.json", [[0.5, 0.5, 0.0], [1e-10, -1e-10, 1.0]])
+        code, out, err = run_cli(
+            ["make-score", "--g", "log", "--reports", reports, "--outcomes", "3"], capsys
+        )
+        assert (code, err) == (0, "")
+        row = json.loads(out)["payoffs"][1]
+        assert row[1:] == ["-inf", 0.0]
+        assert row[0] == math.log(1e-10)
+
+    def test_check_truthful_without_a_finite_deviation_has_null_min_slack(
+        self, tmp_path, capsys
+    ):
+        # own scores -1e308; each deviation scores -1e308 - 1e308 = -inf
+        doc = {
+            "score": {
+                "reports": [0, 1],
+                "linear": [[0.0, -1e308], [-1e308, 0.0]],
+                "constant": [-1e308, -1e308],
+            },
+            "typeSpace": {"points": [[1.0, 0.0], [0.0, 1.0]]},
+        }
+        code, out, err = run_cli(["check-truthful", write(tmp_path, "s.json", doc)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["info"]["min_slack"] is None
+        assert '"min_slack":null' in out
+
     def test_decision_score(self, tmp_path, capsys):
         doc = {
             "g": {"analytic": "squaredNorm"},
@@ -649,6 +677,42 @@ class TestInputErrors:
         self.assert_usage_error(["check-truthful", path], capsys, "missing key 'score'")
         fam = write(tmp_path, "fam.json", {"typeSpace": {"points": [[0.0]]}})
         self.assert_usage_error(["check-cmon", fam], capsys, "missing key 'family'")
+
+    def test_nan_decision_row_is_off_the_simplex(self, tmp_path, capsys):
+        # every comparison with nan is false: such a row used to pass the
+        # simplex check and exit 2 with a false UnreachableActionError
+        spec = write(
+            tmp_path,
+            "spec.json",
+            {
+                "g": {"analytic": "squaredNorm"},
+                "reports": [[[0.5, 0.5]]],
+                "decisions": [[math.nan]],
+            },
+        )
+        self.assert_usage_error(
+            ["decision-score", spec], capsys, "decision distribution [nan] is not on the"
+        )
+
+    @pytest.mark.parametrize(
+        "args,doc,message",
+        [
+            (["check-cmon"], {**FIG_FAMILY, "typeSpace": {"dim": math.inf, "points": [[0.0]]}},
+             "cannot convert float infinity to integer"),
+            (["level-convexity"], {"points": [[1e308], [0.0], [1.0]], "labels": [0, 0, 1]},
+             "overflow encountered in"),
+            (["check-local", "--radius", "1"], {
+                "score": {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, 0.0]},
+                "typeSpace": {"points": [[0.0], [1.0]]},
+                "reportOf": [0, 1e308],
+            }, "too large"),
+        ],
+    )
+    def test_a_number_beyond_the_range_is_a_one_line_error(
+        self, tmp_path, capsys, args, doc, message
+    ):
+        path = write(tmp_path, "doc.json", doc)
+        self.assert_usage_error([args[0], path, *args[1:]], capsys, message)
 
     def test_non_integer_label(self, tmp_path, capsys):
         sample = write(

@@ -20,6 +20,7 @@ from elicit import (
     eval_convex,
     subgradient,
 )
+from elicit import core
 from helpers import central_diff_grad, random_max_affine, random_typespace
 
 ABS = MaxAffine(slopes=[[1.0], [-1.0]], intercepts=[0.0, 0.0])  # |t|
@@ -103,6 +104,14 @@ class TestSubgradient:
     def test_neg_entropy_boundary_raises(self):
         with pytest.raises(DomainError):
             subgradient(NegEntropy(), [1.0, 0.0])
+
+    def test_neg_entropy_nan_row_is_off_the_simplex(self):
+        # every comparison with nan is false; the row used to pass the
+        # simplex check and get the subgradient nan
+        pts = np.array([[0.5, 0.5], [math.nan, math.nan]])
+        assert core._off_simplex(pts).tolist() == [False, True]
+        with pytest.raises(DomainError, match=r"point \[nan, nan\] is not on the"):
+            core._grad_rows(NegEntropy(), pts)
 
     @pytest.mark.parametrize("g", [SquaredNorm(), ABS, HINGE])
     def test_satisfies_subgradient_inequality_on_grid(self, g):

@@ -66,6 +66,15 @@ class TestMakeScoringRule:
         assert table.payoffs[0, 0] == 0.0
         assert table.payoffs[0, 1] == -math.inf
 
+    def test_log_score_reads_a_coordinate_just_below_zero_as_zero(self):
+        table = make_scoring_rule(NegEntropy(), [[1e-10, -1e-10, 1.0], [-0.0, 0.5, 0.5]])
+        assert table.payoffs[0].tolist() == [math.log(1e-10), -np.inf, 0.0]
+        assert table.payoffs[1].tolist() == [-np.inf, math.log(0.5), math.log(0.5)]
+
+    def test_nan_report_is_off_the_simplex(self):
+        with pytest.raises(ValueError, match="not on the probability simplex"):
+            make_scoring_rule(SquaredNorm(), [[math.nan, math.nan]])
+
     def test_log_score_interior_rows_are_log_probabilities(self):
         reports = [[0.3, 0.7], [0.5, 0.5]]
         table = make_scoring_rule(NegEntropy(), reports)
@@ -119,6 +128,11 @@ class TestExpectedScore:
             1e-10 * -1 + 0.0 + -1.0,
             -np.inf,
         ]
+
+    def test_nan_belief_is_off_the_simplex(self):
+        table = make_scoring_rule(SquaredNorm(), GRID2)
+        with pytest.raises(ValueError, match=r"belief \[nan, nan\] is not on the"):
+            expected_score(table, 0, [math.nan, math.nan])
 
     def test_brier_vertex_row_against_mixed_belief(self):
         table = make_scoring_rule(SquaredNorm(), [[1.0, 0.0]])
@@ -217,6 +231,13 @@ class TestExpertSeparation:
         slacks = {w.slack for w in report.witnesses}
         assert any(abs(s - (0.9 - 0.82)) < 1e-12 for s in slacks)
 
+    @pytest.mark.parametrize("where", ["informed", "uninformed"])
+    def test_nan_belief_is_off_the_simplex(self, where):
+        nan = [math.nan, math.nan]
+        p_in, p_bar = ([nan], [0.5, 0.5]) if where == "informed" else (self.INFORMED, nan)
+        with pytest.raises(ValueError, match=r"belief \[nan, nan\] is not on the"):
+            check_expert_separation(self.TABLE, p_in, p_bar, delta_accept=0, delta_reject=1)
+
     def test_vacuous_thresholds_pass(self):
         report = check_expert_separation(
             self.TABLE, self.INFORMED, [0.5, 0.5], delta_accept=-1e9, delta_reject=1e9
@@ -305,7 +326,22 @@ class TestCheckTruthful:
     def test_single_type_vacuous(self):
         ts = TypeSpace([[2.0]])
         score = ScoreTable(reports=[0], linear=[[1.0]], constant=[0.0])
-        assert check_truthful(score, ts).passed
+        report = check_truthful(score, ts)
+        assert report.passed
+        assert report.info["min_slack"] == 0.0
+
+    def test_no_finite_deviation_has_no_min_slack(self):
+        ts = TypeSpace([[1.0, 0.0], [0.0, 1.0]])
+        score = ScoreTable(
+            reports=[0, 1], linear=[[0.0, -1e308], [-1e308, 0.0]], constant=[-1e308, -1e308]
+        )
+        report = check_truthful(score, ts)
+        assert report.passed
+        assert report.info["min_slack"] is None
+        # one finite deviation is enough for a number: type 0 now ties
+        # with report 1, both scoring -1e308
+        score.constant[1] = 0.0
+        assert check_truthful(score, ts).info["min_slack"] == 0.0
 
 
 class TestRoundTrips:

@@ -17,6 +17,7 @@ from elicit import (
     check_level_set_convexity,
     check_local_truthful,
     check_proper,
+    check_revenue_equivalence,
     check_subgradient_selection,
     check_truthful,
     check_wmon,
@@ -25,11 +26,13 @@ from elicit import (
     jsonio,
     make_scoring_rule,
     simplex_grid,
+    subgradient,
 )
 from helpers import (
     loop_check_level_set_convexity,
     loop_check_local_truthful,
     loop_check_proper,
+    loop_check_revenue_equivalence,
     loop_check_subgradient_selection,
     loop_check_truthful,
     loop_check_wmon,
@@ -91,6 +94,20 @@ def case_local_truthful(rng):
     return (
         check_local_truthful(score, ts, report_of, radius),
         loop_check_local_truthful(score, ts, report_of, radius, 1e-9),
+    )
+
+
+def case_revenue_equivalence(rng):
+    # subgradients of a random max-affine G: implementable, and a target
+    # whose piece differs from the base type's has an interval of width > 0
+    dim = int(rng.integers(1, 4))
+    g = random_max_affine(rng, dim)
+    ts = random_typespace(rng, dim, max_points=25)
+    fam = LinearFamily(np.vstack([subgradient(g, t) for t in ts.points]))
+    t0 = int(rng.integers(0, len(ts)))
+    return (
+        check_revenue_equivalence(ts, fam, t0=t0),
+        loop_check_revenue_equivalence(ts, fam, t0, 1e-9),
     )
 
 
@@ -217,6 +234,7 @@ CASES = {
     "check_subgradient_selection": case_subgradient_selection,
     "check_truthful": case_truthful,
     "check_local_truthful": case_local_truthful,
+    "check_revenue_equivalence": case_revenue_equivalence,
     "check_wmon_cells": case_wmon_cells,
     "check_level_set_convexity": case_level_set,
     "check_proper/log": case_proper_log,
