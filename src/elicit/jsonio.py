@@ -192,6 +192,15 @@ def require_object(obj: Any, what: str) -> dict:
     return obj
 
 
+def _declared_int(obj: dict, key: str) -> int:
+    """``obj[key]`` as an int; ValueError naming the field and its value
+    when it has none (nan, an infinity, a string that is no number)."""
+    try:
+        return int(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"declared {key} {obj[key]!r} is not an integer") from None
+
+
 def _finite_matrix(rows: Any, what: str) -> np.ndarray:
     arr = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -249,7 +258,7 @@ def load_typespace(obj: dict) -> TypeSpace:
     """{"dim": n, "points": [[...], ...]}"""
     require_object(obj, "type space")
     ts = TypeSpace(obj["points"])
-    if "dim" in obj and int(obj["dim"]) != ts.dim:
+    if "dim" in obj and _declared_int(obj, "dim") != ts.dim:
         raise ValueError(f"declared dim {obj['dim']} != actual {ts.dim}")
     return ts
 
@@ -300,7 +309,7 @@ def load_outcome_table(obj: dict) -> OutcomeScoreTable:
         reports=_finite_matrix(obj["reports"], "reports"),
         payoffs=np.asarray(payoffs),
     )
-    if "nOutcomes" in obj and int(obj["nOutcomes"]) != table.n_outcomes:
+    if "nOutcomes" in obj and _declared_int(obj, "nOutcomes") != table.n_outcomes:
         raise ValueError("declared nOutcomes does not match reports")
     return table
 

@@ -314,6 +314,22 @@ def check_path_independence(
     return CheckReport.from_witnesses([witness], info)
 
 
+def _report_indices(report_of) -> np.ndarray:
+    """``report_of`` as an int array; an entry that is no int (nan, an
+    infinity, a float beyond the int64 range) raises ValueError naming it."""
+    entries = list(report_of)
+    try:
+        return np.asarray(entries, dtype=int)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for r in entries:
+        try:
+            np.asarray(r, dtype=int)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"report_of holds {r!r}, which is not a report index") from None
+    raise ValueError(f"report_of {entries!r} is not a list of report indices")
+
+
 def check_local_truthful(
     score: ScoreTable,
     ts: TypeSpace,
@@ -329,7 +345,7 @@ def check_local_truthful(
     """
     require_positive(tol)
     require_positive(radius, "radius")
-    report_of = np.asarray(list(report_of), dtype=int)
+    report_of = _report_indices(report_of)
     if len(report_of) != len(ts):
         raise DimensionMismatchError("report_of must cover every type")
     if report_of.min() < 0 or report_of.max() >= len(score):

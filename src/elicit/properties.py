@@ -270,7 +270,14 @@ def check_level_set_convexity(
     strictly between two same-labeled points contradicts convexity of
     the level sets.  Necessary condition only; points within ``eps`` of
     a segment endpoint are not flagged since a cell boundary may pass
-    arbitrarily close to the endpoints."""
+    arbitrarily close to the endpoints.
+
+    The segments are the pairs a < b of equal label and nonzero length,
+    listed in row-major order and tested against every point c in blocks
+    of k segments, so no temporary outgrows one (k, k, n) array.
+    Witnesses (a, b, c) come in row-major order.  Squared distances
+    between points that overflow the float range raise ``ValueError``.
+    """
     if len(sample) == 0:
         raise ValueError("sample must be nonempty")
     if not 0 <= eps < math.inf:
@@ -278,36 +285,44 @@ def check_level_set_convexity(
     pts = sample.points
     labels = sample.labels
     k = len(sample)
-    # diffs[b, c] = t_c - t_b; row a holds the segments leaving t_a
-    diffs = pts[None, :, :] - pts[:, None, :]
-    sq = np.vecdot(diffs, diffs)
+    # diffs[a, c] = t_c - t_a
+    with np.errstate(over="ignore"):
+        diffs = pts[None, :, :] - pts[:, None, :]
+        sq = np.vecdot(diffs, diffs)
+    if not (sq < np.inf).all():
+        raise ValueError("squared distances between sample points overflow the float range")
     dist = np.sqrt(sq)
+    seg_a, seg_b = np.argwhere(
+        np.triu((labels[:, None] == labels[None, :]) & (sq > 0.0), 1)
+    ).T
     witnesses = []
-    for a in range(k):
-        # (b, c): segment from t_a to t_b, candidate point t_c
-        seg = diffs[a]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = np.vecdot(seg[None, :, :], seg[:, None, :]) / sq[a][:, None]
-            perp = seg[None, :, :] - tau[:, :, None] * seg[:, None, :]
+    for lo in range(0, len(seg_a), k):
+        a, b = seg_a[lo : lo + k], seg_b[lo : lo + k]
+        pa, pb = a.tolist(), b.tolist()
+        # (j, c): segment from t_a[j] to t_b[j], candidate point t_c
+        seg = diffs[a, b][:, None, :]
+        rel = diffs[a]
+        # a huge tau only arises outside (0, 1), where no witness is taken
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            tau = np.vecdot(rel, seg) / sq[a, b][:, None]
+            perp = np.subtract(rel, tau[:, :, None] * seg, out=rel)
             gap = np.sqrt(np.vecdot(perp, perp))
-        same = labels == labels[a]
         hit = (
-            ((np.arange(k) > a) & same & (sq[a] > 0.0))[:, None]
-            & ~same[None, :]
+            (labels[None, :] != labels[a][:, None])
             & (0.0 < tau)
             & (tau < 1.0)
-            & (dist[a][None, :] > eps)
-            & (dist > eps)
+            & (dist[a] > eps)
+            & (dist[b] > eps)
             & (gap <= eps)
         )
         witnesses += mask_witnesses(
             "sandwich",
             hit,
             eps - gap,
-            lambda b, c: (
-                f"label {labels[c]} point between two label {labels[a]} points"
+            lambda j, c: (
+                f"label {labels[c]} point between two label {labels[pa[j]]} points"
             ),
-            index=lambda b, c: (a, b, c),
+            index=lambda j, c: (pa[j], pb[j], c),
         )
     return CheckReport.from_witnesses(witnesses, {"eps": eps})
 

@@ -698,14 +698,16 @@ class TestInputErrors:
         "args,doc,message",
         [
             (["check-cmon"], {**FIG_FAMILY, "typeSpace": {"dim": math.inf, "points": [[0.0]]}},
-             "cannot convert float infinity to integer"),
+             "declared dim inf is not an integer"),
+            (["check-proper"], {"nOutcomes": math.inf, "reports": [[1.0]], "payoffs": [[0.0]]},
+             "declared nOutcomes inf is not an integer"),
             (["level-convexity"], {"points": [[1e308], [0.0], [1.0]], "labels": [0, 0, 1]},
-             "overflow encountered in"),
+             "squared distances between sample points overflow the float range"),
             (["check-local", "--radius", "1"], {
                 "score": {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, 0.0]},
                 "typeSpace": {"points": [[0.0], [1.0]]},
                 "reportOf": [0, 1e308],
-            }, "too large"),
+            }, "report_of holds 1e+308, which is not a report index"),
         ],
     )
     def test_a_number_beyond_the_range_is_a_one_line_error(

@@ -419,6 +419,13 @@ class TestLocalTruthful:
         report = check_local_truthful(score, TWO, report_of=[0, 0], radius=2.0)
         assert report.passed
 
+    @pytest.mark.parametrize("entry", [1e308, np.inf, np.nan])
+    def test_report_beyond_the_integer_range_is_named(self, entry):
+        score = make_direct_score(SquaredNorm(), TWO)
+        message = re.escape(f"report_of holds {entry!r}, which is not a report index")
+        with pytest.raises(ValueError, match=message):
+            check_local_truthful(score, TWO, report_of=[0, entry], radius=2.0)
+
     def test_radius_beyond_diameter_matches_global(self):
         ts = TypeSpace(np.linspace(-1, 1, 9).reshape(-1, 1))
         score = make_direct_score(SquaredNorm(), ts)

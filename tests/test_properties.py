@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,36 @@ class TestLevelSetConvexity:
             points=[[0.0, 0.0], [1.0, 0.0], [1e-9, 1e-9]], labels=[0, 0, 1]
         )
         assert check_level_set_convexity(sample).passed
+
+    def test_overflowing_squared_distances_are_rejected(self):
+        sample = LabeledSample(points=[[1e308], [0.0], [1.0]], labels=[0, 0, 1])
+        with pytest.raises(
+            ValueError,
+            match="squared distances between sample points overflow the float range",
+        ):
+            check_level_set_convexity(sample)
+
+    def test_a_huge_projection_on_a_tiny_segment_is_no_overflow(self):
+        # t_2 projects to tau ~ 1e310 on the segment from t_0 to t_1: far
+        # outside (0, 1), so it is no witness, and no warning is raised
+        sample = LabeledSample(points=[[0.0], [1e-160], [1e150]], labels=[0, 0, 1])
+        assert check_level_set_convexity(sample).passed
+
+    def test_peak_memory_is_a_few_k_by_k_by_n_arrays(self):
+        # one label: k (k - 1) / 2 segments, tested in blocks of k.  Blocks
+        # peak at about 6.1 (k, k, n) float64 arrays and a per-point loop
+        # at 5.6; batching every segment at once takes at least k / 2 = 60
+        # of them, which the bound of 8 rules out.
+        k, n = 120, 3
+        pts = np.random.default_rng(5).uniform(-1, 1, size=(k, n))
+        sample = LabeledSample(points=pts, labels=np.zeros(k, dtype=int))
+        tracemalloc.start()
+        try:
+            assert check_level_set_convexity(sample).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (k * k * n * 8)
 
 
 class TestBregmanToPower:

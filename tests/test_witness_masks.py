@@ -124,11 +124,24 @@ def case_wmon_cells(rng):
 
 def case_level_set(rng):
     # integer lattice points, so exact and near-collinear triples abound
-    dim = int(rng.integers(1, 3))
-    lattice = rng.integers(0, 4, size=(int(rng.integers(6, 30)), dim))
-    pts = np.unique(lattice, axis=0).astype(float)
-    pts += rng.uniform(-1e-7, 1e-7, size=pts.shape) * rng.integers(0, 2)
-    sample = LabeledSample(points=pts, labels=rng.integers(0, 3, size=len(pts)))
+    dim = int(rng.integers(1, 4))
+    side = {1: 8, 2: 4, 3: 3}[dim]
+    lattice = rng.integers(0, side, size=(int(rng.integers(6, 30)), dim)).astype(float)
+    kind = int(rng.choice(4, p=[0.4, 0.25, 0.1, 0.25]))
+    # kind 3 keeps duplicated points: segments of length zero are skipped
+    pts = lattice if kind == 3 else np.unique(lattice, axis=0)
+    pts = pts + rng.uniform(-1e-7, 1e-7, size=pts.shape) * rng.integers(0, 2)
+    if kind == 1:
+        # one label: every pair is a segment, so there are many blocks;
+        # one or two points of another label give the test something to find
+        labels = np.zeros(len(pts), dtype=int)
+        labels[rng.choice(len(pts), size=int(rng.integers(1, 3)), replace=False)] = 1
+    elif kind == 2:
+        # all labels distinct: no segment, so the check passes
+        labels = rng.permutation(len(pts))
+    else:
+        labels = rng.integers(0, 3, size=len(pts))
+    sample = LabeledSample(points=pts, labels=labels)
     # eps = 1 puts lattice neighbours exactly at the endpoint cut-off
     eps = float(rng.choice([1e-6, 0.05, 0.3, 1.0]))
     return (
