@@ -27,6 +27,7 @@ from .core import (
     TypeSpace,
     UnreachableActionError,
     Witness,
+    WitnessColumns,
     bregman_divergence,
     check_subgradient_selection,
     conjugate,

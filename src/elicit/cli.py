@@ -220,7 +220,7 @@ def _cmd_fit_weights(args):
     result = properties.fit_weights(sites, sample, tol=_tol(args))
     if result.feasible:
         return {"feasible": True, "weights": result.weights.tolist()}
-    return {"feasible": False, "witnesses": [w.to_obj() for w in result.witnesses]}
+    return {"feasible": False, "witnesses": result.witnesses}
 
 
 def _cmd_homothet(args):

@@ -19,8 +19,9 @@ within ``SIMPLEX_TOL`` below 0, is applied by
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "NonPositiveScaleError",
     "Witness",
     "CheckReport",
+    "WitnessColumns",
     "TypeSpace",
     "LinearFamily",
     "MaxAffine",
@@ -163,12 +165,48 @@ class Witness:
         }
 
 
+class WitnessColumns(Sequence):
+    """Witnesses kept as columns, in blocks; a :class:`Witness` is built
+    only when one is read.  A block is ``(kind, index, slack, detail)``:
+    an int array of shape (n, k) whose rows are the witnesses' indices,
+    an array of their n float slacks, and a kind and a detail that are
+    each one str for the block or a list of n.  ``+`` concatenates."""
+
+    def __init__(self, blocks=()):
+        self.blocks = [block for block in blocks if len(block[2])]
+
+    def __len__(self) -> int:
+        return sum(len(block[2]) for block in self.blocks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        i = range(len(self))[i]  # an IndexError out of range; from the end if negative
+        for kind, index, slack, detail in self.blocks:
+            if i < len(slack):
+                pick = lambda text: text if isinstance(text, str) else text[i]
+                return Witness(pick(kind), tuple(index[i].tolist()), float(slack[i]), pick(detail))
+            i -= len(slack)
+
+    def __iter__(self):
+        for kind, index, slack, detail in self.blocks:
+            n = len(slack)
+            kinds = [kind] * n if isinstance(kind, str) else kind
+            details = [detail] * n if isinstance(detail, str) else detail
+            yield from map(Witness, kinds, map(tuple, index.tolist()), slack.tolist(), details)
+
+    def __add__(self, other: "WitnessColumns") -> "WitnessColumns":
+        return WitnessColumns(self.blocks + other.blocks)
+
+
 @dataclass
 class CheckReport:
-    """Outcome of a verification: ``passed`` iff ``witnesses`` is empty."""
+    """Outcome of a verification: ``passed`` iff ``witnesses`` is empty.
+    ``witnesses`` is a list of :class:`Witness` or a
+    :class:`WitnessColumns`."""
 
     passed: bool
-    witnesses: list
+    witnesses: Sequence
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -177,38 +215,36 @@ class CheckReport:
 
     @classmethod
     def from_witnesses(cls, witnesses, info=None) -> "CheckReport":
-        witnesses = list(witnesses)
+        witnesses = witnesses if isinstance(witnesses, WitnessColumns) else list(witnesses)
         return cls(passed=not witnesses, witnesses=witnesses, info=dict(info or {}))
 
     def to_obj(self) -> dict:
-        return {
-            "passed": self.passed,
-            "witnesses": [w.to_obj() for w in self.witnesses],
-            "info": dict(self.info),
-        }
+        """The document ``jsonio.dumps`` writes for this report.  Its
+        ``witnesses`` entry is the report's own sequence, which dumps
+        writes as the list of each witness's :meth:`Witness.to_obj`."""
+        return {"passed": self.passed, "witnesses": self.witnesses, "info": dict(self.info)}
 
 
-def mask_witnesses(kind: str, mask, slack, detail, index=None) -> list:
-    """One :class:`Witness` per ``True`` entry of ``mask``, in row-major
-    (``np.argwhere``) order.
+def mask_witnesses(kind, mask, slack, detail, index=None) -> WitnessColumns:
+    """One witness per ``True`` entry of ``mask``, in row-major
+    (``np.argwhere``) order, as one block of columns.
 
     ``slack`` has the shape of ``mask`` and gives each witness its
-    slack.  ``detail`` is a fixed string or a function of the entry's
-    index tuple.  ``index``, when given, maps that tuple to the
-    witness's indices; by default they are the tuple itself.
+    slack.  ``kind`` and ``detail`` are each a fixed string or a
+    function of the entry's index tuple.  ``index``, when given, maps
+    the (n, mask.ndim) array of those tuples to the (n, k) array of the
+    witnesses' indices; by default they are the tuples themselves.
     """
-    hits = np.argwhere(mask).tolist()
-    slacks = np.asarray(slack)[mask].tolist()
-    fixed = isinstance(detail, str)
-    return [
-        Witness(
-            kind=kind,
-            indices=tuple(ij) if index is None else index(*ij),
-            slack=s,
-            detail=detail if fixed else detail(*ij),
-        )
-        for ij, s in zip(hits, slacks)
-    ]
+    hits = np.argwhere(mask)
+    if not len(hits):  # a passing check builds nothing
+        return WitnessColumns()
+
+    def column(text):
+        return text if isinstance(text, str) else [text(*ij) for ij in hits.tolist()]
+
+    index = hits if index is None else np.asarray(index(hits))
+    slacks = np.asarray(slack, dtype=float)[mask]
+    return WitnessColumns([(column(kind), index, slacks, column(detail))])
 
 
 def deviation_gains(values, truth, axis: int) -> np.ndarray:

@@ -7,9 +7,9 @@ string "-inf"; +inf and nan are rejected.
 
 The writer, :func:`dumps`, dispatches on the exact type of each value.
 float, str, int, list, tuple and dicts whose keys are all str are
-rendered directly; numpy scalars and arrays, bool, None, subclasses of
-the builtin types and dicts with other keys are first turned into the
-builtin value they stand for.
+rendered directly, and so are a :class:`Witness` and a :class:`WitnessColumns`;
+numpy scalars and arrays, bool, None, subclasses of the builtin types
+and dicts with other keys are first turned into the builtin value they stand for.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .core import (
     ScoreTable,
     SquaredNorm,
     TypeSpace,
+    Witness,
+    WitnessColumns,
     _as_matrix,
 )
 from .properties import LabeledSample, PowerDiagramSpec
@@ -72,6 +74,30 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _witness_text(kind, index, slack, detail) -> str:
+    """The text of a block of :class:`WitnessColumns`, one ``%``-template
+    per witness: what writing each witness's ``to_obj()`` dict would give,
+    joined by commas."""
+    columns = []
+
+    def field(text) -> str:  # fixed text into the template, else a column, in field order
+        if isinstance(text, str):
+            return _encode_str(text).replace("%", "%%")
+        columns.append(map(_encode_str, text))
+        return "%s"
+
+    template = '{"detail":' + field(detail) + ',"indices":[' + ",".join(["%d"] * index.shape[1])
+    columns += index.T.tolist()
+    template += '],"kind":' + field(kind) + ',"slack":'
+    if np.isfinite(slack).all():
+        columns.append(slack.tolist())
+        template += "%.17g}"
+    else:  # -inf is written as "-inf"; the first +inf or nan raises
+        columns.append(map(_format_float, slack.tolist()))
+        template += "%s}"
+    return ",".join(map(template.__mod__, zip(*columns)))
+
+
 def _write(obj: Any, emit, plans: dict) -> None:
     """Emit ``obj`` as canonical JSON text; ``plans`` maps the key tuple of
     each dict seen so far in this document to its key order."""
@@ -105,6 +131,11 @@ def _write(obj: Any, emit, plans: dict) -> None:
             emit(prefix)
             _write(obj[key], emit, plans)
         emit("}" if plan else "{}")
+    elif kind is WitnessColumns:
+        emit("[" + ",".join(_witness_text(*block) for block in obj.blocks) + "]")
+    elif kind is Witness:  # a block of one
+        indices = np.array(obj.indices, dtype=int).reshape(1, -1)
+        emit(_witness_text(obj.kind, indices, np.array([obj.slack], dtype=float), obj.detail))
     else:
         _write_other(obj, emit, plans)
 
@@ -159,6 +190,8 @@ def dumps(obj: Any) -> str:
     - a str: ASCII text with every other character escaped, as
       ``json.dumps`` writes it;
     - a list, tuple or numpy array: an array of its items;
+    - a ``Witness``: its ``to_obj()`` dict; a ``WitnessColumns``: the
+      array of those of its witnesses, built from the columns;
     - a dict: an object with the keys as ``str(key)`` in sorted order; of
       keys with the same text, each is written with the last one's value.
 
@@ -194,11 +227,11 @@ def require_object(obj: Any, what: str) -> dict:
 
 def _declared_int(obj: dict, key: str) -> int:
     """``obj[key]`` as an int; ValueError naming the field and its value
-    when it has none (nan, an infinity, a string that is no number)."""
-    try:
-        return int(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"declared {key} {obj[key]!r} is not an integer") from None
+    when that is no whole number (a fraction, nan, an infinity, a string)."""
+    value = obj[key]
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"declared {key} {value!r} is not an integer")
 
 
 def _finite_matrix(rows: Any, what: str) -> np.ndarray:

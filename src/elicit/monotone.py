@@ -315,18 +315,22 @@ def check_path_independence(
 
 
 def _report_indices(report_of) -> np.ndarray:
-    """``report_of`` as an int array; an entry that is no int (nan, an
-    infinity, a float beyond the int64 range) raises ValueError naming it."""
+    """``report_of`` as an int array; an entry that is no int (a fraction, nan,
+    an infinity, a float beyond the int64 range) raises ValueError naming it."""
     entries = list(report_of)
     try:
-        return np.asarray(entries, dtype=int)
+        indices = np.asarray(entries, dtype=int)
+        if indices.tolist() == entries:
+            return indices
     except (TypeError, ValueError, OverflowError):
         pass
     for r in entries:
         try:
-            np.asarray(r, dtype=int)
+            whole = np.all(np.asarray(r, dtype=int) == r)
         except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"report_of holds {r!r}, which is not a report index") from None
+            whole = False
+        if not whole:
+            raise ValueError(f"report_of holds {r!r}, which is not a report index")
     raise ValueError(f"report_of {entries!r} is not a list of report indices")
 
 

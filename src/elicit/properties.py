@@ -28,6 +28,7 @@ from .core import (
     ScoreTable,
     TypeSpace,
     Witness,
+    WitnessColumns,
     _as_matrix,
     _grad_rows,
     conjugate,
@@ -96,8 +97,8 @@ class LabeledSample:
     def __post_init__(self):
         self.points = _as_matrix(self.points, "points")
         labels = np.asarray(self.labels, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(labels) & (labels == np.trunc(labels))):
-            raise ValueError("labels must be integers")
+        if not np.all((labels == np.trunc(labels)) & (abs(labels) < 2.0**63)):
+            raise ValueError("labels must be integers in the int64 range")
         self.labels = labels.astype(int)
         if len(self.labels) != len(self.points):
             raise DimensionMismatchError("one label per point required")
@@ -295,10 +296,9 @@ def check_level_set_convexity(
     seg_a, seg_b = np.argwhere(
         np.triu((labels[:, None] == labels[None, :]) & (sq > 0.0), 1)
     ).T
-    witnesses = []
+    witnesses = WitnessColumns()
     for lo in range(0, len(seg_a), k):
         a, b = seg_a[lo : lo + k], seg_b[lo : lo + k]
-        pa, pb = a.tolist(), b.tolist()
         # (j, c): segment from t_a[j] to t_b[j], candidate point t_c
         seg = diffs[a, b][:, None, :]
         rel = diffs[a]
@@ -319,10 +319,8 @@ def check_level_set_convexity(
             "sandwich",
             hit,
             eps - gap,
-            lambda j, c: (
-                f"label {labels[c]} point between two label {labels[pa[j]]} points"
-            ),
-            index=lambda j, c: (pa[j], pb[j], c),
+            lambda j, c: f"label {labels[c]} point between two label {labels[a[j]]} points",
+            index=lambda h: np.column_stack([a[h[:, 0]], b[h[:, 0]], h[:, 1]]),
         )
     return CheckReport.from_witnesses(witnesses, {"eps": eps})
 

@@ -24,7 +24,6 @@ from .core import (
     ScoreTable,
     TypeSpace,
     UnreachableActionError,
-    Witness,
     _grad_rows,
     _off_simplex,
     deviation_gains,
@@ -224,29 +223,19 @@ def check_proper(
     gain = deviation_gains(table.payoff_matrix(belief_rows), truth, axis=1)
     deviation = np.arange(len(table))[None, :] != truth[:, None]
     ahead = deviation & (gain > tol)
+    hit, kind, detail = ahead, "deviation", "belief #{0} prefers report {1}".format
+    if strict:  # ties are witnesses too, in (belief, report) order with the rest
+        hit = ahead | (deviation & (gain >= -tol) & (far > tol))
+        kind = lambda b, q: "deviation" if ahead[b, q] else "tie"
+        tie = "strictness fails: deviation ties"
+        detail = lambda b, q: f"belief #{b} prefers report {q}" if ahead[b, q] else tie
     witnesses = mask_witnesses(
-        "deviation",
-        ahead,
-        gain,
-        lambda b, q: f"belief #{b} prefers report {q}",
-        index=lambda b, q: (int(truth[b]), q),
+        kind,
+        hit,
+        np.where(0.0 > gain, 0.0, gain),  # the gain itself where it is ahead
+        detail,
+        index=lambda h: np.column_stack([truth[h[:, 0]], h[:, 1]]),
     )
-    if strict:
-        tied = deviation & ~ahead & (gain >= -tol) & (far > tol)
-        ties = mask_witnesses(
-            "tie",
-            tied,
-            np.where(0.0 > gain, 0.0, gain),
-            "strictness fails: deviation ties",
-            index=lambda b, q: (int(truth[b]), q),
-        )
-        # interleave both kinds in (belief, report) order
-        order = np.argsort(
-            np.concatenate([np.flatnonzero(ahead), np.flatnonzero(tied)]),
-            kind="stable",
-        )
-        merged = witnesses + ties
-        witnesses = [merged[k] for k in order]
     return CheckReport.from_witnesses(witnesses, {"tol": tol, "strict": strict})
 
 
@@ -269,16 +258,13 @@ def check_expert_separation(
         values < delta_accept - tol,
         delta_accept - values,
         lambda i: f"value {values[i]:.6g} below accept threshold",
+    ) + mask_witnesses(
+        "uninformed",
+        np.array([v_bar > delta_reject + tol]),
+        np.array([v_bar - delta_reject]),
+        f"uninformed value {v_bar:.6g} above reject threshold",
+        index=lambda h: np.full_like(h, -1),  # -1: the uninformed belief
     )
-    if v_bar > delta_reject + tol:
-        witnesses.append(
-            Witness(
-                kind="uninformed",
-                indices=(-1,),
-                slack=float(v_bar - delta_reject),
-                detail=f"uninformed value {v_bar:.6g} above reject threshold",
-            )
-        )
     info = {"values_in": values.tolist(), "value_bar": v_bar, "tol": tol}
     return CheckReport.from_witnesses(witnesses, info)
 
@@ -387,8 +373,8 @@ def check_truthful(
         "deviation",
         (gains > tol) & ~np.eye(len(ts), dtype=bool),
         gains,
-        lambda r, i: f"type {i} prefers report {r}",
-        index=lambda r, i: (i, r),
+        "type {1} prefers report {0}".format,
+        index=lambda h: h[:, ::-1],
     )
     best = float(gains[~np.eye(len(ts), dtype=bool)].max(initial=-np.inf))
     min_slack = 0.0 if len(ts) == 1 else None if best == -np.inf else -best

@@ -23,6 +23,7 @@ from elicit import (
     Witness,
 )
 from elicit.core import DEFAULT_TOL, INTERIOR_EPS, SIMPLEX_TOL, require_positive
+from elicit.jsonio import dumps
 from elicit.monotone import (
     _FIRST_WALK,
     LongestPathResult,
@@ -591,6 +592,19 @@ def loop_dumps(obj) -> str:
     out: list = []
     _loop_write(obj, out)
     return "".join(out)
+
+
+def report_text(report) -> str:
+    """A report's canonical text with one dict per witness, as
+    ``CheckReport.to_obj`` used to build it: the reference for the
+    writer's columnar witness branch."""
+    return dumps(
+        {
+            "passed": report.passed,
+            "witnesses": [w.to_obj() for w in report.witnesses],
+            "info": report.info,
+        }
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,27 @@ class TestInputErrors:
         path = write(tmp_path, "doc.json", doc)
         self.assert_usage_error([args[0], path, *args[1:]], capsys, message)
 
+    @pytest.mark.parametrize(
+        "args,doc,message",
+        [
+            (["check-cmon"], {**FIG_FAMILY, "typeSpace": {"dim": 1.7, "points": [[0.0]]}},
+             "declared dim 1.7 is not an integer"),
+            (["check-proper"], {"nOutcomes": 1.5, "reports": [[1.0]], "payoffs": [[0.0]]},
+             "declared nOutcomes 1.5 is not an integer"),
+            (["check-local", "--radius", "1"], {
+                "score": {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, 0.0]},
+                "typeSpace": {"points": [[0.0], [1.0]]},
+                "reportOf": [0, 1.5],
+            }, "report_of holds 1.5, which is not a report index"),
+        ],
+    )
+    def test_a_fraction_in_an_integer_field_is_a_one_line_error(
+        self, tmp_path, capsys, args, doc, message
+    ):
+        # each used to be truncated: dim 1, nOutcomes 1, report 1
+        path = write(tmp_path, "doc.json", doc)
+        self.assert_usage_error([args[0], path, *args[1:]], capsys, message)
+
     def test_non_integer_label(self, tmp_path, capsys):
         sample = write(
             tmp_path,

@@ -3,15 +3,19 @@
 ``jsonio.dumps`` dispatches on the exact type of each value and sends
 everything else through one normalizing branch; ``helpers.loop_dumps``
 normalizes every value first.  Both must print the same text for every
-value, and fail with the same exception and message."""
+value, and fail with the same exception and message.  Witnesses, which
+``dumps`` writes straight from their columns, must print as the dicts
+of ``Witness.to_obj`` print (``helpers.report_text``)."""
 
 import enum
+import math
 
 import numpy as np
 import pytest
 
+from elicit import CheckReport, Witness, WitnessColumns
 from elicit.jsonio import dumps
-from helpers import loop_dumps
+from helpers import loop_dumps, report_text
 
 TRIALS = 400
 
@@ -195,3 +199,123 @@ def test_errors_match_the_loop(value, error, message):
         with pytest.raises(error) as info:
             fn(value)
         assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# witnesses written from their columns
+
+
+def block(kind, index, slack, detail):
+    """A block of ``WitnessColumns`` from plain (n, k) and n lists."""
+    return (kind, np.array(index, dtype=int), np.array(slack, dtype=float), detail)
+
+
+def plain_witnesses(blocks):
+    """The witnesses of ``blocks``, one ``Witness`` each, built in a loop."""
+    out = []
+    for kind, index, slack, detail in blocks:
+        for j in range(len(slack)):
+            out.append(
+                Witness(
+                    kind if isinstance(kind, str) else kind[j],
+                    tuple(int(i) for i in index[j]),
+                    float(slack[j]),
+                    detail if isinstance(detail, str) else detail[j],
+                )
+            )
+    return out
+
+
+INF = math.inf
+BLOCKS = {
+    "one index, fixed detail": [block("target", [[3], [0]], [0.5, 2.0], "surplus [0, 1]")],
+    "two indices, per-witness detail": [
+        block("deviation", [[1, 0], [0, 2]], [1 / 3, 5e-324], ["type 1 prefers 0", "type 0"])
+    ],
+    "three indices": [block("sandwich", [[0, 5, 2], [7, 1, 9]], [0.1, -0.0], "between")],
+    "no hits": [block("pair", np.zeros((0, 2)), [], "never written")],
+    "non-ASCII and % in fixed texts": [
+        block("é %d", [[0, 1]], [1e308], 'é € \U0001d11e 100% "q" \\ %s')
+    ],
+    "non-ASCII per witness": [block(["tie", "€"], [[0], [1]], [2.0, 3.0], ["\x00", "%%"])],
+    "-inf slack": [block("pair", [[0, 1], [1, 0], [2, 2]], [-INF, 1.5, -INF], "x")],
+    "several blocks": [
+        block("fenchel-young", [[0, 0]], [1.0], "a"),
+        block("difference", np.zeros((0, 2)), [], "b"),
+        block("cycle", [[0, 1, 2]], [-1e-17], "c"),
+        block("target", [[4], [6]], [2.5, -INF], ["d", "e"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_columns_print_as_their_witness_dicts(name):
+    blocks = BLOCKS[name]
+    witnesses = plain_witnesses(blocks)
+    columns = WitnessColumns(blocks)
+    report = CheckReport.from_witnesses(columns, {"tol": 1e-9, "name": name})
+    reference = CheckReport.from_witnesses(witnesses, {"tol": 1e-9, "name": name})
+    assert dumps(report.to_obj()) == report_text(reference)
+    assert dumps(columns) == loop_dumps([w.to_obj() for w in witnesses])
+    # and columns act as the sequence of those witnesses
+    assert len(columns) == len(witnesses) and list(columns) == witnesses
+    assert [columns[i] for i in range(-len(columns), len(columns))] == witnesses * 2
+    assert columns[1:] == witnesses[1:]
+    with pytest.raises(IndexError):
+        columns[len(witnesses)]
+
+
+def test_columns_concatenate_and_unpack():
+    first, second = (WitnessColumns([b]) for b in BLOCKS["several blocks"][:2])
+    (only,) = first + second
+    assert only == Witness("fenchel-young", (0, 0), 1.0, "a")
+    assert not second and isinstance(first + second, WitnessColumns)
+
+
+def test_random_columns_print_as_their_witness_dicts():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        blocks = []
+        for _ in range(rng.integers(0, 4)):
+            n, k = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+            texts = [random_text(rng) for _ in range(n)]
+            blocks.append(
+                block(
+                    random_text(rng) if rng.integers(0, 2) else texts[::-1],
+                    rng.integers(-(2**62), 2**62, size=(n, k)),
+                    [float(rng.choice(FLOATS)) for _ in range(n)],
+                    random_text(rng) if rng.integers(0, 2) else texts,
+                )
+            )
+        witnesses = plain_witnesses(blocks)
+        assert dumps(WitnessColumns(blocks)) == loop_dumps([w.to_obj() for w in witnesses])
+
+
+@pytest.mark.parametrize(
+    "slacks,message",
+    [([1.0, INF], "cannot serialize inf"), ([math.nan], "cannot serialize nan"),
+     ([-INF, math.nan, INF], "cannot serialize nan"), ([2.0, INF, math.nan], "cannot serialize inf")],
+)
+def test_a_slack_of_inf_or_nan_raises_as_a_float_does(slacks, message):
+    blocks = [block("pair", [[0, 1]], [0.5], "fine"), block("pair", [[1, 0]] * len(slacks), slacks, "x")]
+    report = CheckReport.from_witnesses(WitnessColumns(blocks), {"tol": 1e-9})
+    reference = CheckReport.from_witnesses(plain_witnesses(blocks), {"tol": 1e-9})
+    for fn, arg in ((dumps, report.to_obj()), (report_text, reference)):
+        with pytest.raises(ValueError) as info:
+            fn(arg)
+        assert str(info.value) == message
+
+
+def test_a_plain_witness_prints_as_its_dict():
+    witnesses = [
+        Witness("constraint", (3, 0, 1), -2.5, "point 3 labeled 0 conflicts against site 1"),
+        Witness("uninformed", (-1,), 0.125),
+        Witness("cycle", (np.int64(2), np.int64(0)), np.float64(-INF), "é"),
+        Witness("none", (), 1e-300, "%s"),
+    ]
+    for w in witnesses:
+        assert dumps(w) == loop_dumps(w.to_obj())
+    doc = {"feasible": False, "witnesses": witnesses}
+    assert dumps(doc) == loop_dumps({**doc, "witnesses": [w.to_obj() for w in witnesses]})
+    with pytest.raises(ValueError, match="cannot serialize nan"):
+        dumps(Witness("pair", (0, 1), math.nan))

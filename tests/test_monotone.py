@@ -426,6 +426,16 @@ class TestLocalTruthful:
         with pytest.raises(ValueError, match=message):
             check_local_truthful(score, TWO, report_of=[0, entry], radius=2.0)
 
+    @pytest.mark.parametrize("entry", [1.5, "1"])
+    def test_report_that_is_no_whole_number_is_named(self, entry):
+        # np.asarray(..., dtype=int) would read 1.5 as report 1
+        score = make_direct_score(SquaredNorm(), TWO)
+        message = re.escape(f"report_of holds {entry!r}, which is not a report index")
+        with pytest.raises(ValueError, match=message):
+            check_local_truthful(score, TWO, report_of=[0, entry], radius=2.0)
+        report = check_local_truthful(score, TWO, report_of=np.array([0.0, 1.0]), radius=2.0)
+        assert report.passed
+
     def test_radius_beyond_diameter_matches_global(self):
         ts = TypeSpace(np.linspace(-1, 1, 9).reshape(-1, 1))
         score = make_direct_score(SquaredNorm(), ts)

@@ -239,6 +239,12 @@ class TestLabeledSample:
         with pytest.raises(ValueError, match="labels must be integers"):
             LabeledSample(points=[[0.0], [1.0]], labels=[0.0, np.nan])
 
+    @pytest.mark.parametrize("label", [1e308, -1e308, 2.0**63])
+    def test_label_beyond_the_int64_range_is_rejected(self, label):
+        # the cast to int used to warn "invalid value encountered in cast"
+        with pytest.raises(ValueError, match="labels must be integers in the int64 range"):
+            LabeledSample(points=[[0.0]], labels=[label])
+
     def test_integral_float_labels_are_kept(self):
         sample = LabeledSample(points=[[0.0], [1.0]], labels=[0.0, 1.0])
         assert sample.labels.dtype.kind == "i"

@@ -19,12 +19,19 @@ from elicit import (
     check_truthful,
     eval_convex,
     expected_score,
+    jsonio,
     make_decision_score,
     make_direct_score,
     make_scoring_rule,
     simplex_grid,
 )
-from helpers import loop_check_proper, loop_expected_score, random_max_affine, random_typespace
+from helpers import (
+    loop_check_proper,
+    loop_expected_score,
+    random_max_affine,
+    random_typespace,
+    report_text,
+)
 
 GRID2 = simplex_grid(2, 10)
 
@@ -167,9 +174,9 @@ class TestCheckProper:
         )
         report = check_proper(table, beliefs=[[1e-10, -1e-10, 1]])
         assert report.passed
-        assert report.to_obj() == loop_check_proper(
-            table, [[1e-10, -1e-10, 1]], False, 1e-9
-        ).to_obj()
+        assert jsonio.dumps(report.to_obj()) == report_text(
+            loop_check_proper(table, [[1e-10, -1e-10, 1]], False, 1e-9)
+        )
 
     def test_unknown_belief_rejected(self):
         table = make_scoring_rule(SquaredNorm(), [[0.5, 0.5]])

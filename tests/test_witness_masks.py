@@ -2,10 +2,13 @@
 boolean mask must print exactly what the explicit pair and triple loops
 of ``helpers`` print, witness order, slacks and ``info`` included."""
 
+import json
+
 import numpy as np
 import pytest
 
 from elicit import (
+    CheckReport,
     LabeledSample,
     LinearFamily,
     NegEntropy,
@@ -22,6 +25,7 @@ from elicit import (
     check_truthful,
     check_wmon,
     check_wmon_cells,
+    cli,
     expected_score,
     jsonio,
     make_scoring_rule,
@@ -40,6 +44,7 @@ from helpers import (
     loop_duality_witnesses,
     random_max_affine,
     random_typespace,
+    report_text,
 )
 
 TRIALS = 25
@@ -197,7 +202,9 @@ def test_mixed_infinite_terms_score_minus_inf():
     beliefs = [[1e-10, -1e-10, 1.0], [0.5, 0.0, 0.5]]
     assert expected_score(table, 1, beliefs[0]) == -np.inf
     report = check_proper(table, beliefs)
-    assert report.to_obj() == loop_check_proper(table, beliefs, False, 1e-9).to_obj()
+    assert jsonio.dumps(report.to_obj()) == report_text(
+        loop_check_proper(table, beliefs, False, 1e-9)
+    )
     assert not report.passed
 
 
@@ -210,17 +217,6 @@ def test_non_finite_own_score_is_rejected():
     )
     with pytest.raises(ValueError, match="truthful reports must score finite values"):
         check_proper(table, [[1e-10, -1e-10, 1.0], [0.5, 0.0, 0.5]])
-
-
-class _Witnesses:
-    """Wraps a witness list so it prints like a report."""
-
-    def __init__(self, witnesses):
-        self.passed = not witnesses
-        self.witnesses = witnesses
-
-    def to_obj(self):
-        return [w.to_obj() for w in self.witnesses]
 
 
 def case_duality(rng):
@@ -237,7 +233,8 @@ def case_duality(rng):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("elicit.duality.require_positive", lambda x: x)
         report = check_duality_identities(g, grid, duals, tol=tol)
-    return _Witnesses(report.witnesses), _Witnesses(
+    # the loops give the witnesses only: compare reports without info
+    return CheckReport.from_witnesses(report.witnesses), CheckReport.from_witnesses(
         loop_duality_witnesses(g, grid, duals, tol)
     )
 
@@ -262,7 +259,33 @@ def test_mask_verifier_prints_what_the_loops_print(name):
     failing = 0
     for _ in range(TRIALS):
         report, reference = CASES[name](rng)
-        assert jsonio.dumps(report.to_obj()) == jsonio.dumps(reference.to_obj())
+        assert jsonio.dumps(report.to_obj()) == report_text(reference)
+        assert list(report.witnesses) == list(reference.witnesses)
         failing += not report.passed
     # the comparison is only worth something on failing inputs
     assert failing >= TRIALS // 2
+
+
+def test_cli_writes_a_failing_report_through_one_to_obj_call(tmp_path, capsys, monkeypatch):
+    # the benchmark's tracer counts the witnesses of each CLI call there
+    calls = []
+    to_obj = CheckReport.to_obj
+
+    def counted(report):
+        calls.append(len(report.witnesses))
+        return to_obj(report)
+
+    monkeypatch.setattr(CheckReport, "to_obj", counted)
+    rng = np.random.default_rng(7)
+    ts = random_typespace(rng, 2, max_points=25)
+    score = _score(rng, len(ts), ts.dim)
+    path = tmp_path / "score.json"
+    path.write_text(json.dumps({
+        "score": {"reports": score.reports, "linear": score.linear.tolist(),
+                  "constant": score.constant.tolist()},
+        "typeSpace": {"points": ts.points.tolist()},
+    }))
+    assert cli.main(["check-truthful", str(path)]) == 2
+    reference = loop_check_truthful(score, ts, 1e-9)
+    assert calls == [len(reference.witnesses)] and calls[0] > 0
+    assert capsys.readouterr().out == report_text(reference) + "\n"
