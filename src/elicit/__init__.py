@@ -14,7 +14,6 @@ from .core import (
     DimensionMismatchError,
     DomainError,
     ElicitError,
-    EvaluationError,
     InconsistentAnchorsError,
     LinearFamily,
     MaxAffine,
@@ -46,7 +45,6 @@ from .duality import (
 from .monotone import (
     check_cmon,
     check_local_truthful,
-    check_path_independence,
     check_wmon,
 )
 from .payments import (

@@ -10,7 +10,8 @@ conjugation, and the Bregman-style regret divergence.
 
 Vectors are numpy float64 arrays.  Extended reals are plain floats where
 ``-inf`` is a legal value for score constants and payoffs (log-score
-style); ``+inf`` and ``nan`` are rejected at every public boundary.  The
+style); ``+inf`` and ``nan`` are rejected at every public boundary, and
+finite inputs whose arithmetic leaves the float range raise ValueError.  The
 multiplication convention ``0 * (-inf) == 0``, also for a probability
 within ``SIMPLEX_TOL`` below 0, is applied by
 ``scoring.OutcomeScoreTable.payoff_matrix``.
@@ -32,7 +33,6 @@ __all__ = [
     "ElicitError",
     "DomainError",
     "DimensionMismatchError",
-    "EvaluationError",
     "NotImplementableError",
     "NotMonotoneError",
     "InconsistentAnchorsError",
@@ -77,10 +77,6 @@ class DomainError(ElicitError):
 
 class DimensionMismatchError(ElicitError):
     """Vector dimensions or collection lengths do not line up."""
-
-
-class EvaluationError(ElicitError):
-    """A caller-supplied callable failed during evaluation."""
 
 
 class NotImplementableError(ElicitError):
@@ -141,6 +137,16 @@ def require_positive(x: float, what: str = "tolerance") -> float:
     if not 0 < x < math.inf:
         raise ValueError(f"{what} must be positive and finite, got {x}")
     return x
+
+
+def _whole_number(x, what: str) -> int:
+    """``x`` as an int; ``ValueError`` naming ``what`` when it is no whole number."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):  # nan, an infinity, no number
+        pass
+    raise ValueError(f"{what} {x!r} is not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +300,17 @@ def _as_vector(v, what: str = "vector") -> np.ndarray:
     return vec
 
 
+def _require_distinct(rows: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first row of ``rows`` that repeats
+    an earlier one; -0.0 and 0.0 are the same coordinate."""
+    seen = set()
+    for i, row in enumerate(rows + 0.0):  # + 0.0 turns -0.0 into 0.0
+        key = row.tobytes()
+        if key in seen:
+            raise ValueError(f"duplicate {what} at index {i}")
+        seen.add(key)
+
+
 @dataclass
 class TypeSpace:
     """A finite list of type vectors in R^n, pairwise distinct."""
@@ -304,12 +321,7 @@ class TypeSpace:
         self.points = _as_matrix(self.points, "points")
         if len(self.points) == 0:
             raise ValueError("type space must be nonempty")
-        seen = set()
-        for i, p in enumerate(self.points):
-            key = p.tobytes()
-            if key in seen:
-                raise ValueError(f"duplicate type at index {i}")
-            seen.add(key)
+        _require_distinct(self.points, "type")
 
     @property
     def dim(self) -> int:
@@ -433,7 +445,8 @@ def _off_simplex(rows: np.ndarray) -> np.ndarray:
     """True for each row (along the last axis) that is not on the
     probability simplex within SIMPLEX_TOL; a row with a nan is not."""
     nonneg = (rows >= -SIMPLEX_TOL).all(axis=-1)
-    return ~(nonneg & (abs(rows.sum(axis=-1) - 1.0) <= SIMPLEX_TOL))
+    with np.errstate(over="ignore"):  # a sum beyond the float range is off the simplex
+        return ~(nonneg & (abs(rows.sum(axis=-1) - 1.0) <= SIMPLEX_TOL))
 
 
 def _check_simplex(points: np.ndarray) -> None:
@@ -446,16 +459,23 @@ def _check_simplex(points: np.ndarray) -> None:
         )
 
 
+def _overflow(values: np.ndarray, what: str, points: np.ndarray) -> np.ndarray:
+    """``values``, one (row) per row of ``points``, computed with overflow
+    warnings off; a row not finite raises ``ValueError`` naming its point."""
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values).reshape(len(points), -1).all(axis=1)
+        raise ValueError(f"{what} overflows the float range at {points[bad.argmax()].tolist()}")
+    return values
+
+
 def _eval_rows(g: ConvexSpec, pts: np.ndarray) -> np.ndarray:
     """G at every row of the 2-D array ``pts``, each value bitwise as
     for that row alone: an entropy row sums its positive terms only."""
     if isinstance(g, MaxAffine):
-        if g.dim != pts.shape[1]:
-            raise DimensionMismatchError(f"expected dimension {g.dim}, got {pts.shape[1]}")
-        pieces = np.matmul(g.slopes[None], pts[:, :, None])[:, :, 0]
-        return (pieces + g.intercepts).max(axis=1)
+        return _overflow(_pieces(g, pts).max(axis=1), "G", pts)
     if isinstance(g, SquaredNorm):
-        return np.vecdot(pts, pts)
+        with np.errstate(over="ignore"):
+            return _overflow(np.vecdot(pts, pts), "G", pts)
     if isinstance(g, NegEntropy):
         _check_simplex(pts)
         pos = pts > 0.0
@@ -481,17 +501,26 @@ def eval_convex(g: ConvexSpec, t):
     return float(values[0]) if t.ndim < 2 else values
 
 
+def _pieces(g: MaxAffine, pts: np.ndarray) -> np.ndarray:
+    """pieces[k, p] = <slopes[p], pts[k]> + intercepts[p], inf or nan on overflow."""
+    if g.dim != pts.shape[1]:
+        raise DimensionMismatchError(f"expected dimension {g.dim}, got {pts.shape[1]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(g.slopes[None], pts[:, :, None])[:, :, 0] + g.intercepts
+
+
 def _grad_rows(g: ConvexSpec, pts: np.ndarray) -> np.ndarray:
     """One subgradient of G at every row of the 2-D array ``pts``, each
     bitwise as for that row alone; a bad row raises the error of the
     first one in row order."""
     if isinstance(g, MaxAffine):
-        if g.dim != pts.shape[1]:
-            raise DimensionMismatchError(f"expected dimension {g.dim}, got {pts.shape[1]}")
-        pieces = np.matmul(g.slopes[None], pts[:, :, None])[:, :, 0]
-        return g.slopes[(pieces + g.intercepts).argmax(axis=1)]
+        pieces = _pieces(g, pts)
+        best = pieces.argmax(axis=1)  # a nan piece is its own argmax
+        _overflow(pieces[np.arange(len(pts)), best], "G", pts)
+        return g.slopes[best]
     if isinstance(g, SquaredNorm):
-        return 2.0 * pts
+        with np.errstate(over="ignore"):
+            return _overflow(2.0 * pts, "the subgradient of G", pts)
     if isinstance(g, NegEntropy):
         first = int(np.append((pts < INTERIOR_EPS).any(axis=1), True).argmax())
         _check_simplex(pts[: first + 1])  # an earlier or the same row off the simplex wins
@@ -522,25 +551,38 @@ def conjugate(g: ConvexSpec, d, grid: TypeSpace):
     The result is a certified lower bound on the true conjugate, and is
     exact whenever a maximizer lies on the grid.  For 1-D max-affine
     functions the piece-crossing points inside the grid's hull are also
-    scanned, which makes the 1-D max-affine conjugate exact.
+    scanned, which makes the 1-D max-affine conjugate exact.  A value of
+    G or of the conjugate beyond the float range raises ``ValueError``.
     """
     d = np.asarray(d, dtype=float)
     duals = _as_matrix(np.atleast_2d(d), "dual vector")
     if duals.shape[1] != grid.dim:
         raise DimensionMismatchError("dual vector dimension != grid dimension")
     pts = grid.points
-    # stacked matrix-vector products: bitwise the per-vector pts @ d
-    inner = np.matmul(pts[None], duals[:, :, None])[:, :, 0]
-    best = (inner - _eval_rows(g, pts)).max(axis=1)
-    if isinstance(g, MaxAffine) and grid.dim == 1:
-        a, b = g.slopes[:, 0], g.intercepts
-        for i in range(len(a)):  # crossings of piece i with later ones; bounds memory
-            j = np.arange(i + 1, len(a))[a[i + 1 :] != a[i]]
-            x = (b[j] - b[i]) / (a[i] - a[j])
-            x = x[(pts.min() <= x) & (x <= pts.max())]
-            cand = duals[:, :1] * x - _eval_rows(g, x[:, None])  # d[0] * x keeps -0.0
-            best = np.maximum(best, cand.max(axis=1, initial=-np.inf))
+    evals = _eval_rows(g, pts)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # stacked matrix-vector products: bitwise the per-vector pts @ d
+        inner = np.matmul(pts[None], duals[:, :, None])[:, :, 0]
+        best = (inner - evals).max(axis=1)
+        if isinstance(g, MaxAffine) and grid.dim == 1:
+            a, b = g.slopes[:, 0], g.intercepts
+            for i in range(len(a)):  # crossings of piece i with later ones; bounds memory
+                j = np.arange(i + 1, len(a))[a[i + 1 :] != a[i]]
+                x = (b[j] - b[i]) / (a[i] - a[j])
+                x = x[(pts.min() <= x) & (x <= pts.max())]
+                cand = duals[:, :1] * x - _eval_rows(g, x[:, None])  # d[0] * x keeps -0.0
+                best = np.maximum(best, cand.max(axis=1, initial=-np.inf))
+    _overflow(best, "the conjugate", duals)
     return float(best[0]) if d.ndim < 2 else best
+
+
+def _tangent_score(g: ConvexSpec, slopes: np.ndarray, points: np.ndarray) -> ScoreTable:
+    """The score of tangent planes: report r has linear part d_r and
+    constant G(t_r) - <d_r, t_r>, for the rows t_r, d_r of the arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        constant = _eval_rows(g, points) - np.vecdot(slopes, points)
+    _overflow(constant, "the score constant G(t) - <d, t>", points)
+    return ScoreTable(reports=list(range(len(points))), linear=slopes, constant=constant)
 
 
 def check_subgradient_selection(
@@ -551,18 +593,16 @@ def check_subgradient_selection(
 ) -> CheckReport:
     """Verify G(t') >= G(t) + d_t(t' - t) - tol over all ordered pairs.
 
-    Witnesses list every violating pair together with its slack.
+    This is ``scoring.check_truthful`` on the score d_i . t + G(t_i) -
+    d_i . t_i: the witness (i, j) is type j's gain from report i.
     """
     require_positive(tol)
     fam.check_aligned(ts)
-    evals = _eval_rows(g, ts.points)
-    inner = fam.vectors @ ts.points.T  # inner[i, j] = d_i . t_j
-    diag = np.diag(inner)
-    # slack[i, j] = G(t_i) + d_i(t_j - t_i) - G(t_j)
-    slack = evals[:, None] + inner - diag[:, None] - evals[None, :]
-    mask = (slack > tol) & ~np.eye(len(ts), dtype=bool)
+    score = _tangent_score(g, fam.vectors, ts.points)
+    gains = deviation_gains(score.payoff_matrix(ts), np.arange(len(ts)), axis=0)
+    mask = (gains > tol) & ~np.eye(len(ts), dtype=bool)
     witnesses = mask_witnesses(
-        "pair", mask, slack, "subgradient inequality violated"
+        "pair", mask, gains, "subgradient inequality violated"
     )
     return CheckReport.from_witnesses(witnesses, {"tol": tol})
 

@@ -27,6 +27,7 @@ from .core import (
     SquaredNorm,
     TypeSpace,
     _eval_rows,
+    _overflow,
     conjugate,
     eval_convex,
     mask_witnesses,
@@ -60,7 +61,8 @@ def conjugate_value(g: ConvexSpec, d, grid: TypeSpace):
     half = np.atleast_1d(d / 2.0)
     lo, hi = grid.points.min(axis=0) - 1e-12, grid.points.max(axis=0) + 1e-12
     inside = np.all((half >= lo) & (half <= hi), axis=-1)
-    closed = np.where(inside, np.vecdot(half, half), values)
+    with np.errstate(over="ignore"):  # only rows outside the grid's box can overflow
+        closed = np.where(inside, np.vecdot(half, half), values)
     return float(closed) if d.ndim < 2 else closed
 
 
@@ -89,7 +91,10 @@ def biconjugate(g: ConvexSpec, t, grid: TypeSpace, duals) -> float:
     <t, d> - G*(d)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     duals = _dual_rows(duals)
-    return float(np.max(np.vecdot(duals, t) - conjugate_value(g, duals, grid)))
+    conjs = conjugate_value(g, duals, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = np.max(np.vecdot(duals, t) - conjs, keepdims=True)
+    return float(_overflow(best, "the biconjugate", t[None])[0])
 
 
 def check_duality_identities(
@@ -109,14 +114,16 @@ def check_duality_identities(
     duals = _dual_rows(duals)
     evals = _eval_rows(g, grid.points)
     conjs = conjugate_value(g, duals, grid)
-    inner = grid.points @ duals.T  # inner[i, j] = <t_i, d_j>
-
-    fy = evals[:, None] + conjs[None, :] - inner
-    report_minus_type = (inner - conjs[None, :]) - (inner - evals[:, None])
-    diff_identity = report_minus_type - (evals[:, None] - conjs[None, :])
-    div_primal = (evals[:, None] + conjs[None, :]) - inner
-    div_dual = (conjs[None, :] - inner) + evals[:, None]
-    div_gap = div_primal - div_dual
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        inner = grid.points @ duals.T  # inner[i, j] = <t_i, d_j>
+        fy = evals[:, None] + conjs[None, :] - inner
+        report_minus_type = (inner - conjs[None, :]) - (inner - evals[:, None])
+        diff_identity = report_minus_type - (evals[:, None] - conjs[None, :])
+        div_primal = (evals[:, None] + conjs[None, :]) - inner
+        div_dual = (conjs[None, :] - inner) + evals[:, None]
+        div_gap = div_primal - div_dual
+    for terms in (diff_identity, div_gap):  # div_gap is not finite where fy is not
+        _overflow(terms, "a duality identity", grid.points)
 
     witnesses = (
         mask_witnesses("fenchel-young", fy < -tol, -fy, "G(t) + G*(d) < <t, d>")
@@ -170,8 +177,10 @@ def elicitation_game_equilibria(
         return []
     evals = _eval_rows(g, t_grid.points)
     conjs = conjugate_value(g, d_grid, grid)
-    inner = d_grid @ t_grid.points.T  # inner[j, i] = <d_j, t_i>
-    gap = conjs[:, None] + evals[None, :] - inner
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = d_grid @ t_grid.points.T  # inner[j, i] = <d_j, t_i>
+        gap = conjs[:, None] + evals[None, :] - inner
+    _overflow(gap, "the Fenchel-Young gap", d_grid)
     return [
         Equilibrium(
             d_index=int(j),

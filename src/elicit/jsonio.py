@@ -31,6 +31,7 @@ from .core import (
     Witness,
     WitnessColumns,
     _as_matrix,
+    _whole_number,
 )
 from .properties import LabeledSample, PowerDiagramSpec
 from .scoring import OutcomeScoreTable
@@ -225,15 +226,6 @@ def require_object(obj: Any, what: str) -> dict:
     return obj
 
 
-def _declared_int(obj: dict, key: str) -> int:
-    """``obj[key]`` as an int; ValueError naming the field and its value
-    when that is no whole number (a fraction, nan, an infinity, a string)."""
-    value = obj[key]
-    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"declared {key} {value!r} is not an integer")
-
-
 def _finite_matrix(rows: Any, what: str) -> np.ndarray:
     arr = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -291,7 +283,7 @@ def load_typespace(obj: dict) -> TypeSpace:
     """{"dim": n, "points": [[...], ...]}"""
     require_object(obj, "type space")
     ts = TypeSpace(obj["points"])
-    if "dim" in obj and _declared_int(obj, "dim") != ts.dim:
+    if "dim" in obj and _whole_number(obj["dim"], "declared dim") != ts.dim:
         raise ValueError(f"declared dim {obj['dim']} != actual {ts.dim}")
     return ts
 
@@ -342,7 +334,8 @@ def load_outcome_table(obj: dict) -> OutcomeScoreTable:
         reports=_finite_matrix(obj["reports"], "reports"),
         payoffs=np.asarray(payoffs),
     )
-    if "nOutcomes" in obj and _declared_int(obj, "nOutcomes") != table.n_outcomes:
+    declared = obj.get("nOutcomes", table.n_outcomes)
+    if _whole_number(declared, "declared nOutcomes") != table.n_outcomes:
         raise ValueError("declared nOutcomes does not match reports")
     return table
 

@@ -4,13 +4,15 @@ A family of linear functionals over a finite type space is a selection
 of subgradients of some convex function exactly when it is cyclically
 monotone, so each checker here either certifies the condition or
 returns a concrete counterexample: a violating pair, a positive-weight
-cycle, a nonzero triangle circulation, or a local truthfulness failure.
+cycle, or a local truthfulness failure.  Weak and cyclic monotonicity
+read one weight matrix, :func:`cmon_weights`, and so does
+``properties.check_wmon_cells``, the weak check over labeled cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from .core import (
     DEFAULT_TOL,
     CheckReport,
     DimensionMismatchError,
-    EvaluationError,
     LinearFamily,
     ScoreTable,
     TypeSpace,
@@ -35,7 +36,6 @@ __all__ = [
     "longest_paths",
     "check_wmon",
     "check_cmon",
-    "check_path_independence",
     "check_local_truthful",
 ]
 
@@ -47,8 +47,13 @@ def cmon_weights(ts: TypeSpace, fam: LinearFamily) -> np.ndarray:
     weights along a path or cycle of at most m edges, beyond the float
     range; those raise ``ValueError`` instead of a numpy warning."""
     fam.check_aligned(ts)
+    return _cmon_weights(ts.points, fam.vectors)
+
+
+def _cmon_weights(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """:func:`cmon_weights` on aligned arrays, whose points may repeat."""
     with np.errstate(over="ignore", invalid="ignore"):
-        inner = fam.vectors @ ts.points.T
+        inner = vectors @ points.T
         w = inner - np.diag(inner)[:, None]
         # nan when a weight is nan; +inf when a sum of m weights could overflow
         bound = len(w) * np.maximum(w.max(initial=0.0), -w.min(initial=0.0))
@@ -221,12 +226,17 @@ def _cycle_weight(weights: np.ndarray, cycle: Sequence[int]) -> float:
 def check_wmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> CheckReport:
     """Weak monotonicity: d_t(t'-t) + d_{t'}(t-t') <= tol per pair."""
     require_positive(tol)
-    w = cmon_weights(ts, fam)
+    return _wmon_report(cmon_weights(ts, fam), tol, "weak monotonicity violated")
+
+
+def _wmon_report(w: np.ndarray, tol: float, detail, among=None) -> CheckReport:
+    """Weak monotonicity on the weights ``w``: the pairs i < j (of those
+    ``among`` selects, if given) whose w[i, j] + w[j, i] exceeds ``tol``."""
     pair = w + w.T
-    witnesses = mask_witnesses(
-        "pair", np.triu(pair > tol, 1), pair, "weak monotonicity violated"
-    )
-    return CheckReport.from_witnesses(witnesses, {"tol": tol})
+    hit = np.triu(pair > tol, 1)
+    if among is not None:
+        hit &= among
+    return CheckReport.from_witnesses(mask_witnesses("pair", hit, pair, detail), {"tol": tol})
 
 
 def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -248,68 +258,6 @@ def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> Ch
         indices=tuple(res.cycle),
         slack=res.cycle_weight,
         detail="positive-weight cycle",
-    )
-    return CheckReport.from_witnesses([witness], info)
-
-
-def _edge_integral(
-    fam_fn: Callable, x: np.ndarray, y: np.ndarray, samples: int
-) -> float:
-    """Composite trapezoid of tau -> d_{x+tau(y-x)} . (y-x) over [0, 1]."""
-    direction = y - x
-    taus = np.linspace(0.0, 1.0, samples)
-    vals = np.empty(samples)
-    for k, tau in enumerate(taus):
-        point = x + tau * direction
-        try:
-            d = np.atleast_1d(np.asarray(fam_fn(point), dtype=float))
-        except Exception as exc:  # caller-supplied callable
-            raise EvaluationError(f"family callable failed at {point}: {exc}") from exc
-        if d.shape != direction.shape:
-            raise DimensionMismatchError(
-                f"family callable returned shape {d.shape}, expected {direction.shape}"
-            )
-        vals[k] = float(d @ direction)
-    h = 1.0 / (samples - 1)
-    return float(h * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
-
-
-def check_path_independence(
-    fam_fn: Callable,
-    triangle: Sequence,
-    samples: int = 101,
-    tol_integral: float = 1e-6,
-) -> CheckReport:
-    """Closed-loop line integral around one triangle, trapezoid rule.
-
-    The loop sum of a selection of subgradients vanishes; a rotational
-    (vortex) component shows up as nonzero circulation.  A coarse
-    re-integration (roughly half the nodes) estimates the
-    discretization error, which is reported and added to the tolerance.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in triangle]
-    if len(pts) != 3:
-        raise ValueError("triangle must consist of three points")
-    edges = [(pts[0], pts[1]), (pts[1], pts[2]), (pts[2], pts[0])]
-    circulation = sum(_edge_integral(fam_fn, x, y, samples) for x, y in edges)
-    coarse_n = max(2, (samples + 1) // 2)
-    coarse = sum(_edge_integral(fam_fn, x, y, coarse_n) for x, y in edges)
-    allowance = abs(circulation - coarse)
-    tol_effective = tol_integral + allowance
-    info = {
-        "circulation": circulation,
-        "allowance": allowance,
-        "tol_effective": tol_effective,
-    }
-    if abs(circulation) <= tol_effective:
-        return CheckReport.from_witnesses([], info)
-    witness = Witness(
-        kind="loop",
-        indices=(0, 1, 2),
-        slack=abs(circulation),
-        detail="nonzero circulation around triangle",
     )
     return CheckReport.from_witnesses([witness], info)
 

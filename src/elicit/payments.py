@@ -26,6 +26,7 @@ from .core import (
     NotMonotoneError,
     ScoreTable,
     TypeSpace,
+    _whole_number,
     deviation_gains,
     mask_witnesses,
     require_positive,
@@ -56,14 +57,12 @@ class StepAllocation:
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if len(self.breakpoints) != len(self.values) or len(self.values) == 0:
             raise ValueError("need one value per breakpoint, at least one each")
+        if not (np.isfinite(self.breakpoints).all() and np.isfinite(self.values).all()):
+            raise ValueError("breakpoints and values must be finite")
         if self.breakpoints[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
         if np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if not np.all(np.isfinite(self.breakpoints)) or not np.all(
-            np.isfinite(self.values)
-        ):
-            raise ValueError("breakpoints and values must be finite")
 
     def validate_monotone(self) -> None:
         diffs = np.diff(self.values)
@@ -209,7 +208,8 @@ def revenue_interval(
     fam.check_aligned(ts)
     if not anchors:
         raise ValueError("at least one anchor is required")
-    anchors = {int(k): float(v) for k, v in anchors.items()}
+    anchors = {_whole_number(k, "anchor index"): float(v) for k, v in anchors.items()}
+    target = _whole_number(target, "target")
     for idx, v in anchors.items():
         if not math.isfinite(v):
             raise ValueError(f"anchor {idx} must be finite, got {v}")

@@ -31,11 +31,12 @@ from .core import (
     WitnessColumns,
     _as_matrix,
     _grad_rows,
+    _require_distinct,
     conjugate,
     mask_witnesses,
     require_positive,
 )
-from .monotone import longest_paths
+from .monotone import _cmon_weights, _wmon_report, longest_paths
 
 __all__ = [
     "PowerDiagramSpec",
@@ -72,12 +73,7 @@ class PowerDiagramSpec:
             raise DimensionMismatchError("one weight per site required")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-        seen = set()
-        for i, p in enumerate(self.sites):
-            key = p.tobytes()
-            if key in seen:
-                raise ValueError(f"duplicate site at index {i}")
-            seen.add(key)
+        _require_distinct(self.sites, "site")
 
     @property
     def dim(self) -> int:
@@ -212,7 +208,8 @@ def check_wmon_cells(
     sites, sample: LabeledSample, tol: float = DEFAULT_TOL
 ) -> CheckReport:
     """Pairwise monotonicity across labels: for t in cell i and t' in
-    cell j, require p_i . (t' - t) <= p_j . (t' - t)."""
+    cell j, require p_i . (t' - t) <= p_j . (t' - t): ``check_wmon`` with
+    functionals p_label, over the pairs of different labels."""
     require_positive(tol)
     sites = _as_matrix(sites, "sites")
     if len(sample) and sample.labels.max() >= len(sites):
@@ -221,20 +218,13 @@ def check_wmon_cells(
         return CheckReport.from_witnesses([], {"tol": tol})
     if sample.points.shape[1] != sites.shape[1]:
         raise DimensionMismatchError("sample dimension != sites dimension")
-    site_of = sites[sample.labels]  # (k, n)
-    inner = site_of @ sample.points.T  # inner[a, b] = p_{label a} . t_b
-    diag_own = np.einsum("ij,ij->i", site_of, sample.points)
-    # slack for pair (a, b): (p_la - p_lb) . (t_b - t_a)
-    slack = inner + inner.T - diag_own[:, None] - diag_own[None, :]
     labels = sample.labels
-    mixed = labels[:, None] != labels[None, :]
-    witnesses = mask_witnesses(
-        "pair",
-        np.triu(mixed & (slack > tol), 1),
-        slack,
+    return _wmon_report(
+        _cmon_weights(sample.points, sites[labels]),
+        tol,
         lambda a, b: f"labels ({labels[a]}, {labels[b]}) break monotonicity",
+        among=labels[:, None] != labels[None, :],
     )
-    return CheckReport.from_witnesses(witnesses, {"tol": tol})
 
 
 def homothet_transform(
@@ -256,11 +246,12 @@ def homothet_transform(
         raise DimensionMismatchError("offset dimension != diagram dimension")
     if not np.all(np.isfinite(p0)):
         raise ValueError(f"offset p0 must be finite, got {p0.tolist()}")
-    sq = np.einsum("ij,ij->i", diag.sites, diag.sites)
-    new_sites = alpha * diag.sites + p0
-    new_weights = alpha * diag.weights + (alpha**2 - alpha) * sq + 2.0 * alpha * (
-        diag.sites @ p0
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the new diagram rejects inf and nan
+        sq = np.einsum("ij,ij->i", diag.sites, diag.sites)
+        new_sites = alpha * diag.sites + p0
+        new_weights = alpha * diag.weights + (alpha**2 - alpha) * sq + 2.0 * alpha * (
+            diag.sites @ p0
+        )
     return PowerDiagramSpec(sites=new_sites, weights=new_weights)
 
 
@@ -337,5 +328,6 @@ def bregman_to_power(
     """
     sites = _as_matrix(bregman_sites, "sites")
     duals = _grad_rows(g, sites)
-    weights = np.vecdot(duals, duals) / 4.0 - conjugate(g, duals, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # the diagram rejects inf and nan
+        weights = np.vecdot(duals, duals) / 4.0 - conjugate(g, duals, grid)
     return PowerDiagramSpec(sites=duals / 2.0, weights=weights)

@@ -26,6 +26,7 @@ from .core import (
     UnreachableActionError,
     _grad_rows,
     _off_simplex,
+    _tangent_score,
     deviation_gains,
     eval_convex,
     mask_witnesses,
@@ -170,7 +171,8 @@ def make_scoring_rule(g: ConvexSpec, reports: Sequence) -> OutcomeScoreTable:
         payoffs[edge] = np.log(np.maximum(reports[edge], 0.0))
     inner = reports[~edge]
     d = _grad_rows(g, inner)
-    payoffs[~edge] = eval_convex(g, inner)[:, None] + d - np.vecdot(d, inner)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # the table rejects +inf and nan
+        payoffs[~edge] = eval_convex(g, inner)[:, None] + d - np.vecdot(d, inner)[:, None]
     return OutcomeScoreTable(reports, payoffs)
 
 
@@ -352,9 +354,7 @@ def make_direct_score(g: ConvexSpec, ts: TypeSpace) -> ScoreTable:
     """Direct-revelation score A(r)(t) = G(r) + d_r(t - r), stored as
     linear part d_r and constant G(r) - <d_r, r>.  Truthful by the
     subgradient inequality."""
-    d = _grad_rows(g, ts.points)
-    constant = eval_convex(g, ts.points) - np.vecdot(d, ts.points)
-    return ScoreTable(reports=list(range(len(ts))), linear=d, constant=constant)
+    return _tangent_score(g, _grad_rows(g, ts.points), ts.points)
 
 
 def check_truthful(

@@ -124,12 +124,14 @@ def loop_check_wmon(ts, fam, tol):
 
 
 def loop_check_subgradient_selection(g, fam, ts, tol):
-    evals = [loop_eval_convex(g, t) for t in ts.points]
-    inner = fam.vectors @ ts.points.T
+    """The truthfulness loop on the tangent score: report i scores
+    d_i . t + G(t_i) - d_i . t_i, and (i, j) is type j's gain from it."""
+    inner = fam.vectors @ ts.points.T  # inner[i, j] = d_i . t_j, as payoff_matrix takes it
+    constant = [loop_eval_convex(g, t) - float(d @ t) for d, t in zip(fam.vectors, ts.points)]
     out = []
     for i in range(len(ts)):
         for j in range(len(ts)):
-            slack = evals[i] + inner[i, j] - inner[i, i] - evals[j]
+            slack = (inner[i, j] + constant[i]) - (inner[j, j] + constant[j])
             if i != j and slack > tol:
                 out.append(
                     Witness("pair", (i, j), float(slack), "subgradient inequality violated")
@@ -203,15 +205,15 @@ def loop_check_local_truthful(score, ts, report_of, radius, tol):
 
 
 def loop_check_wmon_cells(sites, sample, tol):
+    """The weak-monotonicity loop on p_label, over pairs of different labels."""
     pts, labels = sample.points, sample.labels
     site_of = np.asarray(sites, dtype=float)[labels]
-    inner = site_of @ pts.T
-    own = np.einsum("ij,ij->i", site_of, pts)
+    inner = site_of @ pts.T  # inner[a, b] = p_la . t_b, as cmon_weights takes it
     out = []
     for a in range(len(sample)):
         for b in range(a + 1, len(sample)):
             la, lb = int(labels[a]), int(labels[b])
-            slack = inner[a, b] + inner[b, a] - own[a] - own[b]
+            slack = (inner[a, b] - inner[a, a]) + (inner[b, a] - inner[b, b])
             if la != lb and slack > tol:
                 out.append(
                     Witness("pair", (a, b), float(slack), f"labels ({la}, {lb}) break monotonicity")

@@ -593,6 +593,45 @@ class TestInputErrors:
                 [a.format(**files) for a in args], capsys, f"error: {message}\n"
             )
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["homothet", "{diag}", "--alpha", "2"], "sites must be finite"),
+            (["breg2power", "{g}", "{sites}"],
+             "the subgradient of G overflows the float range at [1e+308]"),
+            (["duality-check", "{g}", "{grids}"], "G overflows the float range at [1e+308]"),
+            (["game", "{g}", "{grids}"], "G overflows the float range at [1e+308]"),
+        ],
+    )
+    def test_overflowing_convex_arithmetic_is_named(self, tmp_path, capsys, args, message):
+        # numpy's "overflow encountered in ..." used to be the whole line
+        big = [[0.0], [1e308]]
+        files = {
+            "diag": write(tmp_path, "diag.json", {"sites": big, "weights": [0.0, 0.0]}),
+            "g": write(tmp_path, "g.json", {"analytic": "squaredNorm"}),
+            "sites": write(tmp_path, "sites.json", {"sites": big}),
+            "grids": write(
+                tmp_path, "grids.json", {"typeSpace": {"points": big}, "duals": [[1.0]]}
+            ),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_usage_error(
+                [a.format(**files) for a in args], capsys, f"error: {message}\n"
+            )
+
+    def test_myerson_infinite_breakpoints(self, tmp_path, capsys):
+        # inf - inf in the increasing check used to put numpy's text on stderr
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text('{"breakpoints": [0.0, Infinity, Infinity], "values": [0.0, 1.0, 2.0]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_usage_error(
+                ["myerson", str(alloc), "--t", "1"],
+                capsys,
+                "error: breakpoints and values must be finite\n",
+            )
+
     def test_level_convexity_negative_eps(self, tmp_path, capsys):
         sample = write(
             tmp_path,

@@ -36,6 +36,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             TypeSpace([[0.0, 1.0], [0.0, 1.0]])
 
+    def test_typespace_reads_negative_zero_as_zero(self):
+        with pytest.raises(ValueError, match="duplicate type at index 1"):
+            TypeSpace([[0.0], [-0.0]])
+        with pytest.raises(ValueError, match="duplicate type at index 2"):
+            TypeSpace([[1.0, 0.0], [0.0, 1.0], [1.0, -0.0]])
+
     def test_typespace_rejects_empty(self):
         with pytest.raises(ValueError):
             TypeSpace(np.zeros((0, 2)))

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elicit import (
-    EvaluationError,
     LinearFamily,
     ScoreTable,
     SquaredNorm,
     TypeSpace,
     check_cmon,
     check_local_truthful,
-    check_path_independence,
     check_truthful,
     check_wmon,
     make_direct_score,
@@ -353,39 +351,6 @@ class TestOverflowingWeights:
                 check_truthful(score, self.TS)
             with pytest.raises(ValueError, match="truthful reports must score finite values"):
                 check_local_truthful(score, self.TS, [0, 1, 2], radius=1.0)
-
-
-class TestPathIndependence:
-    TRIANGLE = ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-
-    def test_gradient_field_is_conservative(self):
-        fam = lambda t: 2.0 * np.asarray(t)
-        report = check_path_independence(fam, self.TRIANGLE, samples=101)
-        assert report.passed
-        assert abs(report.info["circulation"]) <= 1e-9
-
-    def test_vortex_field_circulation_equals_twice_area(self):
-        fam = lambda t: np.array([-t[1], t[0]])
-        report = check_path_independence(fam, self.TRIANGLE, samples=101)
-        assert not report.passed
-        # rotation field: loop integral = 2 * triangle area = 1.0; the
-        # trapezoid rule is exact because the integrand is linear
-        assert report.info["circulation"] == pytest.approx(1.0, abs=1e-9)
-        assert report.witnesses[0].slack == pytest.approx(1.0, abs=1e-9)
-
-    def test_degenerate_triangle_passes(self):
-        fam = lambda t: np.array([-t[1], t[0]])
-        collinear = ([0.0, 0.0], [0.5, 0.5], [1.0, 1.0])
-        report = check_path_independence(fam, collinear, samples=51)
-        assert report.passed
-        assert report.info["circulation"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_callable_failure_raises_evaluation_error(self):
-        def broken(t):
-            raise RuntimeError("boom")
-
-        with pytest.raises(EvaluationError):
-            check_path_independence(broken, self.TRIANGLE, samples=5)
 
 
 class TestLocalTruthful:

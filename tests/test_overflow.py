@@ -1,0 +1,149 @@
+"""Finite inputs whose arithmetic leaves the float range: each function
+raises one ``ValueError`` that says so, and numpy prints no warning."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from elicit import (
+    DomainError,
+    LabeledSample,
+    LinearFamily,
+    MaxAffine,
+    NegEntropy,
+    PowerDiagramSpec,
+    SquaredNorm,
+    StepAllocation,
+    TypeSpace,
+    biconjugate,
+    bregman_to_power,
+    check_duality_identities,
+    check_subgradient_selection,
+    check_wmon_cells,
+    conjugate,
+    elicitation_game_equilibria,
+    eval_convex,
+    homothet_transform,
+    make_direct_score,
+    make_scoring_rule,
+    subgradient,
+)
+
+BIG = 1e308
+SQ = SquaredNorm()
+FLAT = MaxAffine(slopes=[[0.0]], intercepts=[0.0])  # G = 0
+IDENTITY = MaxAffine(slopes=[[1.0]], intercepts=[0.0])  # G(t) = t
+UNIT = TypeSpace([[0.0], [1.0]])
+HUGE = TypeSpace([[0.0], [BIG]])  # G = t^2 overflows at BIG
+G_OVERFLOW = r"G overflows the float range at \[1e\+308\]"
+
+# at (10, 20) both pieces, 1e309 and 2e309, round to inf: the argmax
+# would pick the first, whose slope is not the subgradient there
+TIED = MaxAffine(slopes=[[BIG, 0.0], [0.0, BIG]], intercepts=[0.0, 0.0])
+
+CASES = [
+    ("eval_convex", lambda: eval_convex(TIED, [10.0, 20.0]), r"G overflows .* \[10.0, 20.0\]"),
+    ("subgradient", lambda: subgradient(TIED, [10.0, 20.0]), r"G overflows .* \[10.0, 20.0\]"),
+    ("conjugate", lambda: conjugate(SQ, [1.0], HUGE), G_OVERFLOW),
+    (
+        "conjugate-inner-product",
+        lambda: conjugate(IDENTITY, [BIG], TypeSpace([[0.0], [10.0]])),
+        r"the conjugate overflows the float range at \[1e\+308\]",
+    ),
+    ("bregman_to_power", lambda: bregman_to_power(SQ, [[0.0], [1.0]], HUGE), G_OVERFLOW),
+    (
+        "bregman_to_power-weight",  # |dG|^2 / 4 of a slope 1.5e154
+        lambda: bregman_to_power(MaxAffine([[1.5e154]], [0.0]), [[1.0]], UNIT),
+        "weights must be finite",
+    ),
+    (
+        "elicitation_game_equilibria",
+        lambda: elicitation_game_equilibria(SQ, HUGE, [[0.0]], UNIT),
+        G_OVERFLOW,
+    ),
+    (
+        "elicitation_game_equilibria-gap",  # G*(1e308) - <1e308, -1>
+        lambda: elicitation_game_equilibria(FLAT, TypeSpace([[-1.0]]), [[BIG]], UNIT),
+        r"the Fenchel-Young gap overflows the float range at \[1e\+308\]",
+    ),
+    (
+        "homothet_transform",
+        lambda: homothet_transform(PowerDiagramSpec([[0.0], [BIG]], [0.0, 0.0]), 2.0, [0.0]),
+        "sites must be finite",
+    ),
+    ("check_duality_identities", lambda: check_duality_identities(SQ, HUGE, [[1.0]]), G_OVERFLOW),
+    (
+        "check_duality_identities-terms",  # <t, d> - G*(d) at t = -1, d = 1e308
+        lambda: check_duality_identities(FLAT, TypeSpace([[-1.0], [1.0]]), [[BIG]]),
+        r"a duality identity overflows the float range at \[-1.0\]",
+    ),
+    ("biconjugate", lambda: biconjugate(SQ, [1.0], HUGE, [[0.0], [1.0]]), G_OVERFLOW),
+    (
+        "biconjugate-inner-product",
+        lambda: biconjugate(FLAT, [2.0], UNIT, [[BIG]]),
+        r"the biconjugate overflows the float range at \[2.0\]",
+    ),
+    (
+        "make_direct_score",
+        lambda: make_direct_score(SQ, HUGE),
+        r"the subgradient of G overflows the float range at \[1e\+308\]",
+    ),
+    (
+        "make_direct_score-constant",  # G(t) = 1e308 is finite, <dG, t> = 2e308 is not
+        lambda: make_direct_score(SQ, TypeSpace([[0.0], [1e154]])),
+        r"the score constant G\(t\) - <d, t> overflows the float range at \[1e\+154\]",
+    ),
+    (
+        "make_scoring_rule",  # G(p) = 1e308 and d[omega] = 1e308
+        lambda: make_scoring_rule(MaxAffine([[BIG, BIG]], [0.0]), [[0.5, 0.5]]),
+        "payoff must be finite or -inf, got inf",
+    ),
+    (
+        "check_subgradient_selection",
+        lambda: check_subgradient_selection(SQ, LinearFamily([[0.0], [1.0]]), HUGE),
+        G_OVERFLOW,
+    ),
+    (
+        "check_subgradient_selection-gain",  # type 0 scores 1e308 + 1e308 under report 1
+        lambda: check_subgradient_selection(
+            IDENTITY, LinearFamily([[1.0], [-1e307]]), TypeSpace([[-10.0], [10.0]])
+        ),
+        "agent 0 gains inf by report 1: deviation gains must be finite or -inf",
+    ),
+    (
+        "check_wmon_cells",
+        lambda: check_wmon_cells([[0.0], [1.0]], LabeledSample([[0.0], [BIG]], [0, 1])),
+        r"cmon weights d_i \. \(t_j - t_i\), summed over up to m edges, overflow the float range",
+    ),
+    (
+        "StepAllocation",  # inf - inf in the increasing check came first
+        lambda: StepAllocation(breakpoints=[0.0, np.inf, np.inf], values=[0.0, 1.0, 2.0]),
+        "breakpoints and values must be finite",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_overflow_is_one_value_error(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_unused_closed_form_conjugate_does_not_warn():
+    # |d/2|^2 of a dual far outside the grid's box overflows, but there the
+    # grid value G*(1e308) = 1e308 - 1 is the one used: d = 1e308 meets
+    # t = 1 at the grid's edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eqs = elicitation_game_equilibria(SQ, UNIT, [[0.0], [BIG]], UNIT)
+    assert [(e.d_index, e.t_index, e.value_dual) for e in eqs] == [(0, 0, 0.0), (1, 1, BIG - 1.0)]
+
+
+def test_simplex_sum_beyond_the_float_range_is_off_the_simplex():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not on the probability simplex"):
+            eval_convex(NegEntropy(), [BIG, BIG])

@@ -139,6 +139,24 @@ class TestRevenueInterval:
         with pytest.raises(ValueError, match="anchor 2 must be finite"):
             revenue_interval(LINE, INCREASING, anchors={0: 0.0, 2: value}, target=1)
 
+    @pytest.mark.parametrize(
+        "anchors,target,message",
+        [
+            # 1.7 used to be read as type 1, giving [1.5, 2.5]
+            ({0: 0.0, 1.7: 0.5}, 2, "anchor index 1.7 is not an integer"),
+            ({0: 0.0, np.nan: 0.5}, 2, "anchor index nan is not an integer"),
+            ({0: 0.0}, 1.5, "target 1.5 is not an integer"),
+            ({0: 0.0}, np.inf, "target inf is not an integer"),
+        ],
+    )
+    def test_fractional_index_rejected(self, anchors, target, message):
+        with pytest.raises(ValueError, match=message):
+            revenue_interval(LINE, INCREASING, anchors=anchors, target=target)
+
+    def test_whole_float_index_is_the_index(self):
+        got = revenue_interval(LINE, INCREASING, anchors={0.0: 0.0, 1.0: 0.5}, target=2.0)
+        assert (got.lower, got.upper, got.target) == (1.5, 2.5, 2)
+
     def test_inconsistent_anchors_rejected(self):
         # anchor at type 1 below the path bound forced from type 2
         with pytest.raises(InconsistentAnchorsError):

@@ -232,6 +232,16 @@ class TestHomothet:
             homothet_transform(diag, alpha=2.0, p0=p0)
 
 
+class TestPowerDiagramSpec:
+    def test_duplicate_sites_rejected(self):
+        with pytest.raises(ValueError, match="duplicate site at index 2"):
+            PowerDiagramSpec(sites=[[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], weights=[0.0, 0.0, 0.0])
+
+    def test_negative_zero_is_zero(self):
+        with pytest.raises(ValueError, match="duplicate site at index 1"):
+            PowerDiagramSpec(sites=[[0.0], [-0.0]], weights=[0.0, 1.0])
+
+
 class TestLabeledSample:
     def test_non_integer_label_is_rejected(self):
         with pytest.raises(ValueError, match="labels must be integers"):

@@ -26,6 +26,7 @@ from elicit import (
     check_wmon,
     check_wmon_cells,
     cli,
+    eval_convex,
     expected_score,
     jsonio,
     make_scoring_rule,
@@ -263,6 +264,51 @@ def test_mask_verifier_prints_what_the_loops_print(name):
         assert list(report.witnesses) == list(reference.witnesses)
         failing += not report.passed
     # the comparison is only worth something on failing inputs
+    assert failing >= TRIALS // 2
+
+
+def test_subgradient_selection_is_truthfulness_of_the_tangent_score():
+    # d is a selection of subgradients of G iff the score d_i . t + G(t_i)
+    # - d_i . t_i is truthful: pair (i, j) fails iff type j gains from
+    # report i, by the same slack
+    rng = np.random.default_rng(12)
+    failing = 0
+    for trial in range(TRIALS):
+        dim = int(rng.integers(1, 4))
+        g = SquaredNorm() if trial % 4 == 0 else random_max_affine(rng, dim)
+        ts = random_typespace(rng, dim, max_points=25)
+        if trial % 3 == 0:  # a true selection passes both
+            fam = LinearFamily(np.vstack([subgradient(g, t) for t in ts.points]))
+        else:
+            fam = _family(rng, ts)
+        constant = eval_convex(g, ts.points) - np.vecdot(fam.vectors, ts.points)
+        score = ScoreTable(list(range(len(ts))), fam.vectors, constant)
+        selection = check_subgradient_selection(g, fam, ts)
+        truthful = check_truthful(score, ts)
+        assert [(w.indices, w.slack) for w in selection.witnesses] == [
+            (w.indices[::-1], w.slack) for w in truthful.witnesses
+        ]
+        failing += not selection.passed
+    assert TRIALS // 2 <= failing < TRIALS
+
+
+def test_wmon_cells_is_check_wmon_on_the_sites_of_the_labels():
+    # on distinct points, the cell check is check_wmon with p_label as
+    # each point's functional, restricted to pairs of different labels
+    rng = np.random.default_rng(13)
+    failing = 0
+    for _ in range(TRIALS):
+        dim = int(rng.integers(1, 4))
+        sites = rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), dim))
+        points = rng.uniform(-3, 3, size=(int(rng.integers(2, 25)), dim))
+        labels = rng.integers(0, len(sites), size=len(points))
+        cells = check_wmon_cells(sites, LabeledSample(points=points, labels=labels))
+        wmon = check_wmon(TypeSpace(points), LinearFamily(sites[labels]))
+        mixed = [w for w in wmon.witnesses if labels[w.indices[0]] != labels[w.indices[1]]]
+        assert [(w.indices, w.slack) for w in cells.witnesses] == [
+            (w.indices, w.slack) for w in mixed
+        ]
+        failing += not cells.passed
     assert failing >= TRIALS // 2
 
 
