@@ -58,6 +58,7 @@ CASES = {
     "score-finite": ["score", "table-log.json", "--report", "2", "--outcome", "2"],
     "score-minus-inf": ["score", "table-log.json", "--report", "0", "--outcome", "1"],
     "check-proper-pass": ["check-proper", "table-log.json", "--strict"],
+    "check-proper-strict-fail": ["check-proper", "table-strict.json", "--strict"],
     "check-proper-fail": ["check-proper", "table-linear.json"],
     "check-proper-beliefs": ["check-proper", "table-log.json", "beliefs.json"],
     "check-truthful-pass": ["check-truthful", "score-good.json"],
