@@ -19,6 +19,7 @@ within ``SIMPLEX_TOL`` below 0, is applied by
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -176,7 +177,14 @@ class WitnessColumns(Sequence):
     only when one is read.  A block is ``(kind, index, slack, detail)``:
     an int array of shape (n, k) whose rows are the witnesses' indices,
     an array of their n float slacks, and a kind and a detail that are
-    each one str for the block or a list of n.  ``+`` concatenates."""
+    each a *text*.  A text is one str for the whole block, or a
+    ``%``-template with its argument columns, ``(template, args)``:
+    witness i's text is ``template % (args[0][i], args[1][i], ...)``,
+    filled in only when the witness is read or written.  The args are
+    numeric arrays of n.  ``template`` is one str, or ``(options,
+    choice)``: a tuple of str and an int or bool array of n, witness i
+    taking ``options[choice[i]]``; every option takes every argument
+    (``%.0s`` takes one and writes nothing).  ``+`` concatenates."""
 
     def __init__(self, blocks=()):
         self.blocks = [block for block in blocks if len(block[2])]
@@ -190,19 +198,41 @@ class WitnessColumns(Sequence):
         i = range(len(self))[i]  # an IndexError out of range; from the end if negative
         for kind, index, slack, detail in self.blocks:
             if i < len(slack):
-                pick = lambda text: text if isinstance(text, str) else text[i]
-                return Witness(pick(kind), tuple(index[i].tolist()), float(slack[i]), pick(detail))
+                row = lambda column: column[i : i + 1]
+                one = (_text_columns(kind, row), row(index), row(slack), _text_columns(detail, row))
+                return next(iter(WitnessColumns([one])))
             i -= len(slack)
 
     def __iter__(self):
         for kind, index, slack, detail in self.blocks:
-            n = len(slack)
-            kinds = [kind] * n if isinstance(kind, str) else kind
-            details = [detail] * n if isinstance(detail, str) else detail
-            yield from map(Witness, kinds, map(tuple, index.tolist()), slack.tolist(), details)
+            n, indices = len(slack), map(tuple, index.tolist())
+            yield from map(Witness, _fill(kind, n), indices, slack.tolist(), _fill(detail, n))
 
     def __add__(self, other: "WitnessColumns") -> "WitnessColumns":
         return WitnessColumns(self.blocks + other.blocks)
+
+
+def _text_columns(text, f):
+    """A text of a :class:`WitnessColumns` block with ``f`` applied to
+    each of its columns: its args and its choice, if any."""
+    if isinstance(text, str):
+        return text
+    template, args = text
+    if not isinstance(template, str):
+        template = (template[0], f(template[1]))
+    return template, tuple(map(f, args))
+
+
+def _fill(text, n: int):
+    """The n strings of a text of a :class:`WitnessColumns` block."""
+    if isinstance(text, str):
+        return itertools.repeat(text, n)
+    template, args = text
+    rows = zip(*(arg.tolist() for arg in args)) if args else itertools.repeat((), n)
+    if isinstance(template, str):
+        return map(template.__mod__, rows)
+    options, choice = template
+    return map(str.__mod__, map(options.__getitem__, choice.tolist()), rows)
 
 
 @dataclass
@@ -235,22 +265,26 @@ def mask_witnesses(kind, mask, slack, detail, index=None) -> WitnessColumns:
     """One witness per ``True`` entry of ``mask``, in row-major
     (``np.argwhere``) order, as one block of columns.
 
-    ``slack`` has the shape of ``mask`` and gives each witness its
-    slack.  ``kind`` and ``detail`` are each a fixed string or a
-    function of the entry's index tuple.  ``index``, when given, maps
-    the (n, mask.ndim) array of those tuples to the (n, k) array of the
-    witnesses' indices; by default they are the tuples themselves.
+    Every column given here is an array over the mask: it broadcasts to
+    the shape of ``mask`` and is read at the ``True`` entries.  ``slack``
+    is one; ``kind`` and ``detail`` are texts of a :class:`WitnessColumns`
+    block whose columns (args and choice) are such arrays; ``index``, when
+    given, is a tuple of them, one per index of a witness.  By default a
+    witness's indices are its entry's position in ``mask``.
     """
-    hits = np.argwhere(mask)
+    hits = np.flatnonzero(mask)  # a gather by flat position beats one by mask
     if not len(hits):  # a passing check builds nothing
         return WitnessColumns()
 
-    def column(text):
-        return text if isinstance(text, str) else [text(*ij) for ij in hits.tolist()]
+    def at_hits(column) -> np.ndarray:
+        return np.broadcast_to(column, mask.shape).ravel().take(hits)
 
-    index = hits if index is None else np.asarray(index(hits))
-    slacks = np.asarray(slack, dtype=float)[mask]
-    return WitnessColumns([(column(kind), index, slacks, column(detail))])
+    if index is None:
+        index = np.stack(np.unravel_index(hits, mask.shape), axis=1)
+    else:
+        index = np.column_stack(list(map(at_hits, index)))
+    kind, detail = _text_columns(kind, at_hits), _text_columns(detail, at_hits)
+    return WitnessColumns([(kind, index, at_hits(np.asarray(slack, dtype=float)), detail)])
 
 
 def deviation_gains(values, truth, axis: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from .core import (
     Witness,
     WitnessColumns,
     _as_matrix,
+    _fill,
     _whole_number,
 )
 from .properties import LabeledSample, PowerDiagramSpec
@@ -81,11 +82,16 @@ def _witness_text(kind, index, slack, detail) -> str:
     joined by commas."""
     columns = []
 
-    def field(text) -> str:  # fixed text into the template, else a column, in field order
+    def field(text) -> str:  # the text's JSON string into the template, in field order
         if isinstance(text, str):
             return _encode_str(text).replace("%", "%%")
-        columns.append(map(_encode_str, text))
-        return "%s"
+        template, args = text
+        if not isinstance(template, str):  # picked per witness: each filled in and escaped
+            columns.append(map(_encode_str, _fill(text, len(slack))))
+            return "%s"
+        # the args are numbers, which need no escaping in a JSON string
+        columns.extend(arg.tolist() for arg in args)
+        return _encode_str(template)
 
     template = '{"detail":' + field(detail) + ',"indices":[' + ",".join(["%d"] * index.shape[1])
     columns += index.T.tolist()

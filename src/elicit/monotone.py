@@ -267,14 +267,16 @@ def _report_indices(report_of) -> np.ndarray:
     an infinity, a float beyond the int64 range) raises ValueError naming it."""
     entries = list(report_of)
     try:
-        indices = np.asarray(entries, dtype=int)
+        with np.errstate(invalid="ignore"):  # a numpy nan casts with a warning
+            indices = np.asarray(entries, dtype=int)
         if indices.tolist() == entries:
             return indices
     except (TypeError, ValueError, OverflowError):
         pass
     for r in entries:
         try:
-            whole = np.all(np.asarray(r, dtype=int) == r)
+            with np.errstate(invalid="ignore"):
+                whole = np.all(np.asarray(r, dtype=int) == r)
         except (TypeError, ValueError, OverflowError):
             whole = False
         if not whole:

@@ -248,6 +248,6 @@ def check_revenue_equivalence(
         "target",
         width > tol,
         width,
-        lambda t: f"surplus interval [{lower[t]:.6g}, {upper[t]:.6g}]",
+        ("surplus interval [%.6g, %.6g]", (lower, upper)),
     )
     return CheckReport.from_witnesses(witnesses, {"tol": tol, "base_type": t0})

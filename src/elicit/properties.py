@@ -222,7 +222,7 @@ def check_wmon_cells(
     return _wmon_report(
         _cmon_weights(sample.points, sites[labels]),
         tol,
-        lambda a, b: f"labels ({labels[a]}, {labels[b]}) break monotonicity",
+        ("labels (%d, %d) break monotonicity", (labels[:, None], labels)),
         among=labels[:, None] != labels[None, :],
     )
 
@@ -310,8 +310,8 @@ def check_level_set_convexity(
             "sandwich",
             hit,
             eps - gap,
-            lambda j, c: f"label {labels[c]} point between two label {labels[a[j]]} points",
-            index=lambda h: np.column_stack([a[h[:, 0]], b[h[:, 0]], h[:, 1]]),
+            ("label %d point between two label %d points", (labels, labels[a][:, None])),
+            index=(a[:, None], b[:, None], np.arange(k)),
         )
     return CheckReport.from_witnesses(witnesses, {"eps": eps})
 

@@ -26,6 +26,7 @@ from .core import (
     UnreachableActionError,
     _grad_rows,
     _off_simplex,
+    _overflow,
     _tangent_score,
     deviation_gains,
     eval_convex,
@@ -225,18 +226,20 @@ def check_proper(
     gain = deviation_gains(table.payoff_matrix(belief_rows), truth, axis=1)
     deviation = np.arange(len(table))[None, :] != truth[:, None]
     ahead = deviation & (gain > tol)
-    hit, kind, detail = ahead, "deviation", "belief #{0} prefers report {1}".format
+    hit, kind, detail = ahead, "deviation", "belief #%d prefers report %d"
     if strict:  # ties are witnesses too, in (belief, report) order with the rest
         hit = ahead | (deviation & (gain >= -tol) & (far > tol))
-        kind = lambda b, q: "deviation" if ahead[b, q] else "tie"
-        tie = "strictness fails: deviation ties"
-        detail = lambda b, q: f"belief #{b} prefers report {q}" if ahead[b, q] else tie
+        # each witness picks its kind and detail template; a tie's detail
+        # writes neither argument (%.0s)
+        kind = (("tie", kind), ahead)
+        detail = (("strictness fails: deviation ties%.0s%.0s", detail), ahead)
+    belief, report = np.ogrid[: len(truth), : len(table)]
     witnesses = mask_witnesses(
-        kind,
+        (kind, ()),
         hit,
         np.where(0.0 > gain, 0.0, gain),  # the gain itself where it is ahead
-        detail,
-        index=lambda h: np.column_stack([truth[h[:, 0]], h[:, 1]]),
+        (detail, (belief, report)),
+        index=(truth[:, None], report),
     )
     return CheckReport.from_witnesses(witnesses, {"tol": tol, "strict": strict})
 
@@ -259,13 +262,13 @@ def check_expert_separation(
         "informed",
         values < delta_accept - tol,
         delta_accept - values,
-        lambda i: f"value {values[i]:.6g} below accept threshold",
+        ("value %.6g below accept threshold", (values,)),
     ) + mask_witnesses(
         "uninformed",
         np.array([v_bar > delta_reject + tol]),
-        np.array([v_bar - delta_reject]),
-        f"uninformed value {v_bar:.6g} above reject threshold",
-        index=lambda h: np.full_like(h, -1),  # -1: the uninformed belief
+        v_bar - delta_reject,
+        ("uninformed value %.6g above reject threshold", (v_bar,)),
+        index=(-1,),  # -1: the uninformed belief
     )
     info = {"values_in": values.tolist(), "value_bar": v_bar, "tol": tol}
     return CheckReport.from_witnesses(witnesses, info)
@@ -328,7 +331,6 @@ def make_decision_score(
 
     flat = reports.reshape(m, -1)
     d = _grad_rows(g, flat).reshape(reports.shape)  # raises for G's domain first
-    base = eval_convex(g, flat) - (d * reports).reshape(m, -1).sum(axis=1)
     live = decisions > INTERIOR_EPS
     stray = ~live & (np.abs(d).max(axis=2) > tol)
     if stray.any():
@@ -337,8 +339,11 @@ def make_decision_score(
             f"report {k}: subgradient is nonzero on action {i} "
             f"which the decision rule never takes"
         )
-    share = np.divide(d, decisions[:, :, None], out=np.zeros_like(d), where=live[:, :, None])
-    scores = np.where(live[:, :, None], base[:, None, None] + share, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        base = eval_convex(g, flat) - (d * reports).reshape(m, -1).sum(axis=1)
+        share = np.divide(d, decisions[:, :, None], out=np.zeros_like(d), where=live[:, :, None])
+        scores = np.where(live[:, :, None], base[:, None, None] + share, 0.0)
+    _overflow(scores, "the decision score", reports)
     unconstrained = [np.flatnonzero(~row).tolist() for row in live]
     return DecisionScoreSpec(
         n_actions=n_actions,
@@ -369,12 +374,13 @@ def check_truthful(
     if len(score) != len(ts):
         raise DimensionMismatchError("score table must have one report per type")
     gains = deviation_gains(score.payoff_matrix(ts), np.arange(len(ts)), axis=0)
+    report, type_ = np.ogrid[: len(ts), : len(ts)]  # gains[report, type]
     witnesses = mask_witnesses(
         "deviation",
         (gains > tol) & ~np.eye(len(ts), dtype=bool),
         gains,
-        "type {1} prefers report {0}".format,
-        index=lambda h: h[:, ::-1],
+        ("type %d prefers report %d", (type_, report)),
+        index=(type_, report),
     )
     best = float(gains[~np.eye(len(ts), dtype=bool)].max(initial=-np.inf))
     min_slack = 0.0 if len(ts) == 1 else None if best == -np.inf else -best

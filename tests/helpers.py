@@ -156,12 +156,12 @@ def loop_check_truthful(score, ts, tol):
     return CheckReport.from_witnesses(out, {"tol": tol, "min_slack": min_slack})
 
 
-def loop_check_revenue_equivalence(ts, fam, t0, tol):
+def loop_check_revenue_equivalence(ts, fam, t0, tol, paths=None):
     """The target loop ``check_revenue_equivalence`` had, on the library's
-    longest paths (the families here are implementable)."""
+    longest paths (the families here are implementable).  ``paths``, when
+    given, stands for the two path arrays: from t0, and to t0."""
     weights = cmon_weights(ts, fam)
-    fwd = longest_paths(weights, source=t0, tol=tol).dist
-    bwd = longest_paths(weights.T, source=t0, tol=tol).dist
+    fwd, bwd = paths or (longest_paths(w, source=t0, tol=tol).dist for w in (weights, weights.T))
     witnesses = []
     for target in range(len(ts)):
         if target == t0:
@@ -219,6 +219,23 @@ def loop_check_wmon_cells(sites, sample, tol):
                     Witness("pair", (a, b), float(slack), f"labels ({la}, {lb}) break monotonicity")
                 )
     return CheckReport.from_witnesses(out, {"tol": tol})
+
+
+def loop_check_expert_separation(table, p_in, p_bar, delta_accept, delta_reject, tol):
+    """The belief loop of ``check_expert_separation``."""
+    beliefs = [np.asarray(p, dtype=float) for p in list(p_in) + [p_bar]]
+    best = [max(loop_expected_score(table, q, b) for q in range(len(table))) for b in beliefs]
+    values, v_bar = best[:-1], best[-1]
+    out = []
+    for i, value in enumerate(values):
+        if value < delta_accept - tol:
+            detail = f"value {value:.6g} below accept threshold"
+            out.append(Witness("informed", (i,), float(delta_accept - value), detail))
+    if v_bar > delta_reject + tol:
+        detail = f"uninformed value {v_bar:.6g} above reject threshold"
+        out.append(Witness("uninformed", (-1,), float(v_bar - delta_reject), detail))
+    info = {"values_in": values, "value_bar": v_bar, "tol": tol}
+    return CheckReport.from_witnesses(out, info)
 
 
 def loop_check_level_set_convexity(sample, eps):

@@ -210,6 +210,25 @@ def block(kind, index, slack, detail):
     return (kind, np.array(index, dtype=int), np.array(slack, dtype=float), detail)
 
 
+def text(template, *args, choice=None):
+    """A text of a block: ``template`` filled from the columns ``args``,
+    or, with ``choice``, the options ``template`` picked per witness."""
+    if choice is not None:
+        template = (template, np.array(choice))
+    return template, tuple(map(np.array, args))
+
+
+def fill(text, j):
+    """Witness j's kind or detail, filled in by hand."""
+    if isinstance(text, str):
+        return text
+    template, args = text
+    if not isinstance(template, str):
+        options, choice = template
+        template = options[int(choice[j])]
+    return template % tuple(arg[j] for arg in args)
+
+
 def plain_witnesses(blocks):
     """The witnesses of ``blocks``, one ``Witness`` each, built in a loop."""
     out = []
@@ -217,10 +236,10 @@ def plain_witnesses(blocks):
         for j in range(len(slack)):
             out.append(
                 Witness(
-                    kind if isinstance(kind, str) else kind[j],
+                    fill(kind, j),
                     tuple(int(i) for i in index[j]),
                     float(slack[j]),
-                    detail if isinstance(detail, str) else detail[j],
+                    fill(detail, j),
                 )
             )
     return out
@@ -230,20 +249,32 @@ INF = math.inf
 BLOCKS = {
     "one index, fixed detail": [block("target", [[3], [0]], [0.5, 2.0], "surplus [0, 1]")],
     "two indices, per-witness detail": [
-        block("deviation", [[1, 0], [0, 2]], [1 / 3, 5e-324], ["type 1 prefers 0", "type 0"])
+        block("deviation", [[1, 0], [0, 2]], [1 / 3, 5e-324], text("type %d to %d", [1, 0], [0, 2]))
     ],
     "three indices": [block("sandwich", [[0, 5, 2], [7, 1, 9]], [0.1, -0.0], "between")],
     "no hits": [block("pair", np.zeros((0, 2)), [], "never written")],
     "non-ASCII and % in fixed texts": [
         block("é %d", [[0, 1]], [1e308], 'é € \U0001d11e 100% "q" \\ %s')
     ],
-    "non-ASCII per witness": [block(["tie", "€"], [[0], [1]], [2.0, 3.0], ["\x00", "%%"])],
+    "non-ASCII per witness": [
+        block(
+            text(("tie", "€"), choice=[0, 1]),
+            [[0], [1]],
+            [2.0, 3.0],
+            text(("\x00 %d\"", "%%%.0s é"), [5, -7], choice=[True, False]),
+        )
+    ],
     "-inf slack": [block("pair", [[0, 1], [1, 0], [2, 2]], [-INF, 1.5, -INF], "x")],
     "several blocks": [
         block("fenchel-young", [[0, 0]], [1.0], "a"),
         block("difference", np.zeros((0, 2)), [], "b"),
-        block("cycle", [[0, 1, 2]], [-1e-17], "c"),
-        block("target", [[4], [6]], [2.5, -INF], ["d", "e"]),
+        block("cycle", [[0, 1, 2]], [-1e-17], text("c")),
+        block(
+            "target",
+            [[4], [6], [8]],
+            [2.5, -INF, 0.5],
+            text("[%.6g, %.6g]", [-0.0, -INF, 1e16], [INF, 1e-7, 5e-324]),
+        ),
     ],
 }
 
@@ -272,23 +303,53 @@ def test_columns_concatenate_and_unpack():
     assert not second and isinstance(first + second, WitnessColumns)
 
 
+#: template args may be any float: a text holds "inf" or "nan" as it is
+ARG_FLOATS = FLOATS + [math.inf, math.nan]
+
+
+def random_witness_text(rng, n):
+    """A random text of a block of n: fixed, or a template of random text
+    and number fields over int and float columns, picked per witness or not."""
+    if rng.integers(0, 3) == 0:
+        return random_text(rng)
+    fields = [str(rng.choice(["%d", "%.6g", "%.17g"])) for _ in range(rng.integers(0, 3))]
+    args = [
+        rng.choice(INTS[:4], size=n) if field == "%d" else rng.choice(ARG_FLOATS, size=n)
+        for field in fields
+    ]
+
+    def template():  # a field may be dropped: %.0s takes its argument and writes nothing
+        pieces = [random_text(rng).replace("%", "%%")]
+        for field in fields:
+            pieces.append("%.0s" if rng.integers(0, 4) == 0 else field)
+            pieces.append(random_text(rng).replace("%", "%%"))
+        return "".join(pieces)
+
+    if rng.integers(0, 2):
+        return text(template(), *args)
+    options = tuple(template() for _ in range(rng.integers(1, 4)))
+    return text(options, *args, choice=rng.integers(0, len(options), size=n))
+
+
 def test_random_columns_print_as_their_witness_dicts():
     rng = np.random.default_rng(11)
     for _ in range(200):
         blocks = []
         for _ in range(rng.integers(0, 4)):
             n, k = int(rng.integers(0, 4)), int(rng.integers(1, 4))
-            texts = [random_text(rng) for _ in range(n)]
             blocks.append(
                 block(
-                    random_text(rng) if rng.integers(0, 2) else texts[::-1],
+                    random_witness_text(rng, n),
                     rng.integers(-(2**62), 2**62, size=(n, k)),
                     [float(rng.choice(FLOATS)) for _ in range(n)],
-                    random_text(rng) if rng.integers(0, 2) else texts,
+                    random_witness_text(rng, n),
                 )
             )
         witnesses = plain_witnesses(blocks)
-        assert dumps(WitnessColumns(blocks)) == loop_dumps([w.to_obj() for w in witnesses])
+        columns = WitnessColumns(blocks)
+        assert dumps(columns) == loop_dumps([w.to_obj() for w in witnesses])
+        assert list(columns) == witnesses
+        assert [columns[i] for i in range(-len(columns), len(columns))] == witnesses * 2
 
 
 @pytest.mark.parametrize(

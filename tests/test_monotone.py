@@ -391,6 +391,16 @@ class TestLocalTruthful:
         with pytest.raises(ValueError, match=message):
             check_local_truthful(score, TWO, report_of=[0, entry], radius=2.0)
 
+    @pytest.mark.parametrize(
+        "report_of", [np.array([0.0, np.nan]), [0, np.float64("nan")]], ids=["array", "list"]
+    )
+    def test_numpy_nan_is_named_without_a_cast_warning(self, report_of):
+        # numpy warns when it casts a numpy nan to int; the suite makes that an error
+        score = make_direct_score(SquaredNorm(), TWO)
+        message = re.escape(f"report_of holds {report_of[1]!r}, which is not a report index")
+        with pytest.raises(ValueError, match=message):
+            check_local_truthful(score, TWO, report_of, radius=2.0)
+
     @pytest.mark.parametrize("entry", [1.5, "1"])
     def test_report_that_is_no_whole_number_is_named(self, entry):
         # np.asarray(..., dtype=int) would read 1.5 as report 1

@@ -25,6 +25,7 @@ from elicit import (
     elicitation_game_equilibria,
     eval_convex,
     homothet_transform,
+    make_decision_score,
     make_direct_score,
     make_scoring_rule,
     subgradient,
@@ -98,6 +99,11 @@ CASES = [
         "make_scoring_rule",  # G(p) = 1e308 and d[omega] = 1e308
         lambda: make_scoring_rule(MaxAffine([[BIG, BIG]], [0.0]), [[0.5, 0.5]]),
         "payoff must be finite or -inf, got inf",
+    ),
+    (
+        "make_decision_score",  # G_Q[0, 0] / D_0(Q) = 1e308 / 1e-10
+        lambda: make_decision_score(MaxAffine([[BIG, 0.0]], [0.0]), [[1e-10, 1.0 - 1e-10]], [[[1.0], [1.0]]]),
+        r"the decision score overflows the float range at \[\[1.0\], \[1.0\]\]",
     ),
     (
         "check_subgradient_selection",

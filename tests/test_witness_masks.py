@@ -17,6 +17,7 @@ from elicit import (
     SquaredNorm,
     TypeSpace,
     check_duality_identities,
+    check_expert_separation,
     check_level_set_convexity,
     check_local_truthful,
     check_proper,
@@ -34,6 +35,7 @@ from elicit import (
     subgradient,
 )
 from helpers import (
+    loop_check_expert_separation,
     loop_check_level_set_convexity,
     loop_check_local_truthful,
     loop_check_proper,
@@ -103,6 +105,12 @@ def case_local_truthful(rng):
     )
 
 
+#: path values whose interval ends test %.6g at its edges: an infinite
+#: end (no family has one, so these are planted), a signed zero, and
+#: exponents that %.6g writes in e-notation
+EDGE_PATHS = [-np.inf, -0.0, 0.0, 1e-7, -1e-7, 1e16, -1e16, 2.5]
+
+
 def case_revenue_equivalence(rng):
     # subgradients of a random max-affine G: implementable, and a target
     # whose piece differs from the base type's has an interval of width > 0
@@ -111,9 +119,39 @@ def case_revenue_equivalence(rng):
     ts = random_typespace(rng, dim, max_points=25)
     fam = LinearFamily(np.vstack([subgradient(g, t) for t in ts.points]))
     t0 = int(rng.integers(0, len(ts)))
+    if rng.integers(0, 2):
+        return (
+            check_revenue_equivalence(ts, fam, t0=t0),
+            loop_check_revenue_equivalence(ts, fam, t0, 1e-9),
+        )
+    # planted paths from t0 and to t0; -inf ends only in some trials,
+    # since their witnesses' infinite widths cannot be written
+    ends = EDGE_PATHS[int(rng.integers(0, 2)) :]
+    paths = [rng.choice(ends, size=len(ts)) for _ in range(2)]
+    for path in paths:
+        path[t0] = 0.0
+    planted = iter(paths)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("elicit.payments._paths_from", lambda *args: next(planted))
+        report = check_revenue_equivalence(ts, fam, t0=t0)
+    return report, loop_check_revenue_equivalence(ts, fam, t0, 1e-9, paths)
+
+
+def case_expert_separation(rng):
+    # a noisy log score at a scale where %.6g writes e-notation or not;
+    # thresholds at the beliefs' own values, so about half of them fail
+    table = make_scoring_rule(NegEntropy(), simplex_grid(3, 4))
+    scale = float(rng.choice([1.0, 1e-7, 1e16]))
+    payoffs = scale * (table.payoffs + rng.normal(0, 0.3, table.payoffs.shape))
+    table = OutcomeScoreTable(table.reports, payoffs)
+    p_in = rng.dirichlet(np.ones(3), size=int(rng.integers(1, 8)))
+    p_bar = rng.dirichlet(np.ones(3))
+    values = table.payoff_matrix(np.vstack([p_in, p_bar])).max(axis=1)
+    delta_accept = float(rng.choice(values[:-1]))
+    delta_reject = float(values[-1] + scale * rng.uniform(-0.1, 0.1))
     return (
-        check_revenue_equivalence(ts, fam, t0=t0),
-        loop_check_revenue_equivalence(ts, fam, t0, 1e-9),
+        check_expert_separation(table, p_in, p_bar, delta_accept, delta_reject),
+        loop_check_expert_separation(table, p_in, p_bar, delta_accept, delta_reject, 1e-9),
     )
 
 
@@ -251,7 +289,17 @@ CASES = {
     "check_proper/log": case_proper_log,
     "check_proper/ties": case_proper_ties,
     "check_duality_identities": case_duality,
+    "check_expert_separation": case_expert_separation,
 }
+
+
+def _written(write, report):
+    """The text ``write`` gives for ``report``, or the error it raises: a
+    witness whose slack is infinite cannot be written."""
+    try:
+        return write(report)
+    except ValueError as error:
+        return f"ValueError: {error}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -260,11 +308,41 @@ def test_mask_verifier_prints_what_the_loops_print(name):
     failing = 0
     for _ in range(TRIALS):
         report, reference = CASES[name](rng)
-        assert jsonio.dumps(report.to_obj()) == report_text(reference)
-        assert list(report.witnesses) == list(reference.witnesses)
+        written = _written(lambda r: jsonio.dumps(r.to_obj()), report)
+        assert written == _written(report_text, reference)
+        witnesses = list(reference.witnesses)
+        assert list(report.witnesses) == witnesses
+        n = len(witnesses)
+        assert [report.witnesses[i] for i in range(-n, n)] == witnesses * 2
+        assert report.witnesses[1::2] == witnesses[1::2]
+        assert report.witnesses[::-3] == witnesses[::-3]
         failing += not report.passed
     # the comparison is only worth something on failing inputs
     assert failing >= TRIALS // 2
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_witness_blocks_hold_no_text_per_witness(name):
+    # a block holds its kind and detail as templates over numeric columns,
+    # filled in only when a witness is read or written; a list of one str
+    # per witness would bring back a str.format call per witness per check
+    rng = np.random.default_rng([2025, sorted(CASES).index(name)])
+    report, _ = CASES[name](rng)
+    while report.passed:
+        report, _ = CASES[name](rng)
+
+    def parts(obj):
+        if isinstance(obj, tuple):
+            for item in obj:
+                yield from parts(item)
+        else:
+            yield obj
+
+    for block in report.witnesses.blocks:
+        for part in parts(block):
+            assert isinstance(part, str) or (
+                isinstance(part, np.ndarray) and part.dtype.kind in "biuf"
+            ), type(part)
 
 
 def test_subgradient_selection_is_truthfulness_of_the_tangent_score():
