@@ -237,22 +237,15 @@ def _fill(text, n: int):
 
 @dataclass
 class CheckReport:
-    """Outcome of a verification: ``passed`` iff ``witnesses`` is empty.
-    ``witnesses`` is a list of :class:`Witness` or a
-    :class:`WitnessColumns`."""
+    """Outcome of a verification: its certificate, a :class:`WitnessColumns`
+    (empty when the check passed), and the work it did in ``info``."""
 
-    passed: bool
-    witnesses: Sequence
+    witnesses: WitnessColumns
     info: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed != (len(self.witnesses) == 0):
-            raise ValueError("passed flag inconsistent with witness list")
-
-    @classmethod
-    def from_witnesses(cls, witnesses, info=None) -> "CheckReport":
-        witnesses = witnesses if isinstance(witnesses, WitnessColumns) else list(witnesses)
-        return cls(passed=not witnesses, witnesses=witnesses, info=dict(info or {}))
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
     def to_obj(self) -> dict:
         """The document ``jsonio.dumps`` writes for this report.  Its
@@ -276,8 +269,14 @@ def mask_witnesses(kind, mask, slack, detail, index=None) -> WitnessColumns:
     if not len(hits):  # a passing check builds nothing
         return WitnessColumns()
 
+    # id -> (column, its values at the hits): a column given twice is gathered
+    # once, and holding it keeps its id from passing to a later temporary
+    gathered = {}
+
     def at_hits(column) -> np.ndarray:
-        return np.broadcast_to(column, mask.shape).ravel().take(hits)
+        if id(column) not in gathered:
+            gathered[id(column)] = column, np.broadcast_to(column, mask.shape).ravel().take(hits)
+        return gathered[id(column)][1]
 
     if index is None:
         index = np.stack(np.unravel_index(hits, mask.shape), axis=1)
@@ -638,7 +637,7 @@ def check_subgradient_selection(
     witnesses = mask_witnesses(
         "pair", mask, gains, "subgradient inequality violated"
     )
-    return CheckReport.from_witnesses(witnesses, {"tol": tol})
+    return CheckReport(witnesses, {"tol": tol})
 
 
 def bregman_divergence(g: ConvexSpec, t, t_report) -> float:

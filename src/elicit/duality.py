@@ -26,6 +26,7 @@ from .core import (
     ConvexSpec,
     SquaredNorm,
     TypeSpace,
+    WitnessColumns,
     _eval_rows,
     _overflow,
     conjugate,
@@ -109,10 +110,15 @@ def check_duality_identities(
     (b) A(d, t) - A*(t, d) equals G(t) - G*(d) within tol;
     (c) the mixed divergence G(t) + G*(d) - <t, d> agrees between its
         two evaluation orders within tol.
+
+    With no duals there is no pair: a vacuous pass, every ``max_*`` 0.0.
     """
     require_positive(tol)
     duals = _dual_rows(duals)
     evals = _eval_rows(g, grid.points)
+    if len(duals) == 0:
+        maxima = ("max_fenchel_young_violation", "max_difference_violation", "max_divergence_gap")
+        return CheckReport(WitnessColumns(), {"tol": tol, **dict.fromkeys(maxima, 0.0)})
     conjs = conjugate_value(g, duals, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         inner = grid.points @ duals.T  # inner[i, j] = <t_i, d_j>
@@ -146,7 +152,7 @@ def check_duality_identities(
         "max_difference_violation": float(np.abs(diff_identity).max()),
         "max_divergence_gap": float(np.abs(div_gap).max()),
     }
-    return CheckReport.from_witnesses(witnesses, info)
+    return CheckReport(witnesses, info)
 
 
 @dataclass

@@ -7,7 +7,8 @@ string "-inf"; +inf and nan are rejected.
 
 The writer, :func:`dumps`, dispatches on the exact type of each value.
 float, str, int, list, tuple and dicts whose keys are all str are
-rendered directly, and so are a :class:`Witness` and a :class:`WitnessColumns`;
+rendered directly, and so is a :class:`WitnessColumns`, the witnesses of
+every report (``CheckReport.witnesses``) and of an infeasible weight fit;
 numpy scalars and arrays, bool, None, subclasses of the builtin types
 and dicts with other keys are first turned into the builtin value they stand for.
 """
@@ -28,7 +29,6 @@ from .core import (
     ScoreTable,
     SquaredNorm,
     TypeSpace,
-    Witness,
     WitnessColumns,
     _as_matrix,
     _fill,
@@ -140,9 +140,6 @@ def _write(obj: Any, emit, plans: dict) -> None:
         emit("}" if plan else "{}")
     elif kind is WitnessColumns:
         emit("[" + ",".join(_witness_text(*block) for block in obj.blocks) + "]")
-    elif kind is Witness:  # a block of one
-        indices = np.array(obj.indices, dtype=int).reshape(1, -1)
-        emit(_witness_text(obj.kind, indices, np.array([obj.slack], dtype=float), obj.detail))
     else:
         _write_other(obj, emit, plans)
 
@@ -197,8 +194,9 @@ def dumps(obj: Any) -> str:
     - a str: ASCII text with every other character escaped, as
       ``json.dumps`` writes it;
     - a list, tuple or numpy array: an array of its items;
-    - a ``Witness``: its ``to_obj()`` dict; a ``WitnessColumns``: the
-      array of those of its witnesses, built from the columns;
+    - a ``WitnessColumns``, which ``report.witnesses`` always is: the
+      array of its witnesses' ``Witness.to_obj()`` dicts, written straight
+      from the columns;
     - a dict: an object with the keys as ``str(key)`` in sorted order; of
       keys with the same text, each is written with the last one's value.
 

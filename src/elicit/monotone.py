@@ -23,7 +23,7 @@ from .core import (
     LinearFamily,
     ScoreTable,
     TypeSpace,
-    Witness,
+    WitnessColumns,
     deviation_gains,
     mask_witnesses,
     require_positive,
@@ -31,7 +31,6 @@ from .core import (
 
 __all__ = [
     "CheckReport",
-    "Witness",
     "cmon_weights",
     "longest_paths",
     "check_wmon",
@@ -236,7 +235,7 @@ def _wmon_report(w: np.ndarray, tol: float, detail, among=None) -> CheckReport:
     hit = np.triu(pair > tol, 1)
     if among is not None:
         hit &= among
-    return CheckReport.from_witnesses(mask_witnesses("pair", hit, pair, detail), {"tol": tol})
+    return CheckReport(mask_witnesses("pair", hit, pair, detail), {"tol": tol})
 
 
 def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -252,14 +251,9 @@ def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> Ch
     res = longest_paths(w, source=None, tol=tol)
     info = {"tol": tol, "rounds": res.rounds}
     if res.cycle is None:
-        return CheckReport.from_witnesses([], info)
-    witness = Witness(
-        kind="cycle",
-        indices=tuple(res.cycle),
-        slack=res.cycle_weight,
-        detail="positive-weight cycle",
-    )
-    return CheckReport.from_witnesses([witness], info)
+        return CheckReport(WitnessColumns(), info)
+    cycle = ("cycle", np.array([res.cycle]), np.array([res.cycle_weight]), "positive-weight cycle")
+    return CheckReport(WitnessColumns([cycle]), info)
 
 
 def _report_indices(report_of) -> np.ndarray:
@@ -329,4 +323,4 @@ def check_local_truthful(
         "global_passed": global_passed,
         "agrees": local_passed == global_passed,
     }
-    return CheckReport.from_witnesses(witnesses, info)
+    return CheckReport(witnesses, info)

@@ -250,4 +250,4 @@ def check_revenue_equivalence(
         width,
         ("surplus interval [%.6g, %.6g]", (lower, upper)),
     )
-    return CheckReport.from_witnesses(witnesses, {"tol": tol, "base_type": t0})
+    return CheckReport(witnesses, {"tol": tol, "base_type": t0})

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .core import (
     NonPositiveScaleError,
     ScoreTable,
     TypeSpace,
-    Witness,
     WitnessColumns,
     _as_matrix,
     _grad_rows,
@@ -149,7 +148,7 @@ class FitWeightsResult:
 
     feasible: bool
     weights: Optional[np.ndarray] = None
-    witnesses: List[Witness] = field(default_factory=list)
+    witnesses: WitnessColumns = field(default_factory=WitnessColumns)
 
 
 def fit_weights(sites, sample: LabeledSample, tol: float = DEFAULT_TOL) -> FitWeightsResult:
@@ -192,15 +191,10 @@ def fit_weights(sites, sample: LabeledSample, tol: float = DEFAULT_TOL) -> FitWe
     src = np.asarray(res.cycle)
     dst = np.roll(src, -1)
     tightest = np.where(labels[:, None] == src, rel[:, dst], np.inf).argmin(axis=0)
-    witnesses = [
-        Witness(
-            kind="constraint",
-            indices=(k, i, j),
-            slack=float(rel[k, j]),
-            detail=f"point {k} labeled {i} conflicts against site {j}",
-        )
-        for k, i, j in zip(tightest.tolist(), src.tolist(), dst.tolist())
-    ]
+    conflicts = ("point %d labeled %d conflicts against site %d", (tightest, src, dst))
+    witnesses = WitnessColumns(
+        [("constraint", np.stack([tightest, src, dst], axis=1), rel[tightest, dst], conflicts)]
+    )
     return FitWeightsResult(feasible=False, witnesses=witnesses)
 
 
@@ -215,7 +209,7 @@ def check_wmon_cells(
     if len(sample) and sample.labels.max() >= len(sites):
         raise ValueError("sample label exceeds site count")
     if len(sample) == 0:
-        return CheckReport.from_witnesses([], {"tol": tol})
+        return CheckReport(WitnessColumns(), {"tol": tol})
     if sample.points.shape[1] != sites.shape[1]:
         raise DimensionMismatchError("sample dimension != sites dimension")
     labels = sample.labels
@@ -313,7 +307,7 @@ def check_level_set_convexity(
             ("label %d point between two label %d points", (labels, labels[a][:, None])),
             index=(a[:, None], b[:, None], np.arange(k)),
         )
-    return CheckReport.from_witnesses(witnesses, {"eps": eps})
+    return CheckReport(witnesses, {"eps": eps})
 
 
 def bregman_to_power(

@@ -241,7 +241,7 @@ def check_proper(
         (detail, (belief, report)),
         index=(truth[:, None], report),
     )
-    return CheckReport.from_witnesses(witnesses, {"tol": tol, "strict": strict})
+    return CheckReport(witnesses, {"tol": tol, "strict": strict})
 
 
 def check_expert_separation(
@@ -271,7 +271,7 @@ def check_expert_separation(
         index=(-1,),  # -1: the uninformed belief
     )
     info = {"values_in": values.tolist(), "value_bar": v_bar, "tol": tol}
-    return CheckReport.from_witnesses(witnesses, info)
+    return CheckReport(witnesses, info)
 
 
 @dataclass
@@ -384,4 +384,4 @@ def check_truthful(
     )
     best = float(gains[~np.eye(len(ts), dtype=bool)].max(initial=-np.inf))
     min_slack = 0.0 if len(ts) == 1 else None if best == -np.inf else -best
-    return CheckReport.from_witnesses(witnesses, {"tol": tol, "min_slack": min_slack})
+    return CheckReport(witnesses, {"tol": tol, "min_slack": min_slack})

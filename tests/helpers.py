@@ -120,7 +120,7 @@ def loop_check_wmon(ts, fam, tol):
             slack = w[i, j] + w[j, i]
             if slack > tol:
                 out.append(Witness("pair", (i, j), float(slack), "weak monotonicity violated"))
-    return CheckReport.from_witnesses(out, {"tol": tol})
+    return CheckReport(out, {"tol": tol})
 
 
 def loop_check_subgradient_selection(g, fam, ts, tol):
@@ -136,7 +136,7 @@ def loop_check_subgradient_selection(g, fam, ts, tol):
                 out.append(
                     Witness("pair", (i, j), float(slack), "subgradient inequality violated")
                 )
-    return CheckReport.from_witnesses(out, {"tol": tol})
+    return CheckReport(out, {"tol": tol})
 
 
 def loop_check_truthful(score, ts, tol):
@@ -153,7 +153,7 @@ def loop_check_truthful(score, ts, tol):
     gains = values - np.diag(values)[None, :]
     best = max((gains[r, i] for r in range(m) for i in range(m) if r != i), default=-np.inf)
     min_slack = 0.0 if m == 1 else None if best == -np.inf else float(-best)
-    return CheckReport.from_witnesses(out, {"tol": tol, "min_slack": min_slack})
+    return CheckReport(out, {"tol": tol, "min_slack": min_slack})
 
 
 def loop_check_revenue_equivalence(ts, fam, t0, tol, paths=None):
@@ -173,7 +173,7 @@ def loop_check_revenue_equivalence(ts, fam, t0, tol, paths=None):
             witnesses.append(
                 Witness("target", (target,), width, f"surplus interval [{lower:.6g}, {upper:.6g}]")
             )
-    return CheckReport.from_witnesses(witnesses, {"tol": tol, "base_type": t0})
+    return CheckReport(witnesses, {"tol": tol, "base_type": t0})
 
 
 def loop_check_local_truthful(score, ts, report_of, radius, tol):
@@ -201,7 +201,7 @@ def loop_check_local_truthful(score, ts, report_of, radius, tol):
         "global_passed": global_passed,
         "agrees": (not found) == global_passed,
     }
-    return CheckReport.from_witnesses(found, info)
+    return CheckReport(found, info)
 
 
 def loop_check_wmon_cells(sites, sample, tol):
@@ -218,7 +218,7 @@ def loop_check_wmon_cells(sites, sample, tol):
                 out.append(
                     Witness("pair", (a, b), float(slack), f"labels ({la}, {lb}) break monotonicity")
                 )
-    return CheckReport.from_witnesses(out, {"tol": tol})
+    return CheckReport(out, {"tol": tol})
 
 
 def loop_check_expert_separation(table, p_in, p_bar, delta_accept, delta_reject, tol):
@@ -235,7 +235,7 @@ def loop_check_expert_separation(table, p_in, p_bar, delta_accept, delta_reject,
         detail = f"uninformed value {v_bar:.6g} above reject threshold"
         out.append(Witness("uninformed", (-1,), float(v_bar - delta_reject), detail))
     info = {"values_in": values, "value_bar": v_bar, "tol": tol}
-    return CheckReport.from_witnesses(out, info)
+    return CheckReport(out, info)
 
 
 def loop_check_level_set_convexity(sample, eps):
@@ -263,7 +263,7 @@ def loop_check_level_set_convexity(sample, eps):
                         f"label {int(labels[a])} points"
                     )
                     out.append(Witness("sandwich", (a, b, c), float(eps - dist), detail))
-    return CheckReport.from_witnesses(out, {"eps": eps})
+    return CheckReport(out, {"eps": eps})
 
 
 def loop_expected_score(table, q, belief) -> float:
@@ -311,7 +311,7 @@ def loop_check_proper(table, beliefs, strict, tol):
                             "strictness fails: deviation ties",
                         )
                     )
-    return CheckReport.from_witnesses(out, {"tol": tol, "strict": strict})
+    return CheckReport(out, {"tol": tol, "strict": strict})
 
 
 def loop_duality_witnesses(g, grid, duals, tol):

@@ -9,6 +9,9 @@ import pytest
 
 from elicit import cli, jsonio, make_scoring_rule, simplex_grid
 from helpers import recheck_fit_certificate
+from test_golden import GOLDEN
+
+GOLDEN_INPUTS = GOLDEN / "inputs"
 
 FIG_FAMILY = {
     "typeSpace": {"dim": 1, "points": [[0.0], [1.0], [2.0]]},
@@ -261,6 +264,20 @@ class TestSubcommands:
         eqs = json.loads(out)["equilibria"]
         assert len(eqs) == len(pts)  # each (2t, t) pair is dual-optimal
         assert all(e["dIndex"] == e["tIndex"] for e in eqs)
+
+    @pytest.mark.parametrize("points", [[[0.0], [1.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    def test_duality_check_and_game_without_duals(self, tmp_path, capsys, points):
+        # no dual vector: a vacuous pass, as the game finds no equilibrium
+        g = write(tmp_path, "g.json", {"analytic": "squaredNorm"})
+        grids = write(tmp_path, "grids.json", {"typeSpace": {"points": points}, "duals": []})
+        assert run_cli(["duality-check", g, grids], capsys) == (
+            0,
+            '{"info":{"max_difference_violation":0,"max_divergence_gap":0,'
+            '"max_fenchel_young_violation":0,"tol":1.0000000000000001e-09},'
+            '"passed":true,"witnesses":[]}\n',
+            "",
+        )
+        assert run_cli(["game", g, grids], capsys) == (0, '{"equilibria":[]}\n', "")
 
     def test_check_local(self, tmp_path, capsys):
         doc = {
@@ -775,6 +792,65 @@ class TestInputErrors:
         # each used to be truncated: dim 1, nOutcomes 1, report 1
         path = write(tmp_path, "doc.json", doc)
         self.assert_usage_error([args[0], path, *args[1:]], capsys, message)
+
+    @pytest.mark.parametrize(
+        "args,doc,message",
+        [
+            (["synth-payments", "{fam}", "--t0", "99"], None, "base type 99 out of range"),
+            (["rev-interval", "{fam}", "--anchor", "0=0", "--target", "99"], None,
+             "type index 99 out of range"),
+            (["rev-interval", "{fam}", "--anchor", "0", "--target", "1"], None,
+             "anchor must look like INDEX=VALUE, got '0'"),
+            (["make-score", "--g", "brier", "--reports", "grid:0"], None,
+             "need n_outcomes >= 1 and denominator >= 1"),
+            (["homothet", "{diagram}", "--alpha", "2", "--p0", "1,2,3"], None,
+             "offset dimension != diagram dimension"),
+            (["level-convexity", "{f}"], {"points": [], "labels": []}, "sample must be nonempty"),
+            (["fit-weights", "{sites}", "{f}"], {"points": [[0.0, 0.0]], "labels": [9]},
+             "sample label exceeds site count"),
+            (["fit-weights", "{sites}", "{f}"], {"points": [[0.0]], "labels": [0]},
+             "sample dimension != sites dimension"),
+            (["level-convexity", "{f}"], {"points": [[0.0], [1.0]], "labels": [0, -1]},
+             "labels must be nonnegative indices"),
+            (["level-convexity", "{f}"], {"points": [[0.0], [1.0]], "labels": [0]},
+             "one label per point required"),
+            (["power-label", "{f}", "{points}"], {"sites": [], "weights": []},
+             "diagram needs at least one site"),
+            (["power-label", "{f}", "{points}"], {"sites": [[0.0, 0.0]], "weights": [0.0, 1.0]},
+             "one weight per site required"),
+            (["myerson", "{f}", "--t", "0.5"], {"breakpoints": [0.0, 1.0], "values": [0.0]},
+             "need one value per breakpoint, at least one each"),
+            (["myerson", "{f}", "--t", "0.5"], {"breakpoints": [0.0, 1.0, 1.0],
+                                                "values": [0.0, 1.0, 2.0]},
+             "breakpoints must be strictly increasing"),
+            (["make-score", "--g", "{f}", "--reports", "grid:2"], {"maxAffine": []},
+             "maxAffine must be a nonempty list of pieces"),
+            (["make-score", "--g", "{f}", "--reports", "grid:2"],
+             {"maxAffine": [{"a": [1.0, 0.0], "b": "-inf"}]}, "max-affine intercepts must be finite"),
+            (["make-score", "--g", "{f}", "--reports", "grid:2"], {"analytic": "cubic"},
+             "unknown analytic form 'cubic'"),
+            (["make-score", "--g", "{f}", "--reports", "grid:2"], {},
+             "convex spec needs 'maxAffine' or 'analytic'"),
+            (["check-proper", "{f}"], {"reports": [[1.0, 0.0], [0.0, 1.0]], "payoffs": [[0.0, 0.0]]},
+             "reports and payoffs must be (m, n) alike"),
+            (["check-truthful", "{f}"], {
+                "score": {"reports": [0, 1, 2], "linear": [[0.0], [1.0], [2.0]],
+                          "constant": [0.0, 0.0, 0.0]},
+                "typeSpace": {"points": [[0.0], [1.0]]},
+            }, "score table must have one report per type"),
+        ],
+    )
+    def test_an_input_the_library_rejects_is_a_one_line_error(
+        self, tmp_path, capsys, args, doc, message
+    ):
+        paths = {
+            "f": write(tmp_path, "doc.json", doc),
+            "fam": str(GOLDEN_INPUTS / "family-good.json"),
+            "diagram": str(GOLDEN_INPUTS / "diagram.json"),
+            "sites": str(GOLDEN_INPUTS / "sites.json"),
+            "points": str(GOLDEN_INPUTS / "points.json"),
+        }
+        self.assert_usage_error([a.format(**paths) for a in args], capsys, message)
 
     def test_non_integer_label(self, tmp_path, capsys):
         sample = write(

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from elicit import (
+    DomainError,
     LabeledSample,
     MaxAffine,
+    NegEntropy,
     SquaredNorm,
     TypeSpace,
     biconjugate,
@@ -94,6 +96,31 @@ class TestIdentities:
         report = check_duality_identities(HALF_SQ, grid, duals)
         assert report.passed
 
+
+    @pytest.mark.parametrize(
+        "g,grid,duals",
+        [
+            (HALF_SQ, GRID3, []),
+            (SquaredNorm(), lattice_2d(n=3), []),
+            (SquaredNorm(), lattice_2d(n=3), np.zeros((0, 2))),
+        ],
+    )
+    def test_no_duals_is_a_vacuous_pass(self, g, grid, duals):
+        # no (t, d) pair to check; the game on the same grids has no equilibrium
+        report = check_duality_identities(g, grid, duals)
+        assert report.passed and len(report.witnesses) == 0
+        assert report.info == {
+            "tol": 1e-9,
+            "max_fenchel_young_violation": 0.0,
+            "max_difference_violation": 0.0,
+            "max_divergence_gap": 0.0,
+        }
+        assert elicitation_game_equilibria(g, grid, duals, grid) == []
+
+    def test_no_duals_still_checks_the_grid(self):
+        off_simplex = TypeSpace([[2.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(DomainError, match=r"point \[2.0, 0.0\] is not on the probability"):
+            check_duality_identities(NegEntropy(), off_simplex, [])
 
 class TestBiconjugate:
     def test_squared_norm_fixed_point(self):

@@ -284,8 +284,8 @@ def test_columns_print_as_their_witness_dicts(name):
     blocks = BLOCKS[name]
     witnesses = plain_witnesses(blocks)
     columns = WitnessColumns(blocks)
-    report = CheckReport.from_witnesses(columns, {"tol": 1e-9, "name": name})
-    reference = CheckReport.from_witnesses(witnesses, {"tol": 1e-9, "name": name})
+    report = CheckReport(columns, {"tol": 1e-9, "name": name})
+    reference = CheckReport(witnesses, {"tol": 1e-9, "name": name})
     assert dumps(report.to_obj()) == report_text(reference)
     assert dumps(columns) == loop_dumps([w.to_obj() for w in witnesses])
     # and columns act as the sequence of those witnesses
@@ -359,24 +359,32 @@ def test_random_columns_print_as_their_witness_dicts():
 )
 def test_a_slack_of_inf_or_nan_raises_as_a_float_does(slacks, message):
     blocks = [block("pair", [[0, 1]], [0.5], "fine"), block("pair", [[1, 0]] * len(slacks), slacks, "x")]
-    report = CheckReport.from_witnesses(WitnessColumns(blocks), {"tol": 1e-9})
-    reference = CheckReport.from_witnesses(plain_witnesses(blocks), {"tol": 1e-9})
+    report = CheckReport(WitnessColumns(blocks), {"tol": 1e-9})
+    reference = CheckReport(plain_witnesses(blocks), {"tol": 1e-9})
     for fn, arg in ((dumps, report.to_obj()), (report_text, reference)):
         with pytest.raises(ValueError) as info:
             fn(arg)
         assert str(info.value) == message
 
 
-def test_a_plain_witness_prints_as_its_dict():
+def test_one_witness_blocks_print_as_their_dicts_and_a_plain_witness_is_not_written():
+    # every certificate is a WitnessColumns; a lone Witness is a value
+    # the writer does not know
     witnesses = [
         Witness("constraint", (3, 0, 1), -2.5, "point 3 labeled 0 conflicts against site 1"),
         Witness("uninformed", (-1,), 0.125),
         Witness("cycle", (np.int64(2), np.int64(0)), np.float64(-INF), "é"),
         Witness("none", (), 1e-300, "%s"),
     ]
-    for w in witnesses:
-        assert dumps(w) == loop_dumps(w.to_obj())
-    doc = {"feasible": False, "witnesses": witnesses}
+    blocks = [block(w.kind, [w.indices], [w.slack], w.detail) for w in witnesses]
+    for w, one in zip(witnesses, blocks):
+        assert dumps(WitnessColumns([one])) == loop_dumps([w.to_obj()])
+        assert list(WitnessColumns([one])) == [w]
+    doc = {"feasible": False, "witnesses": WitnessColumns(blocks)}
     assert dumps(doc) == loop_dumps({**doc, "witnesses": [w.to_obj() for w in witnesses]})
     with pytest.raises(ValueError, match="cannot serialize nan"):
-        dumps(Witness("pair", (0, 1), math.nan))
+        dumps(WitnessColumns([block("pair", [[0, 1]], [math.nan], "")]))
+    for value in (witnesses[0], {"witnesses": witnesses}):
+        with pytest.raises(TypeError) as info:
+            dumps(value)
+        assert str(info.value) == "cannot serialize Witness"

@@ -66,7 +66,7 @@ def test_feasible_weights_are_canonical_and_place_every_point():
     for sites, sample in random_samples(7, 200):
         fit = fit_weights(sites, sample, tol=TOL)
         if fit.feasible:
-            assert fit.witnesses == []
+            assert not fit.witnesses
             assert_in_labeled_cells(sites, sample, fit.weights, TOL)
             assert_canonical(sites, sample, fit.weights, TOL)
             seen += 1

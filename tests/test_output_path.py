@@ -4,7 +4,9 @@ picks the exit code, so every input leaves through the same three doors.
 Exit 0 or 2 prints one canonical JSON line and nothing on stderr; exit
 1 prints one line on stderr and nothing on stdout.  The Hypothesis test
 takes a golden case, replaces one number in one of its input files with
-nan, +-inf or +-1e308 and checks that contract.  A numpy warning would
+nan, +-inf or +-1e308 and checks that contract; the structural test
+deletes one key or item of an input file, or puts a value of the wrong
+type in its place, and checks it again.  A numpy warning would
 raise here (see ``filterwarnings`` in pyproject.toml) and fail the test,
 as would any exception escaping ``main``.
 """
@@ -13,6 +15,7 @@ import contextlib
 import io
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,10 @@ from test_golden import CASES, GOLDEN
 
 INPUTS = GOLDEN / "inputs"
 VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308]
+#: values of the wrong type for almost every field, and a deletion
+WRONG_TYPES = [None, "x", [], {}, [[]]]
+DELETE = object()
+STRUCTURAL_SAMPLE = 1500
 
 
 def _leaves(obj, path=()):
@@ -40,9 +47,14 @@ def _leaves(obj, path=()):
 
 
 def _replace(obj, path, value):
+    """``obj`` with the value at ``path`` replaced by ``value``, or deleted
+    when ``value`` is ``DELETE``."""
     if not path:
         return value
-    obj[path[0]] = _replace(obj[path[0]], path[1:], value)
+    if len(path) == 1 and value is DELETE:
+        del obj[path[0]]
+    else:
+        obj[path[0]] = _replace(obj[path[0]], path[1:], value)
     return obj
 
 
@@ -101,6 +113,46 @@ def test_one_number_made_extreme_leaves_by_one_output(workdir, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv("ELICIT_TOL", raising=False)
         assert_one_output(*_run(argv))
+
+
+def _nodes(obj, path=()):
+    """The path of every value in a decoded JSON document, itself included."""
+    yield path
+    if isinstance(obj, list):
+        for k, item in enumerate(obj):
+            yield from _nodes(item, path + (k,))
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _nodes(obj[key], path + (key,))
+
+
+def _structural_mutations():
+    """(case, argument index, document, path, value) for every input file
+    of every golden case, every path in it and every way to break it there."""
+    out = []
+    for name, args in sorted(CASES.items()):
+        for k, arg in enumerate(args):
+            if (INPUTS / arg).is_file():
+                doc = json.loads((INPUTS / arg).read_text(encoding="utf-8"))
+                for path in _nodes(doc):
+                    for value in WRONG_TYPES + ([DELETE] if path else []):
+                        out.append((name, k, doc, path, value))
+    return out
+
+
+def test_a_field_deleted_or_of_the_wrong_type_leaves_by_one_output(tmp_path, monkeypatch):
+    monkeypatch.delenv("ELICIT_TOL", raising=False)
+    codes = set()
+    mutations = random.Random(14).sample(_structural_mutations(), STRUCTURAL_SAMPLE)
+    for name, k, doc, path, value in mutations:
+        args = CASES[name]
+        argv = [str(INPUTS / a) if (INPUTS / a).is_file() else a for a in args]
+        argv[k] = str(tmp_path / args[k])
+        (tmp_path / args[k]).write_text(json.dumps(_replace(json.loads(json.dumps(doc)), path, value)))
+        code, out, err = _run(argv)
+        assert_one_output(code, out, err)
+        codes.add(code)
+    assert codes == {0, 1, 2}  # some mutants are still valid inputs
 
 
 def test_every_golden_case_has_a_number_to_replace():

@@ -16,6 +16,8 @@ from elicit import (
     ScoreTable,
     SquaredNorm,
     TypeSpace,
+    WitnessColumns,
+    check_cmon,
     check_duality_identities,
     check_expert_separation,
     check_level_set_convexity,
@@ -29,6 +31,7 @@ from elicit import (
     cli,
     eval_convex,
     expected_score,
+    fit_weights,
     jsonio,
     make_scoring_rule,
     simplex_grid,
@@ -273,7 +276,7 @@ def case_duality(rng):
         patch.setattr("elicit.duality.require_positive", lambda x: x)
         report = check_duality_identities(g, grid, duals, tol=tol)
     # the loops give the witnesses only: compare reports without info
-    return CheckReport.from_witnesses(report.witnesses), CheckReport.from_witnesses(
+    return CheckReport(report.witnesses), CheckReport(
         loop_duality_witnesses(g, grid, duals, tol)
     )
 
@@ -343,6 +346,33 @@ def test_witness_blocks_hold_no_text_per_witness(name):
             assert isinstance(part, str) or (
                 isinstance(part, np.ndarray) and part.dtype.kind in "biuf"
             ), type(part)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_report_holds_witness_columns(name):
+    # one certificate type: passing or failing, a report's witnesses are
+    # a WitnessColumns, never a list of Witness
+    rng = np.random.default_rng([2026, sorted(CASES).index(name)])
+    for _ in range(5):
+        report, _ = CASES[name](rng)
+        assert type(report.witnesses) is WitnessColumns
+
+
+def test_a_cycle_and_a_site_conflict_are_witness_columns():
+    ts = TypeSpace([[0.0], [1.0]])
+    passing = check_cmon(ts, LinearFamily([[0.0], [1.0]]))
+    failing = check_cmon(ts, LinearFamily([[1.0], [0.0]]))
+    sites = np.array([[0.0, 3.0], [3.0, 1.0], [1.0, -3.0]])
+    feasible = fit_weights(sites, LabeledSample(points=sites, labels=[0, 1, 2]))
+    sample = LabeledSample(points=[[2.0, 4.0], [-3.0, -2.0], [1.0, -2.0]], labels=[1, 0, 2])
+    infeasible = fit_weights(sites, sample)
+    for result in (passing, failing, feasible, infeasible):
+        assert type(result.witnesses) is WitnessColumns
+    assert passing.passed and not failing.passed
+    assert feasible.feasible and not feasible.witnesses
+    assert not infeasible.feasible and len(infeasible.witnesses) == 3
+    (cycle,) = failing.witnesses
+    assert (cycle.kind, sorted(cycle.indices), cycle.slack) == ("cycle", [0, 1], 1.0)
 
 
 def test_subgradient_selection_is_truthfulness_of_the_tangent_score():
