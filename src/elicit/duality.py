@@ -177,11 +177,13 @@ def elicitation_game_equilibria(
 ) -> List[Equilibrium]:
     """Pure equilibria of the two-player elicitation game on finite
     strategy grids: the pairs where Fenchel-Young holds with equality
-    within ``eq_tol``.  Conjugates are evaluated over ``grid``."""
+    within ``eq_tol``.  Conjugates are evaluated over ``grid``.  G is
+    evaluated on ``t_grid`` even with no duals, so a point outside the
+    domain of G is an error, not an empty list of equilibria."""
     d_grid = _dual_rows(d_grid)
+    evals = _eval_rows(g, t_grid.points)
     if len(d_grid) == 0:
         return []
-    evals = _eval_rows(g, t_grid.points)
     conjs = conjugate_value(g, d_grid, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         inner = d_grid @ t_grid.points.T  # inner[j, i] = <d_j, t_i>

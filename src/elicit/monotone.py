@@ -52,8 +52,8 @@ def cmon_weights(ts: TypeSpace, fam: LinearFamily) -> np.ndarray:
 def _cmon_weights(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """:func:`cmon_weights` on aligned arrays, whose points may repeat."""
     with np.errstate(over="ignore", invalid="ignore"):
-        inner = vectors @ points.T
-        w = inner - np.diag(inner)[:, None]
+        w = vectors @ points.T
+        w -= np.diag(w).copy()[:, None]
         # nan when a weight is nan; +inf when a sum of m weights could overflow
         bound = len(w) * np.maximum(w.max(initial=0.0), -w.min(initial=0.0))
     if not bound < np.inf:
@@ -70,6 +70,15 @@ def _cmon_weights(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 #: so earlier walks would mostly tax inputs that pass.
 _FIRST_WALK = 8
 
+#: A round adds the distances to the weight columns of the active nodes
+#: only, those whose distance changed in the round before, when they are
+#: at most a share (m - 64) / (m + 192) of the m nodes: none up to 64
+#: nodes, a quarter at 160, a half at 320, two thirds at 640.  Gathering
+#: the columns has a fixed cost, and a graph of up to a few hundred nodes
+#: fits in cache, where adding the whole matrix is cheap per edge, so a
+#: larger frontier takes the full round.
+_GATHER_FROM = 64
+
 
 @dataclass
 class LongestPathResult:
@@ -78,6 +87,7 @@ class LongestPathResult:
     cycle: Optional[list]
     cycle_weight: float = 0.0
     rounds: int = 0
+    edges_examined: int = 0
 
 
 def longest_paths(
@@ -93,10 +103,26 @@ def longest_paths(
     ignored.  ``source=None`` uses a virtual source connected to every
     node with weight 0, which turns the run into a pure positive-cycle
     detector.  Relaxations must improve by more than an epsilon of
-    ``tol / 4m`` so float noise cannot masquerade as a cycle.  Each
-    round reads the weights transposed, ``wt[v, u] = weights[u, v]``, so
-    the best predecessor of every node is one argmax along a contiguous
-    row of a buffer filled in place.
+    ``tol / 4m`` so float noise cannot masquerade as a cycle.
+
+    Each round reads the weights transposed, ``wt[v, u] = weights[u, v]``,
+    in the columns u of the active nodes only: those whose ``dist``
+    changed in the round before, and at the start every node of finite
+    ``dist`` (all of them with ``source=None``, else the source).  The
+    best predecessor of every node is the first argmax along a row of a
+    buffer the columns are gathered into; a frontier too large to gather
+    with profit (see ``_GATHER_FROM``) reads every column instead.  Such
+    frontier rounds give the same improved nodes, distances and
+    predecessors as rounds over every edge, bit for bit.  An edge u -> v
+    out of an inactive node offers ``-inf`` while ``dist[u]`` is
+    ``-inf``; otherwise it was read in the round after ``dist[u]`` last
+    changed, which left ``dist[v] + eps`` at least ``dist[u] +
+    weights[u, v]``.  As ``dist[v]`` never decreases, the edge neither
+    improves v nor ties the best candidate of a v that improves.  The
+    active nodes stay in index order, so ties go to the same first
+    predecessor.
+    ``edges_examined`` counts m times the columns read, over every round
+    and the final scan: a work count that repeats exactly.
 
     A positive cycle usually shows up early as a cycle of the
     predecessor array, so that array is walked after rounds 8, 16, 32,
@@ -136,26 +162,40 @@ def longest_paths(
         return LongestPathResult(dist, pred, None)
 
     nodes = np.arange(m)
-    cand = np.empty_like(wt)
-    arg = np.empty(m, dtype=np.intp)
-    rounds = 0
+    buf = np.empty(m * m)
+    full = buf.reshape(m, m)
+    most = m * (m - _GATHER_FROM) // (m + 3 * _GATHER_FROM)  # largest frontier gathered
+    improved = dist > -np.inf  # the first round reads every node of finite dist
+    rounds = edges = 0
     while True:
-        np.add(wt, dist, out=cand)  # cand[v, u] = dist[u] + weights[u, v]
-        cand.argmax(axis=1, out=arg)
-        best = cand[nodes, arg]
-        improved = best > dist + eps
+        if most > 0 and np.count_nonzero(improved) <= most:
+            active = np.flatnonzero(improved)
+            k = len(active)
+            cand = buf[: m * k].reshape(m, k)
+            np.take(wt, active, axis=1, out=cand, mode="clip")  # "raise" would buffer
+            cand += dist[active]  # cand[v, j] = dist[u] + weights[u, v], u = active[j]
+            col = cand.argmax(axis=1)
+            best = cand[nodes, col]
+            arg = active[col]
+        else:  # a large frontier reads every column
+            k = m
+            np.add(wt, dist, out=full)  # full[v, u] = dist[u] + weights[u, v]
+            arg = full.argmax(axis=1)
+            best = full[nodes, arg]
+        edges += m * k
+        improved = best > dist + eps  # best and arg are read only where it holds
         if rounds == m - 1:
             break  # this pass is the final scan
         rounds += 1
         if not improved.any():
-            return LongestPathResult(dist, pred, None, rounds=rounds)
+            return LongestPathResult(dist, pred, None, rounds=rounds, edges_examined=edges)
         pred[improved] = arg[improved]
         dist[improved] = best[improved]
         if rounds >= _FIRST_WALK and rounds & (rounds - 1) == 0:
             for cycle in _pred_cycles(pred):
                 w = _cycle_weight(weights, cycle)
                 if w > tol:
-                    return LongestPathResult(dist, pred, cycle, w, rounds)
+                    return LongestPathResult(dist, pred, cycle, w, rounds, edges)
 
     # an edge that still relaxes after m-1 rounds implies a positive cycle
     for v in np.flatnonzero(improved):
@@ -164,8 +204,8 @@ def longest_paths(
             continue
         w = _cycle_weight(weights, cycle)
         if w > tol:
-            return LongestPathResult(dist, pred, cycle, w, rounds)
-    return LongestPathResult(dist, pred, None, rounds=rounds)
+            return LongestPathResult(dist, pred, cycle, w, rounds, edges)
+    return LongestPathResult(dist, pred, None, rounds=rounds, edges_examined=edges)
 
 
 def _pred_cycles(pred: np.ndarray) -> Iterator[list]:
@@ -302,14 +342,7 @@ def check_local_truthful(
     offered = score.payoff_matrix(ts)[report_of]
     gain = deviation_gains(offered, np.arange(len(ts)), axis=0).T
     worst = np.where(gain.T > gain, gain.T, gain)
-    with np.errstate(over="ignore"):
-        diff = ts.points[:, None, :] - ts.points[None, :, :]
-        gaps = np.linalg.norm(diff, axis=-1)
-        # the sum of squares overflows long before the distance does
-        wide = gaps == np.inf
-        if wide.any():
-            gaps[wide] = np.hypot.reduce(diff[wide], axis=-1)
-    local = np.triu(gaps <= radius, 1)
+    local = _near_pairs(ts.points, radius)
     violated = np.triu(worst > tol, 1)
     witnesses = mask_witnesses(
         "pair", local & violated, worst, "misreport gains within pair"
@@ -324,3 +357,26 @@ def check_local_truthful(
         "agrees": local_passed == global_passed,
     }
     return CheckReport(witnesses, info)
+
+
+#: Pairwise differences are formed this many floats at a time, a block of
+#: rows by every later column, instead of as one m x m x dim array.
+_GAP_CELLS = 1 << 16
+
+
+def _near_pairs(points: np.ndarray, radius: float) -> np.ndarray:
+    """The pairs i < j of points at most ``radius`` apart, as an upper
+    triangular m x m mask."""
+    m, dim = points.shape
+    near = np.zeros((m, m), dtype=bool)
+    step = max(1, _GAP_CELLS // max(1, m * dim))
+    with np.errstate(over="ignore"):
+        for lo in range(0, m, step):
+            diff = points[lo : lo + step, None, :] - points[None, lo:, :]
+            gaps = np.linalg.norm(diff, axis=-1)
+            # the sum of squares overflows long before the distance does
+            wide = gaps == np.inf
+            if wide.any():
+                gaps[wide] = np.hypot.reduce(diff[wide], axis=-1)
+            np.less_equal(gaps, radius, out=near[lo : lo + step, lo:])
+    return np.triu(near, 1)

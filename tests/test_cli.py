@@ -279,6 +279,21 @@ class TestSubcommands:
         )
         assert run_cli(["game", g, grids], capsys) == (0, '{"equilibria":[]}\n', "")
 
+    @pytest.mark.parametrize("duals", [[], [[0.0, 0.0]]], ids=["no-duals", "one-dual"])
+    @pytest.mark.parametrize("command", ["duality-check", "game"])
+    def test_a_grid_off_the_domain_is_an_error_with_or_without_duals(
+        self, tmp_path, capsys, command, duals
+    ):
+        g = write(tmp_path, "g.json", {"analytic": "negEntropy"})
+        grids = write(
+            tmp_path, "grids.json", {"typeSpace": {"points": [[2.0, 0.0], [0.5, 0.5]]}, "duals": duals}
+        )
+        assert run_cli([command, g, grids], capsys) == (
+            1,
+            "",
+            "elicit: error: point [2.0, 0.0] is not on the probability simplex (tolerance 1e-09)\n",
+        )
+
     def test_check_local(self, tmp_path, capsys):
         doc = {
             "score": {

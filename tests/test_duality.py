@@ -121,6 +121,10 @@ class TestIdentities:
         off_simplex = TypeSpace([[2.0, 0.0], [0.5, 0.5]])
         with pytest.raises(DomainError, match=r"point \[2.0, 0.0\] is not on the probability"):
             check_duality_identities(NegEntropy(), off_simplex, [])
+        # the game on the same grids, with or without duals
+        for duals in ([], [[0.0, 0.0]]):
+            with pytest.raises(DomainError, match=r"point \[2.0, 0.0\] is not on the probability"):
+                elicitation_game_equilibria(NegEntropy(), off_simplex, duals, off_simplex)
 
 class TestBiconjugate:
     def test_squared_norm_fixed_point(self):

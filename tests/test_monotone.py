@@ -20,14 +20,16 @@ from elicit import (
     rochet_payments,
     subgradient,
 )
-from elicit.monotone import cmon_weights, longest_paths
+from elicit.monotone import _cmon_weights, _near_pairs, cmon_weights, longest_paths
 from helpers import (
     brute_force_cmon,
     columnwise_longest_paths,
     full_rounds_longest_paths,
+    loop_check_local_truthful,
     random_max_affine,
     random_typespace,
     recheck_cycle,
+    report_text,
 )
 
 LINE = TypeSpace([[0.0], [1.0], [2.0]])
@@ -56,6 +58,15 @@ class TestWmon:
 class TestCmon:
     def test_increasing_family_passes(self):
         assert check_cmon(LINE, INCREASING).passed
+
+    def test_weights_subtract_the_diagonal_in_place(self):
+        # w[i, j] = d_i . t_j - d_i . t_i, bit for bit as from a second array
+        rng = np.random.default_rng(850)
+        for m, dim in [(1, 1), (7, 2), (120, 3)]:
+            pts, vecs = rng.normal(size=(m, dim)), rng.normal(size=(m, dim))
+            inner = vecs @ pts.T
+            expected = inner - np.diag(inner)[:, None]
+            assert _cmon_weights(pts, vecs).tobytes() == expected.tobytes()
 
     def test_wmon_failure_shows_as_two_cycle(self):
         report = check_cmon(TWO, DECREASING)
@@ -313,6 +324,116 @@ class TestTransposedKernel:
             assert res.cycle is None
 
 
+def _path_graph(m, off_path):
+    """Edges i -> i + 1 of weight 1, every other edge ``off_path``."""
+    weights = np.full((m, m), off_path)
+    weights[np.arange(m - 1), np.arange(1, m)] = 1.0
+    return weights
+
+
+class TestFrontierRounds:
+    """Each round reads only the edges out of the nodes whose distance
+    changed in the round before, gathering their columns when they are few
+    enough; every result must still equal, bit for bit, that of the
+    column-wise kernel, which reads every edge in every round."""
+
+    TOLS = TestEarlyCycleDetection.TOLS
+
+    @pytest.mark.parametrize("m", [12, 64, 100, 180, 300])
+    def test_integer_weights_match_bitwise(self, m):
+        # integer types with integer gradients repeat types and weights, so
+        # many candidate predecessors tie exactly
+        rng = np.random.default_rng(800 + m)
+        pts = rng.integers(-3, 4, size=(m, 2)).astype(float)
+        weights = _cmon_weights(pts, 2.0 * pts)
+        raw = rng.integers(-6, 2, size=(m, m)).astype(float)
+        for w in (weights, raw, raw - 4.0):
+            for source in (None, 0, int(rng.integers(m)), m - 1):
+                _assert_same_as_columnwise(w, source, float(rng.choice(self.TOLS)))
+
+    @pytest.mark.parametrize("m", [30, 100, 250])
+    def test_unreachable_nodes_match_bitwise(self, m):
+        # a tenth of the nodes have no edge in, so a source never reaches
+        # them; the rest carry the passing gradient family of ||t||^2
+        rng = np.random.default_rng(810 + m)
+        pts = rng.uniform(-1, 1, size=(m, 3))
+        weights = cmon_weights(TypeSpace(pts), LinearFamily(2.0 * pts))
+        cut = rng.choice(m, size=m // 10, replace=False)
+        weights[:, cut] = -np.inf
+        weights[rng.random((m, m)) < 0.2] = -np.inf
+        for source in (None, int(rng.choice(np.setdiff1d(np.arange(m), cut))), int(cut[0])):
+            res = _assert_same_as_columnwise(weights, source, 1e-9)
+            if source is not None:
+                unreached = np.setdiff1d(cut, [source])
+                assert np.all(res.dist[unreached] == -np.inf)
+
+    @pytest.mark.parametrize("m", [40, 64, 100, 200])
+    def test_path_graph_takes_m_minus_1_rounds_of_one_node(self, m):
+        # from node 0, round r reaches node r only: a one-node frontier in
+        # each of the m - 1 rounds and in the final scan
+        res = _assert_same_as_columnwise(_path_graph(m, -np.inf), 0, 1e-9)
+        assert res.rounds == m - 1 and res.cycle is None
+        assert res.dist.tolist() == list(range(m))
+        # up to 64 nodes every round reads every column; beyond, one column
+        assert res.edges_examined == m * m * (m if m <= 64 else 1)
+        # from the virtual source the frontier shrinks by one node a round
+        for off_path in (-np.inf, -1e3):
+            res = _assert_same_as_columnwise(_path_graph(m, off_path), None, 1e-9)
+            assert res.rounds == m - 1 and res.dist.tolist() == list(range(m))
+            if m <= 64:
+                assert res.edges_examined == m**3
+            else:
+                assert m * m * (m + 1) // 2 <= res.edges_examined < m**3
+
+    @pytest.mark.parametrize("m", [50, 64, 100, 200, 400])
+    def test_frontiers_on_both_sides_of_the_gather_rule(self, m):
+        rng = np.random.default_rng(820 + m)
+        pts = rng.uniform(-1, 1, size=(m, 3))
+        g = random_max_affine(rng, 3, max_pieces=12)
+        families = {
+            "gradient": 2.0 * pts,
+            "near-truthful": 2.0 * pts + rng.normal(scale=0.05, size=(m, 3)),
+            "max-affine": np.vstack([subgradient(g, t) for t in pts]),
+        }
+        for kind, vecs in families.items():
+            weights = cmon_weights(TypeSpace(pts), LinearFamily(vecs))
+            for source in (None, int(rng.integers(m))):
+                res = _assert_same_as_columnwise(weights, source, 1e-9)
+                full = res.rounds * m * m
+                if m <= 64:
+                    assert res.edges_examined in (full, full + m * m), kind
+                elif kind == "gradient":
+                    assert res.edges_examined < full, (kind, source)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_every_source_on_small_graphs(self, m):
+        rng = np.random.default_rng(830 + m)
+        for _ in range(10):
+            weights = rng.integers(-3, 2, size=(m, m)).astype(float)
+            weights[rng.random((m, m)) < 0.2] = -np.inf
+            for source in [None] + list(range(m)):
+                _assert_same_as_columnwise(weights, source, float(rng.choice(self.TOLS)))
+
+    def test_edges_examined_counts_the_columns_read(self):
+        # a refuting family keeps every node active until the walk after
+        # round 8 stops it, so each round reads all m^2 edges
+        rng = np.random.default_rng(400)
+        pts = rng.uniform(-2, 2, size=(400, 3))
+        ts = TypeSpace(pts)
+        refuting = cmon_weights(ts, LinearFamily(rng.uniform(-2, 2, size=(400, 3))))
+        res = longest_paths(refuting)
+        assert res.cycle is not None and res.rounds == 8
+        assert res.edges_examined == res.rounds * 400**2
+        # a gradient family's frontier shrinks, and later rounds gather
+        res = longest_paths(cmon_weights(ts, LinearFamily(2.0 * pts)))
+        assert res.cycle is None
+        assert res.edges_examined < res.rounds * 400**2
+        again = longest_paths(cmon_weights(ts, LinearFamily(2.0 * pts)))
+        assert (again.rounds, again.edges_examined) == (res.rounds, res.edges_examined)
+        # the count is no field of check_cmon's info
+        assert set(check_cmon(ts, LinearFamily(2.0 * pts)).info) == {"tol", "rounds"}
+
+
 class TestOverflowingWeights:
     """Finite types and functionals whose weights d_i . (t_j - t_i) leave
     the float range (edge 0 -> 1 weighs +inf), or whose weights are finite
@@ -410,6 +531,41 @@ class TestLocalTruthful:
             check_local_truthful(score, TWO, report_of=[0, entry], radius=2.0)
         report = check_local_truthful(score, TWO, report_of=np.array([0.0, 1.0]), radius=2.0)
         assert report.passed
+
+    @pytest.mark.parametrize("cells", [1, 50, 1 << 16], ids=["row", "rows", "whole"])
+    @pytest.mark.parametrize("dim", [1, 3, 9])
+    def test_row_blocks_match_the_whole_array(self, monkeypatch, cells, dim):
+        # the gaps are formed a block of rows at a time: one row, a few rows
+        # or all of them per block must give the mask of the m x m x dim
+        # array, types at a distance of exactly the radius included, and at
+        # 1e200 the distances whose sum of squares overflows; at dim 9 numpy
+        # sums the squares eight ways at once, not one by one
+        monkeypatch.setattr("elicit.monotone._GAP_CELLS", cells)
+        rng = np.random.default_rng(840 + dim)
+        lattice = np.unique(rng.integers(-4, 5, size=(60, dim)), axis=0).astype(float)
+        for scale in (1.0, 1e200):
+            pts = lattice * scale
+            with np.errstate(over="ignore"):
+                diff = pts[:, None, :] - pts[None, :, :]
+                gaps = np.linalg.norm(diff, axis=-1)
+                wide = gaps == np.inf
+                gaps[wide] = np.hypot.reduce(diff[wide], axis=-1)
+            radius = float(np.sort(gaps[np.triu_indices(len(pts), 1)])[len(pts)])
+            expected = np.triu(gaps <= radius, 1)
+            assert (scale == 1e200) == bool(wide.any())
+            assert np.array_equal(_near_pairs(pts, radius), expected)
+            if scale == 1.0:
+                ts = TypeSpace(pts)
+                m = len(ts)
+                score = ScoreTable(
+                    reports=list(range(m)),
+                    linear=rng.uniform(-1, 1, size=(m, dim)),
+                    constant=rng.uniform(-1, 1, size=m),
+                )
+                report = check_local_truthful(score, ts, range(m), radius)
+                reference = loop_check_local_truthful(score, ts, range(m), radius, 1e-9)
+                assert report.info["checked_pairs"] == int(expected.sum()) > 0
+                assert report_text(report) == report_text(reference)
 
     def test_radius_beyond_diameter_matches_global(self):
         ts = TypeSpace(np.linspace(-1, 1, 9).reshape(-1, 1))
