@@ -31,6 +31,7 @@ __all__ = [
     "DEFAULT_TOL",
     "INTERIOR_EPS",
     "SIMPLEX_TOL",
+    "MAX_MATRIX_CELLS",
     "ElicitError",
     "DomainError",
     "DimensionMismatchError",
@@ -66,6 +67,11 @@ DEFAULT_TOL = 1e-9
 INTERIOR_EPS = 1e-12
 #: Tolerance for simplex membership (sum to one, nonnegativity).
 SIMPLEX_TOL = 1e-9
+#: The most cells of a matrix over pairs, such as the cmon weights of m
+#: types or a payoff matrix: 2^26 floats, 512 MiB.  A larger one is
+#: refused before it is allocated, so whether an input is accepted does
+#: not depend on the memory of the machine.
+MAX_MATRIX_CELLS = 1 << 26
 
 
 class ElicitError(Exception):
@@ -138,6 +144,16 @@ def require_positive(x: float, what: str = "tolerance") -> float:
     if not 0 < x < math.inf:
         raise ValueError(f"{what} must be positive and finite, got {x}")
     return x
+
+
+def _require_cells(rows: int, cols: int, what: str) -> None:
+    """``ValueError`` naming ``what`` when a rows x cols float matrix would
+    have more than ``MAX_MATRIX_CELLS`` cells; call it before allocating."""
+    if rows * cols > MAX_MATRIX_CELLS:
+        raise ValueError(
+            f"{what} would take {rows} x {cols} floats, {8 * rows * cols} bytes, "
+            f"above the limit of {8 * MAX_MATRIX_CELLS} bytes"
+        )
 
 
 def _whole_number(x, what: str) -> int:
@@ -456,9 +472,12 @@ class ScoreTable:
         return float(self.linear[report_idx] @ t + self.constant[report_idx])
 
     def payoff_matrix(self, ts: TypeSpace) -> np.ndarray:
-        """Matrix V[r, i] = score of report r at type i."""
+        """Matrix V[r, i] = score of report r at type i; ``ValueError``,
+        before anything is allocated, when it would have more than
+        ``MAX_MATRIX_CELLS`` entries."""
         if ts.dim != self.dim:
             raise DimensionMismatchError("score table dimension != type space")
+        _require_cells(len(self), len(ts), f"the payoffs of {len(self)} reports at {len(ts)} types")
         with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
             return self.linear @ ts.points.T + self.constant[:, None]
 

@@ -24,6 +24,7 @@ from .core import (
     ScoreTable,
     TypeSpace,
     WitnessColumns,
+    _require_cells,
     deviation_gains,
     mask_witnesses,
     require_positive,
@@ -44,13 +45,16 @@ def cmon_weights(ts: TypeSpace, fam: LinearFamily) -> np.ndarray:
 
     Finite types and functionals can still give weights, or sums of
     weights along a path or cycle of at most m edges, beyond the float
-    range; those raise ``ValueError`` instead of a numpy warning."""
+    range; those raise ``ValueError`` instead of a numpy warning, and so
+    do more than ``core.MAX_MATRIX_CELLS`` weights, before any is formed."""
     fam.check_aligned(ts)
     return _cmon_weights(ts.points, fam.vectors)
 
 
 def _cmon_weights(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """:func:`cmon_weights` on aligned arrays, whose points may repeat."""
+    m = len(vectors)
+    _require_cells(m, len(points), f"the cmon weights of {m} types")
     with np.errstate(over="ignore", invalid="ignore"):
         w = vectors @ points.T
         w -= np.diag(w).copy()[:, None]
@@ -78,6 +82,13 @@ _FIRST_WALK = 8
 #: fits in cache, where adding the whole matrix is cheap per edge, so a
 #: larger frontier takes the full round.
 _GATHER_FROM = 64
+
+#: Work arrays of m x m cells are formed this many floats (256 KiB) at a
+#: time, a block of rows at once, so they stay in a core's cache: the
+#: candidates of a Bellman-Ford round and the pairwise differences of
+#: :func:`_near_pairs`.  A whole m x m float array outgrows a 2 MiB L2
+#: cache from about 500 nodes, and with the weights beside it from 360.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
@@ -108,10 +119,16 @@ def longest_paths(
     Each round reads the weights transposed, ``wt[v, u] = weights[u, v]``,
     in the columns u of the active nodes only: those whose ``dist``
     changed in the round before, and at the start every node of finite
-    ``dist`` (all of them with ``source=None``, else the source).  The
-    best predecessor of every node is the first argmax along a row of a
-    buffer the columns are gathered into; a frontier too large to gather
-    with profit (see ``_GATHER_FROM``) reads every column instead.  Such
+    ``dist`` (all of them with ``source=None``, else the source).  It
+    forms the candidates ``dist[u] + weights[u, v]`` a block of rows v at
+    a time, in one buffer of ``_BLOCK_CELLS`` floats or of one row if
+    that is larger: it gathers the active columns into the buffer, or
+    adds ``dist`` to every column when the frontier is too large to
+    gather with profit (see ``_GATHER_FROM``).  The best predecessor of
+    each node v is the first argmax along its row.  So the kernel holds
+    one m x m array, ``wt``, beside that fixed block, and a graph whose
+    m^2 cells fit in the block takes each round in one piece.  A row
+    sees the same candidates in the same order in any block, and such
     frontier rounds give the same improved nodes, distances and
     predecessors as rounds over every edge, bit for bit.  An edge u -> v
     out of an inactive node offers ``-inf`` while ``dist[u]`` is
@@ -162,8 +179,8 @@ def longest_paths(
         return LongestPathResult(dist, pred, None)
 
     nodes = np.arange(m)
-    buf = np.empty(m * m)
-    full = buf.reshape(m, m)
+    buf = np.empty(max(m, min(m * m, _BLOCK_CELLS)))  # a block, or one row
+    full = buf[: m * m].reshape(m, m) if m * m <= len(buf) else None
     most = m * (m - _GATHER_FROM) // (m + 3 * _GATHER_FROM)  # largest frontier gathered
     improved = dist > -np.inf  # the first round reads every node of finite dist
     rounds = edges = 0
@@ -171,17 +188,20 @@ def longest_paths(
         if most > 0 and np.count_nonzero(improved) <= most:
             active = np.flatnonzero(improved)
             k = len(active)
-            cand = buf[: m * k].reshape(m, k)
-            np.take(wt, active, axis=1, out=cand, mode="clip")  # "raise" would buffer
-            cand += dist[active]  # cand[v, j] = dist[u] + weights[u, v], u = active[j]
-            col = cand.argmax(axis=1)
-            best = cand[nodes, col]
-            arg = active[col]
+            top = dist[active]
         else:  # a large frontier reads every column
-            k = m
-            np.add(wt, dist, out=full)  # full[v, u] = dist[u] + weights[u, v]
-            arg = full.argmax(axis=1)
-            best = full[nodes, arg]
+            active, k, top = None, m, dist
+        step = max(1, _BLOCK_CELLS // k)  # rows of wt per block
+        if step >= m:  # one block holds the round: no slices, no copies
+            cand = full if active is None else buf[: m * k].reshape(m, k)
+            best, arg = _relax(wt, top, active, cand, nodes)
+        else:
+            best = np.empty(m)
+            arg = np.empty(m, dtype=np.intp)
+            for lo in range(0, m, step):
+                hi = min(lo + step, m)
+                cand = buf[: (hi - lo) * k].reshape(hi - lo, k)
+                best[lo:hi], arg[lo:hi] = _relax(wt[lo:hi], top, active, cand, nodes[: hi - lo])
         edges += m * k
         improved = best > dist + eps  # best and arg are read only where it holds
         if rounds == m - 1:
@@ -206,6 +226,21 @@ def longest_paths(
         if w > tol:
             return LongestPathResult(dist, pred, cycle, w, rounds, edges)
     return LongestPathResult(dist, pred, None, rounds=rounds, edges_examined=edges)
+
+
+def _relax(wt_rows, top, active, cand, nodes):
+    """For each row v of ``wt_rows``, a block of rows of ``wt``, the best
+    candidate ``dist[u] + wt_rows[v, u]`` over the columns u of
+    ``active`` in index order (every column if None) and its first
+    argmax u.  ``top`` holds those columns' distances, ``cand`` takes the
+    candidates, and ``nodes`` is ``arange(len(wt_rows))``."""
+    if active is None:
+        np.add(wt_rows, top, out=cand)  # cand[v, u] = dist[u] + weights[u, v]
+    else:
+        np.take(wt_rows, active, axis=1, out=cand, mode="clip")  # "raise" would buffer
+        cand += top
+    col = cand.argmax(axis=1)
+    return cand[nodes, col], (col if active is None else active[col])
 
 
 def _pred_cycles(pred: np.ndarray) -> Iterator[list]:
@@ -359,17 +394,12 @@ def check_local_truthful(
     return CheckReport(witnesses, info)
 
 
-#: Pairwise differences are formed this many floats at a time, a block of
-#: rows by every later column, instead of as one m x m x dim array.
-_GAP_CELLS = 1 << 16
-
-
 def _near_pairs(points: np.ndarray, radius: float) -> np.ndarray:
     """The pairs i < j of points at most ``radius`` apart, as an upper
     triangular m x m mask."""
     m, dim = points.shape
     near = np.zeros((m, m), dtype=bool)
-    step = max(1, _GAP_CELLS // max(1, m * dim))
+    step = max(1, _BLOCK_CELLS // max(1, m * dim))  # rows by every later column
     with np.errstate(over="ignore"):
         for lo in range(0, m, step):
             diff = points[lo : lo + step, None, :] - points[None, lo:, :]

@@ -27,6 +27,7 @@ from .core import (
     _grad_rows,
     _off_simplex,
     _overflow,
+    _require_cells,
     _tangent_score,
     deviation_gains,
     eval_convex,
@@ -109,9 +110,13 @@ class OutcomeScoreTable:
         return len(self.reports)
 
     def _beliefs(self, beliefs) -> np.ndarray:
+        """Belief rows checked for a beliefs x reports matrix of at most
+        ``MAX_MATRIX_CELLS`` entries, which the caller then forms."""
         beliefs = np.asarray(beliefs, dtype=float)
         if beliefs.ndim != 2 or beliefs.shape[1] != self.n_outcomes:
             raise DimensionMismatchError("belief dimension != outcome count")
+        n = len(beliefs)
+        _require_cells(n, len(self), f"the scores of {len(self)} reports under {n} beliefs")
         return beliefs
 
     def payoff_matrix(self, beliefs) -> np.ndarray:

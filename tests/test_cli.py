@@ -1,7 +1,9 @@
 import json
 import math
+import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -876,6 +878,78 @@ class TestInputErrors:
         self.assert_usage_error(
             ["level-convexity", sample], capsys, "labels must be integers"
         )
+
+
+def _line_inputs(tmp_path, m):
+    """Files of m types 0, 1, ..., m - 1 on a line: the passing family of
+    the gradient 2t of t^2 and its truthful tangent score; and a table of
+    the quadratic score, proper, at m reports on the 2-outcome simplex."""
+    points = [[float(i)] for i in range(m)]
+    slopes = [[2.0 * i] for i in range(m)]
+    score = {"reports": list(range(m)), "linear": slopes, "constant": [-float(i * i) for i in range(m)]}
+    reports = [[i / (m - 1), 1.0 - i / (m - 1)] for i in range(m)]
+    payoffs = [[2.0 * x - (p * p + q * q) for x in (p, q)] for p, q in reports]
+    return {
+        "family": write(tmp_path, "family.json", {"typeSpace": {"points": points}, "family": slopes}),
+        "score": write(tmp_path, "score.json", {"score": score, "typeSpace": {"points": points}}),
+        "table": write(tmp_path, "table.json", {"nOutcomes": 2, "reports": reports, "payoffs": payoffs}),
+    }
+
+
+class TestHugeInputs:
+    """An input whose m x m arrays would exceed ``core.MAX_MATRIX_CELLS``
+    exits 1 with one line naming m and the bytes, before any such array
+    is allocated."""
+
+    WEIGHTS = "the cmon weights of {m} types"
+    COMMANDS = [
+        ("check-cmon", "family", WEIGHTS),
+        ("check-wmon", "family", WEIGHTS),
+        ("synth-payments", "family", WEIGHTS),
+        ("check-truthful", "score", "the payoffs of {m} reports at {m} types"),
+        ("check-proper", "table", "the scores of {m} reports under {m} beliefs"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def huge(self, tmp_path_factory):
+        # 200 000 one-dimensional types, a family file of about 5 MB
+        return _line_inputs(tmp_path_factory.mktemp("huge"), 200_000)
+
+    @pytest.mark.parametrize("command,kind,what", COMMANDS, ids=[c[0] for c in COMMANDS])
+    def test_refused_in_one_line(self, huge, command, kind, what, capsys):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
+        code, out, err = run_cli([command, huge[kind]], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"elicit: error: {what.format(m=200000)} would take 200000 x 200000 floats, "
+            "320000000000 bytes, above the limit of 536870912 bytes\n"
+        )
+        # one such matrix would take 320 GB; the process grew by far less
+        # than the 512 MiB of the limit
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        assert grown < (1 << 26) * 8 // 1024
+
+    @pytest.mark.parametrize("command,kind,what", COMMANDS, ids=[c[0] for c in COMMANDS])
+    def test_the_limit_is_checked_before_an_array_that_would_fit(
+        self, tmp_path, monkeypatch, command, kind, what, capsys
+    ):
+        # 300 types need 90 000 cells, 720 kB; with the limit one cell
+        # lower the input is refused, and no such array is traced
+        files = _line_inputs(tmp_path, 300)
+        assert run_cli([command, files[kind]], capsys)[0] == 0
+        monkeypatch.setattr("elicit.core.MAX_MATRIX_CELLS", 300 * 300 - 1)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli([command, files[kind]], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == (
+            f"elicit: error: {what.format(m=300)} would take 300 x 300 floats, "
+            "720000 bytes, above the limit of 719992 bytes\n"
+        )
+        assert peak < 300 * 300 * 8
 
 
 def test_parser_is_built_once_and_a_usage_error_leaves_it_clean(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -434,6 +435,111 @@ class TestFrontierRounds:
         assert set(check_cmon(ts, LinearFamily(2.0 * pts)).info) == {"tol", "rounds"}
 
 
+def _assert_same_in_blocks(monkeypatch, weights, source, tol, cells):
+    """``longest_paths`` with candidate blocks of ``cells`` floats against
+    the whole-matrix references and the kernel at its own block size;
+    returns the blocked result."""
+    whole = longest_paths(weights, source=source, tol=tol)
+    with monkeypatch.context() as patch:
+        patch.setattr("elicit.monotone._BLOCK_CELLS", cells)
+        res = _assert_same_as_columnwise(weights, source, tol)
+    for field in ("dist", "pred"):
+        assert getattr(res, field).tobytes() == getattr(whole, field).tobytes(), field
+    assert (res.cycle, res.cycle_weight, res.rounds, res.edges_examined) == (
+        whole.cycle, whole.cycle_weight, whole.rounds, whole.edges_examined
+    )
+    ref_dist, ref_cycle, _ = full_rounds_longest_paths(weights, source, tol)
+    assert (res.cycle is None) == (ref_cycle is None)
+    if res.cycle is None:
+        assert res.dist.tobytes() == ref_dist.tobytes()
+    return res
+
+
+class TestRowBlocks:
+    """Each round forms its candidates a block of rows at a time in a
+    buffer of ``_BLOCK_CELLS`` floats.  A row sees the same candidates in
+    any block, so every block size must give the whole-matrix result bit
+    for bit, ``edges_examined`` included."""
+
+    # one row per block; 7 cells, fewer than a gathered frontier of 8 or
+    # more nodes, so again one row there and a few rows over smaller
+    # frontiers; 61 and 999 cells, which split the rows unevenly (blocks
+    # of 4 rows of 13 columns, of 9 rows of 100, and ragged blocks over
+    # gathered frontiers); and the whole graph in one block
+    CELLS = {"row": 1, "below-frontier": 7, "ragged": 61, "ragged-wide": 999, "whole": 1 << 40}
+    TOLS = TestEarlyCycleDetection.TOLS
+
+    @pytest.mark.parametrize("cells", CELLS.values(), ids=CELLS.keys())
+    def test_integer_weights_with_exact_ties(self, monkeypatch, cells):
+        rng = np.random.default_rng(850)
+        for m in (13, 100, 190):
+            pts = rng.integers(-3, 4, size=(m, 2)).astype(float)
+            raw = rng.integers(-6, 2, size=(m, m)).astype(float)
+            for w in (_cmon_weights(pts, 2.0 * pts), raw - 4.0, raw):
+                for source in (None, 0, m - 1):
+                    tol = float(rng.choice(self.TOLS))
+                    _assert_same_in_blocks(monkeypatch, w, source, tol, cells)
+
+    @pytest.mark.parametrize("cells", CELLS.values(), ids=CELLS.keys())
+    def test_unreachable_columns(self, monkeypatch, cells):
+        rng = np.random.default_rng(851)
+        m = 150
+        pts = rng.uniform(-1, 1, size=(m, 3))
+        weights = cmon_weights(TypeSpace(pts), LinearFamily(2.0 * pts))
+        cut = rng.choice(m, size=m // 10, replace=False)
+        weights[:, cut] = -np.inf
+        weights[rng.random((m, m)) < 0.2] = -np.inf
+        for source in (None, int(np.setdiff1d(np.arange(m), cut)[0]), int(cut[0])):
+            res = _assert_same_in_blocks(monkeypatch, weights, source, 1e-9, cells)
+            if source is not None:
+                assert np.all(res.dist[np.setdiff1d(cut, [source])] == -np.inf)
+
+    @pytest.mark.parametrize("cells", CELLS.values(), ids=CELLS.keys())
+    def test_gathered_frontiers_and_walk_cycles(self, monkeypatch, cells):
+        rng = np.random.default_rng(852)
+        gathered = walked = 0
+        for m in (100, 260):
+            pts = rng.uniform(-1, 1, size=(m, 3))
+            for vecs in (2.0 * pts, rng.uniform(-2, 2, size=(m, 3))):
+                weights = cmon_weights(TypeSpace(pts), LinearFamily(vecs))
+                for source in (None, int(rng.integers(m))):
+                    res = _assert_same_in_blocks(monkeypatch, weights, source, 1e-9, cells)
+                    gathered += res.edges_examined < res.rounds * m * m
+                    walked += res.cycle is not None and 8 <= res.rounds < m - 1
+        assert gathered > 0 and walked > 0
+
+    @pytest.mark.parametrize("cells", CELLS.values(), ids=CELLS.keys())
+    def test_every_source_and_final_scan_cycles(self, monkeypatch, cells):
+        # up to 8 nodes no walk runs, so a cycle comes from the final scan
+        rng = np.random.default_rng(853)
+        scanned = 0
+        for m in (1, 2, 3, 5, 7, 8):
+            for _ in range(8):
+                weights = rng.integers(-3, 2, size=(m, m)).astype(float)
+                weights[rng.random((m, m)) < 0.2] = -np.inf
+                for source in [None] + list(range(m)):
+                    tol = float(rng.choice(self.TOLS))
+                    res = _assert_same_in_blocks(monkeypatch, weights, source, tol, cells)
+                    scanned += res.cycle is not None and res.rounds == m - 1
+        assert scanned > 0
+
+    def test_peak_memory_is_one_transposed_copy_and_a_block(self):
+        # the kernel holds wt, one m x m array, and a fixed block of
+        # candidates; one more m x m buffer would double the peak
+        m = 600
+        pts = np.random.default_rng(854).uniform(-1, 1, size=(m, 3))
+        weights = cmon_weights(TypeSpace(pts), LinearFamily(2.0 * pts))
+        for source in (None, 0):
+            tracemalloc.start()
+            try:
+                res = longest_paths(weights, source=source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.cycle is None and res.rounds > 8
+            assert peak <= 1.25 * (m * m * 8)
+
+
 class TestOverflowingWeights:
     """Finite types and functionals whose weights d_i . (t_j - t_i) leave
     the float range (edge 0 -> 1 weighs +inf), or whose weights are finite
@@ -540,7 +646,7 @@ class TestLocalTruthful:
         # array, types at a distance of exactly the radius included, and at
         # 1e200 the distances whose sum of squares overflows; at dim 9 numpy
         # sums the squares eight ways at once, not one by one
-        monkeypatch.setattr("elicit.monotone._GAP_CELLS", cells)
+        monkeypatch.setattr("elicit.monotone._BLOCK_CELLS", cells)
         rng = np.random.default_rng(840 + dim)
         lattice = np.unique(rng.integers(-4, 5, size=(60, dim)), axis=0).astype(float)
         for scale in (1.0, 1e200):
