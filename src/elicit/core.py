@@ -6,7 +6,11 @@ selection of subgradients.  This module provides the three supported
 representations of a convex function -- a max of affine pieces, the
 squared Euclidean norm, and negative entropy on the probability simplex
 -- plus evaluation, subgradient selection, discrete Legendre
-conjugation, and the Bregman-style regret divergence.
+conjugation, and the Bregman-style regret divergence.  The pairwise
+verifiers read their one m x m matrix over pairs (payoffs, gains or
+weights) through :func:`_scan_pairs`, a block of rows of
+``_BLOCK_CELLS`` cells at a time, and the truthfulness checks of an
+affine score share one deviation-gains pass, :func:`_gain_scan`.
 
 Vectors are numpy float64 arrays.  Extended reals are plain floats where
 ``-inf`` is a legal value for score constants and payoffs (log-score
@@ -23,7 +27,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -72,6 +76,13 @@ SIMPLEX_TOL = 1e-9
 #: refused before it is allocated, so whether an input is accepted does
 #: not depend on the memory of the machine.
 MAX_MATRIX_CELLS = 1 << 26
+#: Work arrays over pairs are formed this many floats (256 KiB) at a
+#: time, a block of rows at once, so they stay in a core's cache: the
+#: candidates of a Bellman-Ford round (``monotone.longest_paths``) and
+#: the blocks of :func:`_scan_pairs`.  A whole m x m float array
+#: outgrows a 2 MiB L2 cache from about 500 nodes, and with the weights
+#: beside it from 360.
+_BLOCK_CELLS = 1 << 15
 
 
 class ElicitError(Exception):
@@ -302,20 +313,22 @@ def mask_witnesses(kind, mask, slack, detail, index=None) -> WitnessColumns:
     return WitnessColumns([(kind, index, at_hits(np.asarray(slack, dtype=float)), detail)])
 
 
-def deviation_gains(values, truth, axis: int) -> np.ndarray:
+def deviation_gains(values, truth, axis: int, out=None) -> np.ndarray:
     """What every report gains over each agent's truthful one: ``values``
     minus the agent's own score, in the layout of ``values``.  Reports
     run along ``axis``, agents (types or beliefs) along the other, and
-    agent a's truthful report is ``truth[a]``.  A non-finite own score
-    raises ``ValueError``; so does a ``+inf`` or nan gain (an overflow),
-    naming the first such agent and its report.  ``-inf`` gains are legal."""
+    agent a's truthful report is ``truth[a]``.  ``out``, which may be
+    ``values`` itself, takes the gains in place of a new array.  A
+    non-finite own score raises ``ValueError``; so does a ``+inf`` or nan
+    gain (an overflow), naming the first such agent and its report.
+    ``-inf`` gains are legal."""
     by_agent = values.T if axis == 0 else values  # by_agent[agent, report]
     own = by_agent[np.arange(len(by_agent)), truth]
     if not np.isfinite(own).all():
         raise ValueError("truthful reports must score finite values")
     with np.errstate(over="ignore", invalid="ignore"):
-        gains = values - np.expand_dims(own, axis)
-    if not (gains < np.inf).all():
+        gains = np.subtract(values, np.expand_dims(own, axis), out=out)
+    if not gains.max(initial=-np.inf) < np.inf:  # one pass finds a +inf or nan
         by_agent = gains.T if axis == 0 else gains
         a, r = np.argwhere(~(by_agent < np.inf))[0].tolist()
         raise ValueError(
@@ -323,6 +336,67 @@ def deviation_gains(values, truth, axis: int) -> np.ndarray:
             "deviation gains must be finite or -inf"
         )
     return gains
+
+
+class _PairScan(NamedTuple):
+    """What :func:`_scan_pairs` found: the pairs (rows[k], cols[k]) whose
+    value exceeds the bound, in row-major order, and their values; the
+    largest value over every pair scanned, -inf when there is none; and
+    how many pairs the blocks' ``keep`` masks admitted."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    best: float
+    kept: int
+
+
+def _scan_pairs(m: int, block, tol: float, upper: bool = False, depth: int = 1) -> _PairScan:
+    """Scan the pairs (i, j), i != j, of an m x m matrix over pairs, or
+    only those with i < j when ``upper`` (a symmetric check), a block of
+    rows at a time, so the scan forms no m x m array of its own.
+
+    ``block(lo, hi)`` returns ``(values, keep)``: rows lo:hi of the
+    matrix as a writable array, over every column or with ``upper`` over
+    the columns lo:m, and None or a bool array of the same shape that
+    admits the pairs which may be witnesses.  The scan writes ``-inf``
+    into the block's cells that are no pair (the diagonal, and with
+    ``upper`` the cells below it) and False into ``keep`` there.  A
+    block has at least one row and at most ``_BLOCK_CELLS // depth``
+    cells beyond it, for a ``block`` that forms ``depth`` floats per
+    cell."""
+    step = max(1, _BLOCK_CELLS // max(1, m * depth))
+    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
+    best, kept = -np.inf, 0
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        first = lo if upper else 0
+        values, keep = block(lo, hi)
+        off = np.tri(hi - lo, dtype=bool) if upper else np.eye(hi - lo, dtype=bool)
+        values[:, lo - first : hi - first][off] = -np.inf  # the columns lo:hi
+        top = values.max(initial=-np.inf)
+        best = max(best, top)
+        if keep is not None:
+            keep[:, lo - first : hi - first][off] = False
+            kept += int(np.count_nonzero(keep))
+        if top > tol:  # a passing block forms no mask
+            hit = values > tol
+            if keep is not None:
+                hit &= keep
+            r, c = np.nonzero(hit)  # row-major
+            found.append((r + lo, c + first, values[r, c]))
+    rows, cols, values = map(np.concatenate, zip(*found))
+    return _PairScan(rows, cols, values, float(best), kept)
+
+
+def _gain_scan(score: ScoreTable, ts: TypeSpace, tol: float) -> _PairScan:
+    """The deviation-gains pass of the truthfulness checks of an affine
+    score with one report per type: gains[r, i], what type i gains by
+    report r, formed in place in the payoff matrix, scanned for the pairs
+    r != i whose gain exceeds ``tol``."""
+    gains = score.payoff_matrix(ts)
+    deviation_gains(gains, np.arange(len(ts)), axis=0, out=gains)
+    return _scan_pairs(len(ts), lambda lo, hi: (gains[lo:hi], None), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +553,9 @@ class ScoreTable:
             raise DimensionMismatchError("score table dimension != type space")
         _require_cells(len(self), len(ts), f"the payoffs of {len(self)} reports at {len(ts)} types")
         with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
-            return self.linear @ ts.points.T + self.constant[:, None]
+            values = self.linear @ ts.points.T
+            values += self.constant[:, None]
+        return values
 
     def validate_regular(self, ts: TypeSpace) -> None:
         """Gamma-regularity: the best report is finite at every type."""
@@ -650,12 +726,9 @@ def check_subgradient_selection(
     """
     require_positive(tol)
     fam.check_aligned(ts)
-    score = _tangent_score(g, fam.vectors, ts.points)
-    gains = deviation_gains(score.payoff_matrix(ts), np.arange(len(ts)), axis=0)
-    mask = (gains > tol) & ~np.eye(len(ts), dtype=bool)
-    witnesses = mask_witnesses(
-        "pair", mask, gains, "subgradient inequality violated"
-    )
+    scan = _gain_scan(_tangent_score(g, fam.vectors, ts.points), ts, tol)
+    pair = np.column_stack((scan.rows, scan.cols))
+    witnesses = WitnessColumns([("pair", pair, scan.values, "subgradient inequality violated")])
     return CheckReport(witnesses, {"tol": tol})
 
 

@@ -7,6 +7,10 @@ returns a concrete counterexample: a violating pair, a positive-weight
 cycle, or a local truthfulness failure.  Weak and cyclic monotonicity
 read one weight matrix, :func:`cmon_weights`, and so does
 ``properties.check_wmon_cells``, the weak check over labeled cells.
+The weak checks and :func:`check_local_truthful` form their pair values
+(w[i, j] + w[j, i], the larger gain of a pair, the distances) a block of
+rows at a time over the pairs i < j, with ``core._scan_pairs``, so each
+holds its one weight or payoff matrix and a few blocks.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     DEFAULT_TOL,
     CheckReport,
@@ -25,8 +30,8 @@ from .core import (
     TypeSpace,
     WitnessColumns,
     _require_cells,
+    _scan_pairs,
     deviation_gains,
-    mask_witnesses,
     require_positive,
 )
 
@@ -83,13 +88,6 @@ _FIRST_WALK = 8
 #: larger frontier takes the full round.
 _GATHER_FROM = 64
 
-#: Work arrays of m x m cells are formed this many floats (256 KiB) at a
-#: time, a block of rows at once, so they stay in a core's cache: the
-#: candidates of a Bellman-Ford round and the pairwise differences of
-#: :func:`_near_pairs`.  A whole m x m float array outgrows a 2 MiB L2
-#: cache from about 500 nodes, and with the weights beside it from 360.
-_BLOCK_CELLS = 1 << 15
-
 
 @dataclass
 class LongestPathResult:
@@ -121,7 +119,7 @@ def longest_paths(
     changed in the round before, and at the start every node of finite
     ``dist`` (all of them with ``source=None``, else the source).  It
     forms the candidates ``dist[u] + weights[u, v]`` a block of rows v at
-    a time, in one buffer of ``_BLOCK_CELLS`` floats or of one row if
+    a time, in one buffer of ``core._BLOCK_CELLS`` floats or of one row if
     that is larger: it gathers the active columns into the buffer, or
     adds ``dist`` to every column when the frontier is too large to
     gather with profit (see ``_GATHER_FROM``).  The best predecessor of
@@ -179,7 +177,7 @@ def longest_paths(
         return LongestPathResult(dist, pred, None)
 
     nodes = np.arange(m)
-    buf = np.empty(max(m, min(m * m, _BLOCK_CELLS)))  # a block, or one row
+    buf = np.empty(max(m, min(m * m, core._BLOCK_CELLS)))  # a block, or one row
     full = buf[: m * m].reshape(m, m) if m * m <= len(buf) else None
     most = m * (m - _GATHER_FROM) // (m + 3 * _GATHER_FROM)  # largest frontier gathered
     improved = dist > -np.inf  # the first round reads every node of finite dist
@@ -191,7 +189,7 @@ def longest_paths(
             top = dist[active]
         else:  # a large frontier reads every column
             active, k, top = None, m, dist
-        step = max(1, _BLOCK_CELLS // k)  # rows of wt per block
+        step = max(1, core._BLOCK_CELLS // k)  # rows of wt per block
         if step >= m:  # one block holds the round: no slices, no copies
             cand = full if active is None else buf[: m * k].reshape(m, k)
             best, arg = _relax(wt, top, active, cand, nodes)
@@ -303,14 +301,21 @@ def check_wmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> Ch
     return _wmon_report(cmon_weights(ts, fam), tol, "weak monotonicity violated")
 
 
-def _wmon_report(w: np.ndarray, tol: float, detail, among=None) -> CheckReport:
-    """Weak monotonicity on the weights ``w``: the pairs i < j (of those
-    ``among`` selects, if given) whose w[i, j] + w[j, i] exceeds ``tol``."""
-    pair = w + w.T
-    hit = np.triu(pair > tol, 1)
-    if among is not None:
-        hit &= among
-    return CheckReport(mask_witnesses("pair", hit, pair, detail), {"tol": tol})
+def _wmon_report(w: np.ndarray, tol: float, detail, labels=None) -> CheckReport:
+    """Weak monotonicity on the weights ``w``: the pairs i < j (of
+    different ``labels``, if given) whose w[i, j] + w[j, i] exceeds
+    ``tol``.  With ``labels`` the witness ``detail`` is a %-template of
+    the pair's two labels."""
+
+    def block(lo, hi):
+        pair = w[lo:hi, lo:] + w[lo:, lo:hi].T
+        return pair, None if labels is None else labels[lo:hi, None] != labels[lo:]
+
+    scan = _scan_pairs(len(w), block, tol, upper=True)
+    if labels is not None:
+        detail = (detail, (labels[scan.rows], labels[scan.cols]))
+    pair = np.column_stack((scan.rows, scan.cols))
+    return CheckReport(WitnessColumns([("pair", pair, scan.values, detail)]), {"tol": tol})
 
 
 def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -373,40 +378,53 @@ def check_local_truthful(
         raise DimensionMismatchError("report_of must cover every type")
     if report_of.min() < 0 or report_of.max() >= len(score):
         raise ValueError("report_of refers to a report outside the table")
-    # gain[i, j]: what type i gains by sending type j's report
-    offered = score.payoff_matrix(ts)[report_of]
-    gain = deviation_gains(offered, np.arange(len(ts)), axis=0).T
-    worst = np.where(gain.T > gain, gain.T, gain)
-    local = _near_pairs(ts.points, radius)
-    violated = np.triu(worst > tol, 1)
-    witnesses = mask_witnesses(
-        "pair", local & violated, worst, "misreport gains within pair"
-    )
+    m = len(ts)
+    offered = score.payoff_matrix(ts)  # offered[j, i]: type j's report at type i
+    if len(score) != m or not np.array_equal(report_of, np.arange(m)):
+        offered = offered[report_of]  # a copy, unless each type sends its own report
+    # gains[j, i]: what type i gains by sending type j's report
+    gains = deviation_gains(offered, np.arange(m), axis=0, out=offered)
+    points = ts.points
+    depth = 1 if points.shape[1] < 8 else points.shape[1]
+
+    def block(lo, hi):
+        # the larger of the two gains of each pair i < j: type j's by
+        # sending i's report and type i's by sending j's, the latter on ties
+        by_i, by_j = gains[lo:hi, lo:], gains[lo:, lo:hi].T
+        return np.where(by_i > by_j, by_i, by_j), _gaps(points, lo, hi) <= radius
+
+    scan = _scan_pairs(m, block, tol, upper=True, depth=depth)
+    pair = np.column_stack((scan.rows, scan.cols))
+    witnesses = WitnessColumns([("pair", pair, scan.values, "misreport gains within pair")])
     local_passed = not witnesses
-    global_passed = not violated.any()
+    global_passed = not scan.best > tol
     info = {
         "tol": tol,
         "radius": radius,
-        "checked_pairs": int(local.sum()),
+        "checked_pairs": scan.kept,
         "global_passed": global_passed,
         "agrees": local_passed == global_passed,
     }
     return CheckReport(witnesses, info)
 
 
-def _near_pairs(points: np.ndarray, radius: float) -> np.ndarray:
-    """The pairs i < j of points at most ``radius`` apart, as an upper
-    triangular m x m mask."""
+def _gaps(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The distances from the points lo:hi to the points lo:, bitwise
+    those of ``np.linalg.norm`` over their differences."""
     m, dim = points.shape
-    near = np.zeros((m, m), dtype=bool)
-    step = max(1, _BLOCK_CELLS // max(1, m * dim))  # rows by every later column
     with np.errstate(over="ignore"):
-        for lo in range(0, m, step):
-            diff = points[lo : lo + step, None, :] - points[None, lo:, :]
-            gaps = np.linalg.norm(diff, axis=-1)
-            # the sum of squares overflows long before the distance does
-            wide = gaps == np.inf
-            if wide.any():
-                gaps[wide] = np.hypot.reduce(diff[wide], axis=-1)
-            np.less_equal(gaps, radius, out=near[lo : lo + step, lo:])
-    return np.triu(near, 1)
+        if dim < 8:  # numpy sums fewer than eight squares in order, as here
+            gaps = np.zeros((hi - lo, m - lo))
+            for k in range(dim):
+                diff = points[lo:hi, k, None] - points[lo:, k]
+                diff *= diff
+                gaps += diff
+            np.sqrt(gaps, out=gaps)
+        else:  # from eight on numpy sums eight ways at once
+            gaps = np.linalg.norm(points[lo:hi, None, :] - points[None, lo:, :], axis=-1)
+        # the sum of squares overflows long before the distance does
+        wide = gaps == np.inf
+        if wide.any():
+            i, j = np.nonzero(wide)
+            gaps[wide] = np.hypot.reduce(points[lo + i] - points[lo + j], axis=-1)
+    return gaps

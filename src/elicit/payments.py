@@ -26,8 +26,8 @@ from .core import (
     NotMonotoneError,
     ScoreTable,
     TypeSpace,
+    _gain_scan,
     _whole_number,
-    deviation_gains,
     mask_witnesses,
     require_positive,
 )
@@ -153,8 +153,7 @@ def rochet_payments(
     own = np.einsum("ij,ij->i", fam.vectors, ts.points)
     payments = own - surplus
     result = PaymentResult(surplus, payments, t0, fam)
-    values = result.induced_score().payoff_matrix(ts)
-    worst = float(deviation_gains(values, np.arange(len(ts)), axis=0).max())
+    worst = _gain_scan(result.induced_score(), ts, tol).best
     if worst > tol:
         raise ElicitError(
             f"internal error: synthesized score violates truthfulness by {worst:.3g}"

@@ -216,8 +216,8 @@ def check_wmon_cells(
     return _wmon_report(
         _cmon_weights(sample.points, sites[labels]),
         tol,
-        ("labels (%d, %d) break monotonicity", (labels[:, None], labels)),
-        among=labels[:, None] != labels[None, :],
+        "labels (%d, %d) break monotonicity",
+        labels=labels,
     )
 
 

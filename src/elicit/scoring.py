@@ -24,6 +24,8 @@ from .core import (
     ScoreTable,
     TypeSpace,
     UnreachableActionError,
+    WitnessColumns,
+    _gain_scan,
     _grad_rows,
     _off_simplex,
     _overflow,
@@ -378,15 +380,10 @@ def check_truthful(
     require_positive(tol)
     if len(score) != len(ts):
         raise DimensionMismatchError("score table must have one report per type")
-    gains = deviation_gains(score.payoff_matrix(ts), np.arange(len(ts)), axis=0)
-    report, type_ = np.ogrid[: len(ts), : len(ts)]  # gains[report, type]
-    witnesses = mask_witnesses(
-        "deviation",
-        (gains > tol) & ~np.eye(len(ts), dtype=bool),
-        gains,
-        ("type %d prefers report %d", (type_, report)),
-        index=(type_, report),
-    )
-    best = float(gains[~np.eye(len(ts), dtype=bool)].max(initial=-np.inf))
-    min_slack = 0.0 if len(ts) == 1 else None if best == -np.inf else -best
+    scan = _gain_scan(score, ts, tol)  # gains[report, type]
+    type_, report = scan.cols, scan.rows
+    index = np.column_stack((type_, report))
+    detail = ("type %d prefers report %d", (type_, report))
+    witnesses = WitnessColumns([("deviation", index, scan.values, detail)])
+    min_slack = 0.0 if len(ts) == 1 else None if scan.best == -np.inf else -scan.best
     return CheckReport(witnesses, {"tol": tol, "min_slack": min_slack})

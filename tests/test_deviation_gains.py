@@ -15,6 +15,7 @@ from elicit import (
     TypeSpace,
     check_local_truthful,
     check_proper,
+    check_subgradient_selection,
     check_truthful,
     make_direct_score,
     make_scoring_rule,
@@ -78,7 +79,9 @@ def test_every_truthfulness_verifier_calls_the_kernel_once(monkeypatch):
         if getattr(module, "deviation_gains", None) is original:
             monkeypatch.setattr(module, "deviation_gains", counting)
             sites.append(name)
-    assert {"elicit.core", "elicit.scoring", "elicit.monotone", "elicit.payments"} <= set(sites)
+    # check_truthful, check_subgradient_selection and the post-check of
+    # rochet_payments reach it through core's one deviation-gains pass
+    assert {"elicit.core", "elicit.scoring", "elicit.monotone"} <= set(sites)
 
     ts = TypeSpace([[0.0], [1.0], [2.0]])
     fam = LinearFamily([[0.0], [1.0], [2.0]])
@@ -88,6 +91,8 @@ def test_every_truthfulness_verifier_calls_the_kernel_once(monkeypatch):
     for call in [
         lambda: check_truthful(good, ts),
         lambda: check_truthful(bad, ts),
+        lambda: check_subgradient_selection(SquaredNorm(), LinearFamily(2.0 * ts.points), ts),
+        lambda: check_subgradient_selection(SquaredNorm(), fam, ts),
         lambda: check_proper(table),
         lambda: check_proper(table, table.reports[::2], strict=True),
         lambda: check_local_truthful(good, ts, [0, 1, 2], radius=1.5),

@@ -21,7 +21,7 @@ from elicit import (
     rochet_payments,
     subgradient,
 )
-from elicit.monotone import _cmon_weights, _near_pairs, cmon_weights, longest_paths
+from elicit.monotone import _cmon_weights, cmon_weights, longest_paths
 from helpers import (
     brute_force_cmon,
     columnwise_longest_paths,
@@ -441,7 +441,7 @@ def _assert_same_in_blocks(monkeypatch, weights, source, tol, cells):
     returns the blocked result."""
     whole = longest_paths(weights, source=source, tol=tol)
     with monkeypatch.context() as patch:
-        patch.setattr("elicit.monotone._BLOCK_CELLS", cells)
+        patch.setattr("elicit.core._BLOCK_CELLS", cells)
         res = _assert_same_as_columnwise(weights, source, tol)
     for field in ("dist", "pred"):
         assert getattr(res, field).tobytes() == getattr(whole, field).tobytes(), field
@@ -642,11 +642,12 @@ class TestLocalTruthful:
     @pytest.mark.parametrize("dim", [1, 3, 9])
     def test_row_blocks_match_the_whole_array(self, monkeypatch, cells, dim):
         # the gaps are formed a block of rows at a time: one row, a few rows
-        # or all of them per block must give the mask of the m x m x dim
+        # or all of them per block must give the pairs of the m x m x dim
         # array, types at a distance of exactly the radius included, and at
-        # 1e200 the distances whose sum of squares overflows; at dim 9 numpy
-        # sums the squares eight ways at once, not one by one
-        monkeypatch.setattr("elicit.monotone._BLOCK_CELLS", cells)
+        # 1e200 the distances whose sum of squares overflows; below dim 8
+        # they are summed one coordinate at a time, at dim 9 numpy sums the
+        # squares eight ways at once, not one by one
+        monkeypatch.setattr("elicit.core._BLOCK_CELLS", cells)
         rng = np.random.default_rng(840 + dim)
         lattice = np.unique(rng.integers(-4, 5, size=(60, dim)), axis=0).astype(float)
         for scale in (1.0, 1e200):
@@ -659,10 +660,15 @@ class TestLocalTruthful:
             radius = float(np.sort(gaps[np.triu_indices(len(pts), 1)])[len(pts)])
             expected = np.triu(gaps <= radius, 1)
             assert (scale == 1e200) == bool(wide.any())
-            assert np.array_equal(_near_pairs(pts, radius), expected)
+            ts = TypeSpace(pts)
+            m = len(ts)
+            # distinct constants and no linear part: every pair misreports,
+            # so the witnesses are exactly the pairs within the radius
+            apart = ScoreTable(list(range(m)), np.zeros((m, dim)), rng.permutation(m))
+            report = check_local_truthful(apart, ts, range(m), radius)
+            assert [w.indices for w in report.witnesses] == list(map(tuple, np.argwhere(expected)))
+            assert report.info["checked_pairs"] == int(expected.sum()) > 0
             if scale == 1.0:
-                ts = TypeSpace(pts)
-                m = len(ts)
                 score = ScoreTable(
                     reports=list(range(m)),
                     linear=rng.uniform(-1, 1, size=(m, dim)),
@@ -670,7 +676,7 @@ class TestLocalTruthful:
                 )
                 report = check_local_truthful(score, ts, range(m), radius)
                 reference = loop_check_local_truthful(score, ts, range(m), radius, 1e-9)
-                assert report.info["checked_pairs"] == int(expected.sum()) > 0
+                assert report.info["checked_pairs"] == int(expected.sum())
                 assert report_text(report) == report_text(reference)
 
     def test_radius_beyond_diameter_matches_global(self):
