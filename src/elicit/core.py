@@ -7,10 +7,12 @@ representations of a convex function -- a max of affine pieces, the
 squared Euclidean norm, and negative entropy on the probability simplex
 -- plus evaluation, subgradient selection, discrete Legendre
 conjugation, and the Bregman-style regret divergence.  The pairwise
-verifiers read their one m x m matrix over pairs (payoffs, gains or
-weights) through :func:`_scan_pairs`, a block of rows of
-``_BLOCK_CELLS`` cells at a time, and the truthfulness checks of an
-affine score share one deviation-gains pass, :func:`_gain_scan`.
+verifiers read their one matrix over pairs (payoffs, gains or weights)
+through :func:`_scan_pairs`, a block of rows of ``_BLOCK_CELLS`` cells
+at a time, and the truthfulness checks of an affine score share one
+deviation-gains pass, :func:`_gain_scan`.  A scoring rule's properness
+(``scoring.check_proper``) is the same pass over beliefs x reports,
+each belief's own column that of its truthful report.
 
 Vectors are numpy float64 arrays.  Extended reals are plain floats where
 ``-inf`` is a legal value for score constants and payoffs (log-score
@@ -167,6 +169,15 @@ def _require_cells(rows: int, cols: int, what: str) -> None:
         )
 
 
+def _require_summable(values: np.ndarray, count: int, what: str) -> None:
+    """``ValueError`` "``what`` overflow the float range" when a sum of up
+    to ``count`` of ``values`` could leave the float range, or one is nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = count * np.maximum(values.max(initial=0.0), -values.min(initial=0.0))
+    if not bound < np.inf:
+        raise ValueError(f"{what} overflow the float range")
+
+
 def _whole_number(x, what: str) -> int:
     """``x`` as an int; ``ValueError`` naming ``what`` when it is no whole number."""
     try:
@@ -296,14 +307,8 @@ def mask_witnesses(kind, mask, slack, detail, index=None) -> WitnessColumns:
     if not len(hits):  # a passing check builds nothing
         return WitnessColumns()
 
-    # id -> (column, its values at the hits): a column given twice is gathered
-    # once, and holding it keeps its id from passing to a later temporary
-    gathered = {}
-
     def at_hits(column) -> np.ndarray:
-        if id(column) not in gathered:
-            gathered[id(column)] = column, np.broadcast_to(column, mask.shape).ravel().take(hits)
-        return gathered[id(column)][1]
+        return np.broadcast_to(column, mask.shape).ravel().take(hits)
 
     if index is None:
         index = np.stack(np.unravel_index(hits, mask.shape), axis=1)
@@ -351,33 +356,37 @@ class _PairScan(NamedTuple):
     kept: int
 
 
-def _scan_pairs(m: int, block, tol: float, upper: bool = False, depth: int = 1) -> _PairScan:
-    """Scan the pairs (i, j), i != j, of an m x m matrix over pairs, or
-    only those with i < j when ``upper`` (a symmetric check), a block of
-    rows at a time, so the scan forms no m x m array of its own.
+def _scan_pairs(shape, block, tol: float, own=None, upper=False, depth: int = 1) -> _PairScan:
+    """Scan the pairs (i, j), j != ``own[i]`` (by default i), of a matrix
+    over pairs of the given ``shape``, or only those with i < j when
+    ``upper`` (a symmetric check), a block of rows at a time, so the scan
+    forms no such matrix of its own.
 
     ``block(lo, hi)`` returns ``(values, keep)``: rows lo:hi of the
     matrix as a writable array, over every column or with ``upper`` over
-    the columns lo:m, and None or a bool array of the same shape that
+    the columns lo:, and None or a bool array of the same shape that
     admits the pairs which may be witnesses.  The scan writes ``-inf``
-    into the block's cells that are no pair (the diagonal, and with
-    ``upper`` the cells below it) and False into ``keep`` there.  A
+    into the block's cells that are no pair (the own columns, and with
+    ``upper`` the cells below them) and False into ``keep`` there.  A
     block has at least one row and at most ``_BLOCK_CELLS // depth``
     cells beyond it, for a ``block`` that forms ``depth`` floats per
     cell."""
-    step = max(1, _BLOCK_CELLS // max(1, m * depth))
+    n, width = shape
+    own = np.arange(n) if own is None else own
+    step = max(1, _BLOCK_CELLS // max(1, width * depth))
     found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
     best, kept = -np.inf, 0
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         first = lo if upper else 0
         values, keep = block(lo, hi)
-        off = np.tri(hi - lo, dtype=bool) if upper else np.eye(hi - lo, dtype=bool)
-        values[:, lo - first : hi - first][off] = -np.inf  # the columns lo:hi
+        view = np.s_[:, : hi - lo] if upper else np.s_[:]  # a triangle on the columns lo:hi
+        off = np.tri(hi - lo, dtype=bool) if upper else (np.arange(hi - lo), own[lo:hi])
+        values[view][off] = -np.inf
         top = values.max(initial=-np.inf)
         best = max(best, top)
         if keep is not None:
-            keep[:, lo - first : hi - first][off] = False
+            keep[view][off] = False
             kept += int(np.count_nonzero(keep))
         if top > tol:  # a passing block forms no mask
             hit = values > tol
@@ -396,7 +405,7 @@ def _gain_scan(score: ScoreTable, ts: TypeSpace, tol: float) -> _PairScan:
     r != i whose gain exceeds ``tol``."""
     gains = score.payoff_matrix(ts)
     deviation_gains(gains, np.arange(len(ts)), axis=0, out=gains)
-    return _scan_pairs(len(ts), lambda lo, hi: (gains[lo:hi], None), tol)
+    return _scan_pairs(gains.shape, lambda lo, hi: (gains[lo:hi], None), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +696,8 @@ def conjugate(g: ConvexSpec, d, grid: TypeSpace):
     if duals.shape[1] != grid.dim:
         raise DimensionMismatchError("dual vector dimension != grid dimension")
     pts = grid.points
+    n, k = len(duals), len(pts)
+    _require_cells(n, k, f"the conjugate of {n} duals over {k} grid points")
     evals = _eval_rows(g, pts)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         # stacked matrix-vector products: bitwise the per-vector pts @ d

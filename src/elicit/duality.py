@@ -29,6 +29,7 @@ from .core import (
     WitnessColumns,
     _eval_rows,
     _overflow,
+    _require_cells,
     conjugate,
     eval_convex,
     mask_witnesses,
@@ -185,6 +186,8 @@ def elicitation_game_equilibria(
     if len(d_grid) == 0:
         return []
     conjs = conjugate_value(g, d_grid, grid)
+    n, k = len(d_grid), len(t_grid)
+    _require_cells(n, k, f"the Fenchel-Young gaps of {n} duals at {k} types")
     with np.errstate(over="ignore", invalid="ignore"):
         inner = d_grid @ t_grid.points.T  # inner[j, i] = <d_j, t_i>
         gap = conjs[:, None] + evals[None, :] - inner

@@ -30,6 +30,7 @@ from .core import (
     TypeSpace,
     WitnessColumns,
     _require_cells,
+    _require_summable,
     _scan_pairs,
     deviation_gains,
     require_positive,
@@ -63,12 +64,7 @@ def _cmon_weights(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         w = vectors @ points.T
         w -= np.diag(w).copy()[:, None]
-        # nan when a weight is nan; +inf when a sum of m weights could overflow
-        bound = len(w) * np.maximum(w.max(initial=0.0), -w.min(initial=0.0))
-    if not bound < np.inf:
-        raise ValueError(
-            "cmon weights d_i . (t_j - t_i), summed over up to m edges, overflow the float range"
-        )
+        _require_summable(w, m, "cmon weights d_i . (t_j - t_i), summed over up to m edges,")
     return w
 
 
@@ -311,7 +307,7 @@ def _wmon_report(w: np.ndarray, tol: float, detail, labels=None) -> CheckReport:
         pair = w[lo:hi, lo:] + w[lo:, lo:hi].T
         return pair, None if labels is None else labels[lo:hi, None] != labels[lo:]
 
-    scan = _scan_pairs(len(w), block, tol, upper=True)
+    scan = _scan_pairs(w.shape, block, tol, upper=True)
     if labels is not None:
         detail = (detail, (labels[scan.rows], labels[scan.cols]))
     pair = np.column_stack((scan.rows, scan.cols))
@@ -393,7 +389,7 @@ def check_local_truthful(
         by_i, by_j = gains[lo:hi, lo:], gains[lo:, lo:hi].T
         return np.where(by_i > by_j, by_i, by_j), _gaps(points, lo, hi) <= radius
 
-    scan = _scan_pairs(m, block, tol, upper=True, depth=depth)
+    scan = _scan_pairs((m, m), block, tol, upper=True, depth=depth)
     pair = np.column_stack((scan.rows, scan.cols))
     witnesses = WitnessColumns([("pair", pair, scan.values, "misreport gains within pair")])
     local_passed = not witnesses

@@ -30,7 +30,9 @@ from .core import (
     WitnessColumns,
     _as_matrix,
     _grad_rows,
+    _require_cells,
     _require_distinct,
+    _require_summable,
     conjugate,
     mask_witnesses,
     require_positive,
@@ -113,6 +115,8 @@ class Labeling:
 
 
 def _sq_dists(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    k, m, dim = len(points), len(sites), sites.shape[1]
+    _require_cells(k, m * dim, f"the differences of {k} points and {m} sites")
     diffs = points[:, None, :] - sites[None, :, :]
     return np.einsum("kmn,kmn->km", diffs, diffs)
 
@@ -175,13 +179,9 @@ def fit_weights(sites, sample: LabeledSample, tol: float = DEFAULT_TOL) -> FitWe
     with np.errstate(over="ignore", invalid="ignore"):
         sq = _sq_dists(sample.points, sites)
         rel = sq - sq[np.arange(len(sample)), labels][:, None]
-        # as for cmon weights: nan, or +inf when a sum over m sites could overflow
-        bound = m * np.maximum(rel.max(initial=0.0), -rel.min(initial=0.0))
-    if not bound < np.inf:
-        raise ValueError(
-            "squared distances from sample points to sites, summed over up to m sites, "
-            "overflow the float range"
-        )
+        what = "squared distances from sample points to sites, summed over up to m sites,"
+        _require_summable(rel, m, what)
+    _require_cells(m, m, f"the site graph of {m} sites")
     c = np.full((m, m), np.inf)
     np.minimum.at(c, labels, rel)
     res = longest_paths(-c, source=None, tol=tol)
@@ -271,6 +271,7 @@ def check_level_set_convexity(
     pts = sample.points
     labels = sample.labels
     k = len(sample)
+    _require_cells(k, k * pts.shape[1], f"the differences of {k} sample points")
     # diffs[a, c] = t_c - t_a
     with np.errstate(over="ignore"):
         diffs = pts[None, :, :] - pts[:, None, :]

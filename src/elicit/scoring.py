@@ -8,14 +8,17 @@ sets, including non-convex ones, and the expert-separation thresholds.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
     INTERIOR_EPS,
+    MAX_MATRIX_CELLS,
     SIMPLEX_TOL,
     CheckReport,
     ConvexSpec,
@@ -30,6 +33,7 @@ from .core import (
     _off_simplex,
     _overflow,
     _require_cells,
+    _scan_pairs,
     _tangent_score,
     deviation_gains,
     eval_convex,
@@ -64,20 +68,28 @@ def _as_distribution(p, what: str = "distribution") -> np.ndarray:
 
 
 def simplex_grid(n_outcomes: int, denominator: int = 10) -> np.ndarray:
-    """All distributions with entries i/denominator, lexicographic order."""
+    """All distributions with entries i/denominator, lexicographic order.
+    A grid of more than ``MAX_MATRIX_CELLS`` entries raises ``ValueError``
+    before any row is built."""
     if n_outcomes < 1 or denominator < 1:
         raise ValueError("need n_outcomes >= 1 and denominator >= 1")
-    rows: List[List[int]] = []
-
-    def fill(prefix: List[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            rows.append(prefix + [remaining])
-            return
-        for head in range(remaining + 1):
-            fill(prefix + [head], remaining - head, slots - 1)
-
-    fill([], denominator, n_outcomes)
-    return np.asarray(rows, dtype=float) / denominator
+    if n_outcomes == 1:
+        return np.ones((1, 1))
+    what = f"the simplex grid of {n_outcomes} outcomes at denominator {denominator}"
+    # C(d + n - 1, k) rows, k = min(d, n - 1): at least n, d + 1 and C(2k, k), so
+    # past these bounds too many to form, and to count
+    k = min(denominator, n_outcomes - 1)
+    if k >= 32 or max(n_outcomes, denominator) > MAX_MATRIX_CELLS:
+        raise ValueError(f"{what} would take more than {8 * MAX_MATRIX_CELLS} bytes, the limit")
+    rows = math.comb(denominator + n_outcomes - 1, k)
+    _require_cells(rows, n_outcomes, what)
+    # stars and bars: a row's n - 1 bars among d + n - 1 slots, in lexicographic order
+    slots = range(denominator + n_outcomes - 1)
+    bars = itertools.chain.from_iterable(itertools.combinations(slots, n_outcomes - 1))
+    edges = np.full((rows, n_outcomes + 1), len(slots))
+    edges[:, 0] = -1
+    edges[:, 1:-1] = np.fromiter(bars, dtype=int, count=rows * (n_outcomes - 1)).reshape(rows, -1)
+    return (np.diff(edges, axis=1) - 1) / denominator
 
 
 @dataclass
@@ -217,11 +229,17 @@ def check_proper(
     mode additionally flags distinct reports that tie within ``tol``
     (such ties carry their near-zero slack as the witness).  A
     non-finite own score or an overflowing gain raises ValueError.
+
+    The gains are formed in place in the beliefs x reports payoff matrix
+    and scanned a block of rows at a time (``core._scan_pairs``); the
+    max-norm distances, a second such matrix, are formed only with
+    beliefs or in strict mode, the two readers of them.
     """
     require_positive(tol)
     belief_rows = table.reports if beliefs is None else _belief_rows(beliefs, table.n_outcomes)
-    far = table.distances(belief_rows)  # also the strictness mask
     truth = np.arange(len(table))
+    if beliefs is not None or strict:  # the distances' only readers
+        far = table.distances(belief_rows)
     if beliefs is not None:  # each belief's truthful report is the first it matches
         matched = far <= SIMPLEX_TOL
         lost = ~matched.any(axis=1)
@@ -230,24 +248,23 @@ def check_proper(
                 f"belief {belief_rows[lost.argmax()].tolist()} does not match any report row"
             )
         truth = matched.argmax(axis=1) if len(table) else truth  # no reports, no beliefs
-    gain = deviation_gains(table.payoff_matrix(belief_rows), truth, axis=1)
-    deviation = np.arange(len(table))[None, :] != truth[:, None]
-    ahead = deviation & (gain > tol)
-    hit, kind, detail = ahead, "deviation", "belief #%d prefers report %d"
-    if strict:  # ties are witnesses too, in (belief, report) order with the rest
-        hit = ahead | (deviation & (gain >= -tol) & (far > tol))
-        # each witness picks its kind and detail template; a tie's detail
-        # writes neither argument (%.0s)
+    gains = table.payoff_matrix(belief_rows)
+    deviation_gains(gains, truth, axis=1, out=gains)
+
+    def block(lo, hi):  # strict mode keeps the gains ahead and the ties at a distinct report
+        return gains[lo:hi], (gains[lo:hi] > tol) | (far[lo:hi] > tol) if strict else None
+
+    bound = np.nextafter(-tol, -np.inf) if strict else tol  # strict: every gain >= -tol
+    scan = _scan_pairs(gains.shape, block, bound, own=truth)
+    belief, report, gain = scan[:3]
+    kind, detail = "deviation", "belief #%d prefers report %d"
+    if strict:  # each witness picks its kind and detail template; a tie's
+        ahead = gain > tol  # detail writes neither argument (%.0s)
         kind = (("tie", kind), ahead)
         detail = (("strictness fails: deviation ties%.0s%.0s", detail), ahead)
-    belief, report = np.ogrid[: len(truth), : len(table)]
-    witnesses = mask_witnesses(
-        (kind, ()),
-        hit,
-        np.where(0.0 > gain, 0.0, gain),  # the gain itself where it is ahead
-        (detail, (belief, report)),
-        index=(truth[:, None], report),
-    )
+    index = np.column_stack((truth[belief], report))
+    slack = np.where(0.0 > gain, 0.0, gain)  # the gain itself where it is ahead
+    witnesses = WitnessColumns([((kind, ()), index, slack, (detail, (belief, report)))])
     return CheckReport(witnesses, {"tol": tol, "strict": strict})
 
 

@@ -287,6 +287,22 @@ def loop_find_report(table, p) -> Optional[int]:
     return None
 
 
+def loop_simplex_grid(n_outcomes: int, denominator: int) -> np.ndarray:
+    """Every row of counts summing to ``denominator``, built by recursion
+    over the outcomes in lexicographic order, over ``denominator``."""
+    rows = []
+
+    def fill(prefix, remaining, slots):
+        if slots == 1:
+            rows.append(prefix + [remaining])
+            return
+        for head in range(remaining + 1):
+            fill(prefix + [head], remaining - head, slots - 1)
+
+    fill([], denominator, n_outcomes)
+    return np.asarray(rows, dtype=float) / denominator
+
+
 def loop_check_proper(table, beliefs, strict, tol):
     if beliefs is None:
         rows = [(i, table.reports[i]) for i in range(len(table))]

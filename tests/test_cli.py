@@ -952,6 +952,76 @@ class TestHugeInputs:
         assert peak < 300 * 300 * 8
 
 
+def _address_space_limit():
+    """Cap the child's address space at 3 GiB, so that an input which
+    escaped its size check fails fast instead of filling the memory."""
+    limit = 3 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestOversizedInputs:
+    """Each subcommand below forms a matrix over pairs of its inputs, or a
+    grid, of more than ``core.MAX_MATRIX_CELLS`` cells on these inputs.
+    It exits 1 with one stderr line naming the sizes, before allocating
+    it.  8193 rows make 8193^2 = 67 125 249 cells, just over the limit.
+    Each runs in a child process whose address space is capped."""
+
+    N = 8193
+    PAIRS = f"would take {N} x {N} floats, {8 * N * N} bytes, above the limit of 536870912 bytes"
+    CONJUGATE = f"the conjugate of {N} duals over {N} grid points {PAIRS}"
+    SITES = f"the differences of {N} points and {N} sites {PAIRS}"
+    CASES = {
+        "make-score": (
+            ["make-score", "--g", "brier", "--reports", "grid:50", "--outcomes", "20"],
+            "the simplex grid of 20 outcomes at denominator 50 would take 46252743903616536 x 20 "
+            "floats, 7400439024578645760 bytes, above the limit of 536870912 bytes",
+        ),
+        "duality-check": (["duality-check", "{g}", "{grids}"], CONJUGATE),
+        "game": (["game", "{g}", "{grids}"], CONJUGATE),
+        "breg2power": (["breg2power", "{g}", "{sites}"], CONJUGATE),
+        "power-label": (["power-label", "{diagram}", "{points}"], SITES),
+        "fit-weights": (["fit-weights", "{sites}", "{sample}"], SITES),
+        # one sample point, and a graph over the 8193 sites
+        "fit-weights-sites": (
+            ["fit-weights", "{sites}", "{one}"],
+            f"the site graph of {N} sites {PAIRS}",
+        ),
+        "level-convexity": (
+            ["level-convexity", "{sample}"],
+            f"the differences of {N} sample points {PAIRS}",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("oversized")
+        line = [[i / self.N] for i in range(self.N)]
+        labels = [i % 2 for i in range(self.N)]
+        return {
+            "g": str(GOLDEN_INPUTS / "squarednorm.json"),
+            "grids": write(tmp, "grids.json", {"typeSpace": {"points": line}, "duals": line}),
+            "sites": write(tmp, "sites.json", {"sites": line}),
+            "diagram": write(tmp, "diagram.json", {"sites": line, "weights": [0.0] * self.N}),
+            "points": write(tmp, "points.json", {"points": line}),
+            "sample": write(tmp, "sample.json", {"points": line, "labels": labels}),
+            "one": write(tmp, "one.json", {"points": [[0.5]], "labels": [0]}),
+        }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_refused_in_one_line(self, files, command):
+        args, message = self.CASES[command]
+        run = subprocess.run(
+            [sys.executable, "-m", "elicit.cli"] + [a.format(**files) for a in args],
+            capture_output=True,
+            text=True,
+            preexec_fn=_address_space_limit,
+            timeout=120,
+        )
+        assert "Traceback" not in run.stderr
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == f"elicit: error: {message}\n"
+
+
 def test_parser_is_built_once_and_a_usage_error_leaves_it_clean(tmp_path, capsys):
     fam = write(tmp_path, "fam.json", FIG_FAMILY)
     args = ["rev-interval", fam, "--anchor", "0=0", "--anchor", "1=0.5", "--target", "2"]

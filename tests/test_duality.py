@@ -166,6 +166,15 @@ class TestGame:
     def test_empty_dual_grid(self):
         assert elicitation_game_equilibria(ABS, GRID3, np.zeros((0, 1)), GRID3) == []
 
+    def test_the_gaps_are_refused_before_they_are_formed(self, monkeypatch):
+        # the conjugate's 2 x 3 products fit a limit of 99 cells; the
+        # 2 x 50 gaps at the types do not
+        monkeypatch.setattr("elicit.core.MAX_MATRIX_CELLS", 99)
+        types = TypeSpace(np.linspace(-1.0, 1.0, 50).reshape(-1, 1))
+        message = "the Fenchel-Young gaps of 2 duals at 50 types would take 2 x 50 floats"
+        with pytest.raises(ValueError, match="^" + message):
+            elicitation_game_equilibria(HALF_SQ, types, np.array([[0.0], [1.0]]), GRID3)
+
     def test_equilibrium_symmetry_under_role_swap(self):
         # conjugate of the half-square tangents is itself a max-affine
         # family in d; swapping roles must transpose the pair set

@@ -1,5 +1,6 @@
 """The pairwise verifiers read their one m x m matrix a block of rows at
-a time (``core._scan_pairs``, blocks of ``core._BLOCK_CELLS`` cells).
+a time (``core._scan_pairs``, blocks of ``core._BLOCK_CELLS`` cells), and
+``check_proper`` its one beliefs x reports matrix of gains.
 Every block size must give the loop references' reports and the
 whole-matrix errors bit for bit, and no verifier may hold a second m x m
 array."""
@@ -14,20 +15,26 @@ import pytest
 from elicit import (
     LinearFamily,
     MaxAffine,
+    NegEntropy,
     ScoreTable,
     SquaredNorm,
     TypeSpace,
     check_subgradient_selection,
     check_truthful,
+    check_proper,
     check_wmon_cells,
     make_direct_score,
+    make_scoring_rule,
     rochet_payments,
+    simplex_grid,
 )
 from elicit.core import _BLOCK_CELLS
 from elicit.monotone import check_local_truthful, check_wmon
 from elicit.properties import LabeledSample
+from elicit.scoring import OutcomeScoreTable
 from helpers import (
     loop_check_local_truthful,
+    loop_check_proper,
     loop_check_subgradient_selection,
     loop_check_truthful,
     loop_check_wmon,
@@ -133,6 +140,94 @@ def _cases():
             loop_check_local_truthful(table, ts, report_of, 0.6, TOL),
         )
     return cases
+
+
+def _proper_tables(m, rng):
+    """Tables of m reports on 3 outcomes, each report row followed by a
+    near copy 1e-6 away in max norm (a strict tie under the squared norm)
+    and, from m = 13 on, by one 5e-10 away, which matches the same
+    beliefs but is distinct at a tol of 1e-12."""
+    base = rng.dirichlet(np.ones(3), size=max(1, m // 2))
+    base[::3, 0] = 0.0  # zero coordinates, where the log score is -inf
+    base /= base.sum(axis=1, keepdims=True)
+    unit = np.array([1.0, -1.0, 0.0])
+    near = [base, np.clip(base + 1e-6 * unit, 0.0, None)]
+    if m >= 13:
+        near.append(np.clip(base - 5e-10 * unit, 0.0, None))
+    reports = np.stack(near, axis=1).reshape(-1, 3)[:m]
+    reports /= reports.sum(axis=1, keepdims=True)
+    proper = make_scoring_rule(SquaredNorm(), reports)
+    noisy = OutcomeScoreTable(reports, proper.payoffs + rng.normal(scale=1e-3, size=reports.shape))
+    return {
+        "squared": proper,
+        "noisy": noisy,
+        "log": make_scoring_rule(NegEntropy(), reports),  # -inf payoffs
+    }
+
+
+#: a gain of exactly -TOL: report 1 pays TOL less than report 0 under
+#: belief [1, 0], a strict tie at the bound itself
+AT_THE_BOUND = OutcomeScoreTable([[1.0, 0.0], [0.5, 0.5]], [[0.0, 0.0], [-TOL, 0.0]])
+
+
+@functools.lru_cache(maxsize=None)
+def _proper_cases():
+    """(name, call, the loop reference's report text) for ``check_proper``
+    on passing and failing tables, with and without beliefs, strict or
+    not, at the default tol and one below ``SIMPLEX_TOL``."""
+    cases = []
+    for m in SIZES:
+        rng = np.random.default_rng(900 + m)
+        tables = _proper_tables(m, rng)
+        if m == 2:
+            tables["at the bound"] = AT_THE_BOUND
+        for kind, table in tables.items():
+            # twice as many beliefs as reports, out of report order and
+            # repeated, so a belief's truthful report is off the diagonal
+            picks = rng.integers(0, m, size=2 * m)
+            for beliefs in (None, table.reports[picks].tolist()):
+                for strict in (False, True):
+                    for tol in (TOL, 1e-12):
+                        name = (
+                            f"check_proper {kind} m={m} beliefs={beliefs is not None} "
+                            f"strict={strict} tol={tol}"
+                        )
+                        call = functools.partial(check_proper, table, beliefs, strict, tol)
+                        reference = loop_check_proper(table, beliefs, strict, tol)
+                        cases.append((name, call, report_text(reference)))
+    return cases
+
+
+def test_the_proper_cases_pass_fail_and_tie():
+    texts = [text for _, _, text in _proper_cases()]
+    assert any('"passed":true' in text for text in texts)
+    assert any('"kind":"deviation"' in text for text in texts)
+    assert any('"kind":"tie"' in text for text in texts)
+    at_the_bound = [text for name, _, text in _proper_cases() if "at the bound" in name]
+    assert any('"indices":[0,1],"kind":"tie","slack":0}' in text for text in at_the_bound)
+
+
+@pytest.mark.parametrize("cells", CELLS.values(), ids=CELLS.keys())
+def test_check_proper_at_every_block_size_gives_the_loop_reports(monkeypatch, cells):
+    monkeypatch.setattr("elicit.core._BLOCK_CELLS", cells)
+    for name, call, reference in _proper_cases():
+        assert report_text(call()) == reference, name
+
+
+def test_check_proper_holds_its_gains_and_the_payoff_temporaries():
+    # the 861 reports of the squared norm on simplex_grid(3, 40): the
+    # payoff matrix's per-outcome temporaries set the peak, about 4.25
+    # matrices; no mask or slack matrix over pairs is added to them
+    table = make_scoring_rule(SquaredNorm(), simplex_grid(3, 40))
+    matrix = len(table) ** 2 * 8
+    tracemalloc.start()
+    try:
+        report = check_proper(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 4.5 * matrix, peak / matrix
 
 
 def test_every_verifier_passes_and_fails_among_the_cases():

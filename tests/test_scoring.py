@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from elicit import (
 from helpers import (
     loop_check_proper,
     loop_expected_score,
+    loop_simplex_grid,
     random_max_affine,
     random_typespace,
     report_text,
@@ -51,6 +53,32 @@ class TestSimplexGrid:
         g = simplex_grid(3, 7)
         assert np.allclose(g.sum(axis=1), 1.0)
         assert np.all(g >= 0)
+
+    def test_bitwise_the_recursive_reference(self):
+        for n in range(1, 6):
+            for d in range(1, 9):
+                grid = simplex_grid(n, d)
+                assert grid.tobytes() == loop_simplex_grid(n, d).tobytes(), (n, d)
+                assert grid.shape == (math.comb(d + n - 1, n - 1), n)
+
+    def test_more_outcomes_than_the_recursion_limit(self):
+        # the unit vectors, the last outcome's first
+        assert (simplex_grid(2000, 1) == np.eye(2000)[::-1]).all()
+        assert simplex_grid(1, 10**12).tolist() == [[1.0]]
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [
+            (3, 11000, "would take 60516501 x 3 floats, 1452396024 bytes, above the limit"),
+            # too many rows to count: min(d, n - 1) >= 32, and n beyond the limit
+            (10**6, 10**6, "would take more than 536870912 bytes, the limit"),
+            (2**26 + 1, 1, "would take more than 536870912 bytes, the limit"),
+        ],
+    )
+    def test_too_many_cells_are_refused_before_a_row_is_built(self, n, d, message):
+        what = f"the simplex grid of {n} outcomes at denominator {d} "
+        with pytest.raises(ValueError, match="^" + re.escape(what + message)):
+            simplex_grid(n, d)
 
 
 class TestMakeScoringRule:
