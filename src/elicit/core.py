@@ -398,12 +398,13 @@ def _scan_pairs(shape, block, tol: float, own=None, upper=False, depth: int = 1)
     return _PairScan(rows, cols, values, float(best), kept)
 
 
-def _gain_scan(score: ScoreTable, ts: TypeSpace, tol: float) -> _PairScan:
+def _gain_scan(score: ScoreTable, ts: TypeSpace, tol: float, out=None) -> _PairScan:
     """The deviation-gains pass of the truthfulness checks of an affine
     score with one report per type: gains[r, i], what type i gains by
     report r, formed in place in the payoff matrix, scanned for the pairs
-    r != i whose gain exceeds ``tol``."""
-    gains = score.payoff_matrix(ts)
+    r != i whose gain exceeds ``tol``.  ``out``, an m x m float array,
+    takes the payoff matrix in place of a new array."""
+    gains = score.payoff_matrix(ts, out=out)
     deviation_gains(gains, np.arange(len(ts)), axis=0, out=gains)
     return _scan_pairs(gains.shape, lambda lo, hi: (gains[lo:hi], None), tol)
 
@@ -432,15 +433,32 @@ def _as_vector(v, what: str = "vector") -> np.ndarray:
     return vec
 
 
+#: The odd multiplier of the row hash of :func:`_require_distinct`.
+_HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
+
+
 def _require_distinct(rows: np.ndarray, what: str) -> None:
     """Raise ``ValueError`` naming the first row of ``rows`` that repeats
-    an earlier one; -0.0 and 0.0 are the same coordinate."""
-    seen = set()
-    for i, row in enumerate(rows + 0.0):  # + 0.0 turns -0.0 into 0.0
-        key = row.tobytes()
-        if key in seen:
-            raise ValueError(f"duplicate {what} at index {i}")
-        seen.add(key)
+    an earlier one; -0.0 and 0.0 are the same coordinate.
+
+    Equal rows have equal bits and so one 64-bit hash of them: when no
+    two hashes agree, which one sort shows, no row repeats.  Otherwise a
+    stable sort of the rows' bits puts equal rows next to each other in
+    index order, and the first repeat is the least index that follows an
+    equal row."""
+    bits = (rows + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0
+    key = np.zeros(len(bits), dtype=np.uint64)
+    for column in bits.T:  # modulo 2^64
+        key *= _HASH_FACTOR
+        key += column
+    key.sort()
+    if not np.count_nonzero(key[1:] == key[:-1]):
+        return
+    order = np.lexsort(bits.T) if bits.shape[1] else np.arange(len(bits))
+    bits = bits[order]
+    repeats = order[1:][(bits[1:] == bits[:-1]).all(axis=1)]
+    if len(repeats):
+        raise ValueError(f"duplicate {what} at index {repeats.min()}")
 
 
 @dataclass
@@ -554,15 +572,15 @@ class ScoreTable:
         t = _as_vector(t, "type")
         return float(self.linear[report_idx] @ t + self.constant[report_idx])
 
-    def payoff_matrix(self, ts: TypeSpace) -> np.ndarray:
-        """Matrix V[r, i] = score of report r at type i; ``ValueError``,
-        before anything is allocated, when it would have more than
-        ``MAX_MATRIX_CELLS`` entries."""
+    def payoff_matrix(self, ts: TypeSpace, out=None) -> np.ndarray:
+        """Matrix V[r, i] = score of report r at type i, written into
+        ``out`` if given; ``ValueError``, before anything is allocated,
+        when it would have more than ``MAX_MATRIX_CELLS`` entries."""
         if ts.dim != self.dim:
             raise DimensionMismatchError("score table dimension != type space")
         _require_cells(len(self), len(ts), f"the payoffs of {len(self)} reports at {len(ts)} types")
         with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
-            values = self.linear @ ts.points.T
+            values = np.matmul(self.linear, ts.points.T, out=out)
             values += self.constant[:, None]
         return values
 

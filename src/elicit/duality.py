@@ -113,6 +113,9 @@ def check_duality_identities(
         two evaluation orders within tol.
 
     With no duals there is no pair: a vacuous pass, every ``max_*`` 0.0.
+    The check forms eight grid x duals arrays, which together may have at
+    most ``MAX_MATRIX_CELLS`` cells; more raise ``ValueError`` once the
+    conjugate, which takes one such array, is known.
     """
     require_positive(tol)
     duals = _dual_rows(duals)
@@ -121,6 +124,8 @@ def check_duality_identities(
         maxima = ("max_fenchel_young_violation", "max_difference_violation", "max_divergence_gap")
         return CheckReport(WitnessColumns(), {"tol": tol, **dict.fromkeys(maxima, 0.0)})
     conjs = conjugate_value(g, duals, grid)
+    k, n = len(grid), len(duals)
+    _require_cells(8 * k, n, f"the duality identities, eight arrays of {k} grid points x {n} duals,")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         inner = grid.points @ duals.T  # inner[i, j] = <t_i, d_j>
         fy = evals[:, None] + conjs[None, :] - inner

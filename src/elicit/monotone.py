@@ -6,7 +6,9 @@ monotone, so each checker here either certifies the condition or
 returns a concrete counterexample: a violating pair, a positive-weight
 cycle, or a local truthfulness failure.  Weak and cyclic monotonicity
 read one weight matrix, :func:`cmon_weights`, and so does
-``properties.check_wmon_cells``, the weak check over labeled cells.
+``properties.check_wmon_cells``, the weak check over labeled cells;
+:func:`check_cmon` and the searches of ``payments`` take it laid out in
+place for the Bellman-Ford kernel (``_cmon_graph``).
 The weak checks and :func:`check_local_truthful` form their pair values
 (w[i, j] + w[j, i], the larger gain of a pair, the distances) a block of
 rows at a time over the pairs i < j, with ``core._scan_pairs``, so each
@@ -15,8 +17,9 @@ holds its one weight or payoff matrix and a few blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +71,43 @@ def _cmon_weights(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return w
 
 
+class _Transposed(NamedTuple):
+    """Weights in the layout :func:`longest_paths` reads, which takes them
+    as they are, with no copy: ``wt[v, u]`` is the weight of edge u -> v,
+    finite or ``-inf``, and the diagonal is ``-inf``.  The caller owns the
+    array and may reuse it once the kernel has returned."""
+
+    wt: np.ndarray
+
+
+def _cmon_graph(ts: TypeSpace, fam: LinearFamily) -> _Transposed:
+    """:func:`cmon_weights`, bitwise, laid out in place for the kernel: the
+    one m x m array of ``check_cmon`` and of the searches of ``payments``."""
+    wt = cmon_weights(ts, fam)
+    _transpose(wt)
+    np.fill_diagonal(wt, -np.inf)
+    return _Transposed(wt)
+
+
+def _transpose(square: np.ndarray) -> None:
+    """Transpose a square array in place, a tile of at most
+    ``core._BLOCK_CELLS`` cells at a time: the layout of the reversed
+    graph is that of the graph transposed back."""
+    m = len(square)
+    side = max(1, math.isqrt(core._BLOCK_CELLS))
+    spare = np.empty(min(side, m) ** 2)
+    for lo in range(0, m, side):
+        hi = min(lo + side, m)
+        for lo2 in range(lo, m, side):
+            hi2 = min(lo2 + side, m)
+            tile, mirror = square[lo:hi, lo2:hi2], square[lo2:hi2, lo:hi]
+            saved = spare[: tile.size].reshape(tile.shape)
+            np.copyto(saved, tile)
+            if lo2 > lo:  # a tile on the diagonal is its own mirror
+                np.copyto(tile, mirror.T)
+            np.copyto(mirror, saved.T)
+
+
 #: The predecessor graph is first searched for cycles after this many
 #: relaxation rounds, then after twice as many, and so on.  A failing
 #: family usually closes a positive predecessor cycle within a round or
@@ -110,18 +150,25 @@ def longest_paths(
     detector.  Relaxations must improve by more than an epsilon of
     ``tol / 4m`` so float noise cannot masquerade as a cycle.
 
-    Each round reads the weights transposed, ``wt[v, u] = weights[u, v]``,
-    in the columns u of the active nodes only: those whose ``dist``
-    changed in the round before, and at the start every node of finite
-    ``dist`` (all of them with ``source=None``, else the source).  It
+    The kernel reads the weights transposed, ``wt[v, u] = weights[u, v]``
+    with a ``-inf`` diagonal, from a copy it makes, so ``weights`` is left
+    as it was.  Weights already in that layout, a ``_Transposed`` from
+    ``_cmon_graph``, are read in place: the cmon callers (``check_cmon``
+    and the searches of ``payments``) form one m x m array per call and
+    the kernel adds none.
+
+    Each round reads ``wt`` in the columns u of the active nodes only:
+    those whose ``dist`` changed in the round before, and at the start
+    every node of finite ``dist`` (all of them with ``source=None``, else
+    the source).  It
     forms the candidates ``dist[u] + weights[u, v]`` a block of rows v at
     a time, in one buffer of ``core._BLOCK_CELLS`` floats or of one row if
     that is larger: it gathers the active columns into the buffer, or
     adds ``dist`` to every column when the frontier is too large to
     gather with profit (see ``_GATHER_FROM``).  The best predecessor of
-    each node v is the first argmax along its row.  So the kernel holds
-    one m x m array, ``wt``, beside that fixed block, and a graph whose
-    m^2 cells fit in the block takes each round in one piece.  A row
+    each node v is the first argmax along its row.  So beside ``wt`` the
+    kernel holds that fixed block, and a graph whose m^2 cells fit in the
+    block takes each round in one piece.  A row
     sees the same candidates in the same order in any block, and such
     frontier rounds give the same improved nodes, distances and
     predecessors as rounds over every edge, bit for bit.  An edge u -> v
@@ -151,17 +198,20 @@ def longest_paths(
     scan.
     """
     require_positive(tol)
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-        raise ValueError(f"weights must be a square matrix, got shape {weights.shape}")
-    m = weights.shape[0]
+    laid_out = isinstance(weights, _Transposed)
+    wt = weights.wt if laid_out else np.asarray(weights, dtype=float)
+    if wt.ndim != 2 or wt.shape[0] != wt.shape[1]:
+        raise ValueError(f"weights must be a square matrix, got shape {wt.shape}")
+    m = wt.shape[0]
     if source is not None and not (isinstance(source, (int, np.integer)) and 0 <= source < m):
         raise ValueError(f"source must be a node index in [0, {m}), got {source!r}")
-    wt = weights.T.copy()
-    np.fill_diagonal(wt, -np.inf)
-    if not wt.max(initial=-np.inf) < np.inf:  # one pass finds a nan or +inf
-        v, u = np.argwhere(~(wt < np.inf))[0]
-        raise ValueError(f"edge ({u}, {v}) weighs {weights[u, v]}; weights must be finite or -inf")
+    if not laid_out:
+        weights, wt = wt, wt.T.copy()
+        np.fill_diagonal(wt, -np.inf)
+        if not wt.max(initial=-np.inf) < np.inf:  # one pass finds a nan or +inf
+            v, u = np.argwhere(~(wt < np.inf))[0]
+            weight = weights[u, v]
+            raise ValueError(f"edge ({u}, {v}) weighs {weight}; weights must be finite or -inf")
     eps = tol / max(1, 4 * m)
     if source is None:
         dist = np.zeros(m)
@@ -207,7 +257,7 @@ def longest_paths(
         dist[improved] = best[improved]
         if rounds >= _FIRST_WALK and rounds & (rounds - 1) == 0:
             for cycle in _pred_cycles(pred):
-                w = _cycle_weight(weights, cycle)
+                w = _cycle_weight(wt.T, cycle)
                 if w > tol:
                     return LongestPathResult(dist, pred, cycle, w, rounds, edges)
 
@@ -216,7 +266,7 @@ def longest_paths(
         cycle = _extract_cycle(pred, int(arg[v]), int(v), m)
         if cycle is None:
             continue
-        w = _cycle_weight(weights, cycle)
+        w = _cycle_weight(wt.T, cycle)
         if w > tol:
             return LongestPathResult(dist, pred, cycle, w, rounds, edges)
     return LongestPathResult(dist, pred, None, rounds=rounds, edges_examined=edges)
@@ -323,8 +373,7 @@ def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> Ch
     Bellman-Ford relaxation rounds run (see :func:`longest_paths`).
     """
     require_positive(tol)
-    w = cmon_weights(ts, fam)
-    res = longest_paths(w, source=None, tol=tol)
+    res = longest_paths(_cmon_graph(ts, fam), source=None, tol=tol)
     info = {"tol": tol, "rounds": res.rounds}
     if res.cycle is None:
         return CheckReport(WitnessColumns(), info)

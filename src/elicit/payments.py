@@ -31,7 +31,7 @@ from .core import (
     mask_witnesses,
     require_positive,
 )
-from .monotone import cmon_weights, longest_paths
+from .monotone import _cmon_graph, _transpose, _Transposed, longest_paths
 
 __all__ = [
     "StepAllocation",
@@ -123,10 +123,10 @@ class PaymentResult:
         )
 
 
-def _paths_from(weights: np.ndarray, source: int, tol: float) -> np.ndarray:
+def _paths_from(graph: _Transposed, source: int, tol: float) -> np.ndarray:
     """Longest-path values from ``source``; a positive cycle raises
     :class:`NotImplementableError` carrying it."""
-    res = longest_paths(weights, source=source, tol=tol)
+    res = longest_paths(graph, source=source, tol=tol)
     if res.cycle is not None:
         raise NotImplementableError(res.cycle, res.cycle_weight)
     return res.dist
@@ -149,11 +149,13 @@ def rochet_payments(
     fam.check_aligned(ts)
     if not 0 <= t0 < len(ts):
         raise ValueError(f"base type {t0} out of range")
-    surplus = _paths_from(cmon_weights(ts, fam), t0, tol)
+    graph = _cmon_graph(ts, fam)
+    surplus = _paths_from(graph, t0, tol)
     own = np.einsum("ij,ij->i", fam.vectors, ts.points)
     payments = own - surplus
     result = PaymentResult(surplus, payments, t0, fam)
-    worst = _gain_scan(result.induced_score(), ts, tol).best
+    # the payoffs of the post-check take the weights' place
+    worst = _gain_scan(result.induced_score(), ts, tol, out=graph.wt).best
     if worst > tol:
         raise ElicitError(
             f"internal error: synthesized score violates truthfulness by {worst:.3g}"
@@ -215,15 +217,15 @@ def revenue_interval(
     for idx in list(anchors) + [target]:
         if not 0 <= idx < len(ts):
             raise ValueError(f"type index {idx} out of range")
-    weights = cmon_weights(ts, fam)
-    dists = {s: _paths_from(weights, s, tol) for s in anchors}
+    graph = _cmon_graph(ts, fam)
+    dists = {s: _paths_from(graph, s, tol) for s in anchors}
     _check_anchor_consistency(anchors, dists, tol)
 
     if target in anchors:
         v = anchors[target]
         return RevenueInterval(v, v, anchors, target)
 
-    from_target = _paths_from(weights, target, tol)
+    from_target = _paths_from(graph, target, tol)
     lower = max(v + dists[s][target] for s, v in anchors.items())
     upper = min(v - from_target[s] for s, v in anchors.items())
     return RevenueInterval(float(lower), float(upper), anchors, target)
@@ -239,9 +241,10 @@ def check_revenue_equivalence(
     it everywhere; witnesses are targets whose interval has width > tol."""
     require_positive(tol)
     fam.check_aligned(ts)
-    weights = cmon_weights(ts, fam)
-    lower = _paths_from(weights, t0, tol)
-    upper = -_paths_from(weights.T, t0, tol)  # longest paths target -> t0, reversed graph
+    graph = _cmon_graph(ts, fam)
+    lower = _paths_from(graph, t0, tol)
+    _transpose(graph.wt)  # the reversed graph
+    upper = -_paths_from(graph, t0, tol)  # longest paths target -> t0
     width = upper - lower  # <= 0 at t0: both of its paths to itself weigh >= 0
     witnesses = mask_witnesses(
         "target",

@@ -140,7 +140,9 @@ class OutcomeScoreTable:
         payoff gives 0, and one -inf term makes the entry -inf."""
         beliefs = self._beliefs(beliefs)
         score = np.zeros((len(beliefs), len(self)))
+        term = np.empty(score.shape)  # each outcome's terms, in turn
         sunk = np.zeros(score.shape, dtype=bool)
+        hit = np.empty(score.shape, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
             for o in range(self.n_outcomes):
                 prob = beliefs[:, o, None]
@@ -149,8 +151,9 @@ class OutcomeScoreTable:
                 void = (prob == 0.0) | (
                     (payoff == -np.inf) & (prob >= -SIMPLEX_TOL) & (prob < 0.0)
                 )
-                term = np.where(void, 0.0, prob * payoff)
-                sunk |= term == -np.inf
+                np.multiply(prob, payoff, out=term)
+                np.copyto(term, 0.0, where=void)
+                sunk |= np.equal(term, -np.inf, out=hit)
                 score += term
         score[sunk] = -np.inf
         return score

@@ -14,15 +14,19 @@ from elicit import (
     CheckReport,
     DimensionMismatchError,
     DomainError,
+    ElicitError,
+    InconsistentAnchorsError,
     LinearFamily,
     MaxAffine,
     NegEntropy,
+    NotImplementableError,
+    ScoreTable,
     SquaredNorm,
     TypeSpace,
     UnreachableActionError,
     Witness,
 )
-from elicit.core import DEFAULT_TOL, INTERIOR_EPS, SIMPLEX_TOL, require_positive
+from elicit.core import DEFAULT_TOL, INTERIOR_EPS, SIMPLEX_TOL, _gain_scan, require_positive
 from elicit.jsonio import dumps
 from elicit.monotone import (
     _FIRST_WALK,
@@ -112,6 +116,17 @@ def kl_divergence(p, q):
 # same checks written as explicit pair and triple loops, witness by witness
 
 
+def loop_require_distinct(rows, what):
+    """The row loop ``core._require_distinct`` had: a set of each row's
+    bytes, -0.0 read as 0.0."""
+    seen = set()
+    for i, row in enumerate(rows + 0.0):  # + 0.0 turns -0.0 into 0.0
+        key = row.tobytes()
+        if key in seen:
+            raise ValueError(f"duplicate {what} at index {i}")
+        seen.add(key)
+
+
 def loop_check_wmon(ts, fam, tol):
     w = cmon_weights(ts, fam)
     out = []
@@ -174,6 +189,73 @@ def loop_check_revenue_equivalence(ts, fam, t0, tol, paths=None):
                 Witness("target", (target,), width, f"surplus interval [{lower:.6g}, {upper:.6g}]")
             )
     return CheckReport(witnesses, {"tol": tol, "base_type": t0})
+
+
+# ---------------------------------------------------------------------------
+# the callers of the Bellman-Ford kernel as they were written on the public
+# ``longest_paths(cmon_weights(ts, fam), ...)``: each search on weights
+# formed for it alone, which the kernel copies transposed
+
+
+def _separate_paths(ts, fam, source, tol, reverse=False):
+    weights = cmon_weights(ts, fam)
+    res = longest_paths(weights.T if reverse else weights, source=source, tol=tol)
+    if res.cycle is not None:
+        raise NotImplementableError(res.cycle, res.cycle_weight)
+    return res.dist
+
+
+def separate_check_cmon(ts, fam, tol):
+    require_positive(tol)
+    res = longest_paths(cmon_weights(ts, fam), source=None, tol=tol)
+    info = {"tol": tol, "rounds": res.rounds}
+    if res.cycle is None:
+        return CheckReport([], info)
+    witness = Witness("cycle", tuple(res.cycle), res.cycle_weight, "positive-weight cycle")
+    return CheckReport([witness], info)
+
+
+def separate_rochet_payments(ts, fam, t0, tol):
+    """(surplus, payments) of ``rochet_payments``, whose post-check forms
+    its own payoff matrix."""
+    require_positive(tol)
+    fam.check_aligned(ts)
+    if not 0 <= t0 < len(ts):
+        raise ValueError(f"base type {t0} out of range")
+    surplus = _separate_paths(ts, fam, t0, tol)
+    payments = np.einsum("ij,ij->i", fam.vectors, ts.points) - surplus
+    score = ScoreTable(list(range(len(ts))), fam.vectors.copy(), -payments)
+    worst = _gain_scan(score, ts, tol).best
+    if worst > tol:
+        raise ElicitError(f"internal error: synthesized score violates truthfulness by {worst:.3g}")
+    return surplus, payments
+
+
+def separate_revenue_interval(ts, fam, anchors, target, tol):
+    """(lower, upper) of ``revenue_interval`` on valid anchors and target."""
+    require_positive(tol)
+    dists = {s: _separate_paths(ts, fam, s, tol) for s in anchors}
+    for s, vs in anchors.items():
+        for s2, vs2 in anchors.items():
+            bound = vs + dists[s][s2]
+            if s != s2 and vs2 < bound - tol:
+                raise InconsistentAnchorsError(
+                    f"anchor {s2}={vs2:.6g} below path bound "
+                    f"{bound:.6g} forced by anchor {s}={vs:.6g}"
+                )
+    if target in anchors:
+        return anchors[target], anchors[target]
+    from_target = _separate_paths(ts, fam, target, tol)
+    lower = max(v + dists[s][target] for s, v in anchors.items())
+    upper = min(v - from_target[s] for s, v in anchors.items())
+    return float(lower), float(upper)
+
+
+def separate_check_revenue_equivalence(ts, fam, t0, tol):
+    require_positive(tol)
+    fwd = _separate_paths(ts, fam, t0, tol)
+    bwd = _separate_paths(ts, fam, t0, tol, reverse=True)
+    return loop_check_revenue_equivalence(ts, fam, t0, tol, (fwd, bwd))
 
 
 def loop_check_local_truthful(score, ts, report_of, radius, tol):

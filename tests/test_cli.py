@@ -964,7 +964,10 @@ class TestOversizedInputs:
     grid, of more than ``core.MAX_MATRIX_CELLS`` cells on these inputs.
     It exits 1 with one stderr line naming the sizes, before allocating
     it.  8193 rows make 8193^2 = 67 125 249 cells, just over the limit.
-    Each runs in a child process whose address space is capped."""
+    The duality identities take eight arrays of grid x duals, so 8192
+    grid points and duals, 2^26 cells each, are refused after the
+    conjugate; at eight such arrays the check took about 4 GiB.  Each runs
+    in a child process whose address space is capped."""
 
     N = 8193
     PAIRS = f"would take {N} x {N} floats, {8 * N * N} bytes, above the limit of 536870912 bytes"
@@ -990,6 +993,12 @@ class TestOversizedInputs:
             ["level-convexity", "{sample}"],
             f"the differences of {N} sample points {PAIRS}",
         ),
+        "duality-check-identities": (
+            ["duality-check", "{g}", "{grids_at_limit}"],
+            f"the duality identities, eight arrays of {N - 1} grid points x {N - 1} duals, "
+            f"would take {8 * (N - 1)} x {N - 1} floats, {64 * (N - 1) ** 2} bytes, "
+            "above the limit of 536870912 bytes",
+        ),
     }
 
     @pytest.fixture(scope="class")
@@ -997,9 +1006,11 @@ class TestOversizedInputs:
         tmp = tmp_path_factory.mktemp("oversized")
         line = [[i / self.N] for i in range(self.N)]
         labels = [i % 2 for i in range(self.N)]
+        at_limit = {"typeSpace": {"points": line[1:]}, "duals": line[1:]}
         return {
             "g": str(GOLDEN_INPUTS / "squarednorm.json"),
             "grids": write(tmp, "grids.json", {"typeSpace": {"points": line}, "duals": line}),
+            "grids_at_limit": write(tmp, "grids_at_limit.json", at_limit),
             "sites": write(tmp, "sites.json", {"sites": line}),
             "diagram": write(tmp, "diagram.json", {"sites": line, "weights": [0.0] * self.N}),
             "points": write(tmp, "points.json", {"points": line}),

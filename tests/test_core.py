@@ -21,7 +21,7 @@ from elicit import (
     subgradient,
 )
 from elicit import core
-from helpers import central_diff_grad, random_max_affine, random_typespace
+from helpers import central_diff_grad, loop_require_distinct, random_max_affine, random_typespace
 
 ABS = MaxAffine(slopes=[[1.0], [-1.0]], intercepts=[0.0, 0.0])  # |t|
 HINGE = MaxAffine(slopes=[[0.0], [1.0]], intercepts=[0.0, -1.0])  # max(0, t-1)
@@ -41,6 +41,40 @@ class TestTypes:
             TypeSpace([[0.0], [-0.0]])
         with pytest.raises(ValueError, match="duplicate type at index 2"):
             TypeSpace([[1.0, 0.0], [0.0, 1.0], [1.0, -0.0]])
+
+    def test_distinct_rows_name_the_loop_references_first_repeat(self):
+        def error(check, rows):
+            try:
+                check(rows, "type")
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        rng = np.random.default_rng(31)
+        # rows of dimension 0 all repeat the first; rows whose 64-bit
+        # hashes collide, (2, 1) and (2 + ulp, 1 - 0x9E37...15 as bits),
+        # are distinct, and the third row repeats the first
+        collide = np.array([0x4000000000000000, 0x3FF0000000000000], dtype=np.uint64)
+        twin = np.array([0x4000000000000001, 0xA1B8864680B583EB], dtype=np.uint64)
+        collision = np.vstack([collide, twin]).view(float)
+        cases = [np.zeros((m, 0)) for m in (1, 2, 5)]
+        cases += [collision, np.vstack([collision, collision[:1]])]
+        for m in (1, 2, 3, 13, 200):
+            for dim in (1, 2, 3):
+                distinct = rng.uniform(-1, 1, size=(m, dim))
+                planted = distinct.copy()
+                for _ in range(3):  # copies of earlier rows, from m = 2 on
+                    i, j = np.sort(rng.choice(m, size=min(m, 2), replace=False))[[0, -1]]
+                    planted[j] = planted[i]
+                signed = rng.choice([0.0, -0.0, 1.0], size=(m, dim))  # repeats up to sign
+                lattice = rng.integers(-2, 3, size=(m, dim)).astype(float)
+                cases += [distinct, planted, signed, lattice, -lattice]
+        errors = [error(loop_require_distinct, rows) for rows in cases]
+        one, two = "duplicate type at index 1", "duplicate type at index 2"
+        assert errors[:5] == [None, one, one, None, two]
+        assert len(set(errors)) > 10
+        for rows, expected in zip(cases, errors):
+            assert error(core._require_distinct, rows) == expected, rows
 
     def test_typespace_rejects_empty(self):
         with pytest.raises(ValueError):
