@@ -92,9 +92,13 @@ def _cmon_graph(ts: TypeSpace, fam: LinearFamily) -> _Transposed:
 def _transpose(square: np.ndarray) -> None:
     """Transpose a square array in place, a tile of at most
     ``core._BLOCK_CELLS`` cells at a time: the layout of the reversed
-    graph is that of the graph transposed back."""
+    graph is that of the graph transposed back.  The tiles are of equal
+    side, within one: at m = 220, two of 110 rather than 181 and a
+    39-wide sliver, which takes longer."""
     m = len(square)
     side = max(1, math.isqrt(core._BLOCK_CELLS))
+    if m > side:
+        side = -(-m // -(-m // side))
     spare = np.empty(min(side, m) ** 2)
     for lo in range(0, m, side):
         hi = min(lo + side, m)

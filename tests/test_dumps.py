@@ -4,8 +4,10 @@
 everything else through one normalizing branch; ``helpers.loop_dumps``
 normalizes every value first.  Both must print the same text for every
 value, and fail with the same exception and message.  Witnesses, which
-``dumps`` writes straight from their columns, must print as the dicts
-of ``Witness.to_obj`` print (``helpers.report_text``)."""
+``dumps`` writes straight from their columns (a block of at least
+``jsonio._VECTOR_MIN`` as byte matrices, a smaller one by templates),
+must print as the dicts of ``Witness.to_obj`` print
+(``helpers.report_text``)."""
 
 import enum
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from elicit import CheckReport, Witness, WitnessColumns
-from elicit.jsonio import dumps
+from elicit.jsonio import _VECTOR_MIN, dumps
 from helpers import loop_dumps, report_text
 
 TRIALS = 400
@@ -305,6 +307,26 @@ def test_columns_concatenate_and_unpack():
 
 #: template args may be any float: a text holds "inf" or "nan" as it is
 ARG_FLOATS = FLOATS + [math.inf, math.nan]
+#: the int64 extremes, whose magnitude 2**63 is no int64, and -1
+INT64 = [0, -1, 7, 2**53 + 1, 9999, 10**4, -(2**63), 2**63 - 1]
+
+
+def random_index(rng, n, k):
+    """An (n, k) index column block: int64 extremes, -1 and random ints."""
+    index = rng.integers(-(2**63), 2**63 - 1, size=(n, k), endpoint=True)
+    special = rng.integers(0, 2, size=(n, k)).astype(bool)
+    index[special] = rng.choice(INT64, size=int(special.sum()))
+    return index
+
+
+def random_slack(rng):
+    """A finite slack of any magnitude, a round one, an edge, or -inf."""
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return float(rng.choice(FLOATS))
+    if kind == 1:  # round numbers, whose digits end in zeros
+        return float(rng.integers(-(10**6), 10**6)) / 10.0 ** rng.integers(-8, 9)
+    return float(rng.normal() * 10.0 ** rng.integers(-8, 20))
 
 
 def random_witness_text(rng, n):
@@ -314,7 +336,7 @@ def random_witness_text(rng, n):
         return random_text(rng)
     fields = [str(rng.choice(["%d", "%.6g", "%.17g"])) for _ in range(rng.integers(0, 3))]
     args = [
-        rng.choice(INTS[:4], size=n) if field == "%d" else rng.choice(ARG_FLOATS, size=n)
+        rng.choice(INT64, size=n) if field == "%d" else rng.choice(ARG_FLOATS, size=n)
         for field in fields
     ]
 
@@ -331,17 +353,23 @@ def random_witness_text(rng, n):
     return text(options, *args, choice=rng.integers(0, len(options), size=n))
 
 
-def test_random_columns_print_as_their_witness_dicts():
-    rng = np.random.default_rng(11)
+@pytest.mark.parametrize("vector_min", [0, _VECTOR_MIN])
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_random_columns_print_as_their_witness_dicts(monkeypatch, vector_min, chunk):
+    # vector_min 0 writes every block as byte matrices, of chunk rows each
+    monkeypatch.setattr("elicit.jsonio._VECTOR_MIN", vector_min)
+    monkeypatch.setattr("elicit.jsonio._TEXT_CHUNK", chunk)
+    rng = np.random.default_rng([11, vector_min, chunk])
     for _ in range(200):
         blocks = []
         for _ in range(rng.integers(0, 4)):
-            n, k = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+            n = int(rng.integers(0, 4) if rng.integers(0, 4) else rng.integers(0, 20))
+            k = int(rng.integers(0, 4))
             blocks.append(
                 block(
                     random_witness_text(rng, n),
-                    rng.integers(-(2**62), 2**62, size=(n, k)),
-                    [float(rng.choice(FLOATS)) for _ in range(n)],
+                    random_index(rng, n, k),
+                    [random_slack(rng) for _ in range(n)],
                     random_witness_text(rng, n),
                 )
             )
@@ -355,7 +383,10 @@ def test_random_columns_print_as_their_witness_dicts():
 @pytest.mark.parametrize(
     "slacks,message",
     [([1.0, INF], "cannot serialize inf"), ([math.nan], "cannot serialize nan"),
-     ([-INF, math.nan, INF], "cannot serialize nan"), ([2.0, INF, math.nan], "cannot serialize inf")],
+     ([-INF, math.nan, INF], "cannot serialize nan"), ([2.0, INF, math.nan], "cannot serialize inf"),
+     # blocks long enough for the byte matrices
+     ([0.5] * _VECTOR_MIN + [INF], "cannot serialize inf"),
+     ([-INF] + [0.5] * _VECTOR_MIN + [math.nan, INF], "cannot serialize nan")],
 )
 def test_a_slack_of_inf_or_nan_raises_as_a_float_does(slacks, message):
     blocks = [block("pair", [[0, 1]], [0.5], "fine"), block("pair", [[1, 0]] * len(slacks), slacks, "x")]
@@ -388,3 +419,21 @@ def test_one_witness_blocks_print_as_their_dicts_and_a_plain_witness_is_not_writ
         with pytest.raises(TypeError) as info:
             dumps(value)
         assert str(info.value) == "cannot serialize Witness"
+
+
+def test_the_byte_matrices_write_each_slack_as_format_17g():
+    # every slack of a long block is written as format(x, ".17g"), by the
+    # matrices' own digits in fixed notation, by Python elsewhere
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64).view(np.float64)
+    fixed = np.ldexp(rng.uniform(1.0, 2.0, 2 * 10**5), rng.integers(-14, 57, 2 * 10**5))
+    rounds = rng.integers(1, 10**6, 10**5) / 10.0 ** rng.integers(-10, 11, 10**5)
+    edges = np.array([1e-4, 1e-5, 1e16, 1e17, 2.0**-25, 0.1, 0.0, 0.0001 * (1 - 2.0**-52), 1.0, 100.0])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, INF)])
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    signed = np.concatenate([fixed, rounds, edges, powers])
+    slack = np.concatenate([bits[np.isfinite(bits)], signed, -signed])
+    assert len(slack) >= _VECTOR_MIN
+    text = dumps(WitnessColumns([("", np.zeros((len(slack), 0), int), slack, "")]))
+    row = '{"detail":"","indices":[],"kind":"","slack":%s}'
+    assert text == "[" + ",".join(row % format(x, ".17g") for x in slack.tolist()) + "]"
