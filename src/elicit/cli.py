@@ -27,6 +27,7 @@ from . import duality, jsonio, monotone, payments, properties, scoring
 from .core import (
     DEFAULT_TOL,
     CheckReport,
+    DimensionMismatchError,
     ElicitError,
     InconsistentAnchorsError,
     NegEntropy,
@@ -35,6 +36,7 @@ from .core import (
     SquaredNorm,
     TypeSpace,
     UnreachableActionError,
+    _numbers,
     require_positive,
 )
 
@@ -87,7 +89,7 @@ def _load_g(spec: str):
 def _rows(path: str, key: str) -> np.ndarray:
     """A file of rows: a bare JSON list, or the list under ``key``."""
     obj = _read_json(path)
-    return np.asarray(obj[key] if isinstance(obj, dict) else obj, dtype=float)
+    return _numbers(obj[key] if isinstance(obj, dict) else obj, key)
 
 
 def _load_affine(path: str) -> tuple:
@@ -100,7 +102,7 @@ def _load_grids(g_path: str, grids_path: str) -> tuple:
     """(G, grid, duals) of a convex-spec file and a grids file."""
     g = jsonio.load_convex(_read_json(g_path))
     obj = _read_object(grids_path)
-    return g, jsonio.load_typespace(obj["typeSpace"]), np.asarray(obj["duals"], dtype=float)
+    return g, jsonio.load_typespace(obj["typeSpace"]), _numbers(obj["duals"], "duals")
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +147,7 @@ def _cmd_rev_interval(args):
 
 def _cmd_myerson(args):
     obj = _read_object(args.file)
-    alloc = payments.StepAllocation(
-        breakpoints=np.asarray(obj["breakpoints"], dtype=float),
-        values=np.asarray(obj["values"], dtype=float),
-    )
+    alloc = payments.StepAllocation(breakpoints=obj["breakpoints"], values=obj["values"])
     payment = payments.myerson_payment(alloc, args.t, p0=args.p0)
     return {"payment": payment, "allocation": alloc.value_at(args.t), "t": args.t}
 
@@ -196,8 +195,11 @@ def _cmd_check_local(args):
 def _cmd_decision_score(args):
     obj = _read_object(args.file)
     g = jsonio.load_convex(obj["g"])
-    reports = [np.asarray(q, dtype=float) for q in obj["reports"]]
-    spec = scoring.make_decision_score(g, obj["decisions"], reports, tol=_tol(args))
+    reports = [_numbers(q, "reports") for q in obj["reports"]]
+    if len({q.shape for q in reports}) > 1:
+        raise DimensionMismatchError("reports must be action-by-outcome matrices of one shape")
+    decisions = _numbers(obj["decisions"], "decisions")
+    spec = scoring.make_decision_score(g, decisions, reports, tol=_tol(args))
     return {
         "nActions": spec.n_actions,
         "nOutcomes": spec.n_outcomes,

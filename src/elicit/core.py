@@ -181,7 +181,7 @@ def _require_summable(values: np.ndarray, count: int, what: str) -> None:
 def _whole_number(x, what: str) -> int:
     """``x`` as an int; ``ValueError`` naming ``what`` when it is no whole number."""
     try:
-        if int(x) == x:
+        if int(x) == x and not isinstance(x, bool):
             return int(x)
     except (TypeError, ValueError, OverflowError):  # nan, an infinity, no number
         pass
@@ -413,22 +413,77 @@ def _gain_scan(score: ScoreTable, ts: TypeSpace, tol: float, out=None) -> _PairS
 # domain types
 
 
+#: How :func:`_numbers` names what is no number.
+_NOT_NUMBERS = {
+    str: "strings",
+    np.str_: "strings",
+    bool: "booleans",
+    np.bool_: "booleans",
+    type(None): "null",
+    dict: "objects",
+}
+#: The types of the numbers and of the arrays in a JSON document.
+_JSON_NUMBERS = frozenset({float, int})
+_ARRAYS = frozenset({list, tuple, np.ndarray})
+
+
+def _require_numbers(kinds, what: str) -> None:
+    """``ValueError`` naming ``what`` unless every type in ``kinds`` is a
+    number type, bool excepted."""
+    bad = {
+        _NOT_NUMBERS.get(kind, kind.__name__)
+        for kind in kinds
+        if kind is bool or not issubclass(kind, (int, float, np.number))
+    }
+    if bad:
+        raise ValueError(f"{what} must hold numbers, not {' or '.join(sorted(bad))}")
+
+
+def _numbers(x, what: str) -> np.ndarray:
+    """``x``, a number, an array or nested lists of numbers, as a float
+    array.  numpy would read the JSON string "0.5" and the boolean true
+    as 0.5 and 1.0; here a string, a boolean or null raises ``ValueError``
+    naming ``what``, and so do rows of unequal length, as
+    ``DimensionMismatchError``."""
+    if isinstance(x, list):  # JSON: check the type of each entry
+        kinds = set(map(type, x))
+        if kinds == {list}:  # rows, read as one flat list: numpy need not find the shape
+            if len(set(map(len, x))) > 1:
+                raise DimensionMismatchError(f"{what} has rows of unequal length")
+            flat = list(itertools.chain.from_iterable(x))
+            kinds = set(map(type, flat))
+            if kinds <= _JSON_NUMBERS:
+                return np.array(flat, dtype=float).reshape(len(x), -1)
+        elif kinds <= _JSON_NUMBERS:
+            return np.array(x, dtype=float)
+        _require_numbers(kinds - _ARRAYS, what)  # numpy reads what nests deeper
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # rows of unequal length
+        raise DimensionMismatchError(f"{what} has rows of unequal length") from None
+    if arr.dtype.kind == "O":
+        _require_numbers(set(map(type, arr.ravel().tolist())), what)
+    elif arr.dtype.kind not in "iuf":
+        _require_numbers({arr.dtype.type}, what)
+    return arr.astype(float, copy=False)
+
+
 def _as_matrix(points, what: str) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    pts = _numbers(points, what)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
         raise DimensionMismatchError(f"{what} must be a 2-D array of row vectors")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError(f"{what} must be finite")
     return pts
 
 
 def _as_vector(v, what: str = "vector") -> np.ndarray:
-    vec = np.atleast_1d(np.asarray(v, dtype=float))
+    vec = np.atleast_1d(_numbers(v, what))
     if vec.ndim != 1:
         raise DimensionMismatchError(f"{what} must be 1-D")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValueError(f"{what} must be finite")
     return vec
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import re
 from typing import Any
 
@@ -41,6 +42,7 @@ from .core import (
     WitnessColumns,
     _as_matrix,
     _fill,
+    _numbers,
     _text_columns,
     _whole_number,
 )
@@ -452,10 +454,13 @@ def dumps(obj: Any) -> str:
 
 def parse_extended(v: Any, what: str = "value") -> float:
     """Accept a JSON number or the string "-inf"."""
-    if isinstance(v, str):
-        if v == "-inf":
-            return -math.inf
-        raise ValueError(f'{what}: only "-inf" is accepted as a string, got {v!r}')
+    if type(v) is not float and type(v) is not int:  # not a JSON number
+        if isinstance(v, str):
+            if v == "-inf":
+                return -math.inf
+            raise ValueError(f'{what}: only "-inf" is accepted as a string, got {v!r}')
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f'{what} must be a number or "-inf", got {v!r}')
     x = float(v)
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"{what} must be finite or \"-inf\"")
@@ -470,8 +475,8 @@ def require_object(obj: Any, what: str) -> dict:
 
 
 def _finite_matrix(rows: Any, what: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    arr = _numbers(rows, what)
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     return arr
 
@@ -492,7 +497,7 @@ def load_convex(obj: dict) -> ConvexSpec:
         intercepts = [parse_extended(p["b"], "intercept") for p in pieces]
         if any(math.isinf(b) for b in intercepts):
             raise ValueError("max-affine intercepts must be finite")
-        return MaxAffine(slopes=np.vstack(slopes), intercepts=np.asarray(intercepts))
+        return MaxAffine(slopes=slopes, intercepts=np.asarray(intercepts))
     if "analytic" in obj:
         kind = obj["analytic"]
         if kind == "squaredNorm":
@@ -575,7 +580,7 @@ def load_outcome_table(obj: dict) -> OutcomeScoreTable:
     ]
     table = OutcomeScoreTable(
         reports=_finite_matrix(obj["reports"], "reports"),
-        payoffs=np.asarray(payoffs),
+        payoffs=_numbers(payoffs, "payoffs"),
     )
     declared = obj.get("nOutcomes", table.n_outcomes)
     if _whole_number(declared, "declared nOutcomes") != table.n_outcomes:

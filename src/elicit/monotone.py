@@ -387,19 +387,20 @@ def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> Ch
 
 def _report_indices(report_of) -> np.ndarray:
     """``report_of`` as an int array; an entry that is no int (a fraction, nan,
-    an infinity, a float beyond the int64 range) raises ValueError naming it."""
+    an infinity, a float beyond the int64 range, a boolean) raises ValueError
+    naming it."""
     entries = list(report_of)
     try:
         with np.errstate(invalid="ignore"):  # a numpy nan casts with a warning
             indices = np.asarray(entries, dtype=int)
-        if indices.tolist() == entries:
+        if indices.tolist() == entries and bool not in map(type, entries):
             return indices
     except (TypeError, ValueError, OverflowError):
         pass
     for r in entries:
         try:
             with np.errstate(invalid="ignore"):
-                whole = np.all(np.asarray(r, dtype=int) == r)
+                whole = not isinstance(r, bool) and np.all(np.asarray(r, dtype=int) == r)
         except (TypeError, ValueError, OverflowError):
             whole = False
         if not whole:

@@ -27,6 +27,7 @@ from .core import (
     ScoreTable,
     TypeSpace,
     _gain_scan,
+    _numbers,
     _whole_number,
     mask_witnesses,
     require_positive,
@@ -53,8 +54,8 @@ class StepAllocation:
     values: np.ndarray
 
     def __post_init__(self):
-        self.breakpoints = np.asarray(self.breakpoints, dtype=float).reshape(-1)
-        self.values = np.asarray(self.values, dtype=float).reshape(-1)
+        self.breakpoints = _numbers(self.breakpoints, "breakpoints").reshape(-1)
+        self.values = _numbers(self.values, "values").reshape(-1)
         if len(self.breakpoints) != len(self.values) or len(self.values) == 0:
             raise ValueError("need one value per breakpoint, at least one each")
         if not (np.isfinite(self.breakpoints).all() and np.isfinite(self.values).all()):

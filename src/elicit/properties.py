@@ -28,13 +28,14 @@ from .core import (
     ScoreTable,
     TypeSpace,
     WitnessColumns,
+    _BLOCK_CELLS,
     _as_matrix,
     _grad_rows,
+    _numbers,
     _require_cells,
     _require_distinct,
     _require_summable,
     conjugate,
-    mask_witnesses,
     require_positive,
 )
 from .monotone import _cmon_weights, _wmon_report, longest_paths
@@ -67,12 +68,12 @@ class PowerDiagramSpec:
 
     def __post_init__(self):
         self.sites = _as_matrix(self.sites, "sites")
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        self.weights = _numbers(self.weights, "weights").reshape(-1)
         if len(self.sites) == 0:
             raise ValueError("diagram needs at least one site")
         if len(self.weights) != len(self.sites):
             raise DimensionMismatchError("one weight per site required")
-        if not np.all(np.isfinite(self.weights)):
+        if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
         _require_distinct(self.sites, "site")
 
@@ -93,7 +94,7 @@ class LabeledSample:
 
     def __post_init__(self):
         self.points = _as_matrix(self.points, "points")
-        labels = np.asarray(self.labels, dtype=float).reshape(-1)
+        labels = _numbers(self.labels, "labels").reshape(-1)
         if not np.all((labels == np.trunc(labels)) & (abs(labels) < 2.0**63)):
             raise ValueError("labels must be integers in the int64 range")
         self.labels = labels.astype(int)
@@ -249,6 +250,13 @@ def homothet_transform(
     return PowerDiagramSpec(sites=new_sites, weights=new_weights)
 
 
+#: The sandwich filter's relative and absolute slack, 1 + delta and eta
+#: of :func:`check_level_set_convexity`, whose docstring shows that they
+#: let every witness through.
+_FILTER_REL = 1.0 + 2.0**-20
+_FILTER_ABS = 2.0**-512
+
+
 def check_level_set_convexity(
     sample: LabeledSample, eps: float = 1e-6
 ) -> CheckReport:
@@ -258,11 +266,50 @@ def check_level_set_convexity(
     a segment endpoint are not flagged since a cell boundary may pass
     arbitrarily close to the endpoints.
 
-    The segments are the pairs a < b of equal label and nonzero length,
-    listed in row-major order and tested against every point c in blocks
-    of k segments, so no temporary outgrows one (k, k, n) array.
-    Witnesses (a, b, c) come in row-major order.  Squared distances
-    between points that overflow the float range raise ``ValueError``.
+    The segments are the pairs a < b of equal label and nonzero length.
+    A point c of another label is a witness (a, b, c) when, in floats,
+    its projection on the segment's line falls strictly inside it,
+    0 < tau < 1, at a distance gap <= eps, and its distances to both
+    ends exceed eps; its slack is eps - gap.  Witnesses come in
+    row-major (a, b, c) order.  Squared distances between points that
+    overflow the float range raise ``ValueError``.
+
+    *Filter.*  A point whose projection falls inside a segment at
+    distance gap from it has |ac| + |cb| <= |ab| + 2 gap.  So from the
+    k x k distances alone, each segment keeps only the points c of other
+    labels with
+
+        dist[a, c] + dist[b, c] <= (dist[a, b] + 2 eps) (1 + delta) + eta,
+
+    delta = 2^-20, eta = 2^-512, and the projection runs on these
+    survivors only.  A projection's floats do not depend on which other
+    triples are projected with it, and the witnesses are sorted into
+    row-major order, so they and their slacks are those of projecting
+    every point on every segment.  The points are sorted by label, so a
+    segment of label L never reads the points of L: the work is the sum
+    over labels of C(|M_L|, 2) (k - |M_L|) filter cells, M_L the points
+    of label L, in blocks of at most ``core._BLOCK_CELLS``, plus one
+    projection per survivor.  A sample of one label only lists its
+    segments.
+
+    *Why no witness is filtered out.*  Let u = 2^-53, r, s and w the
+    float differences t_c - t_a, t_b - t_a and t_c - t_b, and |.| exact
+    norms.  The differences are finite (else a squared distance
+    overflows) and each coordinate is rounded once, so |w - (r - s)| <=
+    u (1 + 2u) (|r| + |s| + |w|).  The ``MAX_MATRIX_CELLS`` refusal
+    leaves three points at most 2^26 / 9 < 2^23 coordinates, so a float
+    norm sqrt(v . v), rounded at most n + 2 times and with at most n
+    underflows of 2^-1075, lies within (1 +- rho) |v| +- omega, rho =
+    2^-29 and omega = 2^-525.  The float tau of a witness is in (0, 1)
+    and its float perpendicular is fl(r - fl(tau s)), so p = r - tau s
+    has |p| <= (1 + 2 rho) gap + 2 omega + u |s|, and exactly |r| + |r -
+    s| <= |s| + 2 |p|.  Together
+
+        dist[a, c] + dist[b, c] <= (1 + 8 rho) (dist[a, b] + 2 eps) + 8 omega,
+
+    and the filter's own four roundings take less than delta over 8 rho
+    and eta over 8 omega.  A 2 eps or a product that overflows reads inf
+    and keeps the point.
     """
     if len(sample) == 0:
         raise ValueError("sample must be nonempty")
@@ -279,36 +326,53 @@ def check_level_set_convexity(
     if not (sq < np.inf).all():
         raise ValueError("squared distances between sample points overflow the float range")
     dist = np.sqrt(sq)
-    seg_a, seg_b = np.argwhere(
-        np.triu((labels[:, None] == labels[None, :]) & (sq > 0.0), 1)
-    ).T
-    witnesses = WitnessColumns()
-    for lo in range(0, len(seg_a), k):
-        a, b = seg_a[lo : lo + k], seg_b[lo : lo + k]
-        # (j, c): segment from t_a[j] to t_b[j], candidate point t_c
-        seg = diffs[a, b][:, None, :]
-        rel = diffs[a]
-        # a huge tau only arises outside (0, 1), where no witness is taken
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            tau = np.vecdot(rel, seg) / sq[a, b][:, None]
-            perp = np.subtract(rel, tau[:, :, None] * seg, out=rel)
-            gap = np.sqrt(np.vecdot(perp, perp))
-        hit = (
-            (labels[None, :] != labels[a][:, None])
-            & (0.0 < tau)
-            & (tau < 1.0)
-            & (dist[a] > eps)
-            & (dist[b] > eps)
-            & (gap <= eps)
-        )
-        witnesses += mask_witnesses(
-            "sandwich",
-            hit,
-            eps - gap,
-            ("label %d point between two label %d points", (labels, labels[a][:, None])),
-            index=(a[:, None], b[:, None], np.arange(k)),
-        )
-    return CheckReport(witnesses, {"eps": eps})
+    # the points sorted by label, stably: label L's are by[lo:hi], ascending
+    by = np.argsort(labels, kind="stable")
+    sorted_labels = labels[by]
+    sorted_dist = dist[np.ix_(by, by)]
+    # the segments p < q in sorted positions, label by label, row-major in each
+    same = (sorted_labels[:, None] == sorted_labels) & (sorted_dist > 0.0)
+    p, q = np.nonzero(np.triu(same, 1))
+    with np.errstate(over="ignore"):  # an overflow reads inf and keeps the point
+        reach = (sorted_dist[p, q] + 2.0 * eps) * _FILTER_REL + _FILTER_ABS
+    starts = np.flatnonzero(np.diff(sorted_labels, prepend=-1)).tolist()
+    found = []
+    for lo, hi in zip(starts, starts[1:] + [k]):
+        first, last = np.searchsorted(p, [lo, hi]).tolist()
+        if first == last or hi - lo == k:
+            continue
+        other = np.concatenate((by[:lo], by[hi:]))
+        across = np.concatenate((sorted_dist[lo:hi, :lo], sorted_dist[lo:hi, hi:]), axis=1)
+        step = max(1, _BLOCK_CELLS // len(other))
+        for start in range(first, last, step):
+            rows = np.s_[start : min(start + step, last)]
+            i, j = p[rows], q[rows]
+            seg, c = np.nonzero(across[i - lo] + across[j - lo] <= reach[rows, None])
+            if len(seg):
+                found.append(_sandwiches(pts, by[i[seg]], by[j[seg]], other[c], sq, dist, eps))
+    if not found:
+        return CheckReport(WitnessColumns(), {"eps": eps})
+    a, b, c, slack = map(np.concatenate, zip(*found))
+    order = np.argsort((a * k + b) * k + c)
+    a, b, c = a[order], b[order], c[order]
+    detail = ("label %d point between two label %d points", (labels[c], labels[a]))
+    block = ("sandwich", np.stack([a, b, c], axis=1), slack[order], detail)
+    return CheckReport(WitnessColumns([block]), {"eps": eps})
+
+
+def _sandwiches(pts, a, b, c, sq, dist, eps):
+    """The triples (a, b, c) among those given whose point t_c projects
+    strictly inside the segment from t_a to t_b, within ``eps`` of it and
+    farther than ``eps`` from both ends, and their slacks eps - gap."""
+    seg = pts[b] - pts[a]
+    rel = pts[c] - pts[a]
+    # a huge tau only arises outside (0, 1), where no witness is taken
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tau = np.vecdot(rel, seg) / sq[a, b]
+        perp = np.subtract(rel, tau[:, None] * seg, out=rel)
+        gap = np.sqrt(np.vecdot(perp, perp))
+    hit = (0.0 < tau) & (tau < 1.0) & (dist[a, c] > eps) & (dist[b, c] > eps) & (gap <= eps)
+    return a[hit], b[hit], c[hit], eps - gap[hit]
 
 
 def bregman_to_power(

@@ -729,7 +729,7 @@ class TestInputErrors:
             (
                 ["myerson", "{f}", "--t", "0.5"],
                 {"breakpoints": [0.0], "values": {"a": 1}},
-                "float() argument",
+                "values must hold numbers, not objects",
             ),
             (["breg2power", "{f}", "{s}"], {"maxAffine": [5]}, "not subscriptable"),
         ],
@@ -866,6 +866,112 @@ class TestInputErrors:
             "diagram": str(GOLDEN_INPUTS / "diagram.json"),
             "sites": str(GOLDEN_INPUTS / "sites.json"),
             "points": str(GOLDEN_INPUTS / "points.json"),
+        }
+        self.assert_usage_error([a.format(**paths) for a in args], capsys, message)
+
+    @pytest.mark.parametrize(
+        "args,doc,message",
+        [
+            (["check-wmon", "{f}"],
+             {"typeSpace": {"points": [[0.0], [1.0, 2.0]]}, "family": [[0.0], [1.0]]},
+             "points has rows of unequal length"),
+            (["check-wmon", "{f}"],
+             {"typeSpace": {"points": [["0.5"], [1.0]]}, "family": [[0.0], [1.0]]},
+             "points must hold numbers, not strings"),
+            (["check-wmon", "{f}"],
+             {"typeSpace": {"points": [[0.0], [1.0]]}, "family": [[0.0], [1.0, 2.0]]},
+             "family has rows of unequal length"),
+            (["check-cmon", "{f}"],
+             {"typeSpace": {"points": [[0.0], [1.0]]}, "family": [[True], [1.0]]},
+             "family must hold numbers, not booleans"),
+            (["check-cmon", "{f}"], {**FIG_FAMILY, "typeSpace": {"dim": True, "points": [[0.0]]}},
+             "declared dim True is not an integer"),
+            (["level-convexity", "{f}"],
+             {"points": [[0.0], [0.5], [1.0]], "labels": ["0", "0", " 1 "]},
+             "labels must hold numbers, not strings"),
+            (["level-convexity", "{f}"],
+             {"points": [[0.0], [0.5, 1.0], [1.0]], "labels": [0, 1, 0]},
+             "points has rows of unequal length"),
+            (["power-label", "{f}", "{points}"], {"sites": [[0.0, 0.0]], "weights": ["0"]},
+             "weights must hold numbers, not strings"),
+            (["power-label", "{f}", "{points}"],
+             {"sites": [[0.0, 0.0], [1.0]], "weights": [0.0, 0.0]},
+             "sites has rows of unequal length"),
+            (["power-label", "{diagram}", "{f}"], {"points": [[0.5, 0.0], [0.2]]},
+             "points has rows of unequal length"),
+            (["fit-weights", "{f}", "{sample}"], {"sites": [[0.0, 3.0], ["3", 1.0]]},
+             "sites must hold numbers, not strings"),
+            (["breg2power", "{negentropy}", "{f}"], {"sites": [[0.5, 0.5], [None, 0.5]]},
+             "sites must hold numbers, not null"),
+            (["make-score", "--g", "brier", "--reports", "{f}"],
+             {"reports": [[0.5, 0.5], [True, False]]},
+             "reports must hold numbers, not booleans"),
+            (["check-proper", "{table}", "{f}"], {"beliefs": [[0.5, 0.5, 0.0], [0.5, 0.5]]},
+             "beliefs has rows of unequal length"),
+            (["check-proper", "{f}"], {"reports": [[1.0, "0"]], "payoffs": [[0.0, 0.0]]},
+             "reports must hold numbers, not strings"),
+            (["check-proper", "{f}"], {"reports": [[1.0, 0.0]], "payoffs": [[0.0, False]]},
+             'payoff must be a number or "-inf", got False'),
+            (["check-proper", "{f}"],
+             {"reports": [[1.0, 0.0], [0.0, 1.0]], "payoffs": [[0.0, 0.0], [0.0]]},
+             "payoffs has rows of unequal length"),
+            (["check-proper", "{f}"], {"nOutcomes": True, "reports": [[1.0]], "payoffs": [[0.0]]},
+             "declared nOutcomes True is not an integer"),
+            (["check-truthful", "{f}"], {
+                "score": {"reports": [0, 1], "linear": [[0.0], [True]], "constant": [0.0, 0.0]},
+                "typeSpace": {"points": [[0.0], [1.0]]},
+            }, "linear must hold numbers, not booleans"),
+            (["check-truthful", "{f}"], {
+                "score": {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, True]},
+                "typeSpace": {"points": [[0.0], [1.0]]},
+            }, 'constant must be a number or "-inf", got True'),
+            (["check-local", "{f}", "--radius", "1"], {
+                "score": {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, 0.0]},
+                "typeSpace": {"points": [[0.0], [1.0]]},
+                "reportOf": [0, True],
+            }, "report_of holds True, which is not a report index"),
+            (["make-score", "--g", "{f}", "--reports", "grid:2"],
+             {"maxAffine": [{"a": ["1", 0.0], "b": 0.0}]},
+             "slope must hold numbers, not strings"),
+            (["make-score", "--g", "{f}", "--reports", "grid:2"],
+             {"maxAffine": [{"a": [1.0, 0.0], "b": 0.0}, {"a": [1.0], "b": 0.0}]},
+             "slopes has rows of unequal length"),
+            (["make-score", "--g", "{f}", "--reports", "grid:2"],
+             {"maxAffine": [{"a": [1.0, 0.0], "b": True}]},
+             'intercept must be a number or "-inf", got True'),
+            (["duality-check", "{negentropy}", "{f}"],
+             {"typeSpace": {"points": [[0.5, 0.5]]}, "duals": [["1", 0.0]]},
+             "duals must hold numbers, not strings"),
+            (["myerson", "{f}", "--t", "0.5"], {"breakpoints": ["0", 1.0], "values": [0.0, 1.0]},
+             "breakpoints must hold numbers, not strings"),
+            (["decision-score", "{f}"], {
+                "g": {"analytic": "squaredNorm"},
+                "reports": [[[0.5, 0.5], [True, 0.0]]],
+                "decisions": [[1.0, 0.0]],
+            }, "reports must hold numbers, not booleans"),
+            (["decision-score", "{f}"], {
+                "g": {"analytic": "squaredNorm"},
+                "reports": [[[0.5, 0.5], [1.0, 0.0]]],
+                "decisions": [["1", 0.0]],
+            }, "decisions must hold numbers, not strings"),
+            (["decision-score", "{f}"], {
+                "g": {"analytic": "squaredNorm"},
+                "reports": [[[0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]],
+                "decisions": [[1.0], [1.0]],
+            }, "reports must be action-by-outcome matrices of one shape"),
+        ],
+    )
+    def test_a_string_boolean_or_ragged_row_is_a_one_line_error(
+        self, tmp_path, capsys, args, doc, message
+    ):
+        # numpy read "0.5" and true as numbers and named no field for ragged rows
+        paths = {
+            "f": write(tmp_path, "doc.json", doc),
+            "points": str(GOLDEN_INPUTS / "points.json"),
+            "diagram": str(GOLDEN_INPUTS / "diagram.json"),
+            "sample": str(GOLDEN_INPUTS / "sample-feasible.json"),
+            "negentropy": str(GOLDEN_INPUTS / "negentropy.json"),
+            "table": str(GOLDEN_INPUTS / "table-strict.json"),
         }
         self.assert_usage_error([a.format(**paths) for a in args], capsys, message)
 
