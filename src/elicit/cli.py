@@ -27,7 +27,6 @@ from . import duality, jsonio, monotone, payments, properties, scoring
 from .core import (
     DEFAULT_TOL,
     CheckReport,
-    DimensionMismatchError,
     ElicitError,
     InconsistentAnchorsError,
     NegEntropy,
@@ -36,6 +35,7 @@ from .core import (
     SquaredNorm,
     TypeSpace,
     UnreachableActionError,
+    _as_matrix,
     _numbers,
     require_positive,
 )
@@ -60,21 +60,31 @@ def _read_object(path: str) -> dict:
     return jsonio.require_object(_read_json(path), path)
 
 
+def _parse(text: str, kind, what: str):
+    """``kind(text)``, int or float; ``ValueError`` naming ``what`` and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} {text!r} is not {noun}") from None
+
+
 def _tol(args) -> float:
     if args.tol is not None:
         return require_positive(args.tol)
-    return require_positive(float(os.environ.get("ELICIT_TOL") or DEFAULT_TOL))
+    text = os.environ.get("ELICIT_TOL")
+    return require_positive(_parse(text, float, "ELICIT_TOL") if text else DEFAULT_TOL)
 
 
 def _parse_anchor(text: str) -> tuple:
     if "=" not in text:
         raise ValueError(f"anchor must look like INDEX=VALUE, got {text!r}")
     idx, val = text.split("=", 1)
-    return int(idx), float(val)
+    return _parse(idx, int, "--anchor index"), _parse(val, float, "--anchor value")
 
 
 def _parse_vector(text: str) -> list:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    return [_parse(x, float, "--p0 entry") for x in text.split(",") if x.strip() != ""]
 
 
 def _load_g(spec: str):
@@ -102,7 +112,7 @@ def _load_grids(g_path: str, grids_path: str) -> tuple:
     """(G, grid, duals) of a convex-spec file and a grids file."""
     g = jsonio.load_convex(_read_json(g_path))
     obj = _read_object(grids_path)
-    return g, jsonio.load_typespace(obj["typeSpace"]), _numbers(obj["duals"], "duals")
+    return g, jsonio.load_typespace(obj["typeSpace"]), _as_matrix(obj["duals"], "duals")
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +205,7 @@ def _cmd_check_local(args):
 def _cmd_decision_score(args):
     obj = _read_object(args.file)
     g = jsonio.load_convex(obj["g"])
-    reports = [_numbers(q, "reports") for q in obj["reports"]]
-    if len({q.shape for q in reports}) > 1:
-        raise DimensionMismatchError("reports must be action-by-outcome matrices of one shape")
-    decisions = _numbers(obj["decisions"], "decisions")
-    spec = scoring.make_decision_score(g, decisions, reports, tol=_tol(args))
+    spec = scoring.make_decision_score(g, obj["decisions"], obj["reports"], tol=_tol(args))
     return {
         "nActions": spec.n_actions,
         "nOutcomes": spec.n_outcomes,

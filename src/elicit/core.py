@@ -14,6 +14,11 @@ deviation-gains pass, :func:`_gain_scan`.  A scoring rule's properness
 (``scoring.check_proper``) is the same pass over beliefs x reports,
 each belief's own column that of its truthful report.
 
+Public constructors and functions read the numbers a caller passes with
+:func:`_numbers`, :func:`_as_matrix`, :func:`_as_vector` or
+:func:`_as_distribution`, index lists with :func:`_indices` and a scalar
+count or index with :func:`_whole_number`; each names what it refuses.
+
 Vectors are numpy float64 arrays.  Extended reals are plain floats where
 ``-inf`` is a legal value for score constants and payoffs (log-score
 style); ``+inf`` and ``nan`` are rejected at every public boundary, and
@@ -178,16 +183,6 @@ def _require_summable(values: np.ndarray, count: int, what: str) -> None:
         raise ValueError(f"{what} overflow the float range")
 
 
-def _whole_number(x, what: str) -> int:
-    """``x`` as an int; ``ValueError`` naming ``what`` when it is no whole number."""
-    try:
-        if int(x) == x and not isinstance(x, bool):
-            return int(x)
-    except (TypeError, ValueError, OverflowError):  # nan, an infinity, no number
-        pass
-    raise ValueError(f"{what} {x!r} is not an integer")
-
-
 # ---------------------------------------------------------------------------
 # check reports
 
@@ -315,7 +310,7 @@ def mask_witnesses(kind, mask, slack, detail, index=None) -> WitnessColumns:
     else:
         index = np.column_stack(list(map(at_hits, index)))
     kind, detail = _text_columns(kind, at_hits), _text_columns(detail, at_hits)
-    return WitnessColumns([(kind, index, at_hits(np.asarray(slack, dtype=float)), detail)])
+    return WitnessColumns([(kind, index, at_hits(_numbers(slack, "slack")), detail)])
 
 
 def deviation_gains(values, truth, axis: int, out=None) -> np.ndarray:
@@ -424,7 +419,8 @@ _NOT_NUMBERS = {
 }
 #: The types of the numbers and of the arrays in a JSON document.
 _JSON_NUMBERS = frozenset({float, int})
-_ARRAYS = frozenset({list, tuple, np.ndarray})
+_ROWS = frozenset({list, tuple})
+_ARRAYS = _ROWS | {np.ndarray}
 
 
 def _require_numbers(kinds, what: str) -> None:
@@ -441,31 +437,33 @@ def _require_numbers(kinds, what: str) -> None:
 
 def _numbers(x, what: str) -> np.ndarray:
     """``x``, a number, an array or nested lists of numbers, as a float
-    array.  numpy would read the JSON string "0.5" and the boolean true
-    as 0.5 and 1.0; here a string, a boolean or null raises ``ValueError``
-    naming ``what``, and so do rows of unequal length, as
-    ``DimensionMismatchError``."""
-    if isinstance(x, list):  # JSON: check the type of each entry
-        kinds = set(map(type, x))
-        if kinds == {list}:  # rows, read as one flat list: numpy need not find the shape
-            if len(set(map(len, x))) > 1:
-                raise DimensionMismatchError(f"{what} has rows of unequal length")
-            flat = list(itertools.chain.from_iterable(x))
-            kinds = set(map(type, flat))
-            if kinds <= _JSON_NUMBERS:
-                return np.array(flat, dtype=float).reshape(len(x), -1)
-        elif kinds <= _JSON_NUMBERS:
-            return np.array(x, dtype=float)
-        _require_numbers(kinds - _ARRAYS, what)  # numpy reads what nests deeper
+    array.  A string, a boolean, null or an int beyond the float range
+    raises ``ValueError`` naming ``what``, and rows of unequal length
+    raise ``DimensionMismatchError``."""
     try:
-        arr = np.asarray(x)
-    except ValueError:  # rows of unequal length
-        raise DimensionMismatchError(f"{what} has rows of unequal length") from None
-    if arr.dtype.kind == "O":
-        _require_numbers(set(map(type, arr.ravel().tolist())), what)
-    elif arr.dtype.kind not in "iuf":
-        _require_numbers({arr.dtype.type}, what)
-    return arr.astype(float, copy=False)
+        if type(x) in _ROWS:  # check the type of each entry, a level of rows at a time
+            shape, flat = [len(x)], x
+            while (kinds := set(map(type, flat))) and kinds <= _ROWS:
+                if len(set(map(len, flat))) > 1:
+                    raise DimensionMismatchError(f"{what} has rows of unequal length")
+                shape.append(len(flat[0]))
+                flat = list(itertools.chain.from_iterable(flat))
+            if kinds <= _JSON_NUMBERS:  # numpy need not find the shape
+                return np.array(flat, dtype=float).reshape(shape)
+            # numpy reads the arrays among the entries, which must hold numbers too
+            _require_numbers(kinds - _ARRAYS, what)
+            _require_numbers({a.dtype.type for a in flat if isinstance(a, np.ndarray)}, what)
+        try:
+            arr = np.asarray(x)
+        except ValueError:  # rows of unequal length
+            raise DimensionMismatchError(f"{what} has rows of unequal length") from None
+        if arr.dtype.kind == "O":
+            _require_numbers(set(map(type, arr.ravel().tolist())), what)
+        elif arr.dtype.kind not in "iuf":
+            _require_numbers({arr.dtype.type}, what)
+        return arr.astype(float, copy=False)
+    except OverflowError:  # from float(int)
+        raise ValueError(f"{what} holds an integer beyond the float range") from None
 
 
 def _as_matrix(points, what: str) -> np.ndarray:
@@ -475,7 +473,7 @@ def _as_matrix(points, what: str) -> np.ndarray:
     if pts.ndim != 2:
         raise DimensionMismatchError(f"{what} must be a 2-D array of row vectors")
     if not np.isfinite(pts).all():
-        raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} must be finite, got {pts[~np.isfinite(pts)][0]}")
     return pts
 
 
@@ -484,8 +482,28 @@ def _as_vector(v, what: str = "vector") -> np.ndarray:
     if vec.ndim != 1:
         raise DimensionMismatchError(f"{what} must be 1-D")
     if not np.isfinite(vec).all():
-        raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} must be finite, got {vec[~np.isfinite(vec)][0]}")
     return vec
+
+
+def _whole_number(x, what: str) -> int:
+    """``x`` as an int; ``ValueError`` naming ``what`` unless it is a whole
+    number in the int64 range, of Python or numpy, and no boolean."""
+    number = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    if number and -(2**63) <= x < 2**63 and x == int(x):  # nan is out of range
+        return int(x)
+    raise ValueError(f"{what} {x!r} is not an integer in the int64 range")
+
+
+def _indices(x, what: str) -> np.ndarray:
+    """The entries of ``x`` as an int64 array, each read by :func:`_whole_number`."""
+    entries = list(x) if np.iterable(x) else [x]
+    if set(map(type, entries)) <= {int, np.int64}:  # no test per entry, unless beyond int64
+        try:
+            return np.array(entries, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.array([_whole_number(entry, f"{what} entry") for entry in entries], dtype=np.int64)
 
 
 #: The odd multiplier of the row hash of :func:`_require_distinct`.
@@ -544,7 +562,7 @@ class LinearFamily:
     vectors: np.ndarray
 
     def __post_init__(self):
-        self.vectors = _as_matrix(self.vectors, "vectors")
+        self.vectors = _as_matrix(self.vectors, "family")
 
     @property
     def dim(self) -> int:
@@ -608,12 +626,12 @@ class ScoreTable:
 
     def __post_init__(self):
         self.reports = list(self.reports)
-        self.linear = _as_matrix(self.linear, "linear parts")
-        self.constant = np.asarray(self.constant, dtype=float).reshape(-1)
+        self.linear = _as_matrix(self.linear, "linear")
+        self.constant = _numbers(self.constant, "constant").reshape(-1)
         if not (len(self.reports) == len(self.linear) == len(self.constant)):
             raise DimensionMismatchError("reports, linear, constant must align")
-        for c in self.constant:
-            require_extended_real(c, "score constant")
+        for i in np.flatnonzero(~(self.constant < np.inf))[:1]:  # the first +inf or nan
+            require_extended_real(self.constant[i], f"score constant {i}")
 
     @property
     def dim(self) -> int:
@@ -659,14 +677,16 @@ def _off_simplex(rows: np.ndarray) -> np.ndarray:
         return ~(nonneg & (abs(rows.sum(axis=-1) - 1.0) <= SIMPLEX_TOL))
 
 
-def _check_simplex(points: np.ndarray) -> None:
-    rows = np.atleast_2d(points)  # raise for the first row off the simplex
-    off = _off_simplex(rows)
+def _as_distribution(p, what: str = "distribution", error=ValueError) -> np.ndarray:
+    """``p`` read as numbers whose rows (along the last axis) each lie on
+    the probability simplex; ``error`` names ``what`` and the first row
+    that does not."""
+    p = np.atleast_1d(_numbers(p, what))
+    off = _off_simplex(p)
     if off.any():
-        raise DomainError(
-            f"point {rows[np.argmax(off)].tolist()} is not on the probability "
-            f"simplex (tolerance {SIMPLEX_TOL})"
-        )
+        bad = p.reshape(off.size, -1)[off.argmax()].tolist()
+        raise error(f"{what} {bad} is not on the probability simplex (tolerance {SIMPLEX_TOL})")
+    return p
 
 
 def _overflow(values: np.ndarray, what: str, points: np.ndarray) -> np.ndarray:
@@ -687,7 +707,7 @@ def _eval_rows(g: ConvexSpec, pts: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             return _overflow(np.vecdot(pts, pts), "G", pts)
     if isinstance(g, NegEntropy):
-        _check_simplex(pts)
+        _as_distribution(pts, "point", DomainError)
         pos = pts > 0.0
         terms = pts * np.log(pts, out=np.zeros_like(pts), where=pos)
         sizes = pos.sum(axis=1)  # >= 1 on the simplex
@@ -706,7 +726,7 @@ def eval_convex(g: ConvexSpec, t):
     Raises :class:`DomainError` for negative-entropy inputs off the
     simplex beyond tolerance, naming the first such row.
     """
-    t = np.asarray(t, dtype=float)
+    t = _numbers(t, "point")
     values = _eval_rows(g, _as_matrix(np.atleast_2d(t), "point"))
     return float(values[0]) if t.ndim < 2 else values
 
@@ -733,7 +753,8 @@ def _grad_rows(g: ConvexSpec, pts: np.ndarray) -> np.ndarray:
             return _overflow(2.0 * pts, "the subgradient of G", pts)
     if isinstance(g, NegEntropy):
         first = int(np.append((pts < INTERIOR_EPS).any(axis=1), True).argmax())
-        _check_simplex(pts[: first + 1])  # an earlier or the same row off the simplex wins
+        # an earlier or the same row off the simplex wins
+        _as_distribution(pts[: first + 1], "point", DomainError)
         if first < len(pts):
             raise DomainError(
                 "negative entropy has no finite subgradient on the simplex "
@@ -764,7 +785,7 @@ def conjugate(g: ConvexSpec, d, grid: TypeSpace):
     scanned, which makes the 1-D max-affine conjugate exact.  A value of
     G or of the conjugate beyond the float range raises ``ValueError``.
     """
-    d = np.asarray(d, dtype=float)
+    d = _numbers(d, "dual vector")
     duals = _as_matrix(np.atleast_2d(d), "dual vector")
     if duals.shape[1] != grid.dim:
         raise DimensionMismatchError("dual vector dimension != grid dimension")

@@ -27,7 +27,10 @@ from .core import (
     SquaredNorm,
     TypeSpace,
     WitnessColumns,
+    _as_matrix,
+    _as_vector,
     _eval_rows,
+    _numbers,
     _overflow,
     _require_cells,
     conjugate,
@@ -56,7 +59,7 @@ def conjugate_value(g: ConvexSpec, d, grid: TypeSpace):
     """Grid conjugate of one dual vector or of each row of a 2-D batch,
     upgraded to the closed form for the squared norm on the rows whose
     true maximizer d/2 falls inside the grid's bounding box."""
-    d = np.asarray(d, dtype=float)
+    d = _numbers(d, "dual vector")
     values = conjugate(g, d, grid)
     if not isinstance(g, SquaredNorm):
         return values
@@ -68,31 +71,22 @@ def conjugate_value(g: ConvexSpec, d, grid: TypeSpace):
     return float(closed) if d.ndim < 2 else closed
 
 
-def _dual_rows(duals) -> np.ndarray:
-    """Dual vectors as rows; a 1-D array lists 1-D duals."""
-    duals = np.asarray(duals, dtype=float)
-    return duals.reshape(-1, 1) if duals.ndim == 1 else duals
-
-
 def dual_report_score(g: ConvexSpec, d, t, grid: TypeSpace) -> float:
     """Menu / market score for reporting the dual vector d: <t, d> - G*(d)."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    d, t = _as_vector(d, "dual vector"), _as_vector(t, "type")
     return float(t @ d) - conjugate_value(g, d, grid)
 
 
 def dual_type_score(g: ConvexSpec, t, d) -> float:
     """Score when the roles flip and d is the true object: <t, d> - G(t)."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    d, t = _as_vector(d, "dual vector"), _as_vector(t, "type")
     return float(t @ d) - eval_convex(g, t)
 
 
 def biconjugate(g: ConvexSpec, t, grid: TypeSpace, duals) -> float:
     """G**(t) by two nested conjugations: max over the dual grid of
     <t, d> - G*(d)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    duals = _dual_rows(duals)
+    t, duals = _as_vector(t, "point"), _as_matrix(duals, "duals")
     conjs = conjugate_value(g, duals, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         best = np.max(np.vecdot(duals, t) - conjs, keepdims=True)
@@ -118,7 +112,7 @@ def check_duality_identities(
     conjugate, which takes one such array, is known.
     """
     require_positive(tol)
-    duals = _dual_rows(duals)
+    duals = _as_matrix(duals, "duals")
     evals = _eval_rows(g, grid.points)
     if len(duals) == 0:
         maxima = ("max_fenchel_young_violation", "max_difference_violation", "max_divergence_gap")
@@ -186,7 +180,7 @@ def elicitation_game_equilibria(
     within ``eq_tol``.  Conjugates are evaluated over ``grid``.  G is
     evaluated on ``t_grid`` even with no duals, so a point outside the
     domain of G is an error, not an empty list of equilibria."""
-    d_grid = _dual_rows(d_grid)
+    d_grid = _as_matrix(d_grid, "d_grid")
     evals = _eval_rows(g, t_grid.points)
     if len(d_grid) == 0:
         return []

@@ -461,7 +461,10 @@ def parse_extended(v: Any, what: str = "value") -> float:
             raise ValueError(f'{what}: only "-inf" is accepted as a string, got {v!r}')
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise ValueError(f'{what} must be a number or "-inf", got {v!r}')
-    x = float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"{what} must be finite or \"-inf\"")
     return x
@@ -472,13 +475,6 @@ def require_object(obj: Any, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object")
     return obj
-
-
-def _finite_matrix(rows: Any, what: str) -> np.ndarray:
-    arr = _numbers(rows, what)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +489,8 @@ def load_convex(obj: dict) -> ConvexSpec:
         pieces = obj["maxAffine"]
         if not isinstance(pieces, list) or not pieces:
             raise ValueError("maxAffine must be a nonempty list of pieces")
-        slopes = [_finite_matrix(p["a"], "slope").reshape(-1) for p in pieces]
-        intercepts = [parse_extended(p["b"], "intercept") for p in pieces]
-        if any(math.isinf(b) for b in intercepts):
-            raise ValueError("max-affine intercepts must be finite")
-        return MaxAffine(slopes=slopes, intercepts=np.asarray(intercepts))
+        slopes = [_numbers(p["a"], "slope").reshape(-1) for p in pieces]
+        return MaxAffine(slopes=slopes, intercepts=[p["b"] for p in pieces])
     if "analytic" in obj:
         kind = obj["analytic"]
         if kind == "squaredNorm":
@@ -544,7 +537,7 @@ def load_family_file(obj: dict) -> tuple:
     """{"typeSpace": {...}, "family": [[...], ...]} -> (ts, fam)."""
     require_object(obj, "family file")
     ts = load_typespace(obj["typeSpace"])
-    fam = LinearFamily(_finite_matrix(obj["family"], "family"))
+    fam = LinearFamily(obj["family"])
     fam.check_aligned(ts)
     return ts, fam
 
@@ -557,11 +550,7 @@ def load_score_table(obj: dict) -> ScoreTable:
     """{"reports": [...], "linear": [[...]], "constant": [...]}"""
     require_object(obj, "score table")
     constants = [parse_extended(c, "constant") for c in obj["constant"]]
-    return ScoreTable(
-        reports=list(obj["reports"]),
-        linear=_finite_matrix(obj["linear"], "linear"),
-        constant=np.asarray(constants),
-    )
+    return ScoreTable(reports=obj["reports"], linear=obj["linear"], constant=constants)
 
 
 def score_table_to_obj(score: ScoreTable) -> dict:
@@ -578,10 +567,7 @@ def load_outcome_table(obj: dict) -> OutcomeScoreTable:
     payoffs = [
         [parse_extended(s, "payoff") for s in row] for row in obj["payoffs"]
     ]
-    table = OutcomeScoreTable(
-        reports=_finite_matrix(obj["reports"], "reports"),
-        payoffs=_numbers(payoffs, "payoffs"),
-    )
+    table = OutcomeScoreTable(reports=obj["reports"], payoffs=payoffs)
     declared = obj.get("nOutcomes", table.n_outcomes)
     if _whole_number(declared, "declared nOutcomes") != table.n_outcomes:
         raise ValueError("declared nOutcomes does not match reports")

@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .core import _numbers
+
 __all__ = ["FeasibilityResult", "feasible_point"]
 
 
@@ -32,8 +34,8 @@ def feasible_point(A, b, tol: float = 1e-9, max_iter: int = 100_000) -> Feasibil
     artificial, and Phase-I minimizes the artificial sum from the
     all-artificial basis.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
+    A = _numbers(A, "A")
+    b = _numbers(b, "b").reshape(-1)
     if A.ndim != 2 or A.shape[0] != len(b):
         raise ValueError("A must be (m, n) with one b entry per row")
     m, n = A.shape

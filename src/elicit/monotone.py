@@ -32,6 +32,8 @@ from .core import (
     ScoreTable,
     TypeSpace,
     WitnessColumns,
+    _indices,
+    _numbers,
     _require_cells,
     _require_summable,
     _scan_pairs,
@@ -203,7 +205,7 @@ def longest_paths(
     """
     require_positive(tol)
     laid_out = isinstance(weights, _Transposed)
-    wt = weights.wt if laid_out else np.asarray(weights, dtype=float)
+    wt = weights.wt if laid_out else _numbers(weights, "weights")
     if wt.ndim != 2 or wt.shape[0] != wt.shape[1]:
         raise ValueError(f"weights must be a square matrix, got shape {wt.shape}")
     m = wt.shape[0]
@@ -385,29 +387,6 @@ def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> Ch
     return CheckReport(WitnessColumns([cycle]), info)
 
 
-def _report_indices(report_of) -> np.ndarray:
-    """``report_of`` as an int array; an entry that is no int (a fraction, nan,
-    an infinity, a float beyond the int64 range, a boolean) raises ValueError
-    naming it."""
-    entries = list(report_of)
-    try:
-        with np.errstate(invalid="ignore"):  # a numpy nan casts with a warning
-            indices = np.asarray(entries, dtype=int)
-        if indices.tolist() == entries and bool not in map(type, entries):
-            return indices
-    except (TypeError, ValueError, OverflowError):
-        pass
-    for r in entries:
-        try:
-            with np.errstate(invalid="ignore"):
-                whole = not isinstance(r, bool) and np.all(np.asarray(r, dtype=int) == r)
-        except (TypeError, ValueError, OverflowError):
-            whole = False
-        if not whole:
-            raise ValueError(f"report_of holds {r!r}, which is not a report index")
-    raise ValueError(f"report_of {entries!r} is not a list of report indices")
-
-
 def check_local_truthful(
     score: ScoreTable,
     ts: TypeSpace,
@@ -423,7 +402,7 @@ def check_local_truthful(
     """
     require_positive(tol)
     require_positive(radius, "radius")
-    report_of = _report_indices(report_of)
+    report_of = _indices(report_of, "report_of")
     if len(report_of) != len(ts):
         raise DimensionMismatchError("report_of must cover every type")
     if report_of.min() < 0 or report_of.max() >= len(score):

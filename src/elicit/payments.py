@@ -26,8 +26,8 @@ from .core import (
     NotMonotoneError,
     ScoreTable,
     TypeSpace,
+    _as_vector,
     _gain_scan,
-    _numbers,
     _whole_number,
     mask_witnesses,
     require_positive,
@@ -54,12 +54,10 @@ class StepAllocation:
     values: np.ndarray
 
     def __post_init__(self):
-        self.breakpoints = _numbers(self.breakpoints, "breakpoints").reshape(-1)
-        self.values = _numbers(self.values, "values").reshape(-1)
+        self.breakpoints = _as_vector(self.breakpoints, "breakpoints")
+        self.values = _as_vector(self.values, "values")
         if len(self.breakpoints) != len(self.values) or len(self.values) == 0:
             raise ValueError("need one value per breakpoint, at least one each")
-        if not (np.isfinite(self.breakpoints).all() and np.isfinite(self.values).all()):
-            raise ValueError("breakpoints and values must be finite")
         if self.breakpoints[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
         if np.any(np.diff(self.breakpoints) <= 0):

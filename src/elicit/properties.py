@@ -30,8 +30,9 @@ from .core import (
     WitnessColumns,
     _BLOCK_CELLS,
     _as_matrix,
+    _as_vector,
     _grad_rows,
-    _numbers,
+    _indices,
     _require_cells,
     _require_distinct,
     _require_summable,
@@ -68,13 +69,11 @@ class PowerDiagramSpec:
 
     def __post_init__(self):
         self.sites = _as_matrix(self.sites, "sites")
-        self.weights = _numbers(self.weights, "weights").reshape(-1)
+        self.weights = _as_vector(self.weights, "weights")
         if len(self.sites) == 0:
             raise ValueError("diagram needs at least one site")
         if len(self.weights) != len(self.sites):
             raise DimensionMismatchError("one weight per site required")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("weights must be finite")
         _require_distinct(self.sites, "site")
 
     @property
@@ -94,10 +93,7 @@ class LabeledSample:
 
     def __post_init__(self):
         self.points = _as_matrix(self.points, "points")
-        labels = _numbers(self.labels, "labels").reshape(-1)
-        if not np.all((labels == np.trunc(labels)) & (abs(labels) < 2.0**63)):
-            raise ValueError("labels must be integers in the int64 range")
-        self.labels = labels.astype(int)
+        self.labels = _indices(self.labels, "labels")
         if len(self.labels) != len(self.points):
             raise DimensionMismatchError("one label per point required")
         if len(self.labels) and self.labels.min() < 0:
@@ -236,11 +232,9 @@ def homothet_transform(
     """
     if not 0 < alpha < math.inf:
         raise NonPositiveScaleError(f"scale must be positive and finite, got {alpha}")
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
+    p0 = _as_vector(p0, "offset p0")
     if len(p0) != diag.dim:
         raise DimensionMismatchError("offset dimension != diagram dimension")
-    if not np.all(np.isfinite(p0)):
-        raise ValueError(f"offset p0 must be finite, got {p0.tolist()}")
     with np.errstate(over="ignore", invalid="ignore"):  # the new diagram rejects inf and nan
         sq = np.einsum("ij,ij->i", diag.sites, diag.sites)
         new_sites = alpha * diag.sites + p0

@@ -28,9 +28,10 @@ from .core import (
     TypeSpace,
     UnreachableActionError,
     WitnessColumns,
+    _as_distribution,
     _gain_scan,
     _grad_rows,
-    _off_simplex,
+    _numbers,
     _overflow,
     _require_cells,
     _scan_pairs,
@@ -54,17 +55,6 @@ __all__ = [
     "make_direct_score",
     "check_truthful",
 ]
-
-
-def _as_distribution(p, what: str = "distribution") -> np.ndarray:
-    """``p`` as an array whose rows (along the last axis) each lie on
-    the probability simplex; the first one that does not is named."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    off = _off_simplex(p)
-    if off.any():
-        bad = p.reshape(-1, p.shape[-1])[off.reshape(-1).argmax()]
-        raise ValueError(f"{what} {bad.tolist()} is not on the probability simplex")
-    return p
 
 
 def simplex_grid(n_outcomes: int, denominator: int = 10) -> np.ndarray:
@@ -102,8 +92,8 @@ class OutcomeScoreTable:
     payoffs: np.ndarray
 
     def __post_init__(self):
-        self.reports = np.asarray(self.reports, dtype=float)
-        self.payoffs = np.asarray(self.payoffs, dtype=float)
+        self.reports = _numbers(self.reports, "reports")
+        self.payoffs = _numbers(self.payoffs, "payoffs")
         if self.reports.ndim != 2 or self.payoffs.shape != self.reports.shape:
             raise DimensionMismatchError("reports and payoffs must be (m, n) alike")
         _as_distribution(self.reports, "report")
@@ -126,7 +116,7 @@ class OutcomeScoreTable:
     def _beliefs(self, beliefs) -> np.ndarray:
         """Belief rows checked for a beliefs x reports matrix of at most
         ``MAX_MATRIX_CELLS`` entries, which the caller then forms."""
-        beliefs = np.asarray(beliefs, dtype=float)
+        beliefs = _numbers(beliefs, "beliefs")
         if beliefs.ndim != 2 or beliefs.shape[1] != self.n_outcomes:
             raise DimensionMismatchError("belief dimension != outcome count")
         n = len(beliefs)
@@ -168,7 +158,7 @@ class OutcomeScoreTable:
 
     def find_report(self, p, tol: float = SIMPLEX_TOL) -> Optional[int]:
         """Index of the first report within ``tol`` of ``p`` in max norm."""
-        hits = np.flatnonzero(self.distances(np.reshape(p, (1, -1)))[0] <= tol)
+        hits = np.flatnonzero(self.distances(_numbers(p, "p").reshape(1, -1))[0] <= tol)
         return int(hits[0]) if hits.size else None
 
 
@@ -182,7 +172,7 @@ def make_scoring_rule(g: ConvexSpec, reports: Sequence) -> OutcomeScoreTable:
     interior rows reduce to.  A coordinate within SIMPLEX_TOL below 0
     is read as 0.
     """
-    reports = np.array(reports, dtype=float)  # a copy: the table keeps it
+    reports = _numbers(reports, "reports").copy()  # the table keeps it
     if len(reports) == 0:
         raise ValueError("at least one report is required")
     if reports.ndim != 2:
@@ -319,7 +309,7 @@ class DecisionScoreSpec:
 
     def expected_value(self, report_idx: int, belief_matrix) -> float:
         """V(Q, P) = sum_i,o D_i(Q) P[i, o] S_i,o(Q)."""
-        P = np.asarray(belief_matrix, dtype=float)
+        P = _numbers(belief_matrix, "belief matrix")
         if P.shape != (self.n_actions, self.n_outcomes):
             raise DimensionMismatchError("belief matrix has wrong shape")
         d = self.decisions[report_idx]
@@ -341,17 +331,15 @@ def make_decision_score(
     get placeholder zeros and are flagged unconstrained.
     """
     require_positive(tol)
-    reports = np.array(reports, dtype=float)  # a copy: the table keeps it
+    reports = _numbers(reports, "reports").copy()  # the table keeps it
     if len(reports) == 0:
         raise ValueError("at least one report matrix is required")
     if reports.ndim != 3:
         raise DimensionMismatchError("reports must be action-by-outcome matrices")
     m, n_actions, n_outcomes = reports.shape
     _as_distribution(reports, "report row")
-    if callable(decision_rule):
-        decisions = np.asarray([decision_rule(q) for q in reports], dtype=float)
-    else:
-        decisions = np.asarray(list(decision_rule), dtype=float)
+    rule = [decision_rule(q) for q in reports] if callable(decision_rule) else decision_rule
+    decisions = _numbers(rule, "decisions")
     if decisions.shape != (m, n_actions):
         raise DimensionMismatchError("one action distribution per report required")
     _as_distribution(decisions, "decision distribution")

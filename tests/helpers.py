@@ -470,7 +470,7 @@ def loop_eval_convex(g, t) -> float:
 def loop_conjugate(g, d, grid) -> float:
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.all(np.isfinite(d)):
-        raise ValueError("dual vector must be finite")
+        raise ValueError(f"dual vector must be finite, got {d[~np.isfinite(d)][0]}")
     if len(d) != grid.dim:
         raise DimensionMismatchError("dual vector dimension != grid dimension")
     values = grid.points @ d - np.array([loop_eval_convex(g, v) for v in grid.points])

@@ -523,7 +523,7 @@ class TestInputErrors:
             (["homothet", "{diag}", "--alpha", "inf"],
              "scale must be positive and finite, got inf"),
             (["homothet", "{diag}", "--alpha", "2", "--p0", "inf"],
-             "offset p0 must be finite, got [inf]"),
+             "offset p0 must be finite, got inf"),
             (["myerson", "{alloc}", "--t", "nan"],
              "t must be nonnegative and finite, got nan"),
             (["myerson", "{alloc}", "--t", "inf"],
@@ -630,7 +630,7 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "args,message",
         [
-            (["homothet", "{diag}", "--alpha", "2"], "sites must be finite"),
+            (["homothet", "{diag}", "--alpha", "2"], "sites must be finite, got inf"),
             (["breg2power", "{g}", "{sites}"],
              "the subgradient of G overflows the float range at [1e+308]"),
             (["duality-check", "{g}", "{grids}"], "G overflows the float range at [1e+308]"),
@@ -663,7 +663,7 @@ class TestInputErrors:
             self.assert_usage_error(
                 ["myerson", str(alloc), "--t", "1"],
                 capsys,
-                "error: breakpoints and values must be finite\n",
+                "error: breakpoints must be finite, got inf\n",
             )
 
     def test_level_convexity_negative_eps(self, tmp_path, capsys):
@@ -780,7 +780,7 @@ class TestInputErrors:
                 "score": {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, 0.0]},
                 "typeSpace": {"points": [[0.0], [1.0]]},
                 "reportOf": [0, 1e308],
-            }, "report_of holds 1e+308, which is not a report index"),
+            }, "report_of entry 1e+308 is not an integer in the int64 range"),
         ],
     )
     def test_a_number_beyond_the_range_is_a_one_line_error(
@@ -800,7 +800,7 @@ class TestInputErrors:
                 "score": {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, 0.0]},
                 "typeSpace": {"points": [[0.0], [1.0]]},
                 "reportOf": [0, 1.5],
-            }, "report_of holds 1.5, which is not a report index"),
+            }, "report_of entry 1.5 is not an integer in the int64 range"),
         ],
     )
     def test_a_fraction_in_an_integer_field_is_a_one_line_error(
@@ -843,7 +843,8 @@ class TestInputErrors:
             (["make-score", "--g", "{f}", "--reports", "grid:2"], {"maxAffine": []},
              "maxAffine must be a nonempty list of pieces"),
             (["make-score", "--g", "{f}", "--reports", "grid:2"],
-             {"maxAffine": [{"a": [1.0, 0.0], "b": "-inf"}]}, "max-affine intercepts must be finite"),
+             {"maxAffine": [{"a": [1.0, 0.0], "b": "-inf"}]},
+             "intercepts must hold numbers, not strings"),
             (["make-score", "--g", "{f}", "--reports", "grid:2"], {"analytic": "cubic"},
              "unknown analytic form 'cubic'"),
             (["make-score", "--g", "{f}", "--reports", "grid:2"], {},
@@ -888,7 +889,7 @@ class TestInputErrors:
              "declared dim True is not an integer"),
             (["level-convexity", "{f}"],
              {"points": [[0.0], [0.5], [1.0]], "labels": ["0", "0", " 1 "]},
-             "labels must hold numbers, not strings"),
+             "labels entry '0' is not an integer in the int64 range"),
             (["level-convexity", "{f}"],
              {"points": [[0.0], [0.5, 1.0], [1.0]], "labels": [0, 1, 0]},
              "points has rows of unequal length"),
@@ -929,7 +930,7 @@ class TestInputErrors:
                 "score": {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, 0.0]},
                 "typeSpace": {"points": [[0.0], [1.0]]},
                 "reportOf": [0, True],
-            }, "report_of holds True, which is not a report index"),
+            }, "report_of entry True is not an integer in the int64 range"),
             (["make-score", "--g", "{f}", "--reports", "grid:2"],
              {"maxAffine": [{"a": ["1", 0.0], "b": 0.0}]},
              "slope must hold numbers, not strings"),
@@ -938,7 +939,7 @@ class TestInputErrors:
              "slopes has rows of unequal length"),
             (["make-score", "--g", "{f}", "--reports", "grid:2"],
              {"maxAffine": [{"a": [1.0, 0.0], "b": True}]},
-             'intercept must be a number or "-inf", got True'),
+             "intercepts must hold numbers, not booleans"),
             (["duality-check", "{negentropy}", "{f}"],
              {"typeSpace": {"points": [[0.5, 0.5]]}, "duals": [["1", 0.0]]},
              "duals must hold numbers, not strings"),
@@ -958,7 +959,7 @@ class TestInputErrors:
                 "g": {"analytic": "squaredNorm"},
                 "reports": [[[0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]],
                 "decisions": [[1.0], [1.0]],
-            }, "reports must be action-by-outcome matrices of one shape"),
+            }, "reports has rows of unequal length"),
         ],
     )
     def test_a_string_boolean_or_ragged_row_is_a_one_line_error(
@@ -975,6 +976,52 @@ class TestInputErrors:
         }
         self.assert_usage_error([a.format(**paths) for a in args], capsys, message)
 
+    @pytest.mark.parametrize(
+        "args,doc,message",
+        [
+            (["check-proper"], {"reports": [[1.0, 0.0]], "payoffs": [[10**400, 0.0]]},
+             'payoff must be finite or "-inf"'),
+            (["check-wmon"],
+             {"typeSpace": {"points": [[0.0], [10**400]]}, "family": [[0.0], [1.0]]},
+             "points holds an integer beyond the float range"),
+            (["check-cmon"], {**FIG_FAMILY, "family": [[0.0], [-(10**400)], [2.0]]},
+             "family holds an integer beyond the float range"),
+        ],
+        ids=["payoff", "point", "family"],
+    )
+    def test_an_integer_beyond_the_float_range_is_named(self, tmp_path, capsys, args, doc, message):
+        # float() used to say "int too large to convert to float", naming no field
+        path = write(tmp_path, "doc.json", doc)
+        self.assert_usage_error([args[0], path], capsys, message)
+
+    @pytest.mark.parametrize(
+        "args,env,message",
+        [
+            (["rev-interval", "{fam}", "--anchor", "x=1", "--target", "2"], None,
+             "--anchor index 'x' is not an integer"),
+            (["rev-interval", "{fam}", "--anchor", "1.5=0", "--target", "2"], None,
+             "--anchor index '1.5' is not an integer"),
+            (["rev-interval", "{fam}", "--anchor", "0=abc", "--target", "2"], None,
+             "--anchor value 'abc' is not a number"),
+            (["homothet", "{diagram}", "--alpha", "2", "--p0", "a,b"], None,
+             "--p0 entry 'a' is not a number"),
+            (["check-cmon", "{fam}"], "abc", "ELICIT_TOL 'abc' is not a number"),
+        ],
+        ids=["anchor-index", "anchor-fraction", "anchor-value", "p0", "ELICIT_TOL"],
+    )
+    def test_a_text_option_that_is_no_number_names_itself(
+        self, monkeypatch, capsys, args, env, message
+    ):
+        # int() and float() used to print "invalid literal for int() ..." or
+        # "could not convert string to float: 'abc'", naming no option
+        if env is not None:
+            monkeypatch.setenv("ELICIT_TOL", env)
+        paths = {
+            "fam": str(GOLDEN_INPUTS / "family-good.json"),
+            "diagram": str(GOLDEN_INPUTS / "diagram.json"),
+        }
+        self.assert_usage_error([a.format(**paths) for a in args], capsys, message)
+
     def test_non_integer_label(self, tmp_path, capsys):
         sample = write(
             tmp_path,
@@ -982,7 +1029,8 @@ class TestInputErrors:
             {"points": [[0.0], [0.5], [1.0]], "labels": [0, 1.7, 0]},
         )
         self.assert_usage_error(
-            ["level-convexity", sample], capsys, "labels must be integers"
+            ["level-convexity", sample], capsys,
+            "labels entry 1.7 is not an integer in the int64 range",
         )
 
 

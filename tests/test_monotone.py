@@ -614,7 +614,7 @@ class TestLocalTruthful:
     @pytest.mark.parametrize("entry", [1e308, np.inf, np.nan])
     def test_report_beyond_the_integer_range_is_named(self, entry):
         score = make_direct_score(SquaredNorm(), TWO)
-        message = re.escape(f"report_of holds {entry!r}, which is not a report index")
+        message = re.escape(f"report_of entry {entry!r} is not an integer in the int64 range")
         with pytest.raises(ValueError, match=message):
             check_local_truthful(score, TWO, report_of=[0, entry], radius=2.0)
 
@@ -624,7 +624,8 @@ class TestLocalTruthful:
     def test_numpy_nan_is_named_without_a_cast_warning(self, report_of):
         # numpy warns when it casts a numpy nan to int; the suite makes that an error
         score = make_direct_score(SquaredNorm(), TWO)
-        message = re.escape(f"report_of holds {report_of[1]!r}, which is not a report index")
+        entry = report_of[1]
+        message = re.escape(f"report_of entry {entry!r} is not an integer in the int64 range")
         with pytest.raises(ValueError, match=message):
             check_local_truthful(score, TWO, report_of, radius=2.0)
 
@@ -632,7 +633,7 @@ class TestLocalTruthful:
     def test_report_that_is_no_whole_number_is_named(self, entry):
         # np.asarray(..., dtype=int) would read 1.5 as report 1
         score = make_direct_score(SquaredNorm(), TWO)
-        message = re.escape(f"report_of holds {entry!r}, which is not a report index")
+        message = re.escape(f"report_of entry {entry!r} is not an integer in the int64 range")
         with pytest.raises(ValueError, match=message):
             check_local_truthful(score, TWO, report_of=[0, entry], radius=2.0)
         report = check_local_truthful(score, TWO, report_of=np.array([0.0, 1.0]), radius=2.0)

@@ -125,7 +125,7 @@ CASES = [
     (
         "StepAllocation",  # inf - inf in the increasing check came first
         lambda: StepAllocation(breakpoints=[0.0, np.inf, np.inf], values=[0.0, 1.0, 2.0]),
-        "breakpoints and values must be finite",
+        "breakpoints must be finite, got inf",
     ),
 ]
 

@@ -1,0 +1,204 @@
+"""Every public entry point reads the numbers and indices a caller passes
+through the checked readers of ``core``: a string, a boolean, null or an
+int beyond the float range (for an index, any entry that is no whole
+number in the int64 range) raises ``ValueError`` naming the argument,
+where numpy would read ``"0.5"`` and ``True`` as numbers, and the same
+call with a float there still succeeds."""
+
+import re
+
+import numpy as np
+import pytest
+
+from elicit import (
+    LabeledSample,
+    LinearFamily,
+    MaxAffine,
+    OutcomeScoreTable,
+    PowerDiagramSpec,
+    ScoreTable,
+    SquaredNorm,
+    StepAllocation,
+    TypeSpace,
+    biconjugate,
+    check_duality_identities,
+    check_expert_separation,
+    check_local_truthful,
+    check_proper,
+    conjugate,
+    dual_report_score,
+    dual_type_score,
+    elicitation_game_equilibria,
+    eval_convex,
+    expected_score,
+    homothet_transform,
+    make_decision_score,
+    make_direct_score,
+    make_scoring_rule,
+    power_cells,
+    revenue_interval,
+    subgradient,
+)
+from elicit import jsonio, lp
+from elicit.core import mask_witnesses
+from elicit.duality import conjugate_value
+from elicit.monotone import longest_paths
+
+#: What a caller may pass where a number belongs; none of it is one.
+NOT_NUMBERS = ["0.5", True, None, 10**400]
+
+SQ = SquaredNorm()
+LINE = TypeSpace([[0.0], [1.0]])
+GRID = TypeSpace([[0.0], [0.5], [1.0]])
+TABLE = OutcomeScoreTable(reports=[[0.5, 0.5], [1.0, 0.0]], payoffs=[[0.0, 0.0], [1.0, -1.0]])
+DECISIONS = make_decision_score(SQ, [[1.0]], [[[0.5, 0.5]]])
+DIAGRAM = PowerDiagramSpec(sites=[[0.0], [1.0]], weights=[0.0, 0.0])
+FAMILY = LinearFamily([[0.0], [2.0]])
+DIRECT = make_direct_score(SQ, LINE)
+
+#: (id, the call with x in one place of an otherwise valid input, what
+#: its error must name, a float that makes the call valid).  An index
+#: takes the whole float 1.0.
+CASES = [
+    ("TypeSpace", lambda x: TypeSpace([[0.0], [x]]), "points", 0.5),
+    ("LinearFamily", lambda x: LinearFamily([[0.0], [x]]), "family", 0.5),
+    ("MaxAffine-slopes", lambda x: MaxAffine([[x]], [0.0]), "slopes", 0.5),
+    ("MaxAffine-intercepts", lambda x: MaxAffine([[1.0]], [x]), "intercepts", 0.5),
+    ("ScoreTable-linear", lambda x: ScoreTable([0], [[x]], [0.0]), "linear", 0.5),
+    ("ScoreTable-constant", lambda x: ScoreTable([0], [[1.0]], [x]), "constant", 0.5),
+    ("eval_convex", lambda x: eval_convex(SQ, [0.5, x]), "point", 0.5),
+    ("subgradient", lambda x: subgradient(SQ, [0.5, x]), "point", 0.5),
+    ("conjugate", lambda x: conjugate(SQ, [x], GRID), "dual vector", 0.5),
+    ("conjugate_value", lambda x: conjugate_value(SQ, [x], GRID), "dual vector", 0.5),
+    ("mask_witnesses", lambda x: mask_witnesses("k", np.array([True]), [x], "d"), "slack", 0.5),
+    (
+        "OutcomeScoreTable-reports",
+        lambda x: OutcomeScoreTable(reports=[[0.5, x]], payoffs=[[0.0, 0.0]]),
+        "reports",
+        0.5,
+    ),
+    (
+        "OutcomeScoreTable-payoffs",
+        lambda x: OutcomeScoreTable(reports=[[0.5, 0.5]], payoffs=[[0.0, x]]),
+        "payoffs",
+        0.5,
+    ),
+    ("payoff_matrix", lambda x: TABLE.payoff_matrix([[0.5, x]]), "beliefs", 0.5),
+    ("find_report", lambda x: TABLE.find_report([0.5, x]), "p", 0.5),
+    ("expected_score", lambda x: expected_score(TABLE, 0, [0.5, x]), "belief", 0.5),
+    ("check_proper", lambda x: check_proper(TABLE, [[0.5, x]]), "belief", 0.5),
+    (
+        "check_expert_separation",
+        lambda x: check_expert_separation(TABLE, [[0.5, x]], [0.5, 0.5], 0.0, 1.0),
+        "belief",
+        0.5,
+    ),
+    ("make_scoring_rule", lambda x: make_scoring_rule(SQ, [[0.5, x]]), "reports", 0.5),
+    (
+        "make_decision_score-reports",
+        lambda x: make_decision_score(SQ, [[1.0]], [[[0.5, x]]]),
+        "reports",
+        0.5,
+    ),
+    (
+        "make_decision_score-decisions",
+        lambda x: make_decision_score(SQ, [[0.5, x]], [[[0.5, 0.5], [0.5, 0.5]]]),
+        "decisions",
+        0.5,
+    ),
+    ("expected_value", lambda x: DECISIONS.expected_value(0, [[0.5, x]]), "belief matrix", 0.5),
+    ("dual_report_score-d", lambda x: dual_report_score(SQ, [x], [0.5], GRID), "dual vector", 0.5),
+    ("dual_report_score-t", lambda x: dual_report_score(SQ, [0.5], [x], GRID), "type", 0.5),
+    ("dual_type_score-d", lambda x: dual_type_score(SQ, [0.5], [x]), "dual vector", 0.5),
+    ("dual_type_score-t", lambda x: dual_type_score(SQ, [x], [0.5]), "type", 0.5),
+    ("biconjugate-t", lambda x: biconjugate(SQ, [x], GRID, [[0.5]]), "point", 0.5),
+    ("biconjugate-duals", lambda x: biconjugate(SQ, [0.5], GRID, [[x]]), "duals", 0.5),
+    ("duality_identities", lambda x: check_duality_identities(SQ, GRID, [[x]]), "duals", 0.5),
+    (
+        "elicitation_game_equilibria",
+        lambda x: elicitation_game_equilibria(SQ, GRID, [[x]], GRID),
+        "d_grid",
+        0.5,
+    ),
+    (
+        "StepAllocation-breakpoints",
+        lambda x: StepAllocation(breakpoints=[0.0, x], values=[0.0, 1.0]),
+        "breakpoints",
+        0.5,
+    ),
+    (
+        "StepAllocation-values",
+        lambda x: StepAllocation(breakpoints=[0.0, 1.0], values=[0.0, x]),
+        "values",
+        0.5,
+    ),
+    (
+        "PowerDiagramSpec-weights",
+        lambda x: PowerDiagramSpec(sites=[[0.0], [1.0]], weights=[0.0, x]),
+        "weights",
+        0.5,
+    ),
+    ("power_cells", lambda x: power_cells(DIAGRAM, [[x]]), "points", 0.5),
+    ("homothet_transform", lambda x: homothet_transform(DIAGRAM, 2.0, [x]), "offset p0", 0.5),
+    ("longest_paths", lambda x: longest_paths([[0.0, x], [0.0, 0.0]]), "weights", -0.5),
+    ("feasible_point-A", lambda x: lp.feasible_point([[x]], [1.0]), "A", 0.5),
+    ("feasible_point-b", lambda x: lp.feasible_point([[1.0]], [x]), "b", 0.5),
+    (
+        "LabeledSample-labels",
+        lambda x: LabeledSample(points=[[0.0], [1.0]], labels=[0, x]),
+        "labels entry",
+        1.0,
+    ),
+    (
+        "check_local_truthful-report_of",
+        lambda x: check_local_truthful(DIRECT, LINE, [0, x], radius=2.0),
+        "report_of entry",
+        1.0,
+    ),
+    (
+        "revenue_interval-anchor",
+        lambda x: revenue_interval(LINE, FAMILY, {0: 0.0, x: 1.0}, target=1),
+        "anchor index",
+        1.0,
+    ),
+    (
+        "revenue_interval-target",
+        lambda x: revenue_interval(LINE, FAMILY, {0: 0.0}, target=x),
+        "target",
+        1.0,
+    ),
+    (
+        "load_typespace-dim",
+        lambda x: jsonio.load_typespace({"dim": x, "points": [[0.0]]}),
+        "declared dim",
+        1.0,
+    ),
+    (
+        "load_family_file",
+        lambda x: jsonio.load_family_file({"typeSpace": {"points": [[0.0]]}, "family": [[x]]}),
+        "family",
+        0.5,
+    ),
+    (
+        "load_convex-intercept",
+        lambda x: jsonio.load_convex({"maxAffine": [{"a": [1.0], "b": x}]}),
+        "intercepts",
+        0.5,
+    ),
+    ("parse_extended", lambda x: jsonio.parse_extended(x, "payoff"), "payoff", 0.5),
+]
+
+
+@pytest.mark.parametrize("call,name,good", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_what_is_no_number_is_refused_by_name(call, name, good):
+    for bad in NOT_NUMBERS:
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}\b"):
+            call(bad)
+    call(good)  # the reader does not refuse everything
+
+
+def test_a_boolean_array_among_the_rows_is_refused():
+    # numpy would cast the whole to float, reading True as 1.0
+    with pytest.raises(ValueError, match=r"^points must hold numbers, not booleans$"):
+        TypeSpace([np.array([0.5]), np.array([True])])
+    assert TypeSpace([np.array([0.5]), np.array([1.0])]).points.tolist() == [[0.5], [1.0]]
