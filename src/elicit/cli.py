@@ -33,7 +33,6 @@ from .core import (
     NotImplementableError,
     NotMonotoneError,
     SquaredNorm,
-    TypeSpace,
     UnreachableActionError,
     _as_matrix,
     _numbers,
@@ -245,11 +244,7 @@ def _cmd_level_convexity(args):
 def _cmd_breg2power(args):
     g = jsonio.load_convex(_read_json(args.g))
     sites = _rows(args.sites, "sites")
-    if args.grid:
-        grid = jsonio.load_typespace(_read_json(args.grid))
-    else:
-        grid = TypeSpace(sites)  # conjugate is exact at the sites themselves
-    return jsonio.diagram_to_obj(properties.bregman_to_power(g, sites, grid))
+    return jsonio.diagram_to_obj(properties.bregman_to_power(g, sites))
 
 
 def _cmd_duality_check(args):
@@ -358,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("breg2power", _cmd_breg2power, "divergence diagram to power diagram")
     p.add_argument("g")
     p.add_argument("sites")
-    p.add_argument("--grid", default=None, help="type-space file for the conjugate")
+    p.add_argument("--grid", default=None, help="ignored: the weights need no conjugate")
 
     p = add("duality-check", _cmd_duality_check, "Fenchel-Young and friends")
     p.add_argument("g")

@@ -16,8 +16,9 @@ each belief's own column that of its truthful report.
 
 Public constructors and functions read the numbers a caller passes with
 :func:`_numbers`, :func:`_as_matrix`, :func:`_as_vector` or
-:func:`_as_distribution`, index lists with :func:`_indices` and a scalar
-count or index with :func:`_whole_number`; each names what it refuses.
+:func:`_as_distribution`, a scalar with :func:`_number`, index lists
+with :func:`_indices` and a scalar count or index with
+:func:`_whole_number`; each names what it refuses.
 
 Vectors are numpy float64 arrays.  Extended reals are plain floats where
 ``-inf`` is a legal value for score constants and payoffs (log-score
@@ -34,7 +35,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -150,18 +151,13 @@ class NonPositiveScaleError(ElicitError):
 
 def require_extended_real(x: float, what: str = "value") -> float:
     """Validate a float as real-or-(-inf); reject +inf and nan."""
-    x = float(x)
-    if math.isnan(x) or x == math.inf:
-        raise ValueError(f"{what} must be finite or -inf, got {x}")
-    return x
+    return _number(x, what, "finite or -inf")
 
 
 def require_positive(x: float, what: str = "tolerance") -> float:
-    """Validate a tolerance or radius as positive and finite.  Against a
-    nan or infinite tolerance no comparison fails, so no check could."""
-    if not 0 < x < math.inf:
-        raise ValueError(f"{what} must be positive and finite, got {x}")
-    return x
+    """Read a tolerance or radius as positive and finite.  Against a nan
+    or infinite tolerance no comparison fails, so no check could."""
+    return _number(x, what, "positive and finite")
 
 
 def _require_cells(rows: int, cols: int, what: str) -> None:
@@ -464,6 +460,24 @@ def _numbers(x, what: str) -> np.ndarray:
         return arr.astype(float, copy=False)
     except OverflowError:  # from float(int)
         raise ValueError(f"{what} holds an integer beyond the float range") from None
+
+
+def _number(x, what: str, must: Optional[str] = "finite") -> float:
+    """``x``, one number, read by :func:`_numbers` as a float that is
+    ``must`` (None: any float); a refusal is a ``ValueError`` naming ``what``."""
+    value = _numbers(x, what)
+    if value.ndim:
+        raise ValueError(f"{what} must be one number, got shape {value.shape}")
+    x = float(value)
+    holds = {
+        "finite": -math.inf < x < math.inf,
+        "finite or -inf": x < math.inf,
+        "nonnegative and finite": 0.0 <= x < math.inf,
+        "positive and finite": 0.0 < x < math.inf,
+    }
+    if must and not holds[must]:
+        raise ValueError(f"{what} must be {must}, got {x}")
+    return x
 
 
 def _as_matrix(points, what: str) -> np.ndarray:
@@ -775,15 +789,16 @@ def subgradient(g: ConvexSpec, t) -> np.ndarray:
 
 
 def conjugate(g: ConvexSpec, d, grid: TypeSpace):
-    """Discrete Legendre transform: max over the grid of <d, v> - G(v).
+    """The conjugate max_v <d, v> - G(v) over the grid, raised to the
+    exact value where the maximizer is known inside the grid's range: the
+    piece crossings of a 1-D max-affine G, and ||d/2||^2 for the squared
+    norm where d/2 lies in the grid's bounding box (within 1e-12).
+    Elsewhere a lower bound, exact whenever a maximizer lies on the grid.
 
     ``d`` is one dual vector (float result) or a 2-D array of them, one
-    per row (array result); G is evaluated once, on the whole grid.
-    The result is a certified lower bound on the true conjugate, and is
-    exact whenever a maximizer lies on the grid.  For 1-D max-affine
-    functions the piece-crossing points inside the grid's hull are also
-    scanned, which makes the 1-D max-affine conjugate exact.  A value of
-    G or of the conjugate beyond the float range raises ``ValueError``.
+    per row (array result); G is evaluated once, on the whole grid.  A
+    value of G or of the conjugate beyond the float range raises
+    ``ValueError``.
     """
     d = _numbers(d, "dual vector")
     duals = _as_matrix(np.atleast_2d(d), "dual vector")
@@ -806,6 +821,12 @@ def conjugate(g: ConvexSpec, d, grid: TypeSpace):
                 cand = duals[:, :1] * x - _eval_rows(g, x[:, None])  # d[0] * x keeps -0.0
                 best = np.maximum(best, cand.max(axis=1, initial=-np.inf))
     _overflow(best, "the conjugate", duals)
+    if isinstance(g, SquaredNorm):
+        half = duals / 2.0
+        lo, hi = pts.min(axis=0) - 1e-12, pts.max(axis=0) + 1e-12
+        inside = np.all((half >= lo) & (half <= hi), axis=1)
+        with np.errstate(over="ignore"):  # a row outside the box keeps its grid maximum
+            best = _overflow(np.where(inside, np.vecdot(half, half), best), "the conjugate", duals)
     return float(best[0]) if d.ndim < 2 else best
 
 

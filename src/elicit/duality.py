@@ -6,11 +6,8 @@ A(d, t) = <t, d> - G*(d); swapping the type gives A*(t, d) =
 subgradient membership is operationalized as Fenchel-Young equality
 within tolerance rather than by symbolic subdifferentials.
 
-The conjugate is represented implicitly through grid evaluation, except
-for the squared norm where the closed form ||d||^2 / 4 applies whenever
-the maximizer d/2 lies inside the grid's bounding box.  Duals are priced
-as a batch: one call evaluates G once on the grid and takes every dual
-vector's grid maximum together.
+Duals are priced as a batch by ``core.conjugate``, which evaluates G once
+on the grid and is exact where the maximizer is known.
 """
 
 from __future__ import annotations
@@ -24,13 +21,11 @@ from .core import (
     DEFAULT_TOL,
     CheckReport,
     ConvexSpec,
-    SquaredNorm,
     TypeSpace,
     WitnessColumns,
     _as_matrix,
     _as_vector,
     _eval_rows,
-    _numbers,
     _overflow,
     _require_cells,
     conjugate,
@@ -41,7 +36,6 @@ from .core import (
 from .properties import LabeledSample
 
 __all__ = [
-    "conjugate_value",
     "dual_report_score",
     "dual_type_score",
     "biconjugate",
@@ -55,26 +49,10 @@ __all__ = [
 EQUALITY_TOL = 1e-6
 
 
-def conjugate_value(g: ConvexSpec, d, grid: TypeSpace):
-    """Grid conjugate of one dual vector or of each row of a 2-D batch,
-    upgraded to the closed form for the squared norm on the rows whose
-    true maximizer d/2 falls inside the grid's bounding box."""
-    d = _numbers(d, "dual vector")
-    values = conjugate(g, d, grid)
-    if not isinstance(g, SquaredNorm):
-        return values
-    half = np.atleast_1d(d / 2.0)
-    lo, hi = grid.points.min(axis=0) - 1e-12, grid.points.max(axis=0) + 1e-12
-    inside = np.all((half >= lo) & (half <= hi), axis=-1)
-    with np.errstate(over="ignore"):  # only rows outside the grid's box can overflow
-        closed = np.where(inside, np.vecdot(half, half), values)
-    return float(closed) if d.ndim < 2 else closed
-
-
 def dual_report_score(g: ConvexSpec, d, t, grid: TypeSpace) -> float:
     """Menu / market score for reporting the dual vector d: <t, d> - G*(d)."""
     d, t = _as_vector(d, "dual vector"), _as_vector(t, "type")
-    return float(t @ d) - conjugate_value(g, d, grid)
+    return float(t @ d) - conjugate(g, d, grid)
 
 
 def dual_type_score(g: ConvexSpec, t, d) -> float:
@@ -87,7 +65,7 @@ def biconjugate(g: ConvexSpec, t, grid: TypeSpace, duals) -> float:
     """G**(t) by two nested conjugations: max over the dual grid of
     <t, d> - G*(d)."""
     t, duals = _as_vector(t, "point"), _as_matrix(duals, "duals")
-    conjs = conjugate_value(g, duals, grid)
+    conjs = conjugate(g, duals, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         best = np.max(np.vecdot(duals, t) - conjs, keepdims=True)
     return float(_overflow(best, "the biconjugate", t[None])[0])
@@ -117,7 +95,7 @@ def check_duality_identities(
     if len(duals) == 0:
         maxima = ("max_fenchel_young_violation", "max_difference_violation", "max_divergence_gap")
         return CheckReport(WitnessColumns(), {"tol": tol, **dict.fromkeys(maxima, 0.0)})
-    conjs = conjugate_value(g, duals, grid)
+    conjs = conjugate(g, duals, grid)
     k, n = len(grid), len(duals)
     _require_cells(8 * k, n, f"the duality identities, eight arrays of {k} grid points x {n} duals,")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -180,11 +158,12 @@ def elicitation_game_equilibria(
     within ``eq_tol``.  Conjugates are evaluated over ``grid``.  G is
     evaluated on ``t_grid`` even with no duals, so a point outside the
     domain of G is an error, not an empty list of equilibria."""
+    require_positive(eq_tol, "eq_tol")
     d_grid = _as_matrix(d_grid, "d_grid")
     evals = _eval_rows(g, t_grid.points)
     if len(d_grid) == 0:
         return []
-    conjs = conjugate_value(g, d_grid, grid)
+    conjs = conjugate(g, d_grid, grid)
     n, k = len(d_grid), len(t_grid)
     _require_cells(n, k, f"the Fenchel-Young gaps of {n} duals at {k} types")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -209,7 +209,8 @@ def longest_paths(
     if wt.ndim != 2 or wt.shape[0] != wt.shape[1]:
         raise ValueError(f"weights must be a square matrix, got shape {wt.shape}")
     m = wt.shape[0]
-    if source is not None and not (isinstance(source, (int, np.integer)) and 0 <= source < m):
+    index = isinstance(source, (int, np.integer)) and not isinstance(source, bool)
+    if source is not None and not (index and 0 <= source < m):
         raise ValueError(f"source must be a node index in [0, {m}), got {source!r}")
     if not laid_out:
         weights, wt = wt, wt.T.copy()

@@ -9,7 +9,6 @@ interval extends the anchored surplus values to a valid convex surplus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
@@ -28,6 +27,7 @@ from .core import (
     TypeSpace,
     _as_vector,
     _gain_scan,
+    _number,
     _whole_number,
     mask_witnesses,
     require_positive,
@@ -84,12 +84,9 @@ def myerson_payment(alloc: StepAllocation, t: float, p0: float = 0.0) -> float:
     arithmetic over the binary values of the float inputs, so no
     quadrature error enters.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be nonnegative and finite, got {t}")
-    if not math.isfinite(p0):
-        raise ValueError(f"p0 must be finite, got {p0}")
+    t, p0 = _number(t, "t", "nonnegative and finite"), _number(p0, "p0")
     alloc.validate_monotone()
-    tf = Fraction(float(t))
+    tf = Fraction(t)
     total = Fraction(0)
     bps = [Fraction(float(b)) for b in alloc.breakpoints]
     vals = [Fraction(float(v)) for v in alloc.values]
@@ -99,7 +96,7 @@ def myerson_payment(alloc: StepAllocation, t: float, p0: float = 0.0) -> float:
             break
         seg_hi = tf if hi is None or hi > tf else hi
         total += v * (seg_hi - b)
-    payment = tf * Fraction(alloc.value_at(t)) - total + Fraction(float(p0))
+    payment = tf * Fraction(alloc.value_at(t)) - total + Fraction(p0)
     return float(payment)
 
 
@@ -146,6 +143,7 @@ def rochet_payments(
     """
     require_positive(tol)
     fam.check_aligned(ts)
+    t0 = _whole_number(t0, "base type")
     if not 0 <= t0 < len(ts):
         raise ValueError(f"base type {t0} out of range")
     graph = _cmon_graph(ts, fam)
@@ -208,11 +206,9 @@ def revenue_interval(
     fam.check_aligned(ts)
     if not anchors:
         raise ValueError("at least one anchor is required")
-    anchors = {_whole_number(k, "anchor index"): float(v) for k, v in anchors.items()}
+    anchors = {_whole_number(k, "anchor index"): v for k, v in anchors.items()}
+    anchors = {i: _number(v, f"anchor {i}") for i, v in anchors.items()}
     target = _whole_number(target, "target")
-    for idx, v in anchors.items():
-        if not math.isfinite(v):
-            raise ValueError(f"anchor {idx} must be finite, got {v}")
     for idx in list(anchors) + [target]:
         if not 0 <= idx < len(ts):
             raise ValueError(f"type index {idx} out of range")
@@ -240,6 +236,7 @@ def check_revenue_equivalence(
     it everywhere; witnesses are targets whose interval has width > tol."""
     require_positive(tol)
     fam.check_aligned(ts)
+    t0 = _whole_number(t0, "base type")  # longest_paths checks that it is a node
     graph = _cmon_graph(ts, fam)
     lower = _paths_from(graph, t0, tol)
     _transpose(graph.wt)  # the reversed graph

@@ -33,10 +33,12 @@ from .core import (
     _as_vector,
     _grad_rows,
     _indices,
+    _number,
     _require_cells,
     _require_distinct,
     _require_summable,
-    conjugate,
+    _tangent_score,
+    conjugate,  # not called here; perfbench's tracer binds it at this import site
     require_positive,
 )
 from .monotone import _cmon_weights, _wmon_report, longest_paths
@@ -230,7 +232,7 @@ def homothet_transform(
     makes the new power cost an affine reparameterization of the old one
     (alpha times it plus a site-independent term), fixing the argmin.
     """
-    if not 0 < alpha < math.inf:
+    if not 0 < _number(alpha, "alpha", None) < math.inf:
         raise NonPositiveScaleError(f"scale must be positive and finite, got {alpha}")
     p0 = _as_vector(p0, "offset p0")
     if len(p0) != diag.dim:
@@ -307,8 +309,7 @@ def check_level_set_convexity(
     """
     if len(sample) == 0:
         raise ValueError("sample must be nonempty")
-    if not 0 <= eps < math.inf:
-        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
+    eps = _number(eps, "eps", "nonnegative and finite")
     pts = sample.points
     labels = sample.labels
     k = len(sample)
@@ -370,17 +371,19 @@ def _sandwiches(pts, a, b, c, sq, dist, eps):
 
 
 def bregman_to_power(
-    g: ConvexSpec, bregman_sites, grid: TypeSpace
+    g: ConvexSpec, bregman_sites, grid: Optional[TypeSpace] = None
 ) -> PowerDiagramSpec:
     """Convert a nearest-site diagram under the regret divergence of
     ``g`` into an ordinary power diagram.
 
-    Site t_j maps to p_j = dG_{t_j} / 2 with weight
-    ||dG_{t_j}||^2 / 4 - G*(dG_{t_j}); the conjugate is evaluated over
-    ``grid``, which is exact whenever the grid contains the sites.
+    Site t_j maps to p_j = d_j / 2 with weight ||d_j||^2 / 4 + c_j, for
+    the tangent score <d_j, t> + c_j at t_j (d_j = dG_{t_j}): the power
+    distance is ||t||^2 minus that score.  By Fenchel-Young equality
+    c_j = G(t_j) - <d_j, t_j> = -G*(d_j) exactly; ``grid`` is ignored.
     """
     sites = _as_matrix(bregman_sites, "sites")
     duals = _grad_rows(g, sites)
+    constant = _tangent_score(g, duals, sites).constant
     with np.errstate(over="ignore", invalid="ignore"):  # the diagram rejects inf and nan
-        weights = np.vecdot(duals, duals) / 4.0 - conjugate(g, duals, grid)
+        weights = np.vecdot(duals, duals) / 4.0 + constant
     return PowerDiagramSpec(sites=duals / 2.0, weights=weights)

@@ -31,6 +31,7 @@ from .core import (
     _as_distribution,
     _gain_scan,
     _grad_rows,
+    _number,
     _numbers,
     _overflow,
     _require_cells,
@@ -270,8 +271,10 @@ def check_expert_separation(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Informed beliefs must earn at least ``delta_accept``; the
-    uninformed belief ``p_bar`` at most ``delta_reject``."""
+    uninformed belief ``p_bar`` at most ``delta_reject``, both finite."""
     require_positive(tol)
+    delta_accept = _number(delta_accept, "delta_accept")
+    delta_reject = _number(delta_reject, "delta_reject")
     beliefs = _belief_rows(list(p_in) + [p_bar], table.n_outcomes)
     best = table.payoff_matrix(beliefs).max(axis=1)
     values, v_bar = best[:-1], float(best[-1])

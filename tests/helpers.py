@@ -417,7 +417,7 @@ def loop_duality_witnesses(g, grid, duals, tol):
     left to the library's own tests)."""
     duals = np.asarray(duals, dtype=float).reshape(len(duals), -1)
     evals = [loop_eval_convex(g, t) for t in grid.points]
-    conjs = [loop_conjugate_value(g, d, grid) for d in duals]
+    conjs = [loop_conjugate(g, d, grid) for d in duals]
     inner = grid.points @ duals.T
     kinds = [
         ("fenchel-young", "G(t) + G*(d) < <t, d>"),
@@ -486,18 +486,13 @@ def loop_conjugate(g, d, grid) -> float:
                         cand = d[0] * x - loop_eval_convex(g, [x])
                         if cand > best:
                             best = float(cand)
-    return best
-
-
-def loop_conjugate_value(g, d, grid) -> float:
-    d = np.atleast_1d(np.asarray(d, dtype=float))
     if isinstance(g, SquaredNorm):
         half = d / 2.0
         lo = grid.points.min(axis=0)
         hi = grid.points.max(axis=0)
         if np.all(half >= lo - 1e-12) and np.all(half <= hi + 1e-12):
             return float(half @ half)
-    return loop_conjugate(g, d, grid)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +586,14 @@ def loop_expected_value(spec, k, belief_matrix) -> float:
     return total
 
 
-def loop_bregman_to_power(g, sites, grid):
-    """``(sites, weights)`` of the power diagram ``bregman_to_power`` builds."""
-    duals = [loop_subgradient(g, t) for t in np.asarray(sites, dtype=float)]
-    weights = [float(d @ d) / 4.0 - loop_conjugate(g, d, grid) for d in duals]
+def loop_bregman_to_power(g, sites):
+    """``(sites, weights)`` of the power diagram ``bregman_to_power``
+    builds, one site t at a time: d / 2 and ||d||^2 / 4 + G(t) - <d, t>
+    for d = dG_t."""
+    sites = np.asarray(sites, dtype=float)
+    duals = [loop_subgradient(g, t) for t in sites]
+    constants = [loop_eval_convex(g, t) - float(d @ t) for d, t in zip(duals, sites)]
+    weights = [float(d @ d) / 4.0 + c for d, c in zip(duals, constants)]
     return np.array([d / 2.0 for d in duals]), np.array(weights)
 
 

@@ -24,6 +24,7 @@ from elicit import (
     check_proper,
     check_truthful,
     check_wmon_cells,
+    conjugate,
     eval_convex,
     fit_weights,
     make_direct_score,
@@ -35,7 +36,7 @@ from elicit import (
     score_from_diagram,
     simplex_grid,
 )
-from elicit.duality import biconjugate, conjugate_value
+from elicit.duality import biconjugate
 from helpers import brute_force_cmon, kl_divergence, random_max_affine
 
 
@@ -229,7 +230,7 @@ def test_duality_identities():
     # conjugate is exact here: the maximizer of <d, t> - G(t) is on the grid
     for d, t in zip(duals[::20], grid.points[::20]):
         exact = float(d @ d) / 4.0
-        assert abs(conjugate_value(g, d, grid) - exact) <= 1e-12
+        assert abs(conjugate(g, d, grid) - exact) <= 1e-12
     worst = max(
         abs(biconjugate(g, t, grid, duals) - eval_convex(g, t))
         for t in grid.points

@@ -23,11 +23,9 @@ from elicit import (
     subgradient,
 )
 from elicit.core import _eval_rows, _grad_rows, conjugate, eval_convex
-from elicit.duality import conjugate_value
 from helpers import (
     loop_bregman_to_power,
     loop_conjugate,
-    loop_conjugate_value,
     loop_eval_convex,
     loop_expected_value,
     loop_make_decision_score,
@@ -117,12 +115,10 @@ def test_squared_norm_conjugate_value_both_branches(seed):
     inside = 2.0 * rng.uniform(lo, hi, size=(20, 2))  # d/2 in the box
     outside = 2.0 * (hi + rng.uniform(0.1, 1.0, size=(20, 2)))
     duals = np.vstack([inside, outside])
-    grid_max = assert_batch_matches_loop(SquaredNorm(), duals, grid)
-    values = conjugate_value(SquaredNorm(), duals, grid)
-    assert bits(values) == bits([loop_conjugate_value(SquaredNorm(), d, grid) for d in duals])
-    assert bits(conjugate_value(SquaredNorm(), duals[0], grid)) == bits(values[0])
+    values = assert_batch_matches_loop(SquaredNorm(), duals, grid)
     # the closed form took the inside rows, the grid max the others
-    assert bits(values[20:]) == bits(grid_max[20:])
+    evals = _eval_rows(SquaredNorm(), grid.points)
+    assert bits(values[20:]) == bits([np.max(grid.points @ d - evals) for d in outside])
     assert bits(values[:20]) == bits(np.vecdot(inside / 2.0, inside / 2.0))
 
 
@@ -161,16 +157,15 @@ def test_biconjugate_and_bregman_to_power_match_the_loop(seed):
     grid = random_typespace(rng, 2, max_points=60)
     duals = rng.normal(scale=3.0, size=(30, 2))
     for t in grid.points[:5]:
-        ref = max(float(t @ d) - loop_conjugate_value(SquaredNorm(), d, grid) for d in duals)
+        ref = max(float(t @ d) - loop_conjugate(SquaredNorm(), d, grid) for d in duals)
         assert bits(biconjugate(SquaredNorm(), t, grid, duals)) == bits(ref)
 
     sgrid = TypeSpace(simplex_rows(rng, 3, 40))
     sites = sgrid.points[sgrid.points.min(axis=1) >= 1e-3][:6]
     diag = bregman_to_power(NegEntropy(), sites, sgrid)
-    d = [subgradient(NegEntropy(), t) for t in sites]
-    assert bits(diag.sites) == bits([x / 2.0 for x in d])
-    ref = [float(x @ x) / 4.0 - loop_conjugate(NegEntropy(), x, sgrid) for x in d]
-    assert bits(diag.weights) == bits(ref)
+    ref_sites, ref_weights = loop_bregman_to_power(NegEntropy(), sites)
+    assert bits(diag.sites) == bits(ref_sites)
+    assert bits(diag.weights) == bits(ref_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +199,9 @@ def test_off_simplex_grid_row_raises_like_the_loop():
 def test_dual_of_wrong_dimension_raises_like_the_loop(g):
     grid = TypeSpace([[0.5, 0.5], [1.0, 0.0]])
     duals = np.ones((3, 3))
-    for f in (conjugate, conjugate_value):
-        err = same_error(lambda: f(g, duals, grid), lambda: loop_conjugate(g, duals[0], grid))
-        assert isinstance(err, DimensionMismatchError)
-        same_error(lambda: f(g, duals[0], grid), lambda: loop_conjugate(g, duals[0], grid))
+    err = same_error(lambda: conjugate(g, duals, grid), lambda: loop_conjugate(g, duals[0], grid))
+    assert isinstance(err, DimensionMismatchError)
+    same_error(lambda: conjugate(g, duals[0], grid), lambda: loop_conjugate(g, duals[0], grid))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -349,8 +343,8 @@ def test_bregman_to_power_matches_the_per_site_loop(seed):
         # a power diagram takes distinct sites: one point per active piece
         duals = [loop_subgradient(g, t) for t in sites]
         sites = sites[np.sort(np.unique(duals, axis=0, return_index=True)[1])]
-        diag = bregman_to_power(g, sites, grid)
-        ref_sites, ref_weights = loop_bregman_to_power(g, sites, grid)
+        diag = bregman_to_power(g, sites, grid)  # the grid is ignored
+        ref_sites, ref_weights = loop_bregman_to_power(g, sites)
         same_arrays(diag.sites, ref_sites)
         same_arrays(diag.weights, ref_weights)
 
@@ -383,7 +377,7 @@ def test_a_bad_row_raises_like_the_loop(seed):
     grid = TypeSpace(simplex_grid(3, 4))
     same_error(
         lambda: bregman_to_power(NegEntropy(), pts, grid),
-        lambda: loop_bregman_to_power(NegEntropy(), pts, grid),
+        lambda: loop_bregman_to_power(NegEntropy(), pts),
     )
     same_error(
         lambda: make_scoring_rule(NegEntropy(), pts),

@@ -1121,7 +1121,8 @@ class TestOversizedInputs:
     The duality identities take eight arrays of grid x duals, so 8192
     grid points and duals, 2^26 cells each, are refused after the
     conjugate; at eight such arrays the check took about 4 GiB.  Each runs
-    in a child process whose address space is capped."""
+    in a child process whose address space is capped, as does breg2power
+    on 8193 sites, which forms no such matrix."""
 
     N = 8193
     PAIRS = f"would take {N} x {N} floats, {8 * N * N} bytes, above the limit of 536870912 bytes"
@@ -1135,7 +1136,6 @@ class TestOversizedInputs:
         ),
         "duality-check": (["duality-check", "{g}", "{grids}"], CONJUGATE),
         "game": (["game", "{g}", "{grids}"], CONJUGATE),
-        "breg2power": (["breg2power", "{g}", "{sites}"], CONJUGATE),
         "power-label": (["power-label", "{diagram}", "{points}"], SITES),
         "fit-weights": (["fit-weights", "{sites}", "{sample}"], SITES),
         # one sample point, and a graph over the 8193 sites
@@ -1185,6 +1185,19 @@ class TestOversizedInputs:
         assert "Traceback" not in run.stderr
         assert (run.returncode, run.stdout) == (1, "")
         assert run.stderr == f"elicit: error: {message}\n"
+
+    def test_breg2power_of_as_many_sites_forms_no_pair_array(self, files, tmp_path):
+        # the weights need no conjugate, and the --grid file is not read
+        args = ["breg2power", files["g"], files["sites"], "--grid", str(tmp_path / "absent.json")]
+        run = subprocess.run(
+            [sys.executable, "-m", "elicit.cli"] + args,
+            capture_output=True,
+            text=True,
+            preexec_fn=_address_space_limit,
+            timeout=120,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads(run.stdout)["weights"] == [0.0] * self.N
 
 
 def test_parser_is_built_once_and_a_usage_error_leaves_it_clean(tmp_path, capsys):

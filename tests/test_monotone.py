@@ -304,6 +304,7 @@ class TestTransposedKernel:
             (np.zeros((3, 3)), -1, "source must be a node index in [0, 3), got -1"),
             (np.zeros((3, 3)), 3, "source must be a node index in [0, 3), got 3"),
             (np.zeros((3, 3)), 1.0, "source must be a node index in [0, 3), got 1.0"),
+            (np.zeros((3, 3)), True, "source must be a node index in [0, 3), got True"),
             (np.zeros((0, 0)), 0, "source must be a node index in [0, 0), got 0"),
             ([[0.0, np.nan], [0.0, 0.0]], None, "edge (0, 1) weighs nan"),
             ([[0.0, 0.0], [np.inf, 0.0]], 0, "edge (1, 0) weighs inf"),

@@ -38,6 +38,7 @@ IDENTITY = MaxAffine(slopes=[[1.0]], intercepts=[0.0])  # G(t) = t
 UNIT = TypeSpace([[0.0], [1.0]])
 HUGE = TypeSpace([[0.0], [BIG]])  # G = t^2 overflows at BIG
 G_OVERFLOW = r"G overflows the float range at \[1e\+308\]"
+A = (0.7 * BIG) ** 0.5  # A^2 and 2 A^2 are finite, 3 A^2 is not
 
 # at (10, 20) both pieces, 1e309 and 2e309, round to inf: the argmax
 # would pick the first, whose slope is not the subgradient there
@@ -52,7 +53,16 @@ CASES = [
         lambda: conjugate(IDENTITY, [BIG], TypeSpace([[0.0], [10.0]])),
         r"the conjugate overflows the float range at \[1e\+308\]",
     ),
-    ("bregman_to_power", lambda: bregman_to_power(SQ, [[0.0], [1.0]], HUGE), G_OVERFLOW),
+    (
+        "conjugate-closed-form",  # |d/2|^2 = 3 * 0.7e308 at d/2 = a(1, 1, 1), a corner of the box
+        lambda: conjugate(SQ, [2.0 * A] * 3, TypeSpace(A * np.eye(3))),
+        r"the conjugate overflows the float range at \[1.67",
+    ),
+    (
+        "bregman_to_power",  # G(t) = 2t at the site 1e308
+        lambda: bregman_to_power(MaxAffine([[2.0]], [0.0]), [[0.0], [BIG]]),
+        G_OVERFLOW,
+    ),
     (
         "bregman_to_power-weight",  # |dG|^2 / 4 of a slope 1.5e154
         lambda: bregman_to_power(MaxAffine([[1.5e154]], [0.0]), [[1.0]], UNIT),

@@ -6,6 +6,7 @@ import pytest
 
 from elicit import (
     LabeledSample,
+    MaxAffine,
     NegEntropy,
     NonPositiveScaleError,
     PowerDiagramSpec,
@@ -366,8 +367,7 @@ class TestBregmanToPower:
             assert int(np.argmin(kl)) == labeling.labels[k]
 
     def test_divergence_argmin_is_the_oracle_for_any_g(self):
-        # same check straight from the divergence definition; the grid
-        # must contain the sites for the conjugate to be exact there
+        # same check straight from the divergence definition
         rng = np.random.default_rng(5)
         sites = rng.dirichlet(np.ones(2), size=3)
         grid = TypeSpace(np.vstack([simplex_grid(2, 15), sites]))
@@ -379,6 +379,30 @@ class TestBregmanToPower:
                 continue
             div = [bregman_divergence(NegEntropy(), t, s) for s in sites]
             assert int(np.argmin(div)) == labeling.labels[k]
+
+    @staticmethod
+    def off_grid_case(name, rng):
+        """(G, 5 sites, a grid that holds none of them, 2000 points)."""
+        if name == "negentropy":
+            sites, grid = rng.dirichlet(np.ones(3), size=5), TypeSpace(simplex_grid(3, 4))
+            return NegEntropy(), sites, grid, rng.dirichlet(np.ones(3), size=2000)
+        axis = np.linspace(-1.0, 1.0, 5)
+        plane = TypeSpace(np.array([[x, y] for x in axis for y in axis]))
+        if name == "squarednorm":
+            g, sites = SquaredNorm(), rng.uniform(-1.0, 1.0, size=(5, 2))
+        else:  # tangent planes of ||t||^2 at 25 centers: many pieces are active off the grid
+            centers = rng.uniform(-1.0, 1.0, size=(25, 2))
+            g, sites = MaxAffine(2.0 * centers, -np.vecdot(centers, centers)), centers[:5]
+        return g, sites, plane, rng.uniform(-1.0, 1.0, size=(2000, 2))
+
+    @pytest.mark.parametrize("name", ["squarednorm", "negentropy", "maxaffine"])
+    def test_labels_are_the_divergence_nearest_sites_off_the_grid(self, name):
+        # the grid conjugate at sites off the grid mislabeled 1-6 % of these points
+        g, sites, grid, pts = self.off_grid_case(name, np.random.default_rng(0))
+        assert not (grid.points[:, None] == sites).all(axis=2).any()
+        labels = power_cells(bregman_to_power(g, sites, grid), pts).labels
+        nearest = [np.argmin([bregman_divergence(g, t, s) for s in sites]) for t in pts]
+        assert labels.tolist() == nearest
 
     def test_single_site_trivial(self):
         sites = np.array([[0.5, 0.5]])

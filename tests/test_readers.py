@@ -5,6 +5,7 @@ number in the int64 range) raises ``ValueError`` naming the argument,
 where numpy would read ``"0.5"`` and ``True`` as numbers, and the same
 call with a float there still succeeds."""
 
+import math
 import re
 
 import numpy as np
@@ -21,10 +22,13 @@ from elicit import (
     StepAllocation,
     TypeSpace,
     biconjugate,
+    check_cmon,
     check_duality_identities,
     check_expert_separation,
+    check_level_set_convexity,
     check_local_truthful,
     check_proper,
+    check_revenue_equivalence,
     conjugate,
     dual_report_score,
     dual_type_score,
@@ -35,13 +39,14 @@ from elicit import (
     make_decision_score,
     make_direct_score,
     make_scoring_rule,
+    myerson_payment,
     power_cells,
     revenue_interval,
+    rochet_payments,
     subgradient,
 )
 from elicit import jsonio, lp
 from elicit.core import mask_witnesses
-from elicit.duality import conjugate_value
 from elicit.monotone import longest_paths
 
 #: What a caller may pass where a number belongs; none of it is one.
@@ -55,6 +60,8 @@ DECISIONS = make_decision_score(SQ, [[1.0]], [[[0.5, 0.5]]])
 DIAGRAM = PowerDiagramSpec(sites=[[0.0], [1.0]], weights=[0.0, 0.0])
 FAMILY = LinearFamily([[0.0], [2.0]])
 DIRECT = make_direct_score(SQ, LINE)
+STEP = StepAllocation(breakpoints=[0.0, 1.0], values=[0.0, 1.0])
+SAMPLE = LabeledSample(points=[[0.0], [1.0]], labels=[0, 1])
 
 #: (id, the call with x in one place of an otherwise valid input, what
 #: its error must name, a float that makes the call valid).  An index
@@ -69,7 +76,6 @@ CASES = [
     ("eval_convex", lambda x: eval_convex(SQ, [0.5, x]), "point", 0.5),
     ("subgradient", lambda x: subgradient(SQ, [0.5, x]), "point", 0.5),
     ("conjugate", lambda x: conjugate(SQ, [x], GRID), "dual vector", 0.5),
-    ("conjugate_value", lambda x: conjugate_value(SQ, [x], GRID), "dual vector", 0.5),
     ("mask_witnesses", lambda x: mask_witnesses("k", np.array([True]), [x], "d"), "slack", 0.5),
     (
         "OutcomeScoreTable-reports",
@@ -186,7 +192,58 @@ CASES = [
         0.5,
     ),
     ("parse_extended", lambda x: jsonio.parse_extended(x, "payoff"), "payoff", 0.5),
+    # scalar arguments
+    ("check_cmon-tol", lambda x: check_cmon(LINE, FAMILY, tol=x), "tolerance", 0.5),
+    (
+        "check_local_truthful-radius",
+        lambda x: check_local_truthful(DIRECT, LINE, [0, 1], radius=x),
+        "radius",
+        0.5,
+    ),
+    ("rochet_payments-t0", lambda x: rochet_payments(LINE, FAMILY, t0=x), "base type", 1.0),
+    (
+        "check_revenue_equivalence-t0",
+        lambda x: check_revenue_equivalence(LINE, FAMILY, t0=x),
+        "base type",
+        1.0,
+    ),
+    (
+        "revenue_interval-anchor-value",
+        lambda x: revenue_interval(LINE, FAMILY, {0: x}, target=1),
+        "anchor 0",
+        0.5,
+    ),
+    ("myerson_payment-t", lambda x: myerson_payment(STEP, x), "t", 0.5),
+    ("myerson_payment-p0", lambda x: myerson_payment(STEP, 0.5, p0=x), "p0", 0.5),
+    ("homothet_transform-alpha", lambda x: homothet_transform(DIAGRAM, x, [0.0]), "alpha", 0.5),
+    (
+        "check_level_set_convexity-eps",
+        lambda x: check_level_set_convexity(SAMPLE, eps=x),
+        "eps",
+        0.5,
+    ),
 ]
+
+#: (id, the call with x as a threshold, its name): against a nan
+#: threshold no comparison fails, so the check could not.
+THRESHOLDS = [
+    (
+        "check_expert_separation-delta_accept",
+        lambda x: check_expert_separation(TABLE, [[0.5, 0.5]], [0.5, 0.5], x, 1.0),
+        "delta_accept",
+    ),
+    (
+        "check_expert_separation-delta_reject",
+        lambda x: check_expert_separation(TABLE, [[0.5, 0.5]], [0.5, 0.5], 0.0, x),
+        "delta_reject",
+    ),
+    (
+        "elicitation_game_equilibria-eq_tol",
+        lambda x: elicitation_game_equilibria(SQ, GRID, [[0.5]], GRID, eq_tol=x),
+        "eq_tol",
+    ),
+]
+CASES += [(ident, call, name, 0.5) for ident, call, name in THRESHOLDS]
 
 
 @pytest.mark.parametrize("call,name,good", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
@@ -195,6 +252,12 @@ def test_what_is_no_number_is_refused_by_name(call, name, good):
         with pytest.raises(ValueError, match=rf"^{re.escape(name)}\b"):
             call(bad)
     call(good)  # the reader does not refuse everything
+
+
+@pytest.mark.parametrize("call,name", [t[1:] for t in THRESHOLDS], ids=[t[0] for t in THRESHOLDS])
+def test_a_nan_threshold_is_refused_by_name(call, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)}\b.* got nan$"):
+        call(math.nan)
 
 
 def test_a_boolean_array_among_the_rows_is_refused():
