@@ -8,8 +8,12 @@ from it: 2 for a verified negative answer (a document with ``passed`` or
 a positive cycle), 0 for any other document, and 1 for usage or input
 errors, with one line on stderr and nothing on stdout.
 
-The ELICIT_TOL environment variable overrides the default tolerance;
-a --tol flag overrides both.  Either must be positive and finite.
+The subcommands that check within a tolerance take a --tol flag; the
+ELICIT_TOL environment variable overrides their default tolerance and
+--tol overrides both.  Either must be positive and finite.  The other
+subcommands (myerson, make-score, score, power-label, homothet,
+level-convexity, breg2power and game) read no tolerance and refuse --tol
+as an unrecognized argument.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .core import (
     SquaredNorm,
     UnreachableActionError,
     _as_matrix,
+    _index,
     _numbers,
     require_positive,
 )
@@ -172,14 +177,9 @@ def _cmd_make_score(args):
 
 def _cmd_score(args):
     table = jsonio.load_outcome_table(_read_json(args.file))
-    if not 0 <= args.report < len(table):
-        raise ValueError(f"--report must be in [0, {len(table)}), got {args.report}")
-    if not 0 <= args.outcome < table.n_outcomes:
-        raise ValueError(
-            f"--outcome must be in [0, {table.n_outcomes}), got {args.outcome}"
-        )
-    value = float(table.payoffs[args.report, args.outcome])
-    return {"report": args.report, "outcome": args.outcome, "score": value}
+    report = _index(args.report, len(table), "--report")
+    outcome = _index(args.outcome, table.n_outcomes, "--outcome")
+    return {"report": report, "outcome": outcome, "score": float(table.payoffs[report, outcome])}
 
 
 def _cmd_check_proper(args):
@@ -274,31 +274,39 @@ def _cmd_game(args):
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage error is one line on stderr."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elicit",
         description="Truthful affine scores: constructors, verifiers, certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, tol=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=fn)
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        if tol:  # only where the handler reads it
+            p.add_argument("--tol", type=float, default=None, help="tolerance override")
         return p
 
-    p = add("check-wmon", _cmd_check_wmon, "weak monotonicity of a family")
+    p = add("check-wmon", _cmd_check_wmon, "weak monotonicity of a family", tol=True)
     p.add_argument("file", help="JSON with typeSpace and family")
 
-    p = add("check-cmon", _cmd_check_cmon, "cyclic monotonicity of a family")
+    p = add("check-cmon", _cmd_check_cmon, "cyclic monotonicity of a family", tol=True)
     p.add_argument("file", help="JSON with typeSpace and family")
 
-    p = add("synth-payments", _cmd_synth_payments, "path-sum payment synthesis")
+    p = add("synth-payments", _cmd_synth_payments, "path-sum payment synthesis", tol=True)
     p.add_argument("file", help="JSON with typeSpace and family")
     p.add_argument("--t0", type=int, default=0, help="base type index")
 
-    p = add("rev-interval", _cmd_rev_interval, "surplus interval for a target type")
+    p = add("rev-interval", _cmd_rev_interval, "surplus interval for a target type", tol=True)
     p.add_argument("file", help="JSON with typeSpace and family")
     p.add_argument("--anchor", action="append", required=True, metavar="IDX=VAL")
     p.add_argument("--target", type=int, required=True)
@@ -318,26 +326,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", type=int, required=True)
     p.add_argument("--outcome", type=int, required=True)
 
-    p = add("check-proper", _cmd_check_proper, "properness of a score table")
+    p = add("check-proper", _cmd_check_proper, "properness of a score table", tol=True)
     p.add_argument("file")
     p.add_argument("beliefs", nargs="?", default=None)
     p.add_argument("--strict", action="store_true")
 
-    p = add("check-truthful", _cmd_check_truthful, "truthfulness of an affine score")
+    p = add("check-truthful", _cmd_check_truthful, "truthfulness of an affine score", tol=True)
     p.add_argument("file", help="JSON with score and typeSpace")
 
-    p = add("check-local", _cmd_check_local, "weak local truthfulness")
+    p = add("check-local", _cmd_check_local, "weak local truthfulness", tol=True)
     p.add_argument("file", help="JSON with score, typeSpace, optional reportOf")
     p.add_argument("--radius", type=float, required=True)
 
-    p = add("decision-score", _cmd_decision_score, "scores for a fixed decision rule")
+    p = add("decision-score", _cmd_decision_score, "scores for a fixed decision rule", tol=True)
     p.add_argument("file", help="JSON with g, reports, decisions")
 
     p = add("power-label", _cmd_power_label, "nearest-site power labels")
     p.add_argument("diagram")
     p.add_argument("points")
 
-    p = add("fit-weights", _cmd_fit_weights, "weights making a labeling a power diagram")
+    p = add("fit-weights", _cmd_fit_weights, "weights making a labeling a power diagram", tol=True)
     p.add_argument("sites")
     p.add_argument("sample")
 
@@ -355,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sites")
     p.add_argument("--grid", default=None, help="ignored: the weights need no conjugate")
 
-    p = add("duality-check", _cmd_duality_check, "Fenchel-Young and friends")
+    p = add("duality-check", _cmd_duality_check, "the Fenchel-Young gap on grid x duals", tol=True)
     p.add_argument("g")
     p.add_argument("grids", help="JSON with typeSpace and duals")
 

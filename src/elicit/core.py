@@ -17,8 +17,8 @@ each belief's own column that of its truthful report.
 Public constructors and functions read the numbers a caller passes with
 :func:`_numbers`, :func:`_as_matrix`, :func:`_as_vector` or
 :func:`_as_distribution`, a scalar with :func:`_number`, index lists
-with :func:`_indices` and a scalar count or index with
-:func:`_whole_number`; each names what it refuses.
+with :func:`_indices`, a scalar count with :func:`_whole_number` and a
+position in a sequence with :func:`_index`; each names what it refuses.
 
 Vectors are numpy float64 arrays.  Extended reals are plain floats where
 ``-inf`` is a legal value for score constants and payoffs (log-score
@@ -509,6 +509,15 @@ def _whole_number(x, what: str) -> int:
     raise ValueError(f"{what} {x!r} is not an integer in the int64 range")
 
 
+def _index(x, size: int, what: str) -> int:
+    """``x`` read by :func:`_whole_number` as a position among ``size``
+    items; ``ValueError`` naming ``what`` outside ``[0, size)``."""
+    i = _whole_number(x, what)
+    if not 0 <= i < size:
+        raise ValueError(f"{what} must be in [0, {size}), got {i}")
+    return i
+
+
 def _indices(x, what: str) -> np.ndarray:
     """The entries of ``x`` as an int64 array, each read by :func:`_whole_number`."""
     entries = list(x) if np.iterable(x) else [x]
@@ -656,8 +665,8 @@ class ScoreTable:
 
     def evaluate(self, report_idx: int, t) -> float:
         """Score of ``report_idx`` as a function of true type ``t``."""
-        t = _as_vector(t, "type")
-        return float(self.linear[report_idx] @ t + self.constant[report_idx])
+        i, t = _index(report_idx, len(self), "report index"), _as_vector(t, "type")
+        return float(self.linear[i] @ t + self.constant[i])
 
     def payoff_matrix(self, ts: TypeSpace, out=None) -> np.ndarray:
         """Matrix V[r, i] = score of report r at type i, written into

@@ -2,9 +2,12 @@
 
 Swapping the report for a dual vector gives the market/menu form
 A(d, t) = <t, d> - G*(d); swapping the type gives A*(t, d) =
-<t, d> - G(t).  Fenchel-Young ties the four corners together, and
-subgradient membership is operationalized as Fenchel-Young equality
-within tolerance rather than by symbolic subdifferentials.
+<t, d> - G(t).  Both rest on one quantity, the Fenchel-Young gap
+G(t) + G*(d) - <t, d>: never negative, and zero exactly when d is a
+subgradient of G at t.  Subgradient membership is operationalized as
+that gap being zero within tolerance rather than by symbolic
+subdifferentials.  The identity check and the elicitation game read
+the same duals x types array of gaps.
 
 Duals are priced as a batch by ``core.conjugate``, which evaluates G once
 on the grid and is exact where the maximizer is known.
@@ -13,7 +16,7 @@ on the grid and is exact where the maximizer is known.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .core import (
     CheckReport,
     ConvexSpec,
     TypeSpace,
-    WitnessColumns,
     _as_matrix,
     _as_vector,
     _eval_rows,
@@ -71,65 +73,38 @@ def biconjugate(g: ConvexSpec, t, grid: TypeSpace, duals) -> float:
     return float(_overflow(best, "the biconjugate", t[None])[0])
 
 
+def _fenchel_young_gaps(g: ConvexSpec, types: np.ndarray, duals: np.ndarray, grid: TypeSpace):
+    """(G at the rows of ``types``, G* of the rows of ``duals`` over
+    ``grid``, the duals x types gaps G*(d_j) + G(t_i) - <d_j, t_i>).
+    G is evaluated on the types even with no duals."""
+    evals = _eval_rows(g, types)
+    if len(duals) == 0:
+        return evals, np.empty(0), np.empty((0, len(types)))
+    conjs = conjugate(g, duals, grid)
+    n, k = len(duals), len(types)
+    _require_cells(n, k, f"the Fenchel-Young gaps of {n} duals at {k} types")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        gap = conjs[:, None] + evals[None, :]
+        gap -= duals @ types.T  # <d_j, t_i>
+    return evals, conjs, _overflow(gap, "the Fenchel-Young gap", duals)
+
+
 def check_duality_identities(
     g: ConvexSpec,
     grid: TypeSpace,
     duals,
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
-    """Three identities over every (t, d) pair of grid x duals:
-
-    (a) Fenchel-Young: G(t) + G*(d) >= <t, d>, slack above -tol;
-    (b) A(d, t) - A*(t, d) equals G(t) - G*(d) within tol;
-    (c) the mixed divergence G(t) + G*(d) - <t, d> agrees between its
-        two evaluation orders within tol.
-
-    With no duals there is no pair: a vacuous pass, every ``max_*`` 0.0.
-    The check forms eight grid x duals arrays, which together may have at
-    most ``MAX_MATRIX_CELLS`` cells; more raise ``ValueError`` once the
-    conjugate, which takes one such array, is known.
-    """
+    """Fenchel-Young over every (t, d) pair of grid x duals: the gap
+    G(t) + G*(d) - <t, d> is at least -tol.  A witness (i, j) is a grid
+    point t_i and a dual d_j whose gap is below -tol, with the amount
+    below 0 as its slack.  With no duals there is no pair: a vacuous
+    pass, with ``max_fenchel_young_violation`` 0.0."""
     require_positive(tol)
     duals = _as_matrix(duals, "duals")
-    evals = _eval_rows(g, grid.points)
-    if len(duals) == 0:
-        maxima = ("max_fenchel_young_violation", "max_difference_violation", "max_divergence_gap")
-        return CheckReport(WitnessColumns(), {"tol": tol, **dict.fromkeys(maxima, 0.0)})
-    conjs = conjugate(g, duals, grid)
-    k, n = len(grid), len(duals)
-    _require_cells(8 * k, n, f"the duality identities, eight arrays of {k} grid points x {n} duals,")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        inner = grid.points @ duals.T  # inner[i, j] = <t_i, d_j>
-        fy = evals[:, None] + conjs[None, :] - inner
-        report_minus_type = (inner - conjs[None, :]) - (inner - evals[:, None])
-        diff_identity = report_minus_type - (evals[:, None] - conjs[None, :])
-        div_primal = (evals[:, None] + conjs[None, :]) - inner
-        div_dual = (conjs[None, :] - inner) + evals[:, None]
-        div_gap = div_primal - div_dual
-    for terms in (diff_identity, div_gap):  # div_gap is not finite where fy is not
-        _overflow(terms, "a duality identity", grid.points)
-
-    witnesses = (
-        mask_witnesses("fenchel-young", fy < -tol, -fy, "G(t) + G*(d) < <t, d>")
-        + mask_witnesses(
-            "difference",
-            np.abs(diff_identity) > tol,
-            np.abs(diff_identity),
-            "A(d,t) - A*(t,d) != G(t) - G*(d)",
-        )
-        + mask_witnesses(
-            "divergence-symmetry",
-            np.abs(div_gap) > tol,
-            np.abs(div_gap),
-            "mixed divergences disagree",
-        )
-    )
-    info = {
-        "tol": tol,
-        "max_fenchel_young_violation": float(max(0.0, -fy.min())),
-        "max_difference_violation": float(np.abs(diff_identity).max()),
-        "max_divergence_gap": float(np.abs(div_gap).max()),
-    }
+    fy = _fenchel_young_gaps(g, grid.points, duals, grid)[2].T  # fy[i, j]: grid i, dual j
+    witnesses = mask_witnesses("fenchel-young", fy < -tol, -fy, "G(t) + G*(d) < <t, d>")
+    info = {"tol": tol, "max_fenchel_young_violation": float(max(0.0, -fy.min(initial=0.0)))}
     return CheckReport(witnesses, info)
 
 
@@ -160,16 +135,7 @@ def elicitation_game_equilibria(
     domain of G is an error, not an empty list of equilibria."""
     require_positive(eq_tol, "eq_tol")
     d_grid = _as_matrix(d_grid, "d_grid")
-    evals = _eval_rows(g, t_grid.points)
-    if len(d_grid) == 0:
-        return []
-    conjs = conjugate(g, d_grid, grid)
-    n, k = len(d_grid), len(t_grid)
-    _require_cells(n, k, f"the Fenchel-Young gaps of {n} duals at {k} types")
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = d_grid @ t_grid.points.T  # inner[j, i] = <d_j, t_i>
-        gap = conjs[:, None] + evals[None, :] - inner
-    _overflow(gap, "the Fenchel-Young gap", d_grid)
+    evals, conjs, gap = _fenchel_young_gaps(g, t_grid.points, d_grid, grid)
     return [
         Equilibrium(
             d_index=int(j),

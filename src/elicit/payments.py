@@ -71,8 +71,7 @@ class StepAllocation:
             raise NotMonotoneError(k, self.values[k], self.values[k + 1])
 
     def value_at(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("allocation is defined on [0, inf)")
+        t = _number(t, "t", "nonnegative and finite")  # the allocation is defined on [0, inf)
         idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return float(self.values[idx])
 

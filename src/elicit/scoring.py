@@ -31,6 +31,7 @@ from .core import (
     _as_distribution,
     _gain_scan,
     _grad_rows,
+    _index,
     _number,
     _numbers,
     _overflow,
@@ -194,8 +195,8 @@ def expected_score(table: OutcomeScoreTable, report_idx: int, belief) -> float:
     """Expectation of a report's payoffs under ``belief``; outcomes with
     zero belief, or one within SIMPLEX_TOL below zero, contribute zero
     even against a -inf payoff."""
-    belief = _as_distribution(belief, "belief")
-    return float(table.payoff_matrix(belief[None])[0, report_idx])
+    i, belief = _index(report_idx, len(table), "report index"), _as_distribution(belief, "belief")
+    return float(table.payoff_matrix(belief[None])[0, i])
 
 
 def _belief_rows(beliefs, n_outcomes: int) -> np.ndarray:
@@ -315,8 +316,9 @@ class DecisionScoreSpec:
         P = _numbers(belief_matrix, "belief matrix")
         if P.shape != (self.n_actions, self.n_outcomes):
             raise DimensionMismatchError("belief matrix has wrong shape")
-        d = self.decisions[report_idx]
-        return float(sum((d * np.vecdot(P, self.scores[report_idx]))[d != 0.0].tolist(), 0.0))
+        i = _index(report_idx, len(self.decisions), "report index")
+        d = self.decisions[i]
+        return float(sum((d * np.vecdot(P, self.scores[i]))[d != 0.0].tolist(), 0.0))
 
 
 def make_decision_score(

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import resource
@@ -274,8 +276,7 @@ class TestSubcommands:
         grids = write(tmp_path, "grids.json", {"typeSpace": {"points": points}, "duals": []})
         assert run_cli(["duality-check", g, grids], capsys) == (
             0,
-            '{"info":{"max_difference_violation":0,"max_divergence_gap":0,'
-            '"max_fenchel_young_violation":0,"tol":1.0000000000000001e-09},'
+            '{"info":{"max_fenchel_young_violation":0,"tol":1.0000000000000001e-09},'
             '"passed":true,"witnesses":[]}\n',
             "",
         )
@@ -1118,11 +1119,8 @@ class TestOversizedInputs:
     grid, of more than ``core.MAX_MATRIX_CELLS`` cells on these inputs.
     It exits 1 with one stderr line naming the sizes, before allocating
     it.  8193 rows make 8193^2 = 67 125 249 cells, just over the limit.
-    The duality identities take eight arrays of grid x duals, so 8192
-    grid points and duals, 2^26 cells each, are refused after the
-    conjugate; at eight such arrays the check took about 4 GiB.  Each runs
-    in a child process whose address space is capped, as does breg2power
-    on 8193 sites, which forms no such matrix."""
+    Each runs in a child process whose address space is capped, as does
+    breg2power on 8193 sites, which forms no such matrix."""
 
     N = 8193
     PAIRS = f"would take {N} x {N} floats, {8 * N * N} bytes, above the limit of 536870912 bytes"
@@ -1147,12 +1145,6 @@ class TestOversizedInputs:
             ["level-convexity", "{sample}"],
             f"the differences of {N} sample points {PAIRS}",
         ),
-        "duality-check-identities": (
-            ["duality-check", "{g}", "{grids_at_limit}"],
-            f"the duality identities, eight arrays of {N - 1} grid points x {N - 1} duals, "
-            f"would take {8 * (N - 1)} x {N - 1} floats, {64 * (N - 1) ** 2} bytes, "
-            "above the limit of 536870912 bytes",
-        ),
     }
 
     @pytest.fixture(scope="class")
@@ -1160,11 +1152,9 @@ class TestOversizedInputs:
         tmp = tmp_path_factory.mktemp("oversized")
         line = [[i / self.N] for i in range(self.N)]
         labels = [i % 2 for i in range(self.N)]
-        at_limit = {"typeSpace": {"points": line[1:]}, "duals": line[1:]}
         return {
             "g": str(GOLDEN_INPUTS / "squarednorm.json"),
             "grids": write(tmp, "grids.json", {"typeSpace": {"points": line}, "duals": line}),
-            "grids_at_limit": write(tmp, "grids_at_limit.json", at_limit),
             "sites": write(tmp, "sites.json", {"sites": line}),
             "diagram": write(tmp, "diagram.json", {"sites": line, "weights": [0.0] * self.N}),
             "points": write(tmp, "points.json", {"points": line}),
@@ -1209,3 +1199,38 @@ def test_parser_is_built_once_and_a_usage_error_leaves_it_clean(tmp_path, capsys
     assert run_cli(args, capsys) == alone
     assert alone[0] == 0
     assert cli._build_parser() is cli._build_parser()
+
+
+#: The subcommands that read no tolerance, each with its required arguments.
+NO_TOL = {
+    "myerson": ["alloc.json", "--t", "1"],
+    "make-score": ["--g", "brier", "--reports", "grid:2"],
+    "score": ["table.json", "--report", "0", "--outcome", "0"],
+    "power-label": ["diagram.json", "points.json"],
+    "homothet": ["diagram.json", "--alpha", "2"],
+    "level-convexity": ["sample.json"],
+    "breg2power": ["g.json", "sites.json"],
+    "game": ["g.json", "grids.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_TOL))
+def test_tol_is_refused_where_no_tolerance_is_read(command, capsys):
+    # a flag taken and ignored would mislead: game matches at eq_tol whatever --tol says
+    assert run_cli([command, *NO_TOL[command], "--tol", "1e-3"], capsys) == (
+        1,
+        "",
+        "elicit: error: unrecognized arguments: --tol 1e-3\n",
+    )
+
+
+def test_tol_is_an_option_of_exactly_the_subcommands_that_read_it():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    takes = {name for name, p in sub.choices.items() if "--tol" in p._option_string_actions}
+    reads = {
+        name
+        for name, p in sub.choices.items()
+        if "_tol(args)" in inspect.getsource(p.get_default("handler"))
+    }
+    assert takes == reads and len(takes) == 10 and not takes & set(NO_TOL)

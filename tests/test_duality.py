@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,9 +76,45 @@ class TestIdentities:
         duals = 2.0 * grid.points
         report = check_duality_identities(SquaredNorm(), grid, duals)
         assert report.passed
+        assert report.info == {"tol": 1e-9, "max_fenchel_young_violation": 0.0}
+
+    def test_squared_norm_lattice_at_scale_1e4_passes(self):
+        # G is about 2e8 here, so one rounding is about 3e-8, far above tol:
+        # a rearrangement of G(t), G*(d) and <t, d> that is 0 in exact
+        # arithmetic would report that rounding as a violation
+        axis = 1e4 * np.linspace(-1.0, 1.0, 7)
+        grid = TypeSpace(np.column_stack([a.ravel() for a in np.meshgrid(axis, axis)]))
+        report = check_duality_identities(SquaredNorm(), grid, 2.0 * grid.points)
+        assert report.passed and len(report.witnesses) == 0
         assert report.info["max_fenchel_young_violation"] <= 1e-9
-        assert report.info["max_difference_violation"] <= 1e-9
-        assert report.info["max_divergence_gap"] <= 1e-12
+
+    def test_a_conjugate_one_too_low_fails(self, monkeypatch):
+        # the gap at d = 2t is 0; with G* lowered by 1 it is -1 there
+        grid = lattice_2d(n=3)
+        monkeypatch.setattr(
+            "elicit.duality.conjugate", lambda g, d, grid: conjugate(g, d, grid) - 1.0
+        )
+        report = check_duality_identities(SquaredNorm(), grid, 2.0 * grid.points)
+        assert not report.passed
+        assert {w.kind for w in report.witnesses} == {"fenchel-young"}
+        assert [tuple(w.indices) for w in report.witnesses] == [(i, i) for i in range(len(grid))]
+        assert all(w.slack == pytest.approx(1.0, abs=1e-12) for w in report.witnesses)
+        assert report.info["max_fenchel_young_violation"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_peak_memory_is_about_two_grid_by_duals_arrays(self):
+        # the gaps, the inner products subtracted from them, and masks
+        rng = np.random.default_rng(600)
+        grid = TypeSpace(rng.uniform(-1.0, 1.0, size=(600, 2)))
+        duals = 2.0 * grid.points
+        check_duality_identities(SquaredNorm(), grid, duals)  # warm caches
+        tracemalloc.start()
+        try:
+            report = check_duality_identities(SquaredNorm(), grid, duals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2.5 * 600 * 600 * 8
 
     def test_fenchel_young_slack_equals_divergence(self):
         grid = lattice_2d(n=5)
@@ -109,12 +147,7 @@ class TestIdentities:
         # no (t, d) pair to check; the game on the same grids has no equilibrium
         report = check_duality_identities(g, grid, duals)
         assert report.passed and len(report.witnesses) == 0
-        assert report.info == {
-            "tol": 1e-9,
-            "max_fenchel_young_violation": 0.0,
-            "max_difference_violation": 0.0,
-            "max_divergence_gap": 0.0,
-        }
+        assert report.info == {"tol": 1e-9, "max_fenchel_young_violation": 0.0}
         assert elicitation_game_equilibria(g, grid, duals, grid) == []
 
     def test_no_duals_still_checks_the_grid(self):

@@ -85,9 +85,9 @@ CASES = [
     ),
     ("check_duality_identities", lambda: check_duality_identities(SQ, HUGE, [[1.0]]), G_OVERFLOW),
     (
-        "check_duality_identities-terms",  # <t, d> - G*(d) at t = -1, d = 1e308
+        "check_duality_identities-terms",  # G*(1e308) - <1e308, -1>
         lambda: check_duality_identities(FLAT, TypeSpace([[-1.0], [1.0]]), [[BIG]]),
-        r"a duality identity overflows the float range at \[-1.0\]",
+        r"the Fenchel-Young gap overflows the float range at \[1e\+308\]",
     ),
     ("biconjugate", lambda: biconjugate(SQ, [1.0], HUGE, [[0.0], [1.0]]), G_OVERFLOW),
     (

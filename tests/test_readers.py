@@ -173,6 +173,19 @@ CASES = [
         "target",
         1.0,
     ),
+    ("ScoreTable.evaluate", lambda x: DIRECT.evaluate(x, [0.5]), "report index", 1.0),
+    (
+        "expected_score-report_idx",
+        lambda x: expected_score(TABLE, x, [0.5, 0.5]),
+        "report index",
+        1.0,
+    ),
+    (
+        "expected_value-report_idx",  # DECISIONS has one report
+        lambda x: DECISIONS.expected_value(x, [[0.5, 0.5]]),
+        "report index",
+        0.0,
+    ),
     (
         "load_typespace-dim",
         lambda x: jsonio.load_typespace({"dim": x, "points": [[0.0]]}),
@@ -215,6 +228,7 @@ CASES = [
     ),
     ("myerson_payment-t", lambda x: myerson_payment(STEP, x), "t", 0.5),
     ("myerson_payment-p0", lambda x: myerson_payment(STEP, 0.5, p0=x), "p0", 0.5),
+    ("StepAllocation.value_at", lambda x: STEP.value_at(x), "t", 0.5),
     ("homothet_transform-alpha", lambda x: homothet_transform(DIAGRAM, x, [0.0]), "alpha", 0.5),
     (
         "check_level_set_convexity-eps",
@@ -258,6 +272,30 @@ def test_what_is_no_number_is_refused_by_name(call, name, good):
 def test_a_nan_threshold_is_refused_by_name(call, name):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)}\b.* got nan$"):
         call(math.nan)
+
+
+#: (id, the call with x as a report index, the number of reports)
+INDICES = [
+    ("ScoreTable.evaluate", lambda x: DIRECT.evaluate(x, [0.5]), 2),
+    ("expected_score", lambda x: expected_score(TABLE, x, [0.5, 0.5]), 2),
+    ("expected_value", lambda x: DECISIONS.expected_value(x, [[0.5, 0.5]]), 1),
+]
+
+
+@pytest.mark.parametrize("call,size", [i[1:] for i in INDICES], ids=[i[0] for i in INDICES])
+def test_a_report_index_out_of_range_is_refused_by_name(call, size):
+    # numpy would read -1 as the last report
+    for bad in (-1, size, 2**62):
+        with pytest.raises(ValueError, match=rf"^report index must be in \[0, {size}\), got {bad}$"):
+            call(bad)
+    call(size - 1)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_an_allocation_is_read_on_nonnegative_finite_types_only(t):
+    with pytest.raises(ValueError, match=rf"^t must be nonnegative and finite, got {t}$"):
+        STEP.value_at(t)
+    assert STEP.value_at(1.0) == 1.0
 
 
 def test_a_boolean_array_among_the_rows_is_refused():

@@ -29,6 +29,7 @@ from elicit import (
     check_wmon,
     check_wmon_cells,
     cli,
+    conjugate,
     eval_convex,
     expected_score,
     fit_weights,
@@ -269,15 +270,18 @@ def case_duality(rng):
     grid = TypeSpace(np.unique(rng.uniform(-2, 2, size=(12, dim)), axis=0))
     duals = rng.uniform(-3, 3, size=(8, dim))
     tol = float(rng.choice([0.0, 1e-15, -1e-3]))
-    # On one grid these identities hold up to rounding by construction, so
-    # their witness masks are reached mostly at tolerances <= 0, which the
-    # library rejects: lift that one validation for this call.
+    shift = float(rng.uniform(0.0, 1.0))
+    # On one grid the Fenchel-Young gap is at least 0 up to rounding by
+    # construction, so its witness mask is reached only at tolerances
+    # <= 0, which the library rejects, or with a conjugate that is too
+    # low: lift that one validation and lower each conjugate by shift.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("elicit.duality.require_positive", lambda x: x)
+        patch.setattr("elicit.duality.conjugate", lambda *args: conjugate(*args) - shift)
         report = check_duality_identities(g, grid, duals, tol=tol)
     # the loops give the witnesses only: compare reports without info
     return CheckReport(report.witnesses), CheckReport(
-        loop_duality_witnesses(g, grid, duals, tol)
+        loop_duality_witnesses(g, grid, duals, tol, shift)
     )
 
 
