@@ -169,7 +169,8 @@ def _cmd_myerson(args):
 def _cmd_make_score(args):
     g = _load_g(args.g)
     if args.reports.startswith("grid:"):
-        reports = scoring.simplex_grid(args.outcomes, int(args.reports.split(":", 1)[1]))
+        k = _parse(args.reports.split(":", 1)[1], int, "--reports grid:K")
+        reports = scoring.simplex_grid(args.outcomes, k)
     else:
         reports = _rows(args.reports, "reports")
     return jsonio.outcome_table_to_obj(scoring.make_scoring_rule(g, reports))

@@ -20,10 +20,11 @@ Public constructors and functions read the numbers a caller passes with
 with :func:`_indices`, a scalar count with :func:`_whole_number` and a
 position in a sequence with :func:`_index`; each names what it refuses.
 
-Vectors are numpy float64 arrays.  Extended reals are plain floats where
-``-inf`` is a legal value for score constants and payoffs (log-score
-style); ``+inf`` and ``nan`` are rejected at every public boundary, and
-finite inputs whose arithmetic leaves the float range raise ValueError.  The
+Vectors are numpy float64 arrays.  Score constants and payoffs are
+extended reals, read by ``_numbers(..., extended=True)``: ``-inf``, or the
+JSON string ``"-inf"``, is legal (log-score style); ``+inf`` and ``nan``
+are rejected at every public boundary, and finite inputs whose
+arithmetic leaves the float range raise ValueError.  The
 multiplication convention ``0 * (-inf) == 0``, also for a probability
 within ``SIMPLEX_TOL`` below 0, is applied by
 ``scoring.OutcomeScoreTable.payoff_matrix``.
@@ -62,7 +63,6 @@ __all__ = [
     "NegEntropy",
     "ConvexSpec",
     "ScoreTable",
-    "require_extended_real",
     "require_positive",
     "eval_convex",
     "subgradient",
@@ -146,12 +146,7 @@ class NonPositiveScaleError(ElicitError):
 
 
 # ---------------------------------------------------------------------------
-# extended reals
-
-
-def require_extended_real(x: float, what: str = "value") -> float:
-    """Validate a float as real-or-(-inf); reject +inf and nan."""
-    return _number(x, what, "finite or -inf")
+# tolerances and size limits
 
 
 def require_positive(x: float, what: str = "tolerance") -> float:
@@ -417,6 +412,8 @@ _NOT_NUMBERS = {
 _JSON_NUMBERS = frozenset({float, int})
 _ROWS = frozenset({list, tuple})
 _ARRAYS = _ROWS | {np.ndarray}
+#: The one string an extended real (a score constant or payoff) may be.
+_EXTENDED = {"-inf": -math.inf}
 
 
 def _require_numbers(kinds, what: str) -> None:
@@ -431,12 +428,15 @@ def _require_numbers(kinds, what: str) -> None:
         raise ValueError(f"{what} must hold numbers, not {' or '.join(sorted(bad))}")
 
 
-def _numbers(x, what: str) -> np.ndarray:
+def _numbers(x, what: str, extended: bool = False) -> np.ndarray:
     """``x``, a number, an array or nested lists of numbers, as a float
     array.  A string, a boolean, null or an int beyond the float range
     raises ``ValueError`` naming ``what``, and rows of unequal length
-    raise ``DimensionMismatchError``."""
+    raise ``DimensionMismatchError``.  ``extended`` reals, score constants
+    or payoffs, may also be list entries ``"-inf"``, read as -inf, and are
+    refused by name when +inf or nan."""
     try:
+        shape = None
         if type(x) in _ROWS:  # check the type of each entry, a level of rows at a time
             shape, flat = [len(x)], x
             while (kinds := set(map(type, flat))) and kinds <= _ROWS:
@@ -444,11 +444,15 @@ def _numbers(x, what: str) -> np.ndarray:
                     raise DimensionMismatchError(f"{what} has rows of unequal length")
                 shape.append(len(flat[0]))
                 flat = list(itertools.chain.from_iterable(flat))
+            if extended and str in kinds:  # other strings stay, to be refused
+                flat = [_EXTENDED.get(v, v) if type(v) is str else v for v in flat]
+                kinds = set(map(type, flat))
             if kinds <= _JSON_NUMBERS:  # numpy need not find the shape
-                return np.array(flat, dtype=float).reshape(shape)
-            # numpy reads the arrays among the entries, which must hold numbers too
-            _require_numbers(kinds - _ARRAYS, what)
-            _require_numbers({a.dtype.type for a in flat if isinstance(a, np.ndarray)}, what)
+                flat = np.array(flat, dtype=float)
+            else:  # numpy reads the arrays among the entries, which must hold numbers too
+                _require_numbers(kinds - _ARRAYS, what)
+                _require_numbers({a.dtype.type for a in flat if isinstance(a, np.ndarray)}, what)
+            x = flat  # the entries below the rows of shape
         try:
             arr = np.asarray(x)
         except ValueError:  # rows of unequal length
@@ -457,9 +461,14 @@ def _numbers(x, what: str) -> np.ndarray:
             _require_numbers(set(map(type, arr.ravel().tolist())), what)
         elif arr.dtype.kind not in "iuf":
             _require_numbers({arr.dtype.type}, what)
-        return arr.astype(float, copy=False)
+        arr = arr.astype(float, copy=False)
+        if shape:
+            arr = arr.reshape(shape + list(arr.shape[1:]))
     except OverflowError:  # from float(int)
         raise ValueError(f"{what} holds an integer beyond the float range") from None
+    if extended and not arr.max(initial=-np.inf) < np.inf:  # one pass finds a +inf or nan
+        raise ValueError(f"{what} must be finite or -inf, got {arr[~(arr < np.inf)][0]}")
+    return arr
 
 
 def _number(x, what: str, must: Optional[str] = "finite") -> float:
@@ -471,7 +480,6 @@ def _number(x, what: str, must: Optional[str] = "finite") -> float:
     x = float(value)
     holds = {
         "finite": -math.inf < x < math.inf,
-        "finite or -inf": x < math.inf,
         "nonnegative and finite": 0.0 <= x < math.inf,
         "positive and finite": 0.0 < x < math.inf,
     }
@@ -491,11 +499,11 @@ def _as_matrix(points, what: str) -> np.ndarray:
     return pts
 
 
-def _as_vector(v, what: str = "vector") -> np.ndarray:
-    vec = np.atleast_1d(_numbers(v, what))
+def _as_vector(v, what: str = "vector", extended: bool = False) -> np.ndarray:
+    vec = np.atleast_1d(_numbers(v, what, extended))
     if vec.ndim != 1:
         raise DimensionMismatchError(f"{what} must be 1-D")
-    if not np.isfinite(vec).all():
+    if not extended and not np.isfinite(vec).all():
         raise ValueError(f"{what} must be finite, got {vec[~np.isfinite(vec)][0]}")
     return vec
 
@@ -518,15 +526,22 @@ def _index(x, size: int, what: str) -> int:
     return i
 
 
-def _indices(x, what: str) -> np.ndarray:
-    """The entries of ``x`` as an int64 array, each read by :func:`_whole_number`."""
+def _indices(x, what: str, size: float = math.inf) -> np.ndarray:
+    """The entries of ``x`` as an int64 array, each read by
+    :func:`_whole_number` and refused, as by :func:`_index`, outside
+    ``[0, size)``."""
     entries = list(x) if np.iterable(x) else [x]
+    indices = None
     if set(map(type, entries)) <= {int, np.int64}:  # no test per entry, unless beyond int64
         try:
-            return np.array(entries, dtype=np.int64)
+            indices = np.array(entries, dtype=np.int64)
         except OverflowError:
             pass
-    return np.array([_whole_number(entry, f"{what} entry") for entry in entries], dtype=np.int64)
+    if indices is None:
+        indices = np.array([_whole_number(e, f"{what} entry") for e in entries], dtype=np.int64)
+    for i in indices[(indices < 0) | (indices >= size)][:1].tolist():  # the first outside
+        _index(i, size, f"{what} entry")
+    return indices
 
 
 #: The odd multiplier of the row hash of :func:`_require_distinct`.
@@ -650,11 +665,9 @@ class ScoreTable:
     def __post_init__(self):
         self.reports = list(self.reports)
         self.linear = _as_matrix(self.linear, "linear")
-        self.constant = _numbers(self.constant, "constant").reshape(-1)
+        self.constant = _as_vector(self.constant, "constant", extended=True)
         if not (len(self.reports) == len(self.linear) == len(self.constant)):
             raise DimensionMismatchError("reports, linear, constant must align")
-        for i in np.flatnonzero(~(self.constant < np.inf))[:1]:  # the first +inf or nan
-            require_extended_real(self.constant[i], f"score constant {i}")
 
     @property
     def dim(self) -> int:

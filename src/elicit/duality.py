@@ -10,7 +10,11 @@ subdifferentials.  The identity check and the elicitation game read
 the same duals x types array of gaps.
 
 Duals are priced as a batch by ``core.conjugate``, which evaluates G once
-on the grid and is exact where the maximizer is known.
+on the grid and is exact where the maximizer is known.  That price is never
+below max_i <t_i, d> - G(t_i), and :func:`check_duality_identities` (so
+also ``duality-check``) reads the gaps on that same grid: each is at least
+0 up to rounding, so the check cannot fail unless the conjugate is
+computed too low, and its pass is a consistency report, not a proof.
 """
 
 from __future__ import annotations
@@ -99,7 +103,9 @@ def check_duality_identities(
     G(t) + G*(d) - <t, d> is at least -tol.  A witness (i, j) is a grid
     point t_i and a dual d_j whose gap is below -tol, with the amount
     below 0 as its slack.  With no duals there is no pair: a vacuous
-    pass, with ``max_fenchel_young_violation`` 0.0."""
+    pass, with ``max_fenchel_young_violation`` 0.0.  The duals are priced
+    over ``grid`` itself, so an honest conjugate passes whatever G is:
+    only rounding, or a conjugate too low, can fail it."""
     require_positive(tol)
     duals = _as_matrix(duals, "duals")
     fy = _fenchel_young_gaps(g, grid.points, duals, grid)[2].T  # fy[i, j]: grid i, dual j

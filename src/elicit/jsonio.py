@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import re
 from typing import Any
 
@@ -51,7 +50,6 @@ from .scoring import OutcomeScoreTable
 
 __all__ = [
     "dumps",
-    "parse_extended",
     "require_object",
     "load_convex",
     "convex_to_obj",
@@ -449,25 +447,7 @@ def dumps(obj: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scalar / array parsing
-
-
-def parse_extended(v: Any, what: str = "value") -> float:
-    """Accept a JSON number or the string "-inf"."""
-    if type(v) is not float and type(v) is not int:  # not a JSON number
-        if isinstance(v, str):
-            if v == "-inf":
-                return -math.inf
-            raise ValueError(f'{what}: only "-inf" is accepted as a string, got {v!r}')
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValueError(f'{what} must be a number or "-inf", got {v!r}')
-    try:
-        x = float(v)
-    except OverflowError:  # an int beyond the float range
-        x = math.inf
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"{what} must be finite or \"-inf\"")
-    return x
+# objects
 
 
 def require_object(obj: Any, what: str) -> dict:
@@ -547,10 +527,9 @@ def load_family_file(obj: dict) -> tuple:
 
 
 def load_score_table(obj: dict) -> ScoreTable:
-    """{"reports": [...], "linear": [[...]], "constant": [...]}"""
+    """{"reports": [...], "linear": [[...]], "constant": [...]}, a constant "-inf" or a number"""
     require_object(obj, "score table")
-    constants = [parse_extended(c, "constant") for c in obj["constant"]]
-    return ScoreTable(reports=obj["reports"], linear=obj["linear"], constant=constants)
+    return ScoreTable(reports=obj["reports"], linear=obj["linear"], constant=obj["constant"])
 
 
 def score_table_to_obj(score: ScoreTable) -> dict:
@@ -562,12 +541,9 @@ def score_table_to_obj(score: ScoreTable) -> dict:
 
 
 def load_outcome_table(obj: dict) -> OutcomeScoreTable:
-    """{"nOutcomes": n, "reports": [[...]], "payoffs": [[...]]}"""
+    """{"nOutcomes": n, "reports": [[...]], "payoffs": [[...]]}, a payoff "-inf" or a number"""
     require_object(obj, "outcome table")
-    payoffs = [
-        [parse_extended(s, "payoff") for s in row] for row in obj["payoffs"]
-    ]
-    table = OutcomeScoreTable(reports=obj["reports"], payoffs=payoffs)
+    table = OutcomeScoreTable(reports=obj["reports"], payoffs=obj["payoffs"])
     declared = obj.get("nOutcomes", table.n_outcomes)
     if _whole_number(declared, "declared nOutcomes") != table.n_outcomes:
         raise ValueError("declared nOutcomes does not match reports")

@@ -403,11 +403,9 @@ def check_local_truthful(
     """
     require_positive(tol)
     require_positive(radius, "radius")
-    report_of = _indices(report_of, "report_of")
+    report_of = _indices(report_of, "report_of", len(score))
     if len(report_of) != len(ts):
         raise DimensionMismatchError("report_of must cover every type")
-    if report_of.min() < 0 or report_of.max() >= len(score):
-        raise ValueError("report_of refers to a report outside the table")
     m = len(ts)
     offered = score.payoff_matrix(ts)  # offered[j, i]: type j's report at type i
     if len(score) != m or not np.array_equal(report_of, np.arange(m)):

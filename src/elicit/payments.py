@@ -27,8 +27,8 @@ from .core import (
     TypeSpace,
     _as_vector,
     _gain_scan,
+    _index,
     _number,
-    _whole_number,
     mask_witnesses,
     require_positive,
 )
@@ -142,9 +142,7 @@ def rochet_payments(
     """
     require_positive(tol)
     fam.check_aligned(ts)
-    t0 = _whole_number(t0, "base type")
-    if not 0 <= t0 < len(ts):
-        raise ValueError(f"base type {t0} out of range")
+    t0 = _index(t0, len(ts), "base type")
     graph = _cmon_graph(ts, fam)
     surplus = _paths_from(graph, t0, tol)
     own = np.einsum("ij,ij->i", fam.vectors, ts.points)
@@ -205,12 +203,9 @@ def revenue_interval(
     fam.check_aligned(ts)
     if not anchors:
         raise ValueError("at least one anchor is required")
-    anchors = {_whole_number(k, "anchor index"): v for k, v in anchors.items()}
+    anchors = {_index(k, len(ts), "anchor index"): v for k, v in anchors.items()}
     anchors = {i: _number(v, f"anchor {i}") for i, v in anchors.items()}
-    target = _whole_number(target, "target")
-    for idx in list(anchors) + [target]:
-        if not 0 <= idx < len(ts):
-            raise ValueError(f"type index {idx} out of range")
+    target = _index(target, len(ts), "target")
     graph = _cmon_graph(ts, fam)
     dists = {s: _paths_from(graph, s, tol) for s in anchors}
     _check_anchor_consistency(anchors, dists, tol)
@@ -235,7 +230,7 @@ def check_revenue_equivalence(
     it everywhere; witnesses are targets whose interval has width > tol."""
     require_positive(tol)
     fam.check_aligned(ts)
-    t0 = _whole_number(t0, "base type")  # longest_paths checks that it is a node
+    t0 = _index(t0, len(ts), "base type")
     graph = _cmon_graph(ts, fam)
     lower = _paths_from(graph, t0, tol)
     _transpose(graph.wt)  # the reversed graph

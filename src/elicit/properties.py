@@ -98,8 +98,6 @@ class LabeledSample:
         self.labels = _indices(self.labels, "labels")
         if len(self.labels) != len(self.points):
             raise DimensionMismatchError("one label per point required")
-        if len(self.labels) and self.labels.min() < 0:
-            raise ValueError("labels must be nonnegative indices")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -144,6 +142,17 @@ def score_from_diagram(diag: PowerDiagramSpec) -> ScoreTable:
     )
 
 
+def _on_sites(sites, sample: LabeledSample) -> tuple:
+    """(sites, points): ``sites`` as a matrix, and the sample's points, each
+    labeled with a site's index, in the sites' dimension (even if none)."""
+    sites = _as_matrix(sites, "sites")
+    _indices(sample.labels, "labels", len(sites))
+    points = sample.points if len(sample) else np.empty((0, sites.shape[1]))
+    if points.shape[1] != sites.shape[1]:
+        raise DimensionMismatchError("sample dimension != sites dimension")
+    return sites, points
+
+
 @dataclass
 class FitWeightsResult:
     """Outcome of weight fitting; infeasibility is a certified answer,
@@ -166,17 +175,10 @@ def fit_weights(sites, sample: LabeledSample, tol: float = DEFAULT_TOL) -> FitWe
     the lowest-index point labeled i attaining c_ij and c_ij as slack.
     """
     require_positive(tol)
-    sites = _as_matrix(sites, "sites")
-    m = len(sites)
-    if len(sample) == 0:
-        return FitWeightsResult(feasible=True, weights=np.zeros(m))
-    labels = sample.labels
-    if labels.max() >= m:
-        raise ValueError("sample label exceeds site count")
-    if sample.points.shape[1] != sites.shape[1]:
-        raise DimensionMismatchError("sample dimension != sites dimension")
+    sites, points = _on_sites(sites, sample)
+    m, labels = len(sites), sample.labels
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = _sq_dists(sample.points, sites)
+        sq = _sq_dists(points, sites)
         rel = sq - sq[np.arange(len(sample)), labels][:, None]
         what = "squared distances from sample points to sites, summed over up to m sites,"
         _require_summable(rel, m, what)
@@ -184,9 +186,8 @@ def fit_weights(sites, sample: LabeledSample, tol: float = DEFAULT_TOL) -> FitWe
     c = np.full((m, m), np.inf)
     np.minimum.at(c, labels, rel)
     res = longest_paths(-c, source=None, tol=tol)
-    if res.cycle is None:
-        w = -res.dist
-        return FitWeightsResult(feasible=True, weights=w - w.min())
+    if res.cycle is None:  # w = -dist, shifted to min 0; dist >= 0 from the virtual source
+        return FitWeightsResult(feasible=True, weights=res.dist.max(initial=0.0) - res.dist)
     src = np.asarray(res.cycle)
     dst = np.roll(src, -1)
     tightest = np.where(labels[:, None] == src, rel[:, dst], np.inf).argmin(axis=0)
@@ -204,20 +205,9 @@ def check_wmon_cells(
     cell j, require p_i . (t' - t) <= p_j . (t' - t): ``check_wmon`` with
     functionals p_label, over the pairs of different labels."""
     require_positive(tol)
-    sites = _as_matrix(sites, "sites")
-    if len(sample) and sample.labels.max() >= len(sites):
-        raise ValueError("sample label exceeds site count")
-    if len(sample) == 0:
-        return CheckReport(WitnessColumns(), {"tol": tol})
-    if sample.points.shape[1] != sites.shape[1]:
-        raise DimensionMismatchError("sample dimension != sites dimension")
-    labels = sample.labels
-    return _wmon_report(
-        _cmon_weights(sample.points, sites[labels]),
-        tol,
-        "labels (%d, %d) break monotonicity",
-        labels=labels,
-    )
+    sites, points = _on_sites(sites, sample)
+    w = _cmon_weights(points, sites[sample.labels])
+    return _wmon_report(w, tol, "labels (%d, %d) break monotonicity", labels=sample.labels)
 
 
 def homothet_transform(

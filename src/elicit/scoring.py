@@ -38,10 +38,10 @@ from .core import (
     _require_cells,
     _scan_pairs,
     _tangent_score,
+    _whole_number,
     deviation_gains,
     eval_convex,
     mask_witnesses,
-    require_extended_real,
     require_positive,
 )
 
@@ -63,6 +63,8 @@ def simplex_grid(n_outcomes: int, denominator: int = 10) -> np.ndarray:
     """All distributions with entries i/denominator, lexicographic order.
     A grid of more than ``MAX_MATRIX_CELLS`` entries raises ``ValueError``
     before any row is built."""
+    n_outcomes = _whole_number(n_outcomes, "n_outcomes")
+    denominator = _whole_number(denominator, "denominator")
     if n_outcomes < 1 or denominator < 1:
         raise ValueError("need n_outcomes >= 1 and denominator >= 1")
     if n_outcomes == 1:
@@ -95,14 +97,13 @@ class OutcomeScoreTable:
 
     def __post_init__(self):
         self.reports = _numbers(self.reports, "reports")
-        self.payoffs = _numbers(self.payoffs, "payoffs")
+        self.payoffs = _numbers(self.payoffs, "payoffs", extended=True)
         if self.reports.ndim != 2 or self.payoffs.shape != self.reports.shape:
             raise DimensionMismatchError("reports and payoffs must be (m, n) alike")
         _as_distribution(self.reports, "report")
-        bad = ~(self.payoffs < np.inf) | (self.payoffs == -np.inf) & (self.reports > SIMPLEX_TOL)
+        bad = (self.payoffs == -np.inf) & (self.reports > SIMPLEX_TOL)
         if bad.any():  # the first bad entry in row-major order
             r, o = np.argwhere(bad)[0].tolist()
-            require_extended_real(self.payoffs[r, o], "payoff")
             raise ValueError(
                 f"-inf payoff at outcome {o} carrying probability "
                 f"{self.reports[r, o]} under report {r}"
@@ -115,21 +116,26 @@ class OutcomeScoreTable:
     def __len__(self) -> int:
         return len(self.reports)
 
-    def _beliefs(self, beliefs) -> np.ndarray:
-        """Belief rows checked for a beliefs x reports matrix of at most
-        ``MAX_MATRIX_CELLS`` entries, which the caller then forms."""
-        beliefs = _numbers(beliefs, "beliefs")
+    def _beliefs(self, beliefs, what: str = "beliefs", simplex: bool = True) -> np.ndarray:
+        """The rows of ``beliefs``, named ``what``, on the simplex if ``simplex``, checked
+        for a beliefs x reports matrix of at most ``MAX_MATRIX_CELLS`` entries."""
+        beliefs = _numbers(beliefs, what)
+        if beliefs.shape == (0,):  # no beliefs
+            beliefs = beliefs.reshape(0, self.n_outcomes)
         if beliefs.ndim != 2 or beliefs.shape[1] != self.n_outcomes:
             raise DimensionMismatchError("belief dimension != outcome count")
+        if simplex:
+            _as_distribution(beliefs, what)
         n = len(beliefs)
         _require_cells(n, len(self), f"the scores of {len(self)} reports under {n} beliefs")
         return beliefs
 
     def payoff_matrix(self, beliefs) -> np.ndarray:
         """Matrix E[b, q] = expected score of report q under belief row
-        b: the sum over outcomes, in order, of belief times payoff, where
-        a zero belief, or one within SIMPLEX_TOL below zero, times a -inf
-        payoff gives 0, and one -inf term makes the entry -inf."""
+        b, a distribution: the sum over outcomes, in order, of belief
+        times payoff, where a zero belief, or one within SIMPLEX_TOL below
+        zero, times a -inf payoff gives 0, and one -inf term makes the
+        entry -inf."""
         beliefs = self._beliefs(beliefs)
         score = np.zeros((len(beliefs), len(self)))
         term = np.empty(score.shape)  # each outcome's terms, in turn
@@ -151,8 +157,9 @@ class OutcomeScoreTable:
         return score
 
     def distances(self, beliefs) -> np.ndarray:
-        """Matrix F[b, q] = max-norm distance from belief row b to report q."""
-        beliefs = self._beliefs(beliefs)
+        """Matrix F[b, q] = max-norm distance from belief row b, any
+        numbers, to report q."""
+        beliefs = self._beliefs(beliefs, simplex=False)
         far = np.zeros((len(beliefs), len(self)))
         for o in range(self.n_outcomes):
             np.maximum(far, np.abs(self.reports[:, o] - beliefs[:, o, None]), out=far)
@@ -195,19 +202,8 @@ def expected_score(table: OutcomeScoreTable, report_idx: int, belief) -> float:
     """Expectation of a report's payoffs under ``belief``; outcomes with
     zero belief, or one within SIMPLEX_TOL below zero, contribute zero
     even against a -inf payoff."""
-    i, belief = _index(report_idx, len(table), "report index"), _as_distribution(belief, "belief")
-    return float(table.payoff_matrix(belief[None])[0, i])
-
-
-def _belief_rows(beliefs, n_outcomes: int) -> np.ndarray:
-    """The beliefs, each checked in order, as the rows of one array."""
-    rows = []
-    for b in beliefs:
-        b = _as_distribution(b, "belief")
-        if len(b) != n_outcomes:
-            raise DimensionMismatchError("belief dimension != outcome count")
-        rows.append(b)
-    return np.reshape(rows, (len(rows), n_outcomes))
+    i, belief = _index(report_idx, len(table), "report index"), table._beliefs([belief], "belief")
+    return float(table.payoff_matrix(belief)[0, i])
 
 
 def check_proper(
@@ -231,7 +227,7 @@ def check_proper(
     beliefs or in strict mode, the two readers of them.
     """
     require_positive(tol)
-    belief_rows = table.reports if beliefs is None else _belief_rows(beliefs, table.n_outcomes)
+    belief_rows = table.reports if beliefs is None else table._beliefs(beliefs, "belief")
     truth = np.arange(len(table))
     if beliefs is not None or strict:  # the distances' only readers
         far = table.distances(belief_rows)
@@ -276,7 +272,7 @@ def check_expert_separation(
     require_positive(tol)
     delta_accept = _number(delta_accept, "delta_accept")
     delta_reject = _number(delta_reject, "delta_reject")
-    beliefs = _belief_rows(list(p_in) + [p_bar], table.n_outcomes)
+    beliefs = table._beliefs(list(p_in) + [p_bar], "belief")
     best = table.payoff_matrix(beliefs).max(axis=1)
     values, v_bar = best[:-1], float(best[-1])
     witnesses = mask_witnesses(

@@ -221,7 +221,7 @@ def separate_rochet_payments(ts, fam, t0, tol):
     require_positive(tol)
     fam.check_aligned(ts)
     if not 0 <= t0 < len(ts):
-        raise ValueError(f"base type {t0} out of range")
+        raise ValueError(f"base type must be in [0, {len(ts)}), got {t0}")
     surplus = _separate_paths(ts, fam, t0, tol)
     payments = np.einsum("ij,ij->i", fam.vectors, ts.points) - surplus
     score = ScoreTable(list(range(len(ts))), fam.vectors.copy(), -payments)
@@ -253,6 +253,8 @@ def separate_revenue_interval(ts, fam, anchors, target, tol):
 
 def separate_check_revenue_equivalence(ts, fam, t0, tol):
     require_positive(tol)
+    if not 0 <= t0 < len(ts):
+        raise ValueError(f"base type must be in [0, {len(ts)}), got {t0}")
     fwd = _separate_paths(ts, fam, t0, tol)
     bwd = _separate_paths(ts, fam, t0, tol, reverse=True)
     return loop_check_revenue_equivalence(ts, fam, t0, tol, (fwd, bwd))

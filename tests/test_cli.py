@@ -814,9 +814,9 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "args,doc,message",
         [
-            (["synth-payments", "{fam}", "--t0", "99"], None, "base type 99 out of range"),
+            (["synth-payments", "{fam}", "--t0", "99"], None, "base type must be in [0, 5), got 99"),
             (["rev-interval", "{fam}", "--anchor", "0=0", "--target", "99"], None,
-             "type index 99 out of range"),
+             "target must be in [0, 5), got 99"),
             (["rev-interval", "{fam}", "--anchor", "0", "--target", "1"], None,
              "anchor must look like INDEX=VALUE, got '0'"),
             (["make-score", "--g", "brier", "--reports", "grid:0"], None,
@@ -825,11 +825,11 @@ class TestInputErrors:
              "offset dimension != diagram dimension"),
             (["level-convexity", "{f}"], {"points": [], "labels": []}, "sample must be nonempty"),
             (["fit-weights", "{sites}", "{f}"], {"points": [[0.0, 0.0]], "labels": [9]},
-             "sample label exceeds site count"),
+             "labels entry must be in [0, 3), got 9"),
             (["fit-weights", "{sites}", "{f}"], {"points": [[0.0]], "labels": [0]},
              "sample dimension != sites dimension"),
             (["level-convexity", "{f}"], {"points": [[0.0], [1.0]], "labels": [0, -1]},
-             "labels must be nonnegative indices"),
+             "labels entry must be in [0, inf), got -1"),
             (["level-convexity", "{f}"], {"points": [[0.0], [1.0]], "labels": [0]},
              "one label per point required"),
             (["power-label", "{f}", "{points}"], {"sites": [], "weights": []},
@@ -913,7 +913,7 @@ class TestInputErrors:
             (["check-proper", "{f}"], {"reports": [[1.0, "0"]], "payoffs": [[0.0, 0.0]]},
              "reports must hold numbers, not strings"),
             (["check-proper", "{f}"], {"reports": [[1.0, 0.0]], "payoffs": [[0.0, False]]},
-             'payoff must be a number or "-inf", got False'),
+             "payoffs must hold numbers, not booleans"),
             (["check-proper", "{f}"],
              {"reports": [[1.0, 0.0], [0.0, 1.0]], "payoffs": [[0.0, 0.0], [0.0]]},
              "payoffs has rows of unequal length"),
@@ -926,7 +926,7 @@ class TestInputErrors:
             (["check-truthful", "{f}"], {
                 "score": {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, True]},
                 "typeSpace": {"points": [[0.0], [1.0]]},
-            }, 'constant must be a number or "-inf", got True'),
+            }, "constant must hold numbers, not booleans"),
             (["check-local", "{f}", "--radius", "1"], {
                 "score": {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, 0.0]},
                 "typeSpace": {"points": [[0.0], [1.0]]},
@@ -981,7 +981,7 @@ class TestInputErrors:
         "args,doc,message",
         [
             (["check-proper"], {"reports": [[1.0, 0.0]], "payoffs": [[10**400, 0.0]]},
-             'payoff must be finite or "-inf"'),
+             "payoffs holds an integer beyond the float range"),
             (["check-wmon"],
              {"typeSpace": {"points": [[0.0], [10**400]]}, "family": [[0.0], [1.0]]},
              "points holds an integer beyond the float range"),
@@ -1007,8 +1007,15 @@ class TestInputErrors:
             (["homothet", "{diagram}", "--alpha", "2", "--p0", "a,b"], None,
              "--p0 entry 'a' is not a number"),
             (["check-cmon", "{fam}"], "abc", "ELICIT_TOL 'abc' is not a number"),
+            (["make-score", "--g", "brier", "--reports", "grid:x"], None,
+             "--reports grid:K 'x' is not an integer"),
+            (["make-score", "--g", "brier", "--reports", "grid:2.5"], None,
+             "--reports grid:K '2.5' is not an integer"),
         ],
-        ids=["anchor-index", "anchor-fraction", "anchor-value", "p0", "ELICIT_TOL"],
+        ids=[
+            "anchor-index", "anchor-fraction", "anchor-value", "p0", "ELICIT_TOL",
+            "grid", "grid-fraction",
+        ],
     )
     def test_a_text_option_that_is_no_number_names_itself(
         self, monkeypatch, capsys, args, env, message

@@ -108,7 +108,7 @@ CASES = [
     (
         "make_scoring_rule",  # G(p) = 1e308 and d[omega] = 1e308
         lambda: make_scoring_rule(MaxAffine([[BIG, BIG]], [0.0]), [[0.5, 0.5]]),
-        "payoff must be finite or -inf, got inf",
+        "payoffs must be finite or -inf, got inf",
     ),
     (
         "make_decision_score",  # G_Q[0, 0] / D_0(Q) = 1e308 / 1e-10

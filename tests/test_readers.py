@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from elicit import (
+    DimensionMismatchError,
     LabeledSample,
     LinearFamily,
     MaxAffine,
@@ -29,12 +30,14 @@ from elicit import (
     check_local_truthful,
     check_proper,
     check_revenue_equivalence,
+    check_wmon_cells,
     conjugate,
     dual_report_score,
     dual_type_score,
     elicitation_game_equilibria,
     eval_convex,
     expected_score,
+    fit_weights,
     homothet_transform,
     make_decision_score,
     make_direct_score,
@@ -43,6 +46,7 @@ from elicit import (
     power_cells,
     revenue_interval,
     rochet_payments,
+    simplex_grid,
     subgradient,
 )
 from elicit import jsonio, lp
@@ -204,7 +208,20 @@ CASES = [
         "intercepts",
         0.5,
     ),
-    ("parse_extended", lambda x: jsonio.parse_extended(x, "payoff"), "payoff", 0.5),
+    (
+        "load_outcome_table-payoffs",
+        lambda x: jsonio.load_outcome_table({"reports": [[0.5, 0.5]], "payoffs": [[0.0, x]]}),
+        "payoffs",
+        0.5,
+    ),
+    (
+        "load_score_table-constant",
+        lambda x: jsonio.load_score_table({"reports": [0], "linear": [[1.0]], "constant": [x]}),
+        "constant",
+        0.5,
+    ),
+    ("simplex_grid-n_outcomes", lambda x: simplex_grid(x, 3), "n_outcomes", 2.0),
+    ("simplex_grid-denominator", lambda x: simplex_grid(3, x), "denominator", 2.0),
     # scalar arguments
     ("check_cmon-tol", lambda x: check_cmon(LINE, FAMILY, tol=x), "tolerance", 0.5),
     (
@@ -303,3 +320,129 @@ def test_a_boolean_array_among_the_rows_is_refused():
     with pytest.raises(ValueError, match=r"^points must hold numbers, not booleans$"):
         TypeSpace([np.array([0.5]), np.array([True])])
     assert TypeSpace([np.array([0.5]), np.array([1.0])]).points.tolist() == [[0.5], [1.0]]
+
+
+def _relabeled(x):
+    """A sample of two points labeled 0 and x, x set past the constructor,
+    which refuses a negative label before the sites are known."""
+    sample = LabeledSample(points=[[0.0], [1.0]], labels=[0, 0])
+    sample.labels = np.array([0, x])
+    return sample
+
+
+#: (id, the call with x as an index, its name, the number of items)
+RANGES = [
+    ("rochet_payments-t0", lambda x: rochet_payments(LINE, FAMILY, t0=x), "base type", 2),
+    (
+        "check_revenue_equivalence-t0",
+        lambda x: check_revenue_equivalence(LINE, FAMILY, t0=x),
+        "base type",
+        2,
+    ),
+    (
+        "revenue_interval-target",
+        lambda x: revenue_interval(LINE, FAMILY, {0: 0.0}, target=x),
+        "target",
+        2,
+    ),
+    (
+        "revenue_interval-anchor",
+        lambda x: revenue_interval(LINE, FAMILY, {x: 0.0}, target=1),
+        "anchor index",
+        2,
+    ),
+    (
+        "check_local_truthful-report_of",
+        lambda x: check_local_truthful(DIRECT, LINE, [0, x], radius=2.0),
+        "report_of entry",
+        2,
+    ),
+    (
+        "fit_weights-labels",
+        lambda x: fit_weights([[0.0], [1.0]], _relabeled(x)),
+        "labels entry",
+        2,
+    ),
+    (
+        "check_wmon_cells-labels",
+        lambda x: check_wmon_cells([[0.0], [1.0]], _relabeled(x)),
+        "labels entry",
+        2,
+    ),
+]
+
+
+@pytest.mark.parametrize("call,name,size", [r[1:] for r in RANGES], ids=[r[0] for r in RANGES])
+def test_an_index_outside_its_range_is_refused_by_name(call, name, size):
+    # one reader, core._index, for every index read against a size
+    for bad in (-1, size, 2**62):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, {size}\), got {bad}$"):
+            call(bad)
+    call(size - 1)
+
+
+def test_a_label_is_a_nonnegative_index_before_the_sites_are_known():
+    with pytest.raises(ValueError, match=r"^labels entry must be in \[0, inf\), got -1$"):
+        LabeledSample(points=[[0.0], [1.0]], labels=[0, -1])
+    assert LabeledSample(points=[[0.0]], labels=[2**62]).labels.tolist() == [2**62]
+
+
+#: (id, the constructor with x as its second extended real, the same
+#: through its JSON loader, the extended reals it holds)
+EXTENDED = [
+    (
+        "ScoreTable",
+        lambda x: ScoreTable([0, 1], [[0.0], [1.0]], [0.0, x]),
+        lambda x: jsonio.load_score_table(
+            {"reports": [0, 1], "linear": [[0.0], [1.0]], "constant": [0.0, x]}
+        ),
+        lambda score: score.constant,
+    ),
+    (
+        "OutcomeScoreTable",
+        lambda x: OutcomeScoreTable(reports=[[1.0, 0.0]], payoffs=[[0.0, x]]),
+        lambda x: jsonio.load_outcome_table({"reports": [[1.0, 0.0]], "payoffs": [[0.0, x]]}),
+        lambda table: table.payoffs.ravel(),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make,load,values", [e[1:] for e in EXTENDED], ids=[e[0] for e in EXTENDED]
+)
+def test_minus_inf_is_read_from_its_string_by_constructor_and_loader_alike(make, load, values):
+    for read in (make, load):
+        assert values(read("-inf")).tolist() == [0.0, -math.inf]
+        assert values(read(-math.inf)).tolist() == [0.0, -math.inf]
+    for bad in NOT_NUMBERS + ["inf", "-Infinity", math.inf, math.nan]:
+        with pytest.raises(ValueError) as made:
+            make(bad)
+        with pytest.raises(ValueError) as loaded:
+            load(bad)
+        assert str(made.value) == str(loaded.value)
+    assert str(made.value).endswith("must be finite or -inf, got nan")
+
+
+def test_nested_constants_are_refused_by_constructor_and_loader_alike():
+    linear = [[0.0], [1.0]]
+    for read in (
+        lambda c: ScoreTable([0, 1], linear, c),
+        lambda c: jsonio.load_score_table({"reports": [0, 1], "linear": linear, "constant": c}),
+    ):
+        with pytest.raises(DimensionMismatchError, match=r"^constant must be 1-D$"):
+            read([[0.0], [1.0]])
+
+
+def test_an_expectation_reads_distributions_and_a_lookup_any_numbers():
+    with pytest.raises(ValueError, match=r"^beliefs \[2.0, -1.0\] is not on the probability"):
+        TABLE.payoff_matrix([[2.0, -1.0]])
+    assert TABLE.distances([[2.0, -1.0]]).tolist() == [[1.5, 1.0]]
+    assert TABLE.find_report([2.0, -1.0]) is None
+    # one belief where a list of them belongs: a dimension error, not "belief [0.5] is off"
+    with pytest.raises(DimensionMismatchError, match=r"^belief dimension != outcome count$"):
+        check_proper(TABLE, [0.5, 0.5])
+
+
+def test_whole_float_grid_counts_are_read_as_counts():
+    assert simplex_grid(2.0, 3).tolist() == simplex_grid(2, 3).tolist()
+    assert simplex_grid(3, 2.0).tolist() == simplex_grid(3, 2).tolist()
