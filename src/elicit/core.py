@@ -530,15 +530,19 @@ def _indices(x, what: str, size: float = math.inf) -> np.ndarray:
     """The entries of ``x`` as an int64 array, each read by
     :func:`_whole_number` and refused, as by :func:`_index`, outside
     ``[0, size)``."""
-    entries = list(x) if np.iterable(x) else [x]
-    indices = None
-    if set(map(type, entries)) <= {int, np.int64}:  # no test per entry, unless beyond int64
-        try:
+    if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind == "i":
+        indices = x.astype(np.int64)  # a copy; every entry is whole
+    else:
+        entries = list(x) if np.iterable(x) else [x]
+        indices = None
+        if set(map(type, entries)) <= {int, np.int64}:  # no test per entry, unless beyond int64
+            try:
+                indices = np.array(entries, dtype=np.int64)
+            except OverflowError:
+                pass
+        if indices is None:
+            entries = [_whole_number(e, f"{what} entry") for e in entries]
             indices = np.array(entries, dtype=np.int64)
-        except OverflowError:
-            pass
-    if indices is None:
-        indices = np.array([_whole_number(e, f"{what} entry") for e in entries], dtype=np.int64)
     for i in indices[(indices < 0) | (indices >= size)][:1].tolist():  # the first outside
         _index(i, size, f"{what} entry")
     return indices

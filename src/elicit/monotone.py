@@ -32,6 +32,7 @@ from .core import (
     ScoreTable,
     TypeSpace,
     WitnessColumns,
+    _index,
     _indices,
     _numbers,
     _require_cells,
@@ -127,7 +128,9 @@ _FIRST_WALK = 8
 #: nodes, a quarter at 160, a half at 320, two thirds at 640.  Gathering
 #: the columns has a fixed cost, and a graph of up to a few hundred nodes
 #: fits in cache, where adding the whole matrix is cheap per edge, so a
-#: larger frontier takes the full round.
+#: larger frontier takes the full round.  The forest pass of
+#: :func:`longest_paths`, too, runs only on more than this many nodes:
+#: on fewer, it costs more per round than the rounds it saves.
 _GATHER_FROM = 64
 
 
@@ -174,13 +177,33 @@ def longest_paths(
     gather with profit (see ``_GATHER_FROM``).  The best predecessor of
     each node v is the first argmax along its row.  So beside ``wt`` the
     kernel holds that fixed block, and a graph whose m^2 cells fit in the
-    block takes each round in one piece.  A row
-    sees the same candidates in the same order in any block, and such
-    frontier rounds give the same improved nodes, distances and
-    predecessors as rounds over every edge, bit for bit.  An edge u -> v
-    out of an inactive node offers ``-inf`` while ``dist[u]`` is
-    ``-inf``; otherwise it was read in the round after ``dist[u]`` last
-    changed, which left ``dist[v] + eps`` at least ``dist[u] +
+    block takes each round in one piece.
+
+    On a graph of more than ``_GATHER_FROM`` nodes, each round is
+    followed by a forest pass while the predecessor array has no cycle
+    (:func:`_cycle_nodes`).  The pass pushes the round's gains down the
+    predecessor forest, Tarjan's subtree idea: level by level from the
+    improved nodes, each child v of a level takes ``dist[pred[v]] +
+    weights[pred[v], v]`` where that exceeds ``dist[v] + eps``, and joins
+    the improved nodes and the next level.  A round alone carries a gain
+    one edge further, so on types along a line, where the longest path to
+    a type runs through every smaller one, rounds alone take m - 1 rounds
+    and about m^3 work; with the pass they take 14 to 18 at m = 500 to
+    2000.  Each sum is formed as a round forms it, one edge weight added
+    to the parent's distance, so a distance is still the sequential sum
+    along its final path; but the pass changes what later rounds see, so
+    near-ties can resolve to another path than rounds alone would take,
+    and distances can differ from theirs in the last bits.  Graphs of at
+    most 64 nodes run rounds alone: there the pass costs more than the
+    rounds it saves.
+
+    A row sees the same candidates in the same order in any block, and
+    the frontier rounds give the same improved nodes, distances and
+    predecessors as rounds over every edge followed by the same forest
+    passes, bit for bit.  An edge u -> v out of an inactive node offers
+    ``-inf`` while ``dist[u]`` is ``-inf``; otherwise it was read in the
+    round after ``dist[u]`` last changed, in a round or in the pass after
+    it, which left ``dist[v] + eps`` at least ``dist[u] +
     weights[u, v]``.  As ``dist[v]`` never decreases, the edge neither
     improves v nor ties the best candidate of a v that improves.  The
     active nodes stay in index order, so ties go to the same first
@@ -189,19 +212,21 @@ def longest_paths(
     and the final scan: a work count that repeats exactly.
 
     A positive cycle usually shows up early as a cycle of the
-    predecessor array, so that array is walked after rounds 8, 16, 32,
-    ... (at most m - 1); the first predecessor cycle whose exact weight
-    exceeds ``tol`` ends the run.  Cycles are tried in order of their
-    smallest node, so the witness is the first one found on that
-    schedule, not a minimal one.  If no walk finds one, the final scan
-    after m - 1 rounds takes each edge that still relaxes and returns the
-    first cycle behind it, read off the predecessors, that weighs more
-    than ``tol``.  A cycle of weight above ``tol`` always leaves such an
-    edge, but when lighter cycles of higher mean weight dominate the
-    relaxation, every cycle read off can weigh ``tol`` or less, and no
-    cycle is reported.  ``rounds`` counts the relaxation rounds run, the
-    last one included when it improves nothing; it does not count the
-    scan.
+    predecessor array.  That array is walked in the first round that
+    leaves a cycle in it, while the forest pass runs, which then stops
+    for the rest of the run; and after rounds 8, 16, 32, ... (at most
+    m - 1), the only walks on graphs of at most 64 nodes.  The first
+    predecessor cycle whose exact weight exceeds ``tol`` ends the run.
+    Cycles are tried in order of their smallest node, so the witness is
+    the first one found on that schedule, not a minimal one.  If no walk
+    finds one, the final scan after m - 1 rounds takes each edge that
+    still relaxes and returns the first cycle behind it, read off the
+    predecessors, that weighs more than ``tol``.  A cycle of weight above
+    ``tol`` always leaves such an edge, but when lighter cycles of higher
+    mean weight dominate the relaxation, every cycle read off can weigh
+    ``tol`` or less, and no cycle is reported.  ``rounds`` counts the
+    relaxation rounds run, the last one included when it improves
+    nothing; it does not count the scan.
     """
     require_positive(tol)
     laid_out = isinstance(weights, _Transposed)
@@ -209,9 +234,8 @@ def longest_paths(
     if wt.ndim != 2 or wt.shape[0] != wt.shape[1]:
         raise ValueError(f"weights must be a square matrix, got shape {wt.shape}")
     m = wt.shape[0]
-    index = isinstance(source, (int, np.integer)) and not isinstance(source, bool)
-    if source is not None and not (index and 0 <= source < m):
-        raise ValueError(f"source must be a node index in [0, {m}), got {source!r}")
+    if source is not None:
+        source = _index(source, m, "source")
     if not laid_out:
         weights, wt = wt, wt.T.copy()
         np.fill_diagonal(wt, -np.inf)
@@ -234,6 +258,7 @@ def longest_paths(
     full = buf[: m * m].reshape(m, m) if m * m <= len(buf) else None
     most = m * (m - _GATHER_FROM) // (m + 3 * _GATHER_FROM)  # largest frontier gathered
     improved = dist > -np.inf  # the first round reads every node of finite dist
+    forest = m > _GATHER_FROM
     rounds = edges = 0
     while True:
         if most > 0 and np.count_nonzero(improved) <= most:
@@ -262,7 +287,13 @@ def longest_paths(
             return LongestPathResult(dist, pred, None, rounds=rounds, edges_examined=edges)
         pred[improved] = arg[improved]
         dist[improved] = best[improved]
-        if rounds >= _FIRST_WALK and rounds & (rounds - 1) == 0:
+        walk = rounds >= _FIRST_WALK and rounds & (rounds - 1) == 0
+        if forest:  # until the predecessors first close a cycle, walked at once
+            forest = not _cycle_nodes(pred).size
+            walk = not forest
+            if forest:
+                _descend(wt, dist, pred, improved, eps)
+        if walk:
             for cycle in _pred_cycles(pred):
                 w = _cycle_weight(wt.T, cycle)
                 if w > tol:
@@ -294,9 +325,30 @@ def _relax(wt_rows, top, active, cand, nodes):
     return cand[nodes, col], (col if active is None else active[col])
 
 
-def _pred_cycles(pred: np.ndarray) -> Iterator[list]:
-    """Yield every cycle of the predecessor array along its edges,
-    starting from its smallest node, in increasing order of that node.
+def _descend(wt, dist, pred, improved, eps) -> None:
+    """The forest pass of :func:`longest_paths` over an acyclic ``pred``,
+    in place on ``dist`` and ``improved``; each level reads the distances
+    its parents had before it."""
+    tree = np.flatnonzero(pred >= 0)
+    up = pred[tree]
+    edge = wt[tree, up]  # the weight of the edge up -> tree
+    level = improved
+    while True:
+        below = level[up]
+        kids = tree[below]
+        if not kids.size:
+            return
+        cand = dist[up[below]] + edge[below]
+        gain = cand > dist[kids] + eps
+        kids = kids[gain]
+        dist[kids] = cand[gain]
+        improved[kids] = True
+        level = np.zeros(len(dist), dtype=bool)
+        level[kids] = True
+
+
+def _cycle_nodes(pred: np.ndarray) -> np.ndarray:
+    """The nodes on cycles of the predecessor array, in increasing order.
 
     Each node has at most one predecessor (-1 for none), so following
     predecessors m times from any node ends on a cycle or at a root;
@@ -309,9 +361,15 @@ def _pred_cycles(pred: np.ndarray) -> Iterator[list]:
         hop = hop[hop]
     on_cycle = np.zeros(m + 1, dtype=bool)
     on_cycle[hop] = True
+    return np.flatnonzero(on_cycle[:m])
+
+
+def _pred_cycles(pred: np.ndarray) -> Iterator[list]:
+    """Yield every cycle of the predecessor array along its edges,
+    starting from its smallest node, in increasing order of that node."""
     back = pred.tolist()
     seen = set()
-    for s in np.flatnonzero(on_cycle[:m]).tolist():
+    for s in _cycle_nodes(pred).tolist():
         if s in seen:
             continue
         walk = [s]

@@ -30,6 +30,7 @@ from elicit.core import DEFAULT_TOL, INTERIOR_EPS, SIMPLEX_TOL, _gain_scan, requ
 from elicit.jsonio import dumps
 from elicit.monotone import (
     _FIRST_WALK,
+    _GATHER_FROM,
     LongestPathResult,
     _cycle_weight,
     _extract_cycle,
@@ -772,8 +773,8 @@ def _loop_extract_cycle(pred, u, v, m):
     return None
 
 
-# the kernel before its transposed layout, kept verbatim apart from its
-# name and docstring: ``longest_paths`` must match it bit for bit
+# the kernel before its transposed layout, with the forest pass written as
+# a loop over tree levels: ``longest_paths`` must match it bit for bit
 
 
 def columnwise_longest_paths(
@@ -784,7 +785,12 @@ def columnwise_longest_paths(
     """``longest_paths`` as it was before it read the weights transposed:
     each round reduces ``dist[:, None] + weights`` down its columns, once
     for the maximum and again, on a copy, for the argmax of the columns
-    that improve."""
+    that improve.  On more than ``_GATHER_FROM`` nodes each round is
+    followed, until the predecessors first close a cycle, by the forest
+    pass, one tree level at a time, and that first cycle is walked at
+    once.  ``edges_examined`` counts m times the nodes whose distance
+    changed in the round before, or m times m when they are too many to
+    gather."""
     require_positive(tol)
     m = weights.shape[0]
     eps = tol / max(1, 4 * m)
@@ -794,27 +800,43 @@ def columnwise_longest_paths(
         dist = np.full(m, -np.inf)
         dist[source] = 0.0
     pred = np.full(m, -1, dtype=int)
+    most = m * (m - _GATHER_FROM) // (m + 3 * _GATHER_FROM)
+    changed = dist > -np.inf
+    forest = m > _GATHER_FROM
 
-    rounds = 0
+    def columns_read():
+        k = int(np.count_nonzero(changed))
+        return m * (k if most > 0 and k <= most else m)
+
+    rounds = edges = 0
     for rounds in range(1, m):
         cand = dist[:, None] + weights
         np.fill_diagonal(cand, -np.inf)
         best = cand.max(axis=0)
+        edges += columns_read()
         improved = best > dist + eps
         if not improved.any():
-            return LongestPathResult(dist, pred, None, rounds=rounds)
+            return LongestPathResult(dist, pred, None, rounds=rounds, edges_examined=edges)
         pred[improved] = cand[:, improved].argmax(axis=0)
         dist[improved] = best[improved]
-        if rounds >= _FIRST_WALK and rounds & (rounds - 1) == 0:
+        changed = improved
+        walk = rounds >= _FIRST_WALK and rounds & (rounds - 1) == 0
+        if forest:
+            forest = not _loop_has_cycle(pred)
+            walk = not forest
+            if forest:
+                _loop_descend(weights, dist, pred, changed, eps)
+        if walk:
             for cycle in _pred_cycles(pred):
                 w = _cycle_weight(weights, cycle)
                 if w > tol:
-                    return LongestPathResult(dist, pred, cycle, w, rounds)
+                    return LongestPathResult(dist, pred, cycle, w, rounds, edges)
 
     # an edge that still relaxes after m-1 rounds implies a positive cycle
     cand = dist[:, None] + weights
     np.fill_diagonal(cand, -np.inf)
     best = cand.max(axis=0, initial=-np.inf)  # initial: m may be 0
+    edges += columns_read()
     for v in np.flatnonzero(best > dist + eps):
         u = int(cand[:, int(v)].argmax())
         cycle = _extract_cycle(pred, u, int(v), m)
@@ -822,8 +844,43 @@ def columnwise_longest_paths(
             continue
         w = _cycle_weight(weights, cycle)
         if w > tol:
-            return LongestPathResult(dist, pred, cycle, w, rounds)
-    return LongestPathResult(dist, pred, None, rounds=rounds)
+            return LongestPathResult(dist, pred, cycle, w, rounds, edges)
+    return LongestPathResult(dist, pred, None, rounds=rounds, edges_examined=edges)
+
+
+def _loop_has_cycle(pred) -> bool:
+    """Whether following predecessors from some node returns to it."""
+    done = [False] * len(pred)
+    for start in range(len(pred)):
+        trail = set()
+        x = start
+        while x >= 0 and not done[x]:
+            if x in trail:
+                return True
+            trail.add(x)
+            x = int(pred[x])
+        for x in trail:
+            done[x] = True
+    return False
+
+
+def _loop_descend(weights, dist, pred, changed, eps) -> None:
+    """The forest pass, node by node: each level's children take their
+    parent's distance plus the tree edge where that gains more than eps,
+    all read before any is written, and form the next level."""
+    children = [[] for _ in dist]
+    for v, u in enumerate(pred.tolist()):
+        if u >= 0:
+            children[u].append(v)
+    level = np.flatnonzero(changed).tolist()
+    while level:
+        offers = [(v, dist[u] + weights[u, v]) for u in level for v in children[u]]
+        level = []
+        for v, offer in offers:
+            if offer > dist[v] + eps:
+                dist[v] = offer
+                changed[v] = True
+                level.append(v)
 
 
 def recheck_cycle(weights, cycle, slack, tol):

@@ -358,6 +358,13 @@ RANGES = [
         2,
     ),
     (
+        "check_local_truthful-report_of-int64",
+        lambda x: check_local_truthful(DIRECT, LINE, np.array([0, x]), radius=2.0),
+        "report_of entry",
+        2,
+    ),
+    ("longest_paths-source", lambda x: longest_paths(np.zeros((2, 2)), source=x), "source", 2),
+    (
         "fit_weights-labels",
         lambda x: fit_weights([[0.0], [1.0]], _relabeled(x)),
         "labels entry",
