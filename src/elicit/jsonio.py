@@ -41,7 +41,6 @@ from .core import (
     WitnessColumns,
     _as_matrix,
     _fill,
-    _numbers,
     _text_columns,
     _whole_number,
 )
@@ -469,8 +468,7 @@ def load_convex(obj: dict) -> ConvexSpec:
         pieces = obj["maxAffine"]
         if not isinstance(pieces, list) or not pieces:
             raise ValueError("maxAffine must be a nonempty list of pieces")
-        slopes = [_numbers(p["a"], "slope").reshape(-1) for p in pieces]
-        return MaxAffine(slopes=slopes, intercepts=[p["b"] for p in pieces])
+        return MaxAffine(slopes=[p["a"] for p in pieces], intercepts=[p["b"] for p in pieces])
     if "analytic" in obj:
         kind = obj["analytic"]
         if kind == "squaredNorm":

@@ -18,8 +18,9 @@ holds its one weight or payoff matrix and a few blocks.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .core import (
     ScoreTable,
     TypeSpace,
     WitnessColumns,
+    _as_vector,
     _index,
     _indices,
     _numbers,
@@ -146,18 +148,28 @@ class LongestPathResult:
 
 def longest_paths(
     weights: np.ndarray,
-    source: Optional[int] = None,
+    source: Union[None, int, Mapping] = None,
     tol: float = DEFAULT_TOL,
 ) -> LongestPathResult:
     """Bellman-Ford longest paths on a complete digraph.
 
     ``weights[u, v]`` is the weight of edge u -> v: finite, or ``-inf``
-    for no edge; a nan or ``+inf`` weight, a non-square matrix or a
-    source that is not a node raises ``ValueError``.  The diagonal is
-    ignored.  ``source=None`` uses a virtual source connected to every
-    node with weight 0, which turns the run into a pure positive-cycle
-    detector.  Relaxations must improve by more than an epsilon of
-    ``tol / 4m`` so float noise cannot masquerade as a cycle.
+    for no edge; a nan or ``+inf`` weight or a non-square matrix raises
+    ``ValueError``.  The diagonal is ignored.  Relaxations must improve by
+    more than an epsilon of ``tol / 4m`` so float noise cannot
+    masquerade as a cycle.
+
+    ``source`` gives the start distances, the weights of a virtual
+    source's edges.  ``None`` starts every node at 0, which turns the run
+    into a pure positive-cycle detector; a node s starts s alone, at 0;
+    a mapping from nodes to finite values starts each listed node at its
+    value, so ``dist[v]`` is the largest ``value[s] + path(s -> v)``,
+    each sum begun at its start value: Rochet's least surplus through
+    pinned values.  A node outside the graph, a value that is not finite
+    and an empty mapping raise ``ValueError``.  A node whose distance
+    never improves keeps predecessor -1, so the predecessor chain of a
+    reached node ends at the listed node where its path starts, unless
+    the chain closes a cycle.
 
     The kernel reads the weights transposed, ``wt[v, u] = weights[u, v]``
     with a ``-inf`` diagonal, from a copy it makes, so ``weights`` is left
@@ -168,16 +180,16 @@ def longest_paths(
 
     Each round reads ``wt`` in the columns u of the active nodes only:
     those whose ``dist`` changed in the round before, and at the start
-    every node of finite ``dist`` (all of them with ``source=None``, else
-    the source).  It
-    forms the candidates ``dist[u] + weights[u, v]`` a block of rows v at
-    a time, in one buffer of ``core._BLOCK_CELLS`` floats or of one row if
-    that is larger: it gathers the active columns into the buffer, or
-    adds ``dist`` to every column when the frontier is too large to
-    gather with profit (see ``_GATHER_FROM``).  The best predecessor of
-    each node v is the first argmax along its row.  So beside ``wt`` the
-    kernel holds that fixed block, and a graph whose m^2 cells fit in the
-    block takes each round in one piece.
+    every node of finite ``dist``: all of them with ``source=None``, else
+    the source or the listed nodes.  It forms the candidates ``dist[u] +
+    weights[u, v]`` a block of rows v at a time, in one buffer of
+    ``core._BLOCK_CELLS`` floats or of one row if that is larger: it
+    gathers the active columns into the buffer, or adds ``dist`` to every
+    column when the frontier is too large to gather with profit (see
+    ``_GATHER_FROM``).  The best predecessor of each node v is the first
+    argmax along its row.  So beside ``wt`` the kernel holds that fixed
+    block, and a graph whose m^2 cells fit in the block takes each round
+    in one piece.
 
     On a graph of more than ``_GATHER_FROM`` nodes, each round is
     followed by a forest pass while the predecessor array has no cycle
@@ -234,8 +246,7 @@ def longest_paths(
     if wt.ndim != 2 or wt.shape[0] != wt.shape[1]:
         raise ValueError(f"weights must be a square matrix, got shape {wt.shape}")
     m = wt.shape[0]
-    if source is not None:
-        source = _index(source, m, "source")
+    dist = _start(source, m)
     if not laid_out:
         weights, wt = wt, wt.T.copy()
         np.fill_diagonal(wt, -np.inf)
@@ -244,11 +255,6 @@ def longest_paths(
             weight = weights[u, v]
             raise ValueError(f"edge ({u}, {v}) weighs {weight}; weights must be finite or -inf")
     eps = tol / max(1, 4 * m)
-    if source is None:
-        dist = np.zeros(m)
-    else:
-        dist = np.full(m, -np.inf)
-        dist[source] = 0.0
     pred = np.full(m, -1, dtype=int)
     if m == 0:
         return LongestPathResult(dist, pred, None)
@@ -308,6 +314,23 @@ def longest_paths(
         if w > tol:
             return LongestPathResult(dist, pred, cycle, w, rounds, edges)
     return LongestPathResult(dist, pred, None, rounds=rounds, edges_examined=edges)
+
+
+def _start(source, m: int) -> np.ndarray:
+    """The start distances that ``source`` stands for in
+    :func:`longest_paths` over ``m`` nodes, ``-inf`` at the nodes it
+    does not start."""
+    if source is None:
+        return np.zeros(m)
+    dist = np.full(m, -np.inf)
+    if isinstance(source, Mapping):
+        if not source:
+            raise ValueError("source must map at least one node to its start value")
+        nodes = _indices(list(source), "source node", m)
+        dist[nodes] = _as_vector(list(source.values()), "source values")
+    else:
+        dist[_index(source, m, "source")] = 0.0
+    return dist
 
 
 def _relax(wt_rows, top, active, cand, nodes):

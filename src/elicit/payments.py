@@ -167,21 +167,19 @@ class RevenueInterval:
     target: int
 
 
-def _check_anchor_consistency(
-    anchors: Dict[int, float],
-    dists: Dict[int, np.ndarray],
-    tol: float,
-) -> None:
-    for s, vs in anchors.items():
-        for s2, vs2 in anchors.items():
-            if s == s2:
-                continue
-            bound = vs + dists[s][s2]
-            if vs2 < bound - tol:
-                raise InconsistentAnchorsError(
-                    f"anchor {s2}={vs2:.6g} below path bound "
-                    f"{bound:.6g} forced by anchor {s}={vs:.6g}"
-                )
+def _root_anchor(pred: np.ndarray, node: int, anchors: Dict[int, float]) -> int:
+    """The anchor at the root of ``node``'s predecessor chain, where the
+    path that sets its distance starts, walked at most m steps.  A chain
+    that closes a cycle first, one of weight at most tol, gives the last
+    anchor it met, ``node`` itself if none: the cycle runs through it."""
+    found = node
+    for _ in range(len(pred)):
+        node = int(pred[node])
+        if node < 0:
+            break
+        if node in anchors:
+            found = node
+    return found
 
 
 def revenue_interval(
@@ -196,8 +194,20 @@ def revenue_interval(
     lower = max over anchors s of  anchors[s] + longest-path(s -> target)
     upper = min over anchors s of  anchors[s] - longest-path(target -> s)
 
-    A target that is itself anchored yields the degenerate interval at
-    its anchored value.
+    Two searches give both, whatever the number of anchors.  The first
+    starts every anchor at its value (``longest_paths`` from a mapping):
+    its distances are the least surplus that takes the anchored values,
+    and lower is its value at the target.  The anchors are inconsistent
+    when it exceeds an anchor's value by more than ``tol``, as no convex
+    surplus then takes them all; the error names the first such anchor
+    in the given order, its path bound, and the anchor at the root of its
+    predecessor chain, where the path that forces the bound starts.  A
+    positive cycle that the search lets through, one it reads off at
+    weight at most ``tol``, can raise an anchor on it above its own
+    value, a single anchor too; the error then names that anchor as its
+    own root.  The second search, from the target, gives upper.  A target that is
+    itself anchored yields the degenerate interval at its anchored
+    value, after the first search alone.
     """
     require_positive(tol)
     fam.check_aligned(ts)
@@ -207,17 +217,24 @@ def revenue_interval(
     anchors = {i: _number(v, f"anchor {i}") for i, v in anchors.items()}
     target = _index(target, len(ts), "target")
     graph = _cmon_graph(ts, fam)
-    dists = {s: _paths_from(graph, s, tol) for s in anchors}
-    _check_anchor_consistency(anchors, dists, tol)
+    least = longest_paths(graph, source=anchors, tol=tol)
+    if least.cycle is not None:
+        raise NotImplementableError(least.cycle, least.cycle_weight)
+    for s2, vs2 in anchors.items():
+        if least.dist[s2] > vs2 + tol:
+            s = _root_anchor(least.pred, s2, anchors)
+            raise InconsistentAnchorsError(
+                f"anchor {s2}={vs2:.6g} below path bound "
+                f"{least.dist[s2]:.6g} forced by anchor {s}={anchors[s]:.6g}"
+            )
 
     if target in anchors:
         v = anchors[target]
         return RevenueInterval(v, v, anchors, target)
 
     from_target = _paths_from(graph, target, tol)
-    lower = max(v + dists[s][target] for s, v in anchors.items())
     upper = min(v - from_target[s] for s, v in anchors.items())
-    return RevenueInterval(float(lower), float(upper), anchors, target)
+    return RevenueInterval(float(least.dist[target]), float(upper), anchors, target)
 
 
 def check_revenue_equivalence(

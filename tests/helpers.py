@@ -233,23 +233,31 @@ def separate_rochet_payments(ts, fam, t0, tol):
 
 
 def separate_revenue_interval(ts, fam, anchors, target, tol):
-    """(lower, upper) of ``revenue_interval`` on valid anchors and target."""
+    """(lower, upper) of ``revenue_interval`` on valid anchors and target:
+    one search from every anchor at its value, an inconsistent anchor
+    named with the anchor at the root of its predecessor chain, and one
+    search from the target."""
     require_positive(tol)
-    dists = {s: _separate_paths(ts, fam, s, tol) for s in anchors}
-    for s, vs in anchors.items():
-        for s2, vs2 in anchors.items():
-            bound = vs + dists[s][s2]
-            if s != s2 and vs2 < bound - tol:
-                raise InconsistentAnchorsError(
-                    f"anchor {s2}={vs2:.6g} below path bound "
-                    f"{bound:.6g} forced by anchor {s}={vs:.6g}"
-                )
+    least = longest_paths(cmon_weights(ts, fam), source=anchors, tol=tol)
+    if least.cycle is not None:
+        raise NotImplementableError(least.cycle, least.cycle_weight)
+    for s2, vs2 in anchors.items():
+        bound = least.dist[s2]
+        if bound > vs2 + tol:
+            chain, x = [s2], int(least.pred[s2])
+            while x >= 0 and len(chain) <= len(ts):
+                chain.append(x)
+                x = int(least.pred[x])
+            s = [a for a in chain if a in anchors][-1]
+            raise InconsistentAnchorsError(
+                f"anchor {s2}={vs2:.6g} below path bound "
+                f"{bound:.6g} forced by anchor {s}={anchors[s]:.6g}"
+            )
     if target in anchors:
         return anchors[target], anchors[target]
     from_target = _separate_paths(ts, fam, target, tol)
-    lower = max(v + dists[s][target] for s, v in anchors.items())
     upper = min(v - from_target[s] for s, v in anchors.items())
-    return float(lower), float(upper)
+    return float(least.dist[target]), float(upper)
 
 
 def separate_check_revenue_equivalence(ts, fam, t0, tol):
@@ -725,11 +733,7 @@ def full_rounds_longest_paths(weights, source=None, tol=1e-9):
     cycle of weight above ``tol`` was found."""
     m = weights.shape[0]
     eps = tol / max(1, 4 * m)
-    if source is None:
-        dist = np.zeros(m)
-    else:
-        dist = np.full(m, -np.inf)
-        dist[source] = 0.0
+    dist = loop_start(source, m)
     pred = np.full(m, -1, dtype=int)
 
     for _ in range(max(0, m - 1)):
@@ -777,9 +781,21 @@ def _loop_extract_cycle(pred, u, v, m):
 # a loop over tree levels: ``longest_paths`` must match it bit for bit
 
 
+def loop_start(source, m):
+    """The start distances of ``longest_paths``: 0 everywhere for None,
+    else -inf but at the source, 0, or at each node of a mapping, its
+    value."""
+    if source is None:
+        return np.zeros(m)
+    dist = np.full(m, -np.inf)
+    for s, value in (source.items() if isinstance(source, dict) else [(source, 0.0)]):
+        dist[s] = value
+    return dist
+
+
 def columnwise_longest_paths(
     weights: np.ndarray,
-    source: Optional[int] = None,
+    source=None,
     tol: float = DEFAULT_TOL,
 ) -> LongestPathResult:
     """``longest_paths`` as it was before it read the weights transposed:
@@ -790,15 +806,12 @@ def columnwise_longest_paths(
     pass, one tree level at a time, and that first cycle is walked at
     once.  ``edges_examined`` counts m times the nodes whose distance
     changed in the round before, or m times m when they are too many to
-    gather."""
+    gather.  ``source`` is None, a node or a mapping of start values
+    (``loop_start``)."""
     require_positive(tol)
     m = weights.shape[0]
     eps = tol / max(1, 4 * m)
-    if source is None:
-        dist = np.zeros(m)
-    else:
-        dist = np.full(m, -np.inf)
-        dist[source] = 0.0
+    dist = loop_start(source, m)
     pred = np.full(m, -1, dtype=int)
     most = m * (m - _GATHER_FROM) // (m + 3 * _GATHER_FROM)
     changed = dist > -np.inf

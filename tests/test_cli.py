@@ -934,7 +934,7 @@ class TestInputErrors:
             }, "report_of entry True is not an integer in the int64 range"),
             (["make-score", "--g", "{f}", "--reports", "grid:2"],
              {"maxAffine": [{"a": ["1", 0.0], "b": 0.0}]},
-             "slope must hold numbers, not strings"),
+             "slopes must hold numbers, not strings"),
             (["make-score", "--g", "{f}", "--reports", "grid:2"],
              {"maxAffine": [{"a": [1.0, 0.0], "b": 0.0}, {"a": [1.0], "b": 0.0}]},
              "slopes has rows of unequal length"),

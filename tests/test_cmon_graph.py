@@ -5,7 +5,9 @@ reversed graph is the same array transposed back, and the post-check of
 ``rochet_payments`` forms its payoffs in it.  Each must give bit for bit
 what searches on separately formed weights give (``helpers.separate_*``),
 at every block size, and the public ``longest_paths`` must leave its
-argument as it was."""
+argument as it was.  A search from start values, the first of the two of
+``revenue_interval``, must match the column-wise kernel bit for bit, and
+the interval the per-anchor formulas of single-source searches."""
 
 import functools
 import json
@@ -15,8 +17,10 @@ import numpy as np
 import pytest
 
 from elicit import (
+    InconsistentAnchorsError,
     LinearFamily,
     MaxAffine,
+    NotImplementableError,
     TypeSpace,
     check_revenue_equivalence,
     rochet_payments,
@@ -24,6 +28,7 @@ from elicit import (
 )
 from elicit.monotone import _cmon_graph, _transpose, check_cmon, cmon_weights, longest_paths
 from helpers import (
+    columnwise_longest_paths,
     report_text,
     separate_check_cmon,
     separate_check_revenue_equivalence,
@@ -177,3 +182,90 @@ def test_longest_paths_leaves_its_argument_as_it_was():
     as_lists = cut.tolist()
     longest_paths(as_lists, source=3)
     assert as_lists == cut.tolist()
+
+
+@pytest.mark.parametrize("cells", CELLS.values(), ids=CELLS.keys())
+def test_start_values_match_the_columnwise_kernel(monkeypatch, cells):
+    """A mapping source gives, bit for bit, what the column-wise kernel
+    gives from the same start vector, on passing and failing families."""
+    monkeypatch.setattr("elicit.core._BLOCK_CELLS", cells)
+    for m in SIZES:
+        if cells == 1 and m == 600:  # one-cell blocks take seconds here
+            continue
+        ts, families = _families(m)
+        rng = np.random.default_rng(800 + m)
+        for kind, fam in families.items():
+            weights = cmon_weights(ts, fam)
+            nodes = rng.choice(m, size=min(m, 5), replace=False).tolist()
+            start = dict(zip(nodes, rng.normal(scale=2.0, size=len(nodes)).tolist()))
+            res = longest_paths(weights, source=start, tol=TOL)
+            ref = columnwise_longest_paths(weights, source=start, tol=TOL)
+            assert res.dist.tobytes() == ref.dist.tobytes(), (kind, m)
+            assert res.pred.tobytes() == ref.pred.tobytes(), (kind, m)
+            assert (res.cycle, res.cycle_weight, res.rounds, res.edges_examined) == (
+                ref.cycle, ref.cycle_weight, ref.rounds, ref.edges_examined
+            ), (kind, m)
+        # one node at 0 is that node as the source
+        one = longest_paths(weights, source={m - 1: 0.0}, tol=TOL)
+        alone = longest_paths(weights, source=m - 1, tol=TOL)
+        assert one.dist.tobytes() == alone.dist.tobytes()
+        assert one.pred.tobytes() == alone.pred.tobytes()
+
+
+def _per_anchor_interval(weights, anchors, target, tol):
+    """The verdict of ``revenue_interval`` from one single-source search
+    per anchor and one from the target: ("cycle",), ("inconsistent",) or
+    ("values", max_s(a_s + d_s(t)), min_s(a_s - d_t(s)))."""
+    runs = {s: longest_paths(weights, source=s, tol=tol) for s in anchors}
+    runs[target] = longest_paths(weights, source=target, tol=tol)
+    if any(r.cycle is not None for r in runs.values()):
+        return ("cycle",)
+    pairs = [(s, s2) for s in anchors for s2 in anchors if s != s2]
+    if any(anchors[s] + runs[s].dist[s2] > anchors[s2] + tol for s, s2 in pairs):
+        return ("inconsistent",)
+    if target in anchors:
+        return ("values", anchors[target], anchors[target])
+    lower = max(v + runs[s].dist[target] for s, v in anchors.items())
+    upper = min(v - runs[target].dist[s] for s, v in anchors.items())
+    return ("values", lower, upper)
+
+
+def test_interval_matches_the_per_anchor_formulas():
+    """Two searches give what k + 1 single-source searches give: the same
+    verdict, and endpoints within m * 2^-52 relative to the largest
+    magnitude among the endpoint and the anchor values, whose sums with a
+    path the endpoints are (an endpoint near 0 is a near cancellation of
+    them).  The anchors lie on
+    the least surplus from type 0, raised by 3 and some of them by up to
+    0.02 more, which makes about a third of the sets inconsistent."""
+    verdicts = set()
+    for m in (13, 60, 190):
+        ts, families = _families(m)
+        rng = np.random.default_rng(900 + m)
+        surplus = rochet_payments(ts, families["gradient"], t0=0).surplus
+        for kind, fam in families.items():
+            weights = cmon_weights(ts, fam)
+            if kind in ("gradient", "max-affine"):
+                surplus = rochet_payments(ts, fam, t0=0).surplus
+            for trial in range(8):
+                nodes = rng.choice(m, size=min(m, int(rng.integers(1, 9))), replace=False)
+                lift = rng.uniform(0.0, 0.02, size=len(nodes)) * (trial % 2)
+                anchors = dict(zip(nodes.tolist(), (surplus[nodes] + 3.0 + lift).tolist()))
+                target = int(rng.integers(m))
+                expected = _per_anchor_interval(weights, anchors, target, TOL)
+                verdicts.add((kind, expected[0]))
+                try:
+                    got = revenue_interval(ts, fam, anchors, target, tol=TOL)
+                except NotImplementableError:
+                    assert expected == ("cycle",), (kind, m, trial)
+                    continue
+                except InconsistentAnchorsError:
+                    assert expected == ("inconsistent",), (kind, m, trial)
+                    continue
+                assert expected[0] == "values", (kind, m, trial)
+                for value, ref in zip((got.lower, got.upper), expected[1:]):
+                    scale = max(abs(ref), *map(abs, anchors.values()))
+                    assert abs(value - ref) <= m * 2**-52 * scale, (kind, m, trial)
+    for kind in ("gradient", "max-affine"):
+        assert {(kind, "values"), (kind, "inconsistent")} <= verdicts
+    assert {("noisy", "cycle"), ("rotation", "cycle")} <= verdicts

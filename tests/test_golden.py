@@ -15,10 +15,13 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 
 import pytest
 
-from elicit import cli
+from elicit import cli, jsonio
+from elicit.monotone import cmon_weights
+from helpers import full_rounds_longest_paths
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected"
@@ -40,6 +43,14 @@ CASES = {
     "rev-interval-fail": [
         "rev-interval", "family-good.json", "--anchor", "0=0", "--anchor",
         "1=5", "--target", "4",
+    ],
+    "rev-interval-three-pass": [
+        "rev-interval", "family-good.json", "--anchor", "0=0.3", "--anchor",
+        "2=1.2", "--anchor", "4=0.1", "--target", "1",
+    ],
+    "rev-interval-three-fail": [
+        "rev-interval", "family-good.json", "--anchor", "0=0", "--anchor",
+        "3=0", "--anchor", "2=5", "--target", "4",
     ],
     "rev-interval-cycle": [
         "rev-interval", "family-bad.json", "--anchor", "0=0", "--target", "1",
@@ -123,6 +134,38 @@ def test_golden_output(name, monkeypatch):
     expected = (EXPECTED / f"{name}.stdout").read_bytes().decode("utf-8")
     assert code == _exit_codes()[name]
     assert out == expected
+
+
+@pytest.mark.parametrize("name", ["rev-interval-three-pass", "rev-interval-three-fail"])
+def test_three_anchor_intervals_recheck_from_the_inputs(name):
+    """The three-anchor cases re-derived from the family file with one
+    full-rounds search per anchor and one from the target: the endpoints
+    are max_s(a_s + d_s(t)) and min_s(a_s - d_t(s)), and a failure names
+    the first anchor in the given order whose path bound max_s(a_s +
+    d_s(s2)) is above its value, that bound, and an anchor that forces it."""
+    args = CASES[name]
+    pinned = (args[k + 1].split("=") for k, a in enumerate(args) if a == "--anchor")
+    anchors = {int(i): float(v) for i, v in pinned}
+    target = int(args[args.index("--target") + 1])
+    ts, fam = jsonio.load_family_file(json.loads((GOLDEN / "inputs" / args[1]).read_text()))
+    weights = cmon_weights(ts, fam)
+    d = {s: full_rounds_longest_paths(weights, s)[0] for s in [*anchors, target]}
+    out = json.loads((EXPECTED / f"{name}.stdout").read_text(encoding="utf-8"))
+    bounds = {s2: max(a + d[s][s2] for s, a in anchors.items()) for s2 in anchors}
+    late = [s2 for s2, a in anchors.items() if bounds[s2] > a + 1e-9]
+    if "error" not in out:
+        assert not late
+        lower = max(a + d[s][target] for s, a in anchors.items())
+        upper = min(a - d[target][s] for s, a in anchors.items())
+        assert (out["lower"], out["upper"]) == pytest.approx((lower, upper), abs=1e-12)
+        return
+    pattern = r"anchor (\d+)=(\S+) below path bound (\S+) forced by anchor (\d+)=(\S+)"
+    s2, a2, bound, s, a = re.fullmatch(pattern, out["message"]).groups()
+    s2, s = int(s2), int(s)
+    assert late and s2 == late[0] and s != s2
+    assert (float(a2), float(a)) == (anchors[s2], anchors[s])
+    assert float(bound) == pytest.approx(bounds[s2], rel=1e-5)
+    assert anchors[s] + d[s][s2] == pytest.approx(bounds[s2], abs=1e-12)
 
 
 def _write_expected():

@@ -8,12 +8,15 @@ from elicit import (
     NotMonotoneError,
     StepAllocation,
     TypeSpace,
+    check_cmon,
     check_revenue_equivalence,
     check_truthful,
     myerson_payment,
     revenue_interval,
     rochet_payments,
 )
+from elicit import payments
+from elicit.monotone import longest_paths
 
 # one-dimensional worked instance: types 0, 1, 2 with allocations 0, 1, 2
 LINE = TypeSpace([[0.0], [1.0], [2.0]])
@@ -161,6 +164,51 @@ class TestRevenueInterval:
         # anchor at type 1 below the path bound forced from type 2
         with pytest.raises(InconsistentAnchorsError):
             revenue_interval(LINE, INCREASING, anchors={0: 0.0, 2: 5.0}, target=1)
+
+    def test_inconsistency_names_the_root_of_the_forcing_path(self):
+        # 2=5 forces 1 up to 5 - 2 = 3, and 0 along 2 -> 1 -> 0 up to
+        # 3 - 1 = 2: anchor 0 is the first inconsistent one in the given
+        # order, and its chain passes anchor 1 to the root, anchor 2
+        anchors = {0: 0.0, 1: 0.4, 2: 5.0}
+        with pytest.raises(
+            InconsistentAnchorsError,
+            match=r"^anchor 0=0 below path bound 2 forced by anchor 2=5$",
+        ):
+            revenue_interval(LINE, INCREASING, anchors=anchors, target=1)
+
+    def test_a_cycle_the_search_lets_through_can_make_an_anchor_force_itself(self):
+        # a rotation field d_i = (-y_i, x_i), whose 5-cycle weighs 1.38 >
+        # tol: the search from anchor 0 reads off only cycles of weight at
+        # most tol, and their laps raise anchor 0 above its own value
+        pts = np.array([[0.6, 0.3], [-0.0, 0.3], [-0.5, -0.4], [0.0, -0.9], [0.2, -0.6]])
+        ts, fam = TypeSpace(pts), LinearFamily(np.column_stack((-pts[:, 1], pts[:, 0])))
+        assert not check_cmon(ts, fam, tol=1.0).passed
+        with pytest.raises(
+            InconsistentAnchorsError,
+            match=r"^anchor 0=0 below path bound 1.32 forced by anchor 0=0$",
+        ):
+            revenue_interval(ts, fam, anchors={0: 0.0}, target=1, tol=1.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_two_kernel_runs_for_any_number_of_anchors(self, monkeypatch, k):
+        # anchors on G(t) = |t|^2 + 1, whose gradients are the family
+        rng = np.random.default_rng(30 + k)
+        pts = rng.uniform(-1, 1, size=(12, 2))
+        ts, fam = TypeSpace(pts), LinearFamily(2.0 * pts)
+        anchors = {s: float(pts[s] @ pts[s]) + 1.0 for s in range(k)}
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs["source"])
+            return longest_paths(*args, **kwargs)
+
+        monkeypatch.setattr(payments, "longest_paths", counted)
+        got = revenue_interval(ts, fam, anchors=anchors, target=11)
+        assert got.lower <= got.upper
+        assert runs == [anchors, 11]
+        runs.clear()
+        revenue_interval(ts, fam, anchors=anchors, target=k - 1)
+        assert runs == [anchors]
 
     def test_interval_membership_reanchoring(self):
         for target, (lo, hi) in [(1, (0.0, 1.0)), (2, (1.0, 3.0))]:

@@ -177,6 +177,18 @@ CASES = [
         "target",
         1.0,
     ),
+    (
+        "longest_paths-source-node",
+        lambda x: longest_paths(np.zeros((2, 2)), source={x: 0.0}),
+        "source node entry",
+        1.0,
+    ),
+    (
+        "longest_paths-source-value",
+        lambda x: longest_paths(np.zeros((2, 2)), source={0: x}),
+        "source values",
+        0.5,
+    ),
     ("ScoreTable.evaluate", lambda x: DIRECT.evaluate(x, [0.5]), "report index", 1.0),
     (
         "expected_score-report_idx",
@@ -365,6 +377,12 @@ RANGES = [
     ),
     ("longest_paths-source", lambda x: longest_paths(np.zeros((2, 2)), source=x), "source", 2),
     (
+        "longest_paths-source-node",
+        lambda x: longest_paths(np.zeros((2, 2)), source={1: 0.0, x: 0.0}),
+        "source node entry",
+        2,
+    ),
+    (
         "fit_weights-labels",
         lambda x: fit_weights([[0.0], [1.0]], _relabeled(x)),
         "labels entry",
@@ -386,6 +404,23 @@ def test_an_index_outside_its_range_is_refused_by_name(call, name, size):
         with pytest.raises(ValueError, match=rf"^{name} must be in \[0, {size}\), got {bad}$"):
             call(bad)
     call(size - 1)
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ({0: 0.0, 2: 1.0}, r"source node entry must be in \[0, 2\), got 2"),
+        ({-1: 0.0}, r"source node entry must be in \[0, 2\), got -1"),
+        ({0.5: 0.0}, r"source node entry 0.5 is not an integer in the int64 range"),
+        ({0: 0.0, 1: math.inf}, r"source values must be finite, got inf"),
+        ({0: -math.inf}, r"source values must be finite, got -inf"),
+        ({1: math.nan}, r"source values must be finite, got nan"),
+        ({}, r"source must map at least one node to its start value"),
+    ],
+)
+def test_a_bad_start_mapping_is_one_line_value_error(source, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        longest_paths(np.zeros((2, 2)), source=source)
 
 
 def test_a_label_is_a_nonnegative_index_before_the_sites_are_known():
@@ -438,6 +473,19 @@ def test_nested_constants_are_refused_by_constructor_and_loader_alike():
     ):
         with pytest.raises(DimensionMismatchError, match=r"^constant must be 1-D$"):
             read([[0.0], [1.0]])
+
+
+def test_nested_slopes_are_refused_by_constructor_and_loader_alike():
+    # the loader used to flatten each slope, reading [[1.0], [0.0]] as [1.0, 0.0]
+    for read in (
+        lambda a: MaxAffine([a], [0.0]),
+        lambda a: jsonio.load_convex({"maxAffine": [{"a": a, "b": 0.0}]}),
+    ):
+        with pytest.raises(
+            DimensionMismatchError, match=r"^slopes must be a 2-D array of row vectors$"
+        ):
+            read([[1.0], [0.0]])
+        assert read([1.0, 0.0]).slopes.tolist() == [[1.0, 0.0]]
 
 
 def test_an_expectation_reads_distributions_and_a_lookup_any_numbers():
