@@ -8,9 +8,9 @@ from it: 2 for a verified negative answer (a document with ``passed`` or
 a positive cycle), 0 for any other document, and 1 for usage or input
 errors, with one line on stderr and nothing on stdout.
 
-The subcommands that check within a tolerance take a --tol flag; the
-ELICIT_TOL environment variable overrides their default tolerance and
---tol overrides both.  Either must be positive and finite.  The other
+The subcommands that check within a tolerance take a --tol flag,
+1e-9 (``DEFAULT_TOL``) by default, which the library call they make
+refuses unless it is positive and finite.  The other
 subcommands (myerson, make-score, score, power-label, homothet,
 level-convexity, breg2power and game) read no tolerance and refuse --tol
 as an unrecognized argument.
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Optional
 
@@ -41,7 +40,6 @@ from .core import (
     _as_matrix,
     _index,
     _numbers,
-    require_positive,
 )
 
 #: Errors that represent a correctly computed negative answer.
@@ -71,13 +69,6 @@ def _parse(text: str, kind, what: str):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"{what} {text!r} is not {noun}") from None
-
-
-def _tol(args) -> float:
-    if args.tol is not None:
-        return require_positive(args.tol)
-    text = os.environ.get("ELICIT_TOL")
-    return require_positive(_parse(text, float, "ELICIT_TOL") if text else DEFAULT_TOL)
 
 
 def _parse_anchor(text: str) -> tuple:
@@ -125,17 +116,17 @@ def _load_grids(g_path: str, grids_path: str) -> tuple:
 
 def _cmd_check_wmon(args):
     ts, fam = jsonio.load_family_file(_read_json(args.file))
-    return monotone.check_wmon(ts, fam, tol=_tol(args))
+    return monotone.check_wmon(ts, fam, tol=args.tol)
 
 
 def _cmd_check_cmon(args):
     ts, fam = jsonio.load_family_file(_read_json(args.file))
-    return monotone.check_cmon(ts, fam, tol=_tol(args))
+    return monotone.check_cmon(ts, fam, tol=args.tol)
 
 
 def _cmd_synth_payments(args):
     ts, fam = jsonio.load_family_file(_read_json(args.file))
-    result = payments.rochet_payments(ts, fam, t0=args.t0, tol=_tol(args))
+    result = payments.rochet_payments(ts, fam, t0=args.t0, tol=args.tol)
     return {
         "surplus": result.surplus.tolist(),
         "payments": result.payments.tolist(),
@@ -149,7 +140,7 @@ def _cmd_rev_interval(args):
     ts, fam = jsonio.load_family_file(_read_json(args.file))
     anchors = dict(_parse_anchor(a) for a in args.anchor)
     interval = payments.revenue_interval(
-        ts, fam, anchors, target=args.target, tol=_tol(args)
+        ts, fam, anchors, target=args.target, tol=args.tol
     )
     return {
         "lower": interval.lower,
@@ -186,26 +177,26 @@ def _cmd_score(args):
 def _cmd_check_proper(args):
     table = jsonio.load_outcome_table(_read_json(args.file))
     beliefs = _rows(args.beliefs, "beliefs") if args.beliefs else None
-    return scoring.check_proper(table, beliefs, strict=args.strict, tol=_tol(args))
+    return scoring.check_proper(table, beliefs, strict=args.strict, tol=args.tol)
 
 
 def _cmd_check_truthful(args):
     score, ts, _ = _load_affine(args.file)
-    return scoring.check_truthful(score, ts, tol=_tol(args))
+    return scoring.check_truthful(score, ts, tol=args.tol)
 
 
 def _cmd_check_local(args):
     score, ts, obj = _load_affine(args.file)
     report_of = obj.get("reportOf", list(range(len(ts))))
     return monotone.check_local_truthful(
-        score, ts, report_of, radius=args.radius, tol=_tol(args)
+        score, ts, report_of, radius=args.radius, tol=args.tol
     )
 
 
 def _cmd_decision_score(args):
     obj = _read_object(args.file)
     g = jsonio.load_convex(obj["g"])
-    spec = scoring.make_decision_score(g, obj["decisions"], obj["reports"], tol=_tol(args))
+    spec = scoring.make_decision_score(g, obj["decisions"], obj["reports"], tol=args.tol)
     return {
         "nActions": spec.n_actions,
         "nOutcomes": spec.n_outcomes,
@@ -225,7 +216,7 @@ def _cmd_power_label(args):
 def _cmd_fit_weights(args):
     sites = _rows(args.sites, "sites")
     sample = jsonio.load_sample(_read_json(args.sample))
-    result = properties.fit_weights(sites, sample, tol=_tol(args))
+    result = properties.fit_weights(sites, sample, tol=args.tol)
     if result.feasible:
         return {"feasible": True, "weights": result.weights.tolist()}
     return {"feasible": False, "witnesses": result.witnesses}
@@ -250,7 +241,7 @@ def _cmd_breg2power(args):
 
 def _cmd_duality_check(args):
     g, grid, duals = _load_grids(args.g, args.grids)
-    return duality.check_duality_identities(g, grid, duals, tol=_tol(args))
+    return duality.check_duality_identities(g, grid, duals, tol=args.tol)
 
 
 def _cmd_game(args):
@@ -294,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=fn)
         if tol:  # only where the handler reads it
-            p.add_argument("--tol", type=float, default=None, help="tolerance override")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance")
         return p
 
     p = add("check-wmon", _cmd_check_wmon, "weak monotonicity of a family", tol=True)

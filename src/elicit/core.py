@@ -67,7 +67,6 @@ __all__ = [
     "eval_convex",
     "subgradient",
     "conjugate",
-    "mask_witnesses",
     "deviation_gains",
     "check_subgradient_selection",
     "bregman_divergence",
@@ -208,7 +207,9 @@ class WitnessColumns(Sequence):
     numeric arrays of n.  ``template`` is one str, or ``(options,
     choice)``: a tuple of str and an int or bool array of n, witness i
     taking ``options[choice[i]]``; every option takes every argument
-    (``%.0s`` takes one and writes nothing).  ``+`` concatenates."""
+    (``%.0s`` takes one and writes nothing).  ``+`` concatenates.  A
+    verifier gathers a block's columns at the pairs of :func:`_scan_pairs`
+    or at ``np.nonzero`` of its own mask, both in row-major order."""
 
     def __init__(self, blocks=()):
         self.blocks = [block for block in blocks if len(block[2])]
@@ -278,32 +279,6 @@ class CheckReport:
         return {"passed": self.passed, "witnesses": self.witnesses, "info": dict(self.info)}
 
 
-def mask_witnesses(kind, mask, slack, detail, index=None) -> WitnessColumns:
-    """One witness per ``True`` entry of ``mask``, in row-major
-    (``np.argwhere``) order, as one block of columns.
-
-    Every column given here is an array over the mask: it broadcasts to
-    the shape of ``mask`` and is read at the ``True`` entries.  ``slack``
-    is one; ``kind`` and ``detail`` are texts of a :class:`WitnessColumns`
-    block whose columns (args and choice) are such arrays; ``index``, when
-    given, is a tuple of them, one per index of a witness.  By default a
-    witness's indices are its entry's position in ``mask``.
-    """
-    hits = np.flatnonzero(mask)  # a gather by flat position beats one by mask
-    if not len(hits):  # a passing check builds nothing
-        return WitnessColumns()
-
-    def at_hits(column) -> np.ndarray:
-        return np.broadcast_to(column, mask.shape).ravel().take(hits)
-
-    if index is None:
-        index = np.stack(np.unravel_index(hits, mask.shape), axis=1)
-    else:
-        index = np.column_stack(list(map(at_hits, index)))
-    kind, detail = _text_columns(kind, at_hits), _text_columns(detail, at_hits)
-    return WitnessColumns([(kind, index, at_hits(_numbers(slack, "slack")), detail)])
-
-
 def deviation_gains(values, truth, axis: int, out=None) -> np.ndarray:
     """What every report gains over each agent's truthful one: ``values``
     minus the agent's own score, in the layout of ``values``.  Reports
@@ -342,7 +317,7 @@ class _PairScan(NamedTuple):
     kept: int
 
 
-def _scan_pairs(shape, block, tol: float, own=None, upper=False, depth: int = 1) -> _PairScan:
+def _scan_pairs(shape, block, tol: float, own=None, upper=False) -> _PairScan:
     """Scan the pairs (i, j), j != ``own[i]`` (by default i), of a matrix
     over pairs of the given ``shape``, or only those with i < j when
     ``upper`` (a symmetric check), a block of rows at a time, so the scan
@@ -354,12 +329,12 @@ def _scan_pairs(shape, block, tol: float, own=None, upper=False, depth: int = 1)
     admits the pairs which may be witnesses.  The scan writes ``-inf``
     into the block's cells that are no pair (the own columns, and with
     ``upper`` the cells below them) and False into ``keep`` there.  A
-    block has at least one row and at most ``_BLOCK_CELLS // depth``
-    cells beyond it, for a ``block`` that forms ``depth`` floats per
-    cell."""
+    block has at least one row and at most ``_BLOCK_CELLS`` cells beyond
+    it in any dimension, as ``monotone._gaps`` sums one coordinate at a
+    time."""
     n, width = shape
     own = np.arange(n) if own is None else own
-    step = max(1, _BLOCK_CELLS // max(1, width * depth))
+    step = max(1, _BLOCK_CELLS // max(1, width))
     found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
     best, kept = -np.inf, 0
     for lo in range(0, n, step):

@@ -29,6 +29,7 @@ from .core import (
     CheckReport,
     ConvexSpec,
     TypeSpace,
+    WitnessColumns,
     _as_matrix,
     _as_vector,
     _eval_rows,
@@ -36,7 +37,6 @@ from .core import (
     _require_cells,
     conjugate,
     eval_convex,
-    mask_witnesses,
     require_positive,
 )
 from .properties import LabeledSample
@@ -109,9 +109,10 @@ def check_duality_identities(
     require_positive(tol)
     duals = _as_matrix(duals, "duals")
     fy = _fenchel_young_gaps(g, grid.points, duals, grid)[2].T  # fy[i, j]: grid i, dual j
-    witnesses = mask_witnesses("fenchel-young", fy < -tol, -fy, "G(t) + G*(d) < <t, d>")
+    i, j = np.nonzero(fy < -tol)  # row-major
+    block = ("fenchel-young", np.column_stack((i, j)), -fy[i, j], "G(t) + G*(d) < <t, d>")
     info = {"tol": tol, "max_fenchel_young_violation": float(max(0.0, -fy.min(initial=0.0)))}
-    return CheckReport(witnesses, info)
+    return CheckReport(WitnessColumns([block]), info)
 
 
 @dataclass

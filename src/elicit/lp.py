@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _numbers
+from .core import ElicitError, _numbers
 
 __all__ = ["FeasibilityResult", "feasible_point"]
 
@@ -32,7 +32,8 @@ def feasible_point(A, b, tol: float = 1e-9, max_iter: int = 100_000) -> Feasibil
 
     Free variables are split x = x+ - x-; every row gets a slack and an
     artificial, and Phase-I minimizes the artificial sum from the
-    all-artificial basis.
+    all-artificial basis.  Past ``max_iter`` pivots, or with no pivot
+    row, it raises :class:`ElicitError`: no verdict.
     """
     A = _numbers(A, "A")
     b = _numbers(b, "b").reshape(-1)
@@ -62,7 +63,7 @@ def feasible_point(A, b, tol: float = 1e-9, max_iter: int = 100_000) -> Feasibil
     obj -= T.sum(axis=0)  # price out the initial basis
 
     iterations = 0
-    while iterations < max_iter:
+    while True:
         entering = -1
         for j in range(ncols):  # Bland: lowest index with negative reduced cost
             if obj[j] < -tol:
@@ -70,12 +71,14 @@ def feasible_point(A, b, tol: float = 1e-9, max_iter: int = 100_000) -> Feasibil
                 break
         if entering < 0:
             break
+        if iterations >= max_iter:
+            raise ElicitError(f"no verdict within max_iter={max_iter} pivots")
         ratios = np.full(m, np.inf)
         col = T[:, entering]
         ok = col > tol
         ratios[ok] = T[ok, ncols] / col[ok]
-        if not ok.any():
-            break  # unbounded cannot happen in Phase-I; defensive
+        if not ok.any():  # Phase-I is bounded, so only rounding gets here
+            raise ElicitError(f"no pivot row for column {entering}: no verdict")
         best = ratios.min()
         # Bland tie-break: smallest basis variable index among minimal ratios
         leave = min(

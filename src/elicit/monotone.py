@@ -494,7 +494,6 @@ def check_local_truthful(
     # gains[j, i]: what type i gains by sending type j's report
     gains = deviation_gains(offered, np.arange(m), axis=0, out=offered)
     points = ts.points
-    depth = 1 if points.shape[1] < 8 else points.shape[1]
 
     def block(lo, hi):
         # the larger of the two gains of each pair i < j: type j's by
@@ -502,7 +501,7 @@ def check_local_truthful(
         by_i, by_j = gains[lo:hi, lo:], gains[lo:, lo:hi].T
         return np.where(by_i > by_j, by_i, by_j), _gaps(points, lo, hi) <= radius
 
-    scan = _scan_pairs((m, m), block, tol, upper=True, depth=depth)
+    scan = _scan_pairs((m, m), block, tol, upper=True)
     pair = np.column_stack((scan.rows, scan.cols))
     witnesses = WitnessColumns([("pair", pair, scan.values, "misreport gains within pair")])
     local_passed = not witnesses
@@ -518,19 +517,17 @@ def check_local_truthful(
 
 
 def _gaps(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The distances from the points lo:hi to the points lo:, bitwise
-    those of ``np.linalg.norm`` over their differences."""
+    """The distances from the points lo:hi to the points lo:, their
+    squared differences summed one coordinate at a time, in order, in
+    every dimension: the sum a loop over the coordinates forms."""
     m, dim = points.shape
+    gaps = np.zeros((hi - lo, m - lo))
     with np.errstate(over="ignore"):
-        if dim < 8:  # numpy sums fewer than eight squares in order, as here
-            gaps = np.zeros((hi - lo, m - lo))
-            for k in range(dim):
-                diff = points[lo:hi, k, None] - points[lo:, k]
-                diff *= diff
-                gaps += diff
-            np.sqrt(gaps, out=gaps)
-        else:  # from eight on numpy sums eight ways at once
-            gaps = np.linalg.norm(points[lo:hi, None, :] - points[None, lo:, :], axis=-1)
+        for k in range(dim):
+            diff = points[lo:hi, k, None] - points[lo:, k]
+            diff *= diff
+            gaps += diff
+        np.sqrt(gaps, out=gaps)
         # the sum of squares overflows long before the distance does
         wide = gaps == np.inf
         if wide.any():

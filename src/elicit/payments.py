@@ -25,14 +25,14 @@ from .core import (
     NotMonotoneError,
     ScoreTable,
     TypeSpace,
+    WitnessColumns,
     _as_vector,
     _gain_scan,
     _index,
     _number,
-    mask_witnesses,
     require_positive,
 )
-from .monotone import _cmon_graph, _transpose, _Transposed, longest_paths
+from .monotone import LongestPathResult, _cmon_graph, _transpose, _Transposed, longest_paths
 
 __all__ = [
     "StepAllocation",
@@ -118,13 +118,13 @@ class PaymentResult:
         )
 
 
-def _paths_from(graph: _Transposed, source: int, tol: float) -> np.ndarray:
-    """Longest-path values from ``source``; a positive cycle raises
-    :class:`NotImplementableError` carrying it."""
+def _paths_from(graph: _Transposed, source, tol: float) -> LongestPathResult:
+    """Longest paths from ``source``, a node or a mapping to start values;
+    a positive cycle raises :class:`NotImplementableError` carrying it."""
     res = longest_paths(graph, source=source, tol=tol)
     if res.cycle is not None:
         raise NotImplementableError(res.cycle, res.cycle_weight)
-    return res.dist
+    return res
 
 
 def rochet_payments(
@@ -144,7 +144,7 @@ def rochet_payments(
     fam.check_aligned(ts)
     t0 = _index(t0, len(ts), "base type")
     graph = _cmon_graph(ts, fam)
-    surplus = _paths_from(graph, t0, tol)
+    surplus = _paths_from(graph, t0, tol).dist
     own = np.einsum("ij,ij->i", fam.vectors, ts.points)
     payments = own - surplus
     result = PaymentResult(surplus, payments, t0, fam)
@@ -217,9 +217,7 @@ def revenue_interval(
     anchors = {i: _number(v, f"anchor {i}") for i, v in anchors.items()}
     target = _index(target, len(ts), "target")
     graph = _cmon_graph(ts, fam)
-    least = longest_paths(graph, source=anchors, tol=tol)
-    if least.cycle is not None:
-        raise NotImplementableError(least.cycle, least.cycle_weight)
+    least = _paths_from(graph, anchors, tol)
     for s2, vs2 in anchors.items():
         if least.dist[s2] > vs2 + tol:
             s = _root_anchor(least.pred, s2, anchors)
@@ -232,7 +230,7 @@ def revenue_interval(
         v = anchors[target]
         return RevenueInterval(v, v, anchors, target)
 
-    from_target = _paths_from(graph, target, tol)
+    from_target = _paths_from(graph, target, tol).dist
     upper = min(v - from_target[s] for s, v in anchors.items())
     return RevenueInterval(float(least.dist[target]), float(upper), anchors, target)
 
@@ -249,14 +247,11 @@ def check_revenue_equivalence(
     fam.check_aligned(ts)
     t0 = _index(t0, len(ts), "base type")
     graph = _cmon_graph(ts, fam)
-    lower = _paths_from(graph, t0, tol)
+    lower = _paths_from(graph, t0, tol).dist
     _transpose(graph.wt)  # the reversed graph
-    upper = -_paths_from(graph, t0, tol)  # longest paths target -> t0
+    upper = -_paths_from(graph, t0, tol).dist  # longest paths target -> t0
     width = upper - lower  # <= 0 at t0: both of its paths to itself weigh >= 0
-    witnesses = mask_witnesses(
-        "target",
-        width > tol,
-        width,
-        ("surplus interval [%.6g, %.6g]", (lower, upper)),
-    )
+    wide = np.flatnonzero(width > tol)
+    detail = ("surplus interval [%.6g, %.6g]", (lower[wide], upper[wide]))
+    witnesses = WitnessColumns([("target", wide[:, None], width[wide], detail)])
     return CheckReport(witnesses, {"tol": tol, "base_type": t0})

@@ -41,7 +41,6 @@ from .core import (
     _whole_number,
     deviation_gains,
     eval_convex,
-    mask_witnesses,
     require_positive,
 )
 
@@ -268,27 +267,26 @@ def check_expert_separation(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Informed beliefs must earn at least ``delta_accept``; the
-    uninformed belief ``p_bar`` at most ``delta_reject``, both finite."""
+    uninformed belief ``p_bar`` (witness index -1) at most
+    ``delta_reject``, both finite.  A belief with no finite value, -inf
+    under every report, raises ``ValueError`` naming it."""
     require_positive(tol)
     delta_accept = _number(delta_accept, "delta_accept")
     delta_reject = _number(delta_reject, "delta_reject")
     beliefs = table._beliefs(list(p_in) + [p_bar], "belief")
     best = table.payoff_matrix(beliefs).max(axis=1)
-    values, v_bar = best[:-1], float(best[-1])
-    witnesses = mask_witnesses(
-        "informed",
-        values < delta_accept - tol,
-        delta_accept - values,
-        ("value %.6g below accept threshold", (values,)),
-    ) + mask_witnesses(
-        "uninformed",
-        np.array([v_bar > delta_reject + tol]),
-        v_bar - delta_reject,
-        ("uninformed value %.6g above reject threshold", (v_bar,)),
-        index=(-1,),  # -1: the uninformed belief
-    )
-    info = {"values_in": values.tolist(), "value_bar": v_bar, "tol": tol}
-    return CheckReport(witnesses, info)
+    if not np.isfinite(best).all():
+        b = int(np.isfinite(best).argmin())  # the first belief with no finite value
+        name = "p_bar" if b == len(best) - 1 else f"belief {b}"
+        raise ValueError(f"{name} scores {best[b]} at its best report: values must be finite")
+    values, bar = best[:-1], best[-1:]
+    low, high = np.flatnonzero(values < delta_accept - tol), bar[bar > delta_reject + tol]
+    below = ("value %.6g below accept threshold", (values[low],))
+    above = ("uninformed value %.6g above reject threshold", (high,))
+    informed = ("informed", low[:, None], delta_accept - values[low], below)
+    uninformed = ("uninformed", np.full((len(high), 1), -1), high - delta_reject, above)
+    info = {"values_in": values.tolist(), "value_bar": float(bar[0]), "tol": tol}
+    return CheckReport(WitnessColumns([informed, uninformed]), info)
 
 
 @dataclass

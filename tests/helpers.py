@@ -273,13 +273,16 @@ def loop_check_local_truthful(score, ts, report_of, radius, tol):
     values = score.payoff_matrix(ts)
     report_of = list(report_of)
     m = len(ts)
-    gaps = np.linalg.norm(ts.points[:, None, :] - ts.points[None, :, :], axis=-1)
+    points = ts.points.tolist()
     local, found, global_passed = 0, [], True
     for i in range(m):
         for j in range(i + 1, m):
             ri, rj = report_of[i], report_of[j]
             worst = max(values[rj, i] - values[ri, i], values[ri, j] - values[rj, j])
-            is_local = gaps[i, j] <= radius
+            square = 0.0  # the squared differences summed in coordinate order
+            for a, b in zip(points[i], points[j]):
+                square += (a - b) * (a - b)
+            is_local = math.sqrt(square) <= radius
             local += bool(is_local)
             if worst > tol:
                 global_passed = False

@@ -415,8 +415,9 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
-    def test_tol_env_override(self, tmp_path, capsys, monkeypatch):
-        # a tiny violation passes under a loose tolerance
+    def test_only_the_tol_flag_sets_the_tolerance(self, tmp_path, capsys, monkeypatch):
+        # a tiny violation passes under a loose tolerance; the environment
+        # sets none (ELICIT_TOL once did)
         fam = write(
             tmp_path,
             "fam.json",
@@ -425,10 +426,10 @@ class TestSubcommands:
                 "family": [[1e-7], [0.0]],
             },
         )
-        code, _, _ = run_cli(["check-wmon", fam], capsys)
-        assert code == 2
         monkeypatch.setenv("ELICIT_TOL", "1e-3")
         code, _, _ = run_cli(["check-wmon", fam], capsys)
+        assert code == 2
+        code, _, _ = run_cli(["check-wmon", fam, "--tol", "1e-3"], capsys)
         assert code == 0
         code, _, _ = run_cli(["check-wmon", fam, "--tol", "1e-9"], capsys)
         assert code == 2
@@ -476,23 +477,10 @@ class TestInputErrors:
             "truthful reports must score finite values",
         )
 
-    @pytest.mark.parametrize(
-        "flag,env,shown",
-        [
-            ("nan", None, "nan"),
-            ("inf", None, "inf"),
-            ("0", None, "0.0"),
-            (None, "nan", "nan"),
-            (None, "inf", "inf"),
-        ],
-    )
-    def test_tolerance_must_be_positive_and_finite(
-        self, tmp_path, capsys, monkeypatch, flag, env, shown
-    ):
+    @pytest.mark.parametrize("flag,shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0")])
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, capsys, flag, shown):
         fam = write(tmp_path, "bad.json", BAD_FAMILY)
-        if env is not None:
-            monkeypatch.setenv("ELICIT_TOL", env)
-        args = ["check-wmon", fam] + (["--tol", flag] if flag is not None else [])
+        args = ["check-wmon", fam, "--tol", flag]
         self.assert_usage_error(
             args, capsys, f"tolerance must be positive and finite, got {shown}\n"
         )
@@ -996,34 +984,26 @@ class TestInputErrors:
         self.assert_usage_error([args[0], path], capsys, message)
 
     @pytest.mark.parametrize(
-        "args,env,message",
+        "args,message",
         [
-            (["rev-interval", "{fam}", "--anchor", "x=1", "--target", "2"], None,
+            (["rev-interval", "{fam}", "--anchor", "x=1", "--target", "2"],
              "--anchor index 'x' is not an integer"),
-            (["rev-interval", "{fam}", "--anchor", "1.5=0", "--target", "2"], None,
+            (["rev-interval", "{fam}", "--anchor", "1.5=0", "--target", "2"],
              "--anchor index '1.5' is not an integer"),
-            (["rev-interval", "{fam}", "--anchor", "0=abc", "--target", "2"], None,
+            (["rev-interval", "{fam}", "--anchor", "0=abc", "--target", "2"],
              "--anchor value 'abc' is not a number"),
-            (["homothet", "{diagram}", "--alpha", "2", "--p0", "a,b"], None,
+            (["homothet", "{diagram}", "--alpha", "2", "--p0", "a,b"],
              "--p0 entry 'a' is not a number"),
-            (["check-cmon", "{fam}"], "abc", "ELICIT_TOL 'abc' is not a number"),
-            (["make-score", "--g", "brier", "--reports", "grid:x"], None,
+            (["make-score", "--g", "brier", "--reports", "grid:x"],
              "--reports grid:K 'x' is not an integer"),
-            (["make-score", "--g", "brier", "--reports", "grid:2.5"], None,
+            (["make-score", "--g", "brier", "--reports", "grid:2.5"],
              "--reports grid:K '2.5' is not an integer"),
         ],
-        ids=[
-            "anchor-index", "anchor-fraction", "anchor-value", "p0", "ELICIT_TOL",
-            "grid", "grid-fraction",
-        ],
+        ids=["anchor-index", "anchor-fraction", "anchor-value", "p0", "grid", "grid-fraction"],
     )
-    def test_a_text_option_that_is_no_number_names_itself(
-        self, monkeypatch, capsys, args, env, message
-    ):
+    def test_a_text_option_that_is_no_number_names_itself(self, capsys, args, message):
         # int() and float() used to print "invalid literal for int() ..." or
         # "could not convert string to float: 'abc'", naming no option
-        if env is not None:
-            monkeypatch.setenv("ELICIT_TOL", env)
         paths = {
             "fam": str(GOLDEN_INPUTS / "family-good.json"),
             "diagram": str(GOLDEN_INPUTS / "diagram.json"),
@@ -1238,6 +1218,6 @@ def test_tol_is_an_option_of_exactly_the_subcommands_that_read_it():
     reads = {
         name
         for name, p in sub.choices.items()
-        if "_tol(args)" in inspect.getsource(p.get_default("handler"))
+        if "tol=args.tol" in inspect.getsource(p.get_default("handler"))
     }
     assert takes == reads and len(takes) == 10 and not takes & set(NO_TOL)

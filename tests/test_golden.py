@@ -128,8 +128,7 @@ def test_expected_files_cover_exactly_the_cases():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, monkeypatch):
-    monkeypatch.delenv("ELICIT_TOL", raising=False)
+def test_golden_output(name):
     code, out = _run(name)
     expected = (EXPECTED / f"{name}.stdout").read_bytes().decode("utf-8")
     assert code == _exit_codes()[name]

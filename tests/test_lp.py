@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from elicit import ElicitError
 from elicit.lp import feasible_point
 
 
@@ -18,6 +19,14 @@ class TestFeasiblePoint:
         res = feasible_point(A, b)
         assert res.feasible
         assert np.all(A @ res.x <= b + 1e-9)
+
+    def test_a_pivot_limit_gives_no_verdict(self):
+        # x <= 1 needs one pivot; stopped before it, the loop used to answer
+        # infeasible with farkas [-1.], which is no certificate (y >= 0 fails)
+        with pytest.raises(ElicitError, match="no verdict within max_iter=0 pivots"):
+            feasible_point([[1.0]], [1.0], max_iter=0)
+        res = feasible_point([[1.0]], [1.0], max_iter=1)
+        assert res.feasible and res.iterations == 1
 
     def test_empty_system(self):
         res = feasible_point(np.zeros((0, 3)), np.zeros(0))

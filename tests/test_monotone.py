@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 import tracemalloc
 import warnings
@@ -695,9 +697,10 @@ class TestLocalTruthful:
         # the gaps are formed a block of rows at a time: one row, a few rows
         # or all of them per block must give the pairs of the m x m x dim
         # array, types at a distance of exactly the radius included, and at
-        # 1e200 the distances whose sum of squares overflows; below dim 8
-        # they are summed one coordinate at a time, at dim 9 numpy sums the
-        # squares eight ways at once, not one by one
+        # 1e200 the distances whose sum of squares overflows; the squares
+        # are summed one coordinate at a time in every dimension, and on the
+        # integer lattice every such sum is exact, so np.linalg.norm, which
+        # sums eight ways at once from dim 8 on, gives the same distances
         monkeypatch.setattr("elicit.core._BLOCK_CELLS", cells)
         rng = np.random.default_rng(840 + dim)
         lattice = np.unique(rng.integers(-4, 5, size=(60, dim)), axis=0).astype(float)
@@ -729,6 +732,32 @@ class TestLocalTruthful:
                 reference = loop_check_local_truthful(score, ts, range(m), radius, 1e-9)
                 assert report.info["checked_pairs"] == int(expected.sum())
                 assert report_text(report) == report_text(reference)
+
+    def test_distances_sum_the_squares_in_coordinate_order(self):
+        # off the integer lattice the order of the sum shows: at dim 12
+        # np.linalg.norm sums the squares eight ways at once and rounds
+        # this pair's distance one ulp above the coordinate-order sum, which
+        # is the radius here, so only that sum keeps the pair within it
+        rng = np.random.default_rng(1200)
+        pts = rng.uniform(-1, 1, size=(30, 12))
+        m = len(pts)
+        gaps = np.zeros((m, m))
+        for i, j in itertools.combinations(range(m), 2):
+            gaps[i, j] = math.sqrt(sum((a - b) * (a - b) for a, b in zip(pts[i], pts[j])))
+        norms = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        i, j = np.argwhere(np.triu(norms == np.nextafter(gaps, np.inf), 1))[0].tolist()
+        radius = float(gaps[i, j])
+        expected = np.triu(gaps <= radius, 1)
+        assert expected[i, j] and not norms[i, j] <= radius
+        ts = TypeSpace(pts)
+        apart = ScoreTable(list(range(m)), np.zeros((m, 12)), rng.permutation(m))
+        report = check_local_truthful(apart, ts, range(m), radius)
+        assert [w.indices for w in report.witnesses] == list(map(tuple, np.argwhere(expected)))
+        score = ScoreTable(list(range(m)), rng.uniform(-1, 1, (m, 12)), rng.uniform(-1, 1, m))
+        report = check_local_truthful(score, ts, range(m), radius)
+        reference = loop_check_local_truthful(score, ts, range(m), radius, 1e-9)
+        assert report.info["checked_pairs"] == int(expected.sum())
+        assert report_text(report) == report_text(reference)
 
     def test_radius_beyond_diameter_matches_global(self):
         ts = TypeSpace(np.linspace(-1, 1, 9).reshape(-1, 1))

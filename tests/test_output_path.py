@@ -110,9 +110,7 @@ def test_one_number_made_extreme_leaves_by_one_output(workdir, data):
     mutant.write_text(json.dumps(_replace(json.loads(json.dumps(doc)), path, value)))
     argv = [str(INPUTS / a) if (INPUTS / a).is_file() else a for a in args]
     argv[k] = str(mutant)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("ELICIT_TOL", raising=False)
-        assert_one_output(*_run(argv))
+    assert_one_output(*_run(argv))
 
 
 def _nodes(obj, path=()):
@@ -140,8 +138,7 @@ def _structural_mutations():
     return out
 
 
-def test_a_field_deleted_or_of_the_wrong_type_leaves_by_one_output(tmp_path, monkeypatch):
-    monkeypatch.delenv("ELICIT_TOL", raising=False)
+def test_a_field_deleted_or_of_the_wrong_type_leaves_by_one_output(tmp_path):
     codes = set()
     mutations = random.Random(14).sample(_structural_mutations(), STRUCTURAL_SAMPLE)
     for name, k, doc, path, value in mutations:

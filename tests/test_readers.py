@@ -50,7 +50,6 @@ from elicit import (
     subgradient,
 )
 from elicit import jsonio, lp
-from elicit.core import mask_witnesses
 from elicit.monotone import longest_paths
 
 #: What a caller may pass where a number belongs; none of it is one.
@@ -80,7 +79,6 @@ CASES = [
     ("eval_convex", lambda x: eval_convex(SQ, [0.5, x]), "point", 0.5),
     ("subgradient", lambda x: subgradient(SQ, [0.5, x]), "point", 0.5),
     ("conjugate", lambda x: conjugate(SQ, [x], GRID), "dual vector", 0.5),
-    ("mask_witnesses", lambda x: mask_witnesses("k", np.array([True]), [x], "d"), "slack", 0.5),
     (
         "OutcomeScoreTable-reports",
         lambda x: OutcomeScoreTable(reports=[[0.5, x]], payoffs=[[0.0, 0.0]]),

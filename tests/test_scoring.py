@@ -279,6 +279,19 @@ class TestExpertSeparation:
         )
         assert report.passed
 
+    @pytest.mark.parametrize("where", ["informed", "uninformed"])
+    def test_a_belief_that_scores_minus_inf_under_every_report_is_refused(self, where):
+        # the one log-score report pays -inf on the second outcome, so a
+        # belief sure of it has no finite value; its slack (+inf) or its
+        # value_bar (-inf) was returned, and jsonio.dumps cannot write either
+        table = make_scoring_rule(NegEntropy(), [[1.0, 0.0]])
+        first, second = [1.0, 0.0], [0.0, 1.0]
+        p_in, p_bar = ([first, second], first) if where == "informed" else ([first], second)
+        name = "belief 1" if where == "informed" else "p_bar"
+        message = f"{name} scores -inf at its best report: values must be finite"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_expert_separation(table, p_in, p_bar, delta_accept=0.0, delta_reject=1.0)
+
 
 class TestDecisionScore:
     def test_single_action_reduces_to_scoring_rule(self):

@@ -38,6 +38,7 @@ from elicit import (
     simplex_grid,
     subgradient,
 )
+from elicit.monotone import LongestPathResult
 from helpers import (
     loop_check_expert_separation,
     loop_check_level_set_convexity,
@@ -135,8 +136,12 @@ def case_revenue_equivalence(rng):
     for path in paths:
         path[t0] = 0.0
     planted = iter(paths)
+
+    def planted_paths(*args):
+        return LongestPathResult(next(planted), None, None)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("elicit.payments._paths_from", lambda *args: next(planted))
+        patch.setattr("elicit.payments._paths_from", planted_paths)
         report = check_revenue_equivalence(ts, fam, t0=t0)
     return report, loop_check_revenue_equivalence(ts, fam, t0, 1e-9, paths)
 
