@@ -71,15 +71,24 @@ def _parse(text: str, kind, what: str):
         raise ValueError(f"{what} {text!r} is not {noun}") from None
 
 
-def _parse_anchor(text: str) -> tuple:
-    if "=" not in text:
-        raise ValueError(f"anchor must look like INDEX=VALUE, got {text!r}")
-    idx, val = text.split("=", 1)
-    return _parse(idx, int, "--anchor index"), _parse(val, float, "--anchor value")
+def _parse_anchors(texts: list) -> dict:
+    """The ``--anchor INDEX=VALUE`` options as {index: value}; an index
+    given twice is refused."""
+    anchors = {}
+    for text in texts:
+        if "=" not in text:
+            raise ValueError(f"anchor must look like INDEX=VALUE, got {text!r}")
+        idx, val = text.split("=", 1)
+        idx = _parse(idx, int, "--anchor index")
+        if idx in anchors:
+            raise ValueError(f"--anchor index {idx} is given more than once")
+        anchors[idx] = _parse(val, float, "--anchor value")
+    return anchors
 
 
 def _parse_vector(text: str) -> list:
-    return [_parse(x, float, "--p0 entry") for x in text.split(",") if x.strip() != ""]
+    """Comma-separated numbers; an empty entry is refused."""
+    return [_parse(x, float, "--p0 entry") for x in text.split(",")]
 
 
 def _load_g(spec: str):
@@ -138,7 +147,7 @@ def _cmd_synth_payments(args):
 
 def _cmd_rev_interval(args):
     ts, fam = jsonio.load_family_file(_read_json(args.file))
-    anchors = dict(_parse_anchor(a) for a in args.anchor)
+    anchors = _parse_anchors(args.anchor)
     interval = payments.revenue_interval(
         ts, fam, anchors, target=args.target, tol=args.tol
     )
@@ -224,7 +233,7 @@ def _cmd_fit_weights(args):
 
 def _cmd_homothet(args):
     diag = jsonio.load_diagram(_read_json(args.diagram))
-    p0 = _parse_vector(args.p0) if args.p0 else [0.0] * diag.dim
+    p0 = _parse_vector(args.p0) if args.p0 is not None else [0.0] * diag.dim
     return jsonio.diagram_to_obj(properties.homothet_transform(diag, args.alpha, p0))
 
 

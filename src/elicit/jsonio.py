@@ -12,17 +12,28 @@ every report (``CheckReport.witnesses``) and of an infeasible weight fit;
 numpy scalars and arrays, bool, None, subclasses of the builtin types
 and dicts with other keys are first turned into the builtin value they stand for.
 
-A block of witnesses is written by one ``%``-template per witness when
-it has fewer than ``_VECTOR_MIN`` witnesses or a slack that is not
-finite.  A longer block is written ``_TEXT_CHUNK`` witnesses at a time
-as one byte matrix, a column of NUL-padded text per field, whose NUL
-bytes are then dropped: canonical JSON text never holds a NUL byte, as
-a str's is written ``\u0000``.  Both give the same bytes.
+A list (or tuple) of at least ``_LIST_MIN`` items that are all ints,
+all finite floats, or all lists of one length of finite floats, each of
+exactly that type, is written by one ``%``-template over its values,
+``%d`` and ``%.17g``, which give the bytes of ``int.__repr__`` and
+``format(x, ".17g")``.  Every other list, and every shorter one, is
+written item by item: one with -inf, +inf or nan, a bool, a float
+subclass or a numpy scalar among its items, or rows of unequal length.
+So an error is raised by the same item, in the same order, either way.
+
+A block of witnesses is written by one ``%``-template, over the block
+``_TEXT_CHUNK`` witnesses at a time, when it has fewer than
+``_VECTOR_MIN`` witnesses or a slack that is not finite.  A longer block
+is written ``_TEXT_CHUNK`` witnesses at a time as one byte matrix, a
+column of NUL-padded text per field, whose NUL bytes are then dropped:
+canonical JSON text never holds a NUL byte, as a str's is written
+``\u0000``.  Both give the same bytes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -91,6 +102,9 @@ def _format_float(x: float) -> str:
 #: took about 130 us plus 0.45 us a witness, a template about 0.95 us a
 #: witness (0.65-1.1 us of which is its ``%.17g``): they cross near 260
 #: witnesses, and the matrices were faster in every block of 384 or more.
+#: Filled by one ``%`` per block, a template with a ``%d`` detail took
+#: 0.87-0.95 us a witness at 128 to 1024 witnesses, and a matrix 0.59-0.68
+#: us a witness at 384, 0.78-0.82 at 256.
 _VECTOR_MIN = 384
 #: Witnesses per byte matrix, so that its memory does not grow with the
 #: block (about 150 bytes a witness); 4096 wrote blocks of 12 382 and
@@ -102,7 +116,8 @@ def _witness_text(kind, index, slack, detail) -> str:
     """The text of a block of :class:`WitnessColumns`: what writing each
     witness's ``to_obj()`` dict would give, joined by commas.  A block of
     ``_VECTOR_MIN`` or more witnesses with finite slacks is written by
-    :func:`_witness_matrix`; others by one ``%``-template per witness."""
+    :func:`_witness_matrix`; others by one ``%``-template per witness,
+    repeated and filled ``_TEXT_CHUNK`` witnesses at a time."""
     finite = np.isfinite(slack).all()
     if finite and len(slack) >= _VECTOR_MIN:
         return _witness_matrix(kind, index, slack, detail)
@@ -128,7 +143,14 @@ def _witness_text(kind, index, slack, detail) -> str:
     else:  # -inf is written as "-inf"; the first +inf or nan raises
         columns.append(map(_format_float, slack.tolist()))
         template += "%s}"
-    return ",".join(map(template.__mod__, zip(*columns)))
+    # one % per _TEXT_CHUNK witnesses; the fields are read in witness
+    # order before it, so the first +inf or nan slack raises
+    rows, n = zip(*columns), len(slack)
+    return ",".join(
+        ",".join([template] * min(_TEXT_CHUNK, n - lo))
+        % tuple(itertools.chain.from_iterable(itertools.islice(rows, _TEXT_CHUNK)))
+        for lo in range(0, n, _TEXT_CHUNK)
+    )
 
 
 def _witness_matrix(kind, index, slack, detail) -> str:
@@ -342,6 +364,40 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     return words
 
 
+#: Lists of at least this many items are tried by :func:`_number_list`;
+#: below it the per-item path is faster, as on three-float vectors.
+_LIST_MIN = 8
+_FLOAT_ONLY, _INT_ONLY, _LIST_ONLY = frozenset([float]), frozenset([int]), frozenset([list])
+
+
+def _number_list(obj) -> str | None:
+    """The text of a list (or tuple) of only ints, only finite floats, or
+    lists of one length of only finite floats, each of exactly that type,
+    written by one ``%``-template over its values: ``"%d" % n`` is
+    ``int.__repr__(n)`` and ``"%.17g" % x`` is ``format(x, ".17g")``.
+    None for any other list, and for floats whose sum overflows; the
+    per-item path writes those, and raises where it raised."""
+    kinds = set(map(type, obj))
+    if kinds == _INT_ONLY:
+        return "[" + ",".join(["%d"] * len(obj)) % tuple(obj) + "]"
+    if kinds == _FLOAT_ONLY:
+        values, template = obj, ",".join(["%.17g"] * len(obj))
+    elif kinds == _LIST_ONLY:
+        widths = set(map(len, obj))
+        if len(widths) != 1:
+            return None
+        values = tuple(itertools.chain.from_iterable(obj))
+        if set(map(type, values)) != _FLOAT_ONLY:
+            return None
+        template = ",".join(["[" + ",".join(["%.17g"] * widths.pop()) + "]"] * len(obj))
+    else:
+        return None
+    total = sum(values)  # inf or nan if any value is
+    if total - total != 0.0:
+        return None
+    return "[" + template % tuple(values) + "]"
+
+
 def _write(obj: Any, emit, plans: dict) -> None:
     """Emit ``obj`` as canonical JSON text; ``plans`` maps the key tuple of
     each dict seen so far in this document to its key order."""
@@ -354,6 +410,11 @@ def _write(obj: Any, emit, plans: dict) -> None:
     elif kind is int:
         emit(int.__repr__(obj))
     elif kind is list or kind is tuple:
+        if len(obj) >= _LIST_MIN:
+            text = _number_list(obj)
+            if text is not None:
+                emit(text)
+                return
         emit("[")
         first = True
         for item in obj:
@@ -430,7 +491,11 @@ def dumps(obj: Any) -> str:
     - True/False (numpy bool included): ``true``/``false``; None: ``null``;
     - a str: ASCII text with every other character escaped, as
       ``json.dumps`` writes it;
-    - a list, tuple or numpy array: an array of its items;
+    - a list, tuple or numpy array: an array of its items; a list or
+      tuple of ``_LIST_MIN`` or more exact ints, exact finite floats or
+      equal-length lists of exact finite floats by one ``%``-template
+      over its values, any other item by item (see the module
+      docstring), with the same text either way;
     - a ``WitnessColumns``, which ``report.witnesses`` always is: the
       array of its witnesses' ``Witness.to_obj()`` dicts, written straight
       from the columns, a block of ``_VECTOR_MIN`` or more witnesses with

@@ -992,14 +992,26 @@ class TestInputErrors:
              "--anchor index '1.5' is not an integer"),
             (["rev-interval", "{fam}", "--anchor", "0=abc", "--target", "2"],
              "--anchor value 'abc' is not a number"),
+            (["rev-interval", "{fam}", "--anchor", "0=0", "--anchor", "0=5", "--target", "2"],
+             "--anchor index 0 is given more than once"),
+            (["rev-interval", "{fam}", "--anchor", "1=0", "--anchor", "0=0", "--anchor", "+1=2",
+              "--target", "2"], "--anchor index 1 is given more than once"),
             (["homothet", "{diagram}", "--alpha", "2", "--p0", "a,b"],
              "--p0 entry 'a' is not a number"),
+            (["homothet", "{diagram}", "--alpha", "2", "--p0", "1,,2"],
+             "--p0 entry '' is not a number"),
+            (["homothet", "{diagram}", "--alpha", "2", "--p0", "1,2,"],
+             "--p0 entry '' is not a number"),
+            (["homothet", "{diagram}", "--alpha", "2", "--p0", ""],
+             "--p0 entry '' is not a number"),
             (["make-score", "--g", "brier", "--reports", "grid:x"],
              "--reports grid:K 'x' is not an integer"),
             (["make-score", "--g", "brier", "--reports", "grid:2.5"],
              "--reports grid:K '2.5' is not an integer"),
         ],
-        ids=["anchor-index", "anchor-fraction", "anchor-value", "p0", "grid", "grid-fraction"],
+        ids=["anchor-index", "anchor-fraction", "anchor-value", "anchor-repeated",
+             "anchor-repeated-spelled-apart", "p0", "p0-empty-inside", "p0-empty-last",
+             "p0-empty", "grid", "grid-fraction"],
     )
     def test_a_text_option_that_is_no_number_names_itself(self, capsys, args, message):
         # int() and float() used to print "invalid literal for int() ..." or

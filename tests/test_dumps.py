@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from elicit import CheckReport, Witness, WitnessColumns
-from elicit.jsonio import _VECTOR_MIN, dumps
+from elicit.jsonio import _LIST_MIN, _TEXT_CHUNK, _VECTOR_MIN, _number_list, dumps
 from helpers import loop_dumps, report_text
 
 TRIALS = 400
@@ -204,6 +204,96 @@ def test_errors_match_the_loop(value, error, message):
 
 
 # ---------------------------------------------------------------------------
+# lists of numbers written by one template
+
+
+INF = math.inf
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e17, 0.1, -1 / 3, 1e-300, 2.0]
+EDGE_INTS = [2**63, -(2**63) - 1, 10**30, 0, -7, 2**53 + 1]
+
+
+def cycled(values, n):
+    return [values[k % len(values)] for k in range(n)]
+
+
+def longest(value) -> int:
+    """The most items of any list in ``value``."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, (list, tuple)):
+        return 0
+    return max([len(value), *map(longest, value)])
+
+
+@pytest.mark.parametrize("n", [_LIST_MIN - 1, _LIST_MIN, _LIST_MIN + 1, 40])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: cycled(EDGE_FLOATS, n),
+        lambda n: cycled(EDGE_INTS, n),
+        lambda n: tuple(cycled(EDGE_FLOATS[::-1], n)),
+        lambda n: [cycled(EDGE_FLOATS, k + 3)[k:] for k in range(n)],
+        lambda n: [cycled(EDGE_FLOATS, k + 11)[k:] for k in range(n)],
+        lambda n: {"rows": [cycled(EDGE_FLOATS, k + n)[k:] for k in range(2)], "ints": cycled(EDGE_INTS, n)},
+    ],
+    ids=["floats", "ints", "tuple", "rows-of-3", "rows-of-11", "nested"],
+)
+def test_number_lists_print_as_the_loop_prints(monkeypatch, make, n):
+    value = make(n)
+    templated = []
+
+    def spy(obj):
+        text = _number_list(obj)
+        templated.append(text is not None)
+        return text
+
+    monkeypatch.setattr("elicit.jsonio._number_list", spy)
+    assert dumps(value) == loop_dumps(value)
+    # each list tried is written by one template, and lists are tried from the floor on
+    assert all(templated) and bool(templated) == (longest(value) >= _LIST_MIN)
+
+
+FALLBACKS = {
+    "bool among ints": [1] * _LIST_MIN + [True],
+    "Half among floats": [0.5] * _LIST_MIN + [Half(0.25)],
+    "np.float64 item": [0.5] * _LIST_MIN + [np.float64(0.1)],
+    "int among floats": [0.5] * _LIST_MIN + [1],
+    "ragged rows": [[0.5, 1.0]] * _LIST_MIN + [[0.5]],
+    "empty rows": [[]] * _LIST_MIN,
+    "-inf inside a row": [[0.5, 1.0]] * _LIST_MIN + [[0.5, -INF]],
+    "-inf in a list": [-0.0] * _LIST_MIN + [-INF],
+    "int inside a row": [[0.5, 1.0]] * _LIST_MIN + [[0.5, 1]],
+    "tuple rows": [(0.5, 1.0)] * _LIST_MIN,
+    "rows of ints": [[1, 2]] * _LIST_MIN,
+    "sum overflows": [1e308] * _LIST_MIN,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_other_lists_fall_back_to_the_loop_and_print_as_it_does(name):
+    value = FALLBACKS[name]
+    assert _number_list(value) is None
+    assert dumps(value) == loop_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [(math.nan, "cannot serialize nan"), (INF, "cannot serialize inf")],
+)
+@pytest.mark.parametrize("where", ["list", "row"])
+def test_nan_or_inf_in_the_second_list_raises_as_the_loop_does(bad, message, where):
+    first = [0.5] * _LIST_MIN
+    second = [0.25] * _LIST_MIN + [bad, -INF, math.nan]
+    if where == "row":
+        first, second = [first] * _LIST_MIN, [first] * 3 + [second[-4:] + [0.5] * 4]
+    doc = {"a": first, "b": second}
+    for fn in (dumps, loop_dumps):
+        with pytest.raises(ValueError) as info:
+            fn(doc)
+        assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
 # witnesses written from their columns
 
 
@@ -247,7 +337,6 @@ def plain_witnesses(blocks):
     return out
 
 
-INF = math.inf
 BLOCKS = {
     "one index, fixed detail": [block("target", [[3], [0]], [0.5, 2.0], "surplus [0, 1]")],
     "two indices, per-witness detail": [
@@ -396,6 +485,46 @@ def test_a_slack_of_inf_or_nan_raises_as_a_float_does(slacks, message):
         with pytest.raises(ValueError) as info:
             fn(arg)
         assert str(info.value) == message
+
+
+def choice_blocks(n):
+    """Blocks of n witnesses for the template path: kinds and details
+    picked per witness, and slacks with -inf among them."""
+    rng = np.random.default_rng(n)
+    slack = rng.choice([-INF, 0.5, -0.0, 5e-324, 1e17, 0.1], size=n)
+    slack[n // 2] = -INF
+    index = random_index(rng, n, 2)
+    kind = text(("tie%.0s", "€ %d", "%%%.0s"), index[:, 0], choice=rng.integers(0, 3, size=n))
+    detail = text(("type %d prefers %.17g", "\x00 %d \"%.6g\""), index[:, 1], slack,
+                  choice=rng.integers(0, 2, size=n))
+    return [block(kind, index, slack, detail), block("pair", index[:, :1], slack[::-1], "fixed %")]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, _TEXT_CHUNK])
+@pytest.mark.parametrize("n", [1, 7, _VECTOR_MIN + 5])
+def test_template_blocks_print_as_their_witness_dicts_in_chunks(monkeypatch, chunk, n):
+    monkeypatch.setattr("elicit.jsonio._TEXT_CHUNK", chunk)
+    blocks = choice_blocks(n)
+    report = CheckReport(WitnessColumns(blocks), {"tol": 1e-9})
+    reference = CheckReport(plain_witnesses(blocks), {"tol": 1e-9})
+    assert dumps(report.to_obj()) == report_text(reference)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, _TEXT_CHUNK])
+def test_the_first_inf_or_nan_in_witness_order_raises_in_every_chunk(monkeypatch, chunk):
+    monkeypatch.setattr("elicit.jsonio._TEXT_CHUNK", chunk)
+    for first, second, message in ((math.nan, INF, "cannot serialize nan"), (INF, math.nan, "cannot serialize inf")):
+        for at in (0, 4, 9):
+            (kind, index, slack, detail), _ = choice_blocks(12)
+            slack = slack.copy()
+            slack[at], slack[-1] = first, second
+            blocks = [block("pair", [[0, 1]], [-INF], "fine"), (kind, index, slack, detail)]
+            report = CheckReport(WitnessColumns(blocks), {"tol": 1e-9})
+            reference = CheckReport(plain_witnesses(blocks), {"tol": 1e-9})
+            for fn, arg in ((dumps, report.to_obj()), (report_text, reference)):
+                with pytest.raises(ValueError) as info:
+                    fn(arg)
+                assert str(info.value) == message
 
 
 def test_one_witness_blocks_print_as_their_dicts_and_a_plain_witness_is_not_written():
