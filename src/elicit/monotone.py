@@ -5,10 +5,13 @@ of subgradients of some convex function exactly when it is cyclically
 monotone, so each checker here either certifies the condition or
 returns a concrete counterexample: a violating pair, a positive-weight
 cycle, or a local truthfulness failure.  Weak and cyclic monotonicity
-read one weight matrix, :func:`cmon_weights`, and so does
+read one weight matrix, formed by one product in the layout of the
+Bellman-Ford kernel (``_cmon_weights``), and so does
 ``properties.check_wmon_cells``, the weak check over labeled cells;
-:func:`check_cmon` and the searches of ``payments`` take it laid out in
-place for the Bellman-Ford kernel (``_cmon_graph``).
+:func:`check_cmon` and the searches of ``payments`` hand it to the
+kernel as it is (``_cmon_graph``), and :func:`cmon_weights` returns its
+transpose.  Only ``payments.check_revenue_equivalence`` transposes it in
+place, for its reversed graph.
 The weak checks and :func:`check_local_truthful` form their pair values
 (w[i, j] + w[j, i], the larger gain of a pair, the distances) a block of
 rows at a time over the pairs i < j, with ``core._scan_pairs``, so each
@@ -57,39 +60,63 @@ __all__ = [
 def cmon_weights(ts: TypeSpace, fam: LinearFamily) -> np.ndarray:
     """Complete-digraph edge weights w[i, j] = d_i . (t_j - t_i).
 
-    Finite types and functionals can still give weights, or sums of
-    weights along a path or cycle of at most m edges, beyond the float
+    The transpose, a view, of the array ``_cmon_weights`` forms in the
+    kernel's layout, so it holds the same floats as every cmon caller
+    reads.  Finite types and functionals can still give weights, or sums
+    of weights along a path or cycle of at most m edges, beyond the float
     range; those raise ``ValueError`` instead of a numpy warning, and so
     do more than ``core.MAX_MATRIX_CELLS`` weights, before any is formed."""
     fam.check_aligned(ts)
-    return _cmon_weights(ts.points, fam.vectors)
+    return _cmon_weights(ts.points, fam.vectors).T
 
 
 def _cmon_weights(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """:func:`cmon_weights` on aligned arrays, whose points may repeat."""
+    """The cmon weights of aligned arrays, whose points may repeat, in the
+    layout :func:`longest_paths` reads: ``wt[v, u] = d_u . (t_v - t_u)``,
+    the weight of edge u -> v, with a zero diagonal.  One product
+    ``points @ vectors.T`` forms every cmon weight, and its diagonal is
+    subtracted along the columns in place.  (``vectors @ points.T`` is
+    not bitwise its transpose at every shape, so each caller reads this
+    one.)
+
+    The weights are scanned for overflow, a sum of m of them beyond the
+    float range, only when the bound 4 m max|t| max_u ||d_u||_1 is not
+    finite.  When it is, no such sum is: a product formed in any order,
+    with or without fused multiply-adds, has |fl(d . t)| <= (1 +
+    gamma_dim) ||d||_1 max|t| (Higham, *Accuracy and Stability*, 2nd ed.,
+    section 3.1), with gamma_dim = dim u / (1 - dim u) < 1, and the
+    subtraction at most doubles the larger of its terms, so m |w| <=
+    (1 + gamma_dim) / 2 of the bound, a margin that rounding the bound
+    in floats cannot use up.  Nor is a weight nan, as the inputs are
+    then finite.  The scan raises the message it always did."""
     m = len(vectors)
     _require_cells(m, len(points), f"the cmon weights of {m} types")
     with np.errstate(over="ignore", invalid="ignore"):
-        w = vectors @ points.T
-        w -= np.diag(w).copy()[:, None]
-        _require_summable(w, m, "cmon weights d_i . (t_j - t_i), summed over up to m edges,")
-    return w
+        wt = points @ vectors.T
+        wt -= wt.diagonal().copy()  # wt[v, u] -= d_u . t_u
+        bound = 4.0 * m * np.abs(points).max(initial=0.0)
+        bound *= np.abs(vectors).sum(axis=1).max(initial=0.0)
+        if not bound < np.inf:
+            _require_summable(wt, m, "cmon weights d_i . (t_j - t_i), summed over up to m edges,")
+    return wt
 
 
 class _Transposed(NamedTuple):
     """Weights in the layout :func:`longest_paths` reads, which takes them
     as they are, with no copy: ``wt[v, u]`` is the weight of edge u -> v,
-    finite or ``-inf``, and the diagonal is ``-inf``.  The caller owns the
-    array and may reuse it once the kernel has returned."""
+    finite or ``-inf``, and the diagonal is ``-inf``.  ``_cmon_weights``
+    forms the cmon weights in this layout.  The caller owns the array and
+    may reuse it once the kernel has returned."""
 
     wt: np.ndarray
 
 
 def _cmon_graph(ts: TypeSpace, fam: LinearFamily) -> _Transposed:
-    """:func:`cmon_weights`, bitwise, laid out in place for the kernel: the
-    one m x m array of ``check_cmon`` and of the searches of ``payments``."""
-    wt = cmon_weights(ts, fam)
-    _transpose(wt)
+    """The one m x m array of ``check_cmon`` and of the searches of
+    ``payments``: ``_cmon_weights`` with a ``-inf`` diagonal, bitwise
+    ``cmon_weights(ts, fam).T`` off the diagonal."""
+    fam.check_aligned(ts)
+    wt = _cmon_weights(ts.points, fam.vectors)
     np.fill_diagonal(wt, -np.inf)
     return _Transposed(wt)
 
@@ -97,7 +124,8 @@ def _cmon_graph(ts: TypeSpace, fam: LinearFamily) -> _Transposed:
 def _transpose(square: np.ndarray) -> None:
     """Transpose a square array in place, a tile of at most
     ``core._BLOCK_CELLS`` cells at a time: the layout of the reversed
-    graph is that of the graph transposed back.  The tiles are of equal
+    graph, which ``payments.check_revenue_equivalence`` searches, is that
+    of the graph transposed back.  The tiles are of equal
     side, within one: at m = 220, two of 110 rather than 181 and a
     39-wide sliver, which takes longer."""
     m = len(square)
@@ -175,8 +203,8 @@ def longest_paths(
     with a ``-inf`` diagonal, from a copy it makes, so ``weights`` is left
     as it was.  Weights already in that layout, a ``_Transposed`` from
     ``_cmon_graph``, are read in place: the cmon callers (``check_cmon``
-    and the searches of ``payments``) form one m x m array per call and
-    the kernel adds none.
+    and the searches of ``payments``) form one m x m array per call, by
+    one product in this layout, and the kernel adds none.
 
     Each round reads ``wt`` in the columns u of the active nodes only:
     those whose ``dist`` changed in the round before, and at the start
@@ -432,14 +460,16 @@ def _cycle_weight(weights: np.ndarray, cycle: Sequence[int]) -> float:
 def check_wmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> CheckReport:
     """Weak monotonicity: d_t(t'-t) + d_{t'}(t-t') <= tol per pair."""
     require_positive(tol)
-    return _wmon_report(cmon_weights(ts, fam), tol, "weak monotonicity violated")
+    fam.check_aligned(ts)
+    return _wmon_report(_cmon_weights(ts.points, fam.vectors), tol, "weak monotonicity violated")
 
 
 def _wmon_report(w: np.ndarray, tol: float, detail, labels=None) -> CheckReport:
-    """Weak monotonicity on the weights ``w``: the pairs i < j (of
-    different ``labels``, if given) whose w[i, j] + w[j, i] exceeds
-    ``tol``.  With ``labels`` the witness ``detail`` is a %-template of
-    the pair's two labels."""
+    """Weak monotonicity on the weights ``w``, in either layout (the cmon
+    callers pass ``_cmon_weights``): the pairs i < j (of different
+    ``labels``, if given) whose w[i, j] + w[j, i] exceeds ``tol``, a sum
+    that adds the same two floats in both.  With ``labels`` the witness
+    ``detail`` is a %-template of the pair's two labels."""
 
     def block(lo, hi):
         pair = w[lo:hi, lo:] + w[lo:, lo:hi].T

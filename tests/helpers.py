@@ -61,7 +61,7 @@ def brute_force_cmon(ts: TypeSpace, fam: LinearFamily, tol=1e-9):
     pts = ts.points
     vecs = fam.vectors
     m = len(pts)
-    w = vecs @ pts.T - np.einsum("ij,ij->i", vecs, pts)[:, None]
+    w = (pts @ vecs.T).T - np.einsum("ij,ij->i", vecs, pts)[:, None]  # d_a . (t_b - t_a)
     worst = -np.inf
     for size in range(2, m + 1):
         for subset in combinations(range(m), size):
@@ -304,12 +304,12 @@ def loop_check_wmon_cells(sites, sample, tol):
     """The weak-monotonicity loop on p_label, over pairs of different labels."""
     pts, labels = sample.points, sample.labels
     site_of = np.asarray(sites, dtype=float)[labels]
-    inner = site_of @ pts.T  # inner[a, b] = p_la . t_b, as cmon_weights takes it
+    inner = pts @ site_of.T  # inner[b, a] = t_b . p_la, the one product of the cmon weights
     out = []
     for a in range(len(sample)):
         for b in range(a + 1, len(sample)):
             la, lb = int(labels[a]), int(labels[b])
-            slack = (inner[a, b] - inner[a, a]) + (inner[b, a] - inner[b, b])
+            slack = (inner[a, b] - inner[b, b]) + (inner[b, a] - inner[a, a])
             if la != lb and slack > tol:
                 out.append(
                     Witness("pair", (a, b), float(slack), f"labels ({la}, {lb}) break monotonicity")

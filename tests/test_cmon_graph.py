@@ -1,13 +1,16 @@
 """``check_cmon``, ``rochet_payments``, ``revenue_interval`` and
-``check_revenue_equivalence`` form the cmon weights once per call, laid
-out in place for the Bellman-Ford kernel (``monotone._cmon_graph``): the
-reversed graph is the same array transposed back, and the post-check of
-``rochet_payments`` forms its payoffs in it.  Each must give bit for bit
-what searches on separately formed weights give (``helpers.separate_*``),
-at every block size, and the public ``longest_paths`` must leave its
-argument as it was.  A search from start values, the first of the two of
-``revenue_interval``, must match the column-wise kernel bit for bit, and
-the interval the per-anchor formulas of single-source searches."""
+``check_revenue_equivalence`` form the cmon weights once per call, by
+one product in the layout of the Bellman-Ford kernel
+(``monotone._cmon_graph``), whose transpose ``cmon_weights`` returns:
+the reversed graph is the same array transposed back in place, and the
+post-check of ``rochet_payments`` forms its payoffs in it.  Each must
+give bit for bit what searches on separately formed weights give
+(``helpers.separate_*``), at every block size, and the public
+``longest_paths`` must leave its argument as it was.  The pair slacks of
+``check_wmon`` are the weights of 2-cycles of the same graph.  A search
+from start values, the first of the two of ``revenue_interval``, must
+match the column-wise kernel bit for bit, and the interval the
+per-anchor formulas of single-source searches."""
 
 import functools
 import json
@@ -26,7 +29,15 @@ from elicit import (
     rochet_payments,
     revenue_interval,
 )
-from elicit.monotone import _cmon_graph, _transpose, check_cmon, cmon_weights, longest_paths
+from elicit.monotone import (
+    _cmon_graph,
+    _cycle_weight,
+    _transpose,
+    check_cmon,
+    check_wmon,
+    cmon_weights,
+    longest_paths,
+)
 from helpers import (
     columnwise_longest_paths,
     report_text,
@@ -41,8 +52,10 @@ from helpers import (
 # one tile
 CELLS = {"cell": 1, "few": 7, "ragged": 61, "default": 1 << 15, "whole": 1 << 40}
 # 190 and 600 leave a ragged last tile at 61 cells (tiles of 7) and at the
-# default (tiles of 181)
-SIZES = (1, 2, 13, 190, 600)
+# default (tiles of 181); at 220 in R^3 some products of vectors @
+# points.T round otherwise than those of points @ vectors.T, so weights
+# formed in both orientations would not match bit for bit
+SIZES = (1, 2, 13, 190, 220, 600)
 TOL = 1e-9
 
 
@@ -154,17 +167,36 @@ def test_one_graph_gives_what_separate_searches_give(monkeypatch, cells):
 
 @pytest.mark.parametrize("cells", CELLS.values(), ids=CELLS.keys())
 def test_the_graph_is_the_weights_transposed(monkeypatch, cells):
+    """The graph is the one product points @ vectors.T less its diagonal
+    along the columns, with a -inf diagonal, and ``cmon_weights`` is its
+    transpose; the reversed graph, the graph transposed in place in
+    tiles, is ``cmon_weights`` with a -inf diagonal."""
     monkeypatch.setattr("elicit.core._BLOCK_CELLS", cells)
     for m in SIZES:
         ts, families = _families(m)
-        weights = cmon_weights(ts, families["noisy"])
-        expected = weights.T.copy()
+        inner = ts.points @ families["noisy"].vectors.T
+        expected = inner - np.diag(inner)  # expected[v, u] = d_u . (t_v - t_u)
+        assert cmon_weights(ts, families["noisy"]).tobytes() == expected.T.tobytes(), m
         np.fill_diagonal(expected, -np.inf)
         wt = _cmon_graph(ts, families["noisy"]).wt
         assert wt.tobytes() == expected.tobytes(), m
         _transpose(wt)
-        np.fill_diagonal(weights, -np.inf)
-        assert wt.tobytes() == weights.tobytes(), m
+        assert wt.tobytes() == expected.T.tobytes(), m
+
+
+def test_wmon_pair_slacks_are_two_cycles_of_the_graph():
+    """At m = 257 in R^4 some products round otherwise in the two
+    orientations, yet each pair slack of ``check_wmon`` is bit for bit the
+    weight of that 2-cycle on the kernel's graph."""
+    rng = np.random.default_rng(257)
+    pts = rng.normal(size=(257, 4))
+    ts, fam = TypeSpace(pts), LinearFamily(rng.normal(size=(257, 4)))
+    weights = _cmon_graph(ts, fam).wt.T  # weights[u, v]: the edge u -> v
+    witnesses = check_wmon(ts, fam, tol=TOL).witnesses
+    assert len(witnesses) > 10_000
+    slacks = np.array([w.slack for w in witnesses])
+    cycles = np.array([_cycle_weight(weights, w.indices) for w in witnesses])
+    assert slacks.tobytes() == cycles.tobytes()
 
 
 def test_longest_paths_leaves_its_argument_as_it_was():

@@ -10,19 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elicit import (
+    LabeledSample,
     LinearFamily,
     ScoreTable,
     SquaredNorm,
     TypeSpace,
     check_cmon,
     check_local_truthful,
+    check_revenue_equivalence,
     check_truthful,
     check_wmon,
+    check_wmon_cells,
     make_direct_score,
     revenue_interval,
     rochet_payments,
     subgradient,
 )
+from elicit import monotone
 from elicit.monotone import _cmon_weights, cmon_weights, longest_paths
 from helpers import (
     brute_force_cmon,
@@ -63,13 +67,17 @@ class TestCmon:
         assert check_cmon(LINE, INCREASING).passed
 
     def test_weights_subtract_the_diagonal_in_place(self):
-        # w[i, j] = d_i . t_j - d_i . t_i, bit for bit as from a second array
+        # wt[v, u] = t_v . d_u - t_u . d_u, bit for bit as from a second
+        # array, and the public weights are its transpose; at m = 257 in
+        # R^4 some products of vecs @ pts.T round otherwise than these
         rng = np.random.default_rng(850)
-        for m, dim in [(1, 1), (7, 2), (120, 3)]:
+        for m, dim in [(1, 1), (7, 2), (120, 3), (257, 4)]:
             pts, vecs = rng.normal(size=(m, dim)), rng.normal(size=(m, dim))
-            inner = vecs @ pts.T
-            expected = inner - np.diag(inner)[:, None]
+            inner = pts @ vecs.T
+            expected = inner - np.diag(inner)[None, :]
             assert _cmon_weights(pts, vecs).tobytes() == expected.tobytes()
+            public = cmon_weights(TypeSpace(pts), LinearFamily(vecs))
+            assert public.tobytes() == expected.T.tobytes()
 
     def test_wmon_failure_shows_as_two_cycle(self):
         report = check_cmon(TWO, DECREASING)
@@ -595,12 +603,17 @@ class TestRowBlocks:
 class TestOverflowingWeights:
     """Finite types and functionals whose weights d_i . (t_j - t_i) leave
     the float range (edge 0 -> 1 weighs +inf), or whose weights are finite
-    but sum to more than the float range along a cycle."""
+    but sum to more than the float range along a cycle; and a family whose
+    bound 4 m max|t| max ||d||_1 is not finite while its weights are small,
+    so the weights are scanned and pass."""
 
     TS = TypeSpace([[1e200], [-1e200], [0.0]])
     FAMILY = LinearFamily([[-1e200], [1e200], [0.0]])
     SUM_TS = TypeSpace([[0.0], [1.0]])
     SUM_FAMILY = LinearFamily([[1e308], [-1e308]])
+    # d_0 . t_0 = d_1 . t_1 = 1 and d_0 . t_1 = d_1 . t_0 = 0: each edge weighs -1
+    WIDE_TS = TypeSpace([[1e200, 0.0], [0.0, 1e-200]])
+    WIDE_FAMILY = LinearFamily([[1e-200, 0.0], [0.0, 1e200]])
 
     @pytest.mark.parametrize(
         "call",
@@ -610,8 +623,16 @@ class TestOverflowingWeights:
             check_cmon,
             rochet_payments,
             lambda ts, fam: revenue_interval(ts, fam, anchors={0: 0.0}, target=1),
+            check_revenue_equivalence,
         ],
-        ids=["cmon_weights", "check_wmon", "check_cmon", "rochet_payments", "revenue_interval"],
+        ids=[
+            "cmon_weights",
+            "check_wmon",
+            "check_cmon",
+            "rochet_payments",
+            "revenue_interval",
+            "check_revenue_equivalence",
+        ],
     )
     @pytest.mark.parametrize("overflow", ["edge", "cycle"])
     def test_rejected_without_a_warning(self, call, overflow):
@@ -620,6 +641,30 @@ class TestOverflowingWeights:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow the float range"):
                 call(ts, fam)
+
+    def test_an_infinite_bound_scans_finite_weights_and_passes(self, monkeypatch):
+        scans = []
+        scan = monotone._require_summable
+        monkeypatch.setattr(monotone, "_require_summable", lambda *a: scans.append(scan(*a)))
+        ts, fam = self.WIDE_TS, self.WIDE_FAMILY
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cmon_weights(ts, fam).tolist() == [[0.0, -1.0], [-1.0, 0.0]]
+            assert check_wmon(ts, fam).passed and check_cmon(ts, fam).passed
+            assert check_wmon_cells(fam.vectors, LabeledSample(ts.points, [0, 1])).passed
+            for t0, surplus in [(0, [0.0, -1.0]), (1, [-1.0, 0.0])]:
+                result = rochet_payments(ts, fam, t0=t0)
+                assert result.surplus.tolist() == surplus
+                assert result.payments.tolist() == [1.0 - v for v in surplus]
+                # each surplus interval is [-1, 1]: the edges weigh -1 both ways
+                report = check_revenue_equivalence(ts, fam, t0=t0)
+                assert [(w.indices, w.slack) for w in report.witnesses] == [((1 - t0,), 2.0)]
+            interval = revenue_interval(ts, fam, anchors={1: 2.0}, target=0)
+            assert (interval.lower, interval.upper) == (1.0, 3.0)
+        assert len(scans) == 9  # one scan a call, each passing
+        # a bound that is finite scans nothing
+        check_cmon(TypeSpace([[1e150, 0.0], [0.0, 1.0]]), LinearFamily([[1e150, 0.0], [0.0, 1.0]]))
+        assert len(scans) == 9
 
     def test_overflowing_payoffs_raise_no_warning(self):
         score = ScoreTable(reports=[0, 1, 2], linear=self.FAMILY.vectors, constant=[0.0] * 3)

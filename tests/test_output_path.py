@@ -6,9 +6,13 @@ Exit 0 or 2 prints one canonical JSON line and nothing on stderr; exit
 takes a golden case, replaces one number in one of its input files with
 nan, +-inf or +-1e308 and checks that contract; the structural test
 deletes one key or item of an input file, or puts a value of the wrong
-type in its place, and checks it again.  A numpy warning would
-raise here (see ``filterwarnings`` in pyproject.toml) and fail the test,
-as would any exception escaping ``main``.
+type in its place, and checks it again.  The option test puts drawn
+text into the numeric options of a golden case: nan, infinities, zeros,
+subnormals, values at and past the ends of the float range, integers
+past int64, text that is no number, indices out of range and an anchor
+index given twice.  A numpy warning would raise here (see
+``filterwarnings`` in pyproject.toml) and fail the test, as would any
+exception escaping ``main``.
 """
 
 import contextlib
@@ -18,7 +22,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elicit import cli, jsonio
@@ -111,6 +115,116 @@ def test_one_number_made_extreme_leaves_by_one_output(workdir, data):
     argv = [str(INPUTS / a) if (INPUTS / a).is_file() else a for a in args]
     argv[k] = str(mutant)
     assert_one_output(*_run(argv))
+
+
+#: text for the real options: nan, infinities, zeros, subnormals, the
+#: ends of the float range and past them, integers past int64, no number
+REALS = [
+    "nan", "inf", "-inf", "0", "-0.0", "5e-324", "-2.2e-308", "1e308", "-1e308",
+    "1e400", "-1e400", str(2**64), str(-(2**63) - 1), "0.5", "2", "1e", "x", "",
+]
+#: text for the counts and the grid denominator: small, negative, past
+#: int64, and no integer; a count too large to form is refused at once
+WHOLES = [
+    "0", "-0", "1", "-1", "2", "5", "13", str(2**63), str(-(2**64)), "1.0", "1e400", "nan", "x", "",
+]
+#: text for the indices: the counts' and indices far out of range
+INDICES = WHOLES + ["1000", str(10**30)]
+#: the numeric options and what each reads; --p0 of homothet is a list
+OPTIONS = {
+    "--tol": REALS, "--radius": REALS, "--alpha": REALS, "--eps": REALS, "--t": REALS,
+    "--p0": REALS, "--t0": INDICES, "--target": INDICES, "--report": INDICES,
+    "--outcome": INDICES, "--outcomes": WHOLES, "--anchor": None, "--reports": None,
+}
+
+
+def _option_slots():
+    """For each numeric option, (case, position of its value or None) for
+    each golden case whose subcommand takes it: each occurrence in the
+    case's arguments, or one appended when the case gives none."""
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    out = {option: [] for option in OPTIONS}
+    for name, args in sorted(CASES.items()):
+        for option, slots in out.items():
+            if option not in commands[args[0]]._option_string_actions:
+                continue
+            given = [k + 1 for k, arg in enumerate(args) if arg == option]
+            if option == "--reports":  # only a grid has a number
+                given = [k for k in given if args[k].startswith("grid:")]
+            slots += [(name, k) for k in given or [None]]
+    return out
+
+
+OPTION_SLOTS = _option_slots()
+
+
+def _option_text(data, name, option, k):
+    """Drawn text for ``option`` of case ``name``; an anchor's index may
+    repeat another anchor's of the case."""
+    args = CASES[name]
+    if option == "--reports":
+        return "grid:" + data.draw(st.sampled_from(WHOLES))
+    if option == "--anchor":
+        others = [a.split("=")[0] for j, a in enumerate(args) if j != k and args[j - 1] == option]
+        index = data.draw(st.sampled_from(INDICES + others))
+        return f"{index}={data.draw(st.sampled_from(REALS))}"
+    if option == "--p0" and args[0] == "homothet":
+        entries = data.draw(st.lists(st.sampled_from(REALS), min_size=1, max_size=3))
+        return ",".join(entries)
+    return data.draw(st.sampled_from(OPTIONS[option]))
+
+
+def _with_option(name, k, text):
+    """The argv of case ``name`` with ``text`` in option slot ``k``."""
+    args = list(CASES[name])
+    if k is None:
+        args.append(text)
+    else:
+        args[k - 1 : k + 1] = [text]
+    return [str(INPUTS / a) if (INPUTS / a).is_file() else a for a in args]
+
+
+#: (subcommand, option) that prints its value back: given -0.0 it prints
+#: "-0", which ``json`` reads as the int 0, so the output does not survive
+#: its round trip (FOUND in CHANGES.md: ``dumps`` writes -0.0 as "-0").
+#: The fuzz leaves these draws to the strict xfail below.
+ECHOES_NEGATIVE_ZERO = {
+    ("level-convexity", "--eps"), ("myerson", "--t"), ("rev-interval", "--anchor"),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_an_option_value_at_an_edge_leaves_by_one_output(data):
+    option = data.draw(st.sampled_from(list(OPTIONS)))
+    name, k = data.draw(st.sampled_from(OPTION_SLOTS[option]))
+    command = CASES[name][0]
+    text = f"{option}={_option_text(data, name, option, k)}"  # "=" lets "-inf" through
+    assume((command, option) not in ECHOES_NEGATIVE_ZERO or not text.endswith("=-0.0"))
+    code, out, err = _run(_with_option(name, k, text))
+    if code == 1 and err.startswith(f"elicit {command}: error: argument {option}:"):
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1  # argparse's refusal
+    else:
+        assert_one_output(code, out, err)
+
+
+@pytest.mark.xfail(strict=True, reason="dumps writes -0.0 as -0, which json reads as 0")
+@pytest.mark.parametrize(
+    "name, k, text",
+    [  # every golden case whose output prints the value back
+        ("level-convexity-pass", None, "--eps=-0.0"),
+        ("level-convexity-fail", None, "--eps=-0.0"),
+        ("myerson-pass", 3, "--t=-0.0"),
+        ("rev-interval-pass", 3, "--anchor=0=-0.0"),
+        ("rev-interval-three-pass", 3, "--anchor=0=-0.0"),
+    ],
+)
+def test_a_negative_zero_option_leaves_by_one_output(name, k, text):
+    assert_one_output(*_run(_with_option(name, k, text)))
+
+
+def test_every_numeric_option_has_a_golden_case():
+    assert all(OPTION_SLOTS.values())
 
 
 def _nodes(obj, path=()):
