@@ -55,7 +55,10 @@ _PASS, _FAIL, _USAGE = 0, 2, 1
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # json recurses once per level of nesting
+            raise ValueError(f"{path} is nested too deeply to read as JSON") from None
 
 
 def _read_object(path: str) -> dict:

@@ -656,9 +656,14 @@ class ScoreTable:
         return len(self.reports)
 
     def evaluate(self, report_idx: int, t) -> float:
-        """Score of ``report_idx`` as a function of true type ``t``."""
+        """Score of ``report_idx`` as a function of true type ``t``: -inf
+        with a -inf constant, and ``ValueError`` where it overflows."""
         i, t = _index(report_idx, len(self), "report index"), _as_vector(t, "type")
-        return float(self.linear[i] @ t + self.constant[i])
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self.linear[i] @ t + self.constant[i]
+        if _overflows(value, self.constant[i]):
+            raise ValueError(f"the score of report {i} overflows the float range at {t.tolist()}")
+        return float(value)
 
     def payoff_matrix(self, ts: TypeSpace, out=None) -> np.ndarray:
         """Matrix V[r, i] = score of report r at type i, written into
@@ -673,11 +678,27 @@ class ScoreTable:
         return values
 
     def validate_regular(self, ts: TypeSpace) -> None:
-        """Gamma-regularity: the best report is finite at every type."""
-        best = self.payoff_matrix(ts).max(axis=0)
+        """Gamma-regularity: the best report is finite at every type.  A
+        payoff that overflows raises ``ValueError`` naming its report and
+        type."""
+        values = self.payoff_matrix(ts)
+        over = _overflows(values, self.constant[:, None])
+        if over.any():
+            r, i = np.unravel_index(over.argmax(), over.shape)
+            raise ValueError(
+                f"the score of report {r} overflows the float range at {ts.points[i].tolist()}"
+            )
+        best = values.max(axis=0)
         if not np.all(np.isfinite(best)):
             bad = int(np.argmin(np.isfinite(best)))
             raise ValueError(f"no finite-scoring report at type index {bad}")
+
+
+def _overflows(values, constant):
+    """Where scores ``<linear, t> + constant`` of finite linear parts and
+    types left the float range: +inf or nan, or -inf where the constant
+    is finite."""
+    return ~(values < np.inf) | ((values == -np.inf) & (constant > -np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -58,13 +58,21 @@ EQUALITY_TOL = 1e-6
 def dual_report_score(g: ConvexSpec, d, t, grid: TypeSpace) -> float:
     """Menu / market score for reporting the dual vector d: <t, d> - G*(d)."""
     d, t = _as_vector(d, "dual vector"), _as_vector(t, "type")
-    return float(t @ d) - conjugate(g, d, grid)
+    return _pairing_less(t, d, conjugate(g, d, grid), "the dual-report score <t, d> - G*(d)")
 
 
 def dual_type_score(g: ConvexSpec, t, d) -> float:
     """Score when the roles flip and d is the true object: <t, d> - G(t)."""
     d, t = _as_vector(d, "dual vector"), _as_vector(t, "type")
-    return float(t @ d) - eval_convex(g, t)
+    return _pairing_less(t, d, eval_convex(g, t), "the dual-type score <t, d> - G(t)")
+
+
+def _pairing_less(t: np.ndarray, d: np.ndarray, price: float, what: str) -> float:
+    """<t, d> - price, a finite float; ``ValueError`` naming ``what`` and
+    the type where it leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.array([t @ d - price])
+    return float(_overflow(value, what, t[None])[0])
 
 
 def biconjugate(g: ConvexSpec, t, grid: TypeSpace, duals) -> float:

@@ -3,7 +3,8 @@
 Documents are emitted with sorted keys and floats rendered at 17
 significant digits so identical invocations are byte-identical
 (golden-file friendly).  Negative infinity is encoded as the JSON
-string "-inf"; +inf and nan are rejected.
+string "-inf"; +inf and nan are rejected; -0.0 is written ``0``, as 0.0
+is.
 
 The writer, :func:`dumps`, dispatches on the exact type of each value.
 float, str, int, list, tuple and dicts whose keys are all str are
@@ -93,7 +94,7 @@ def _format_float(x: float) -> str:
         return '"-inf"'
     if math.isnan(x) or x == math.inf:
         raise ValueError(f"cannot serialize {x}")
-    return format(x, ".17g")
+    return format(x + 0.0, ".17g")  # -0.0 + 0.0 is 0.0
 
 
 #: Blocks of at least this many witnesses, all with finite slacks, are
@@ -117,7 +118,9 @@ def _witness_text(kind, index, slack, detail) -> str:
     witness's ``to_obj()`` dict would give, joined by commas.  A block of
     ``_VECTOR_MIN`` or more witnesses with finite slacks is written by
     :func:`_witness_matrix`; others by one ``%``-template per witness,
-    repeated and filled ``_TEXT_CHUNK`` witnesses at a time."""
+    repeated and filled ``_TEXT_CHUNK`` witnesses at a time.  A slack of
+    -0.0 is written ``0``."""
+    slack = slack + 0.0  # -0.0 + 0.0 is 0.0
     finite = np.isfinite(slack).all()
     if finite and len(slack) >= _VECTOR_MIN:
         return _witness_matrix(kind, index, slack, detail)
@@ -376,7 +379,8 @@ def _number_list(obj) -> str | None:
     written by one ``%``-template over its values: ``"%d" % n`` is
     ``int.__repr__(n)`` and ``"%.17g" % x`` is ``format(x, ".17g")``.
     None for any other list, and for floats whose sum overflows; the
-    per-item path writes those, and raises where it raised."""
+    per-item path writes those, and raises where it raised.  A -0.0,
+    which ``%.17g`` writes ``-0``, is written ``0``."""
     kinds = set(map(type, obj))
     if kinds == _INT_ONLY:
         return "[" + ",".join(["%d"] * len(obj)) % tuple(obj) + "]"
@@ -395,7 +399,10 @@ def _number_list(obj) -> str | None:
     total = sum(values)  # inf or nan if any value is
     if total - total != 0.0:
         return None
-    return "[" + template % tuple(values) + "]"
+    text = "[" + template % tuple(values) + "]"
+    if 0.0 in values:  # -0.0 == 0.0, and "-0" then "," or "]" is only its text
+        text = text.replace("-0,", "0,").replace("-0]", "0]")
+    return text
 
 
 def _write(obj: Any, emit, plans: dict) -> None:
@@ -403,8 +410,8 @@ def _write(obj: Any, emit, plans: dict) -> None:
     each dict seen so far in this document to its key order."""
     kind = type(obj)
     if kind is float:
-        # x - x is 0.0 for a finite float, nan for inf and nan
-        emit(format(obj, ".17g") if obj - obj == 0.0 else _format_float(obj))
+        # x - x is 0.0 for a finite float, nan for inf and nan; -0.0 + 0.0 is 0.0
+        emit(format(obj + 0.0, ".17g") if obj - obj == 0.0 else _format_float(obj))
     elif kind is str:
         emit(_encode_str(obj))
     elif kind is int:
@@ -485,8 +492,9 @@ def dumps(obj: Any) -> str:
     Accepted values and their text:
 
     - a finite float (numpy floating included): 17 significant digits,
-      ``format(x, ".17g")``; -inf: the string ``"-inf"``; +inf and nan
-      raise ``ValueError("cannot serialize inf")`` (or ``nan``);
+      ``format(x, ".17g")``, but -0.0 is written ``0``, as 0.0 is, since
+      ``-0`` reads back as an int; -inf: the string ``"-inf"``; +inf and
+      nan raise ``ValueError("cannot serialize inf")`` (or ``nan``);
     - an int (numpy integer included): its decimal digits, any size;
     - True/False (numpy bool included): ``true``/``false``; None: ``null``;
     - a str: ASCII text with every other character escaped, as

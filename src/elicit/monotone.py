@@ -10,8 +10,9 @@ Bellman-Ford kernel (``_cmon_weights``), and so does
 ``properties.check_wmon_cells``, the weak check over labeled cells;
 :func:`check_cmon` and the searches of ``payments`` hand it to the
 kernel as it is (``_cmon_graph``), and :func:`cmon_weights` returns its
-transpose.  Only ``payments.check_revenue_equivalence`` transposes it in
-place, for its reversed graph.
+transpose.  The reversed graph, which ``payments.check_revenue_equivalence``
+searches, is the graph of the swapped family, types and functionals
+exchanged, up to a potential, so no array is transposed in place.
 The weak checks and :func:`check_local_truthful` form their pair values
 (w[i, j] + w[j, i], the larger gain of a pair, the distances) a block of
 rows at a time over the pairs i < j, with ``core._scan_pairs``, so each
@@ -20,7 +21,6 @@ holds its one weight or payoff matrix and a few blocks.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -111,38 +111,14 @@ class _Transposed(NamedTuple):
     wt: np.ndarray
 
 
-def _cmon_graph(ts: TypeSpace, fam: LinearFamily) -> _Transposed:
-    """The one m x m array of ``check_cmon`` and of the searches of
-    ``payments``: ``_cmon_weights`` with a ``-inf`` diagonal, bitwise
-    ``cmon_weights(ts, fam).T`` off the diagonal."""
-    fam.check_aligned(ts)
-    wt = _cmon_weights(ts.points, fam.vectors)
+def _cmon_graph(points: np.ndarray, vectors: np.ndarray) -> _Transposed:
+    """The one m x m array of ``check_cmon`` and of each search of
+    ``payments``: ``_cmon_weights`` of aligned arrays, whose points may
+    repeat, with a ``-inf`` diagonal; for ``ts.points`` and
+    ``fam.vectors``, bitwise ``cmon_weights(ts, fam).T`` off it."""
+    wt = _cmon_weights(points, vectors)
     np.fill_diagonal(wt, -np.inf)
     return _Transposed(wt)
-
-
-def _transpose(square: np.ndarray) -> None:
-    """Transpose a square array in place, a tile of at most
-    ``core._BLOCK_CELLS`` cells at a time: the layout of the reversed
-    graph, which ``payments.check_revenue_equivalence`` searches, is that
-    of the graph transposed back.  The tiles are of equal
-    side, within one: at m = 220, two of 110 rather than 181 and a
-    39-wide sliver, which takes longer."""
-    m = len(square)
-    side = max(1, math.isqrt(core._BLOCK_CELLS))
-    if m > side:
-        side = -(-m // -(-m // side))
-    spare = np.empty(min(side, m) ** 2)
-    for lo in range(0, m, side):
-        hi = min(lo + side, m)
-        for lo2 in range(lo, m, side):
-            hi2 = min(lo2 + side, m)
-            tile, mirror = square[lo:hi, lo2:hi2], square[lo2:hi2, lo:hi]
-            saved = spare[: tile.size].reshape(tile.shape)
-            np.copyto(saved, tile)
-            if lo2 > lo:  # a tile on the diagonal is its own mirror
-                np.copyto(tile, mirror.T)
-            np.copyto(mirror, saved.T)
 
 
 #: The predecessor graph is first searched for cycles after this many
@@ -203,8 +179,8 @@ def longest_paths(
     with a ``-inf`` diagonal, from a copy it makes, so ``weights`` is left
     as it was.  Weights already in that layout, a ``_Transposed`` from
     ``_cmon_graph``, are read in place: the cmon callers (``check_cmon``
-    and the searches of ``payments``) form one m x m array per call, by
-    one product in this layout, and the kernel adds none.
+    and the searches of ``payments``) form each m x m array they search
+    by one product in this layout, and the kernel adds none.
 
     Each round reads ``wt`` in the columns u of the active nodes only:
     those whose ``dist`` changed in the round before, and at the start
@@ -491,7 +467,8 @@ def check_cmon(ts: TypeSpace, fam: LinearFamily, tol: float = DEFAULT_TOL) -> Ch
     Bellman-Ford relaxation rounds run (see :func:`longest_paths`).
     """
     require_positive(tol)
-    res = longest_paths(_cmon_graph(ts, fam), source=None, tol=tol)
+    fam.check_aligned(ts)
+    res = longest_paths(_cmon_graph(ts.points, fam.vectors), source=None, tol=tol)
     info = {"tol": tol, "rounds": res.rounds}
     if res.cycle is None:
         return CheckReport(WitnessColumns(), info)

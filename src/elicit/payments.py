@@ -30,9 +30,10 @@ from .core import (
     _gain_scan,
     _index,
     _number,
+    _overflow,
     require_positive,
 )
-from .monotone import LongestPathResult, _cmon_graph, _transpose, _Transposed, longest_paths
+from .monotone import LongestPathResult, _cmon_graph, _Transposed, longest_paths
 
 __all__ = [
     "StepAllocation",
@@ -143,7 +144,7 @@ def rochet_payments(
     require_positive(tol)
     fam.check_aligned(ts)
     t0 = _index(t0, len(ts), "base type")
-    graph = _cmon_graph(ts, fam)
+    graph = _cmon_graph(ts.points, fam.vectors)
     surplus = _paths_from(graph, t0, tol).dist
     own = np.einsum("ij,ij->i", fam.vectors, ts.points)
     payments = own - surplus
@@ -216,7 +217,7 @@ def revenue_interval(
     anchors = {_index(k, len(ts), "anchor index"): v for k, v in anchors.items()}
     anchors = {i: _number(v, f"anchor {i}") for i, v in anchors.items()}
     target = _index(target, len(ts), "target")
-    graph = _cmon_graph(ts, fam)
+    graph = _cmon_graph(ts.points, fam.vectors)
     least = _paths_from(graph, anchors, tol)
     for s2, vs2 in anchors.items():
         if least.dist[s2] > vs2 + tol:
@@ -242,14 +243,24 @@ def check_revenue_equivalence(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Revenue equivalence holds iff pinning the surplus at one type pins
-    it everywhere; witnesses are targets whose interval has width > tol."""
+    it everywhere; witnesses are targets whose interval has width > tol.
+
+    The interval at x runs from the longest path t0 -> x up to minus the
+    longest path x -> t0.  The latter is read off the swapped family,
+    types d and functionals t, whose edge u -> v weighs t_u . (d_v - d_u)
+    = w(v -> u) + phi(v) - phi(u), phi(x) = <t_x, d_x>: its longest path
+    t0 -> x weighs phi(x) - phi(t0) more.  A positive cycle its search
+    finds is raised in its order on the swapped graph: reversed, it is a
+    cycle of the family's graph of the same exact weight."""
     require_positive(tol)
     fam.check_aligned(ts)
     t0 = _index(t0, len(ts), "base type")
-    graph = _cmon_graph(ts, fam)
-    lower = _paths_from(graph, t0, tol).dist
-    _transpose(graph.wt)  # the reversed graph
-    upper = -_paths_from(graph, t0, tol).dist  # longest paths target -> t0
+    lower = _paths_from(_cmon_graph(ts.points, fam.vectors), t0, tol).dist
+    swapped = _paths_from(_cmon_graph(fam.vectors, ts.points), t0, tol).dist
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.einsum("ij,ij->i", fam.vectors, ts.points)
+        shift = phi - phi[t0]
+    upper = _overflow(shift, "the potential shift <t, d> - <t0, d0>", ts.points) - swapped
     width = upper - lower  # <= 0 at t0: both of its paths to itself weigh >= 0
     wide = np.flatnonzero(width > tol)
     detail = ("surplus interval [%.6g, %.6g]", (lower[wide], upper[wide]))

@@ -172,18 +172,32 @@ def loop_check_truthful(score, ts, tol):
     return CheckReport(out, {"tol": tol, "min_slack": min_slack})
 
 
+def swapped_cmon_weights(ts, fam):
+    """w'[u, v] = t_u . (d_v - d_u), the cmon weights of the swapped
+    family, types ``fam.vectors`` (which may repeat) and functionals
+    ``ts.points``: one product less its diagonal, as ``cmon_weights``
+    forms the family's own."""
+    inner = fam.vectors @ ts.points.T  # inner[v, u] = d_v . t_u
+    return (inner - np.diag(inner)).T
+
+
 def loop_check_revenue_equivalence(ts, fam, t0, tol, paths=None):
     """The target loop ``check_revenue_equivalence`` had, on the library's
     longest paths (the families here are implementable).  ``paths``, when
-    given, stands for the two path arrays: from t0, and to t0."""
-    weights = cmon_weights(ts, fam)
-    fwd, bwd = paths or (longest_paths(w, source=t0, tol=tol).dist for w in (weights, weights.T))
+    given, stands for the two path arrays from t0: on the family's graph,
+    and on the swapped family's, whose path t0 -> x weighs phi(x) - phi(t0)
+    more than the path x -> t0 it reverses, phi(x) = <t_x, d_x>."""
+    if paths is None:
+        graphs = (cmon_weights(ts, fam), swapped_cmon_weights(ts, fam))
+        paths = [longest_paths(w, source=t0, tol=tol).dist for w in graphs]
+    fwd, swapped = paths
+    phi = np.einsum("ij,ij->i", fam.vectors, ts.points)
     witnesses = []
     for target in range(len(ts)):
         if target == t0:
             continue
         lower = fwd[target]
-        upper = -bwd[target]  # longest path target -> t0, reversed graph
+        upper = (phi[target] - phi[t0]) - swapped[target]  # minus the longest path target -> t0
         width = float(upper - lower)
         if width > tol:
             witnesses.append(
@@ -198,9 +212,9 @@ def loop_check_revenue_equivalence(ts, fam, t0, tol, paths=None):
 # formed for it alone, which the kernel copies transposed
 
 
-def _separate_paths(ts, fam, source, tol, reverse=False):
-    weights = cmon_weights(ts, fam)
-    res = longest_paths(weights.T if reverse else weights, source=source, tol=tol)
+def _separate_paths(ts, fam, source, tol, swapped=False):
+    weights = swapped_cmon_weights(ts, fam) if swapped else cmon_weights(ts, fam)
+    res = longest_paths(weights, source=source, tol=tol)
     if res.cycle is not None:
         raise NotImplementableError(res.cycle, res.cycle_weight)
     return res.dist
@@ -265,8 +279,8 @@ def separate_check_revenue_equivalence(ts, fam, t0, tol):
     if not 0 <= t0 < len(ts):
         raise ValueError(f"base type must be in [0, {len(ts)}), got {t0}")
     fwd = _separate_paths(ts, fam, t0, tol)
-    bwd = _separate_paths(ts, fam, t0, tol, reverse=True)
-    return loop_check_revenue_equivalence(ts, fam, t0, tol, (fwd, bwd))
+    swapped = _separate_paths(ts, fam, t0, tol, swapped=True)
+    return loop_check_revenue_equivalence(ts, fam, t0, tol, (fwd, swapped))
 
 
 def loop_check_local_truthful(score, ts, report_of, radius, tol):
@@ -662,7 +676,7 @@ def _loop_format_float(x: float) -> str:
         return '"-inf"'
     if math.isnan(x) or x == math.inf:
         raise ValueError(f"cannot serialize {x}")
-    return format(x, ".17g")
+    return "0" if x == 0.0 else format(x, ".17g")  # -0.0 too
 
 
 def _loop_write(obj, out: list) -> None:

@@ -734,6 +734,15 @@ class TestInputErrors:
             ["check-truthful", path], capsys, "score table must be a JSON object"
         )
 
+    def test_deeply_nested_json_is_a_one_line_error(self, tmp_path, capsys):
+        # 6 KB of points nested 3000 deep: json's decoder recurses once a
+        # level and raised RecursionError, which main printed as a traceback
+        path = tmp_path / "deep.json"
+        path.write_text('{"typeSpace": {"points": ' + "[" * 3000 + "]" * 3000 + '}, "family": []}')
+        self.assert_usage_error(
+            ["check-wmon", str(path)], capsys, f"{path} is nested too deeply to read as JSON"
+        )
+
     def test_missing_key_is_named(self, tmp_path, capsys):
         path = write(tmp_path, "doc.json", {"typeSpace": {"dim": 1, "points": [[0.0], [1.0]]}})
         self.assert_usage_error(["check-truthful", path], capsys, "missing key 'score'")

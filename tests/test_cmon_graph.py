@@ -1,19 +1,24 @@
 """``check_cmon``, ``rochet_payments``, ``revenue_interval`` and
-``check_revenue_equivalence`` form the cmon weights once per call, by
-one product in the layout of the Bellman-Ford kernel
-(``monotone._cmon_graph``), whose transpose ``cmon_weights`` returns:
-the reversed graph is the same array transposed back in place, and the
-post-check of ``rochet_payments`` forms its payoffs in it.  Each must
-give bit for bit what searches on separately formed weights give
-(``helpers.separate_*``), at every block size, and the public
-``longest_paths`` must leave its argument as it was.  The pair slacks of
-``check_wmon`` are the weights of 2-cycles of the same graph.  A search
-from start values, the first of the two of ``revenue_interval``, must
-match the column-wise kernel bit for bit, and the interval the
-per-anchor formulas of single-source searches."""
+``check_revenue_equivalence`` form each graph they search by one product
+in the layout of the Bellman-Ford kernel (``monotone._cmon_graph``),
+whose transpose ``cmon_weights`` returns.  The post-check of
+``rochet_payments`` forms its payoffs in the same array, and the second
+search of ``check_revenue_equivalence`` runs on the swapped family's
+graph, types and functionals exchanged: the reversed graph up to the
+potential <t, d>.  Each must give bit for bit what searches on
+separately formed weights give (``helpers.separate_*``), at every block
+size, and the public ``longest_paths`` must leave its argument as it
+was.  The swapped family's upper bounds must match the reversed graph's
+within a proven rounding bound, and the cycles of either graph,
+reversed, must be cycles of the other of the same exact weight.  The
+pair slacks of ``check_wmon`` are the weights of 2-cycles of the same
+graph.  A search from start values, the first of the two of
+``revenue_interval``, must match the column-wise kernel bit for bit, and
+the interval the per-anchor formulas of single-source searches."""
 
 import functools
 import json
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -31,8 +36,8 @@ from elicit import (
 )
 from elicit.monotone import (
     _cmon_graph,
+    _cycle_nodes,
     _cycle_weight,
-    _transpose,
     check_cmon,
     check_wmon,
     cmon_weights,
@@ -45,35 +50,38 @@ from helpers import (
     separate_check_revenue_equivalence,
     separate_revenue_interval,
     separate_rochet_payments,
+    swapped_cmon_weights,
 )
 
-# one cell per block, so tiles of one cell; 7 cells, tiles of 2; 61
-# cells, tiles of 7; the default; and the whole matrix in one block and
-# one tile
+# kernel blocks of one cell, so one row at a time; of 7 and of 61 cells,
+# a few rows or one at a time; the default; and the whole matrix in one
+# block
 CELLS = {"cell": 1, "few": 7, "ragged": 61, "default": 1 << 15, "whole": 1 << 40}
-# 190 and 600 leave a ragged last tile at 61 cells (tiles of 7) and at the
-# default (tiles of 181); at 220 in R^3 some products of vectors @
-# points.T round otherwise than those of points @ vectors.T, so weights
-# formed in both orientations would not match bit for bit
+# 190 and 600 leave a ragged last block at the default (a full round in
+# blocks of 172 and 54 rows); at 220 in R^3 some products of vectors @
+# points.T round otherwise than those of points @ vectors.T, so the
+# swapped family's graph is not bitwise the reversed one
 SIZES = (1, 2, 13, 190, 220, 600)
 TOL = 1e-9
 
 
-def _families(m):
+@functools.lru_cache(maxsize=None)
+def _families(m, dim=3):
     """A gradient, a 12-piece max-affine selection (both pass), a noisy
-    gradient that fails, and a rotation, d_i = (-y_i, x_i, 0), whose
+    gradient that fails, and a rotation, d_i = (-y_i, x_i, 0, ...), whose
     pairs weigh 0 and whose cycles of three or more types can weigh more
-    (an edge's weight is not that of its reverse), on m types in R^3."""
+    (an edge's weight is not that of its reverse), on m types in R^dim.
+    Cached: callers must not change what it returns."""
     rng = np.random.default_rng(700 + m)
-    pts = rng.uniform(-1, 1, size=(m, 3))
-    g = MaxAffine(rng.normal(size=(12, 3)), rng.uniform(-0.5, 0.5, size=12))
+    pts = rng.uniform(-1, 1, size=(m, dim))
+    g = MaxAffine(rng.normal(size=(12, dim)), rng.uniform(-0.5, 0.5, size=12))
     pieces = (pts @ g.slopes.T + g.intercepts).argmax(axis=1)
-    noisy = 2.0 * pts + rng.normal(scale=0.5, size=(m, 3))
+    noisy = 2.0 * pts + rng.normal(scale=0.5, size=(m, dim))
     families = {
         "gradient": LinearFamily(2.0 * pts),
         "max-affine": LinearFamily(g.slopes[pieces]),
         "noisy": LinearFamily(noisy),
-        "rotation": LinearFamily(np.column_stack((-pts[:, 1], pts[:, 0], np.zeros(m)))),
+        "rotation": LinearFamily(np.column_stack((-pts[:, 1], pts[:, 0], np.zeros((m, dim - 2))))),
     }
     return TypeSpace(pts), families
 
@@ -112,7 +120,7 @@ def _cases():
         if m >= 190:  # fewer calls where one-cell tiles and blocks are slow
             sources, targets = [last], [m // 2]
         if m == 600:  # one call of each kind, and no max-affine family
-            del families["max-affine"]
+            families = {kind: fam for kind, fam in families.items() if kind != "max-affine"}
             anchor_sets, nowhere = anchor_sets[:1], []
         for kind, fam in families.items():
             calls = {
@@ -166,11 +174,11 @@ def test_one_graph_gives_what_separate_searches_give(monkeypatch, cells):
 
 
 @pytest.mark.parametrize("cells", CELLS.values(), ids=CELLS.keys())
-def test_the_graph_is_the_weights_transposed(monkeypatch, cells):
+def test_the_graph_is_cmon_weights_in_the_kernels_layout(monkeypatch, cells):
     """The graph is the one product points @ vectors.T less its diagonal
     along the columns, with a -inf diagonal, and ``cmon_weights`` is its
-    transpose; the reversed graph, the graph transposed in place in
-    tiles, is ``cmon_weights`` with a -inf diagonal."""
+    transpose; the swapped family's graph, whose points repeat on the
+    max-affine family, is ``helpers.swapped_cmon_weights`` transposed."""
     monkeypatch.setattr("elicit.core._BLOCK_CELLS", cells)
     for m in SIZES:
         ts, families = _families(m)
@@ -178,10 +186,12 @@ def test_the_graph_is_the_weights_transposed(monkeypatch, cells):
         expected = inner - np.diag(inner)  # expected[v, u] = d_u . (t_v - t_u)
         assert cmon_weights(ts, families["noisy"]).tobytes() == expected.T.tobytes(), m
         np.fill_diagonal(expected, -np.inf)
-        wt = _cmon_graph(ts, families["noisy"]).wt
+        wt = _cmon_graph(ts.points, families["noisy"].vectors).wt
         assert wt.tobytes() == expected.tobytes(), m
-        _transpose(wt)
-        assert wt.tobytes() == expected.T.tobytes(), m
+        for fam in families.values():
+            swapped = swapped_cmon_weights(ts, fam).T.copy()
+            np.fill_diagonal(swapped, -np.inf)
+            assert _cmon_graph(fam.vectors, ts.points).wt.tobytes() == swapped.tobytes(), m
 
 
 def test_wmon_pair_slacks_are_two_cycles_of_the_graph():
@@ -191,12 +201,144 @@ def test_wmon_pair_slacks_are_two_cycles_of_the_graph():
     rng = np.random.default_rng(257)
     pts = rng.normal(size=(257, 4))
     ts, fam = TypeSpace(pts), LinearFamily(rng.normal(size=(257, 4)))
-    weights = _cmon_graph(ts, fam).wt.T  # weights[u, v]: the edge u -> v
+    weights = _cmon_graph(ts.points, fam.vectors).wt.T  # weights[u, v]: the edge u -> v
     witnesses = check_wmon(ts, fam, tol=TOL).witnesses
     assert len(witnesses) > 10_000
     slacks = np.array([w.slack for w in witnesses])
     cycles = np.array([_cycle_weight(weights, w.indices) for w in witnesses])
     assert slacks.tobytes() == cycles.tobytes()
+
+
+def _exact_cycle_weight(points, vectors, cycle):
+    """The weight of ``cycle`` on the cmon graph of aligned ``points`` and
+    ``vectors``: d_u . (t_v - t_u) over its edges u -> v, summed in
+    ``Fraction``s of the given floats, with no rounding."""
+    total = Fraction(0)
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        for d, tu, tv in zip(vectors[u].tolist(), points[u].tolist(), points[v].tolist()):
+            total += Fraction(d) * (Fraction(tv) - Fraction(tu))
+    return total
+
+
+@pytest.mark.parametrize("m, dim", [(m, 3) for m in SIZES] + [(257, 4)])
+def test_the_swapped_family_has_the_reversed_cycles(m, dim):
+    """The swapped family (d, t) weighs an edge u -> v as the family
+    (t, d) weighs v -> u, plus phi(v) - phi(u) with phi(x) = <t_x, d_x>,
+    which sums to 0 around a cycle.  So each cycle the kernel reports on
+    either graph, reversed, is a cycle of the other of the same exact
+    weight, and the two graphs give the same verdict at ``TOL``, also at
+    m = 220 in R^3 and 257 in R^4, where the two products round
+    otherwise."""
+    ts, families = _families(m, dim)
+    verdicts = set()
+    for kind, fam in families.items():
+        graphs = {"family": (ts.points, fam.vectors), "swapped": (fam.vectors, ts.points)}
+        cycles = {
+            name: longest_paths(_cmon_graph(*arrays), source=None, tol=TOL).cycle
+            for name, arrays in graphs.items()
+        }
+        verdicts.add((kind, cycles["family"] is None))
+        assert (cycles["family"] is None) == (cycles["swapped"] is None), kind
+        for name, other in (("family", "swapped"), ("swapped", "family")):
+            cycle = cycles[name]
+            if cycle is not None:
+                assert len(set(cycle)) == len(cycle) >= 2, (kind, name)
+                weight = _exact_cycle_weight(*graphs[name], cycle)
+                assert weight > 0, (kind, name)
+                assert _exact_cycle_weight(*graphs[other], cycle[::-1]) == weight, (kind, name)
+    if m >= 13:
+        assert verdicts == {("gradient", True), ("max-affine", True), ("noisy", False), ("rotation", False)}
+
+
+def _check_premises(weights, res, t0, tol):
+    """What the bound of ``test_upper_bounds_match_the_reversed_graph``
+    assumes of a search from ``t0`` on ``weights``: (P1) no edge relaxes,
+    fl(D(a) + W(a, b)) <= fl(D(b) + eps) for all a != b, the kernel's own
+    test; (P2) D(t0) = 0, and the predecessors of the other nodes form
+    chains without a cycle that end at t0, each D(x) at most
+    fl(D(p) + W(p, x)) for its predecessor p."""
+    m = len(res.dist)
+    dist, pred, eps = res.dist, res.pred, tol / max(1, 4 * m)
+    cand = dist[:, None] + np.where(np.eye(m, dtype=bool), -np.inf, weights)
+    assert (cand.max(axis=0) <= dist + eps).all()
+    others = np.flatnonzero(np.arange(m) != t0)
+    up = pred[others]
+    assert dist[t0] == 0.0 and pred[t0] == -1 and (up >= 0).all()
+    assert not _cycle_nodes(pred).size
+    assert (dist[others] <= dist[up] + weights[up, others]).all()
+
+
+def test_upper_bounds_match_the_reversed_graph():
+    """The upper bounds of ``check_revenue_equivalence``, from the swapped
+    family's graph, match those of a search from t0 on the reversed graph,
+    ``-longest_paths(cmon_weights(ts, fam).T, source=t0).dist``, within
+
+        2 (m - 1) eps + m u (4 B + 21 M),
+
+    eps = tol / 4m the kernel's margin, u = 2^-53, M = max_{a,b} sum_i
+    |t_a,i| |d_b,i| >= max |t_a . d_b|, and B the largest magnitude of a
+    distance of either search, a shift phi_f(x) - phi_f(t0) or an upper
+    bound, plus 3 M + eps.  The witness sets match as well.
+
+    Proof, for dim n <= 4 and no underflow.  Each product d_a . t_b of
+    either orientation, and each phi(x) = t_x . d_x, is formed within
+    gamma_n M of its value, gamma_n = n u / (1 - n u) < 4.0001 u, in any
+    order, with or without fused multiply-adds (Higham, *Accuracy and
+    Stability*, section 3.1).  So each float weight, the rounded
+    difference of two products, lies within delta = 2 gamma_n M +
+    2 u (1 + gamma_n) M < 10.001 u M of its exact value, and |W| < 3 M.
+    Exactly, the swapped weight s(a -> b) = t_a . (d_b - d_a) is
+    r(a -> b) + phi(b) - phi(a), with r(a -> b) = d_b . (t_a - t_b) the
+    reversed graph's.  Summed along a simple path from t0 to x, the
+    potential telescopes, so the heaviest such paths of the two float
+    graphs, L_S(x) and L_R(x), satisfy |L_S - L_R - (phi(x) - phi(t0))| <=
+    2 (m - 1) delta.  Next, the test checks (P1) and (P2) of
+    ``_check_premises`` on each search.  As every candidate D(a) + W(a, b)
+    and D(b) + eps is at most B in magnitude, a rounding moves it by at
+    most u B, and (P1) gives D(b) >= D(a) + W(a, b) - eps - 2 u B: along the
+    heaviest simple path, D(x) >= L(x) - (m - 1)(eps + 2 u B).  (P2) gives
+    D(x) <= D(p) + W(p, x) + u B: along the predecessor chain, D(x) <=
+    L(x) + (m - 1) u B.  The new bound is fl(fl(phi_f(x) - phi_f(t0)) -
+    D_S(x)), within 2 gamma_n M + 2 u B of phi(x) - phi(t0) - D_S(x); the
+    old one is -D_R(x).  Together they differ by at most 2 (m - 1)(eps +
+    2 u B) + 2 (m - 1) delta + 2 gamma_n M + 2 u B, which is below the
+    bound above for m >= 1.
+
+    Run on the passing families at scale 1, and on the gradient at scale
+    10^6, where a weight is about 10^12: there the max-affine family's
+    cycles of exact weight 0 weigh more than ``TOL`` in floats, and its
+    searches raise.  The witnesses' slacks are, bit for bit, the new upper
+    bounds less the lower ones."""
+    u = 2.0**-53
+    for scale, kinds in ((1.0, ("gradient", "max-affine")), (1e6, ("gradient",))):
+        for m, dim in [(m, 3) for m in SIZES] + [(257, 4)]:
+            ts, families = _families(m, dim)
+            for kind in kinds:
+                ts_s, fam = TypeSpace(scale * ts.points), LinearFamily(scale * families[kind].vectors)
+                weights = cmon_weights(ts_s, fam)
+                swapped = swapped_cmon_weights(ts_s, fam)
+                phi = np.einsum("ij,ij->i", fam.vectors, ts_s.points)
+                big = (np.abs(ts_s.points) @ np.abs(fam.vectors).T).max()
+                eps = TOL / max(1, 4 * m)
+                for t0 in sorted({0, m - 1}):
+                    old = longest_paths(weights.T, source=t0, tol=TOL)
+                    new = longest_paths(swapped, source=t0, tol=TOL)
+                    _check_premises(weights.T, old, t0, TOL)
+                    _check_premises(swapped, new, t0, TOL)
+                    lower = longest_paths(weights, source=t0, tol=TOL).dist
+                    shift = phi - phi[t0]
+                    upper = shift - new.dist
+                    values = np.concatenate([old.dist, new.dist, shift, upper])
+                    b = np.abs(values).max() + 3 * big + eps
+                    bound = 2 * (m - 1) * eps + m * u * (4 * b + 21 * big)
+                    case = (scale, m, kind, t0)
+                    assert np.abs(upper + old.dist).max() <= bound, case
+                    wide = np.flatnonzero(upper - lower > TOL)
+                    assert wide.tolist() == np.flatnonzero(-old.dist - lower > TOL).tolist(), case
+                    report = check_revenue_equivalence(ts_s, fam, t0=t0, tol=TOL)
+                    assert [w.indices for w in report.witnesses] == [(x,) for x in wide.tolist()], case
+                    slacks = np.array([w.slack for w in report.witnesses])
+                    assert slacks.tobytes() == (upper - lower)[wide].tobytes(), case
 
 
 def test_longest_paths_leaves_its_argument_as_it_was():

@@ -147,7 +147,7 @@ def test_random_trees_print_as_the_loop_prints():
 @pytest.mark.parametrize(
     "value,text",
     [
-        (-0.0, "-0"),
+        (-0.0, "0"),
         (5e-324, "4.9406564584124654e-324"),
         (1e308, "1e+308"),
         (0.1, "0.10000000000000001"),
@@ -565,4 +565,44 @@ def test_the_byte_matrices_write_each_slack_as_format_17g():
     assert len(slack) >= _VECTOR_MIN
     text = dumps(WitnessColumns([("", np.zeros((len(slack), 0), int), slack, "")]))
     row = '{"detail":"","indices":[],"kind":"","slack":%s}'
-    assert text == "[" + ",".join(row % format(x, ".17g") for x in slack.tolist()) + "]"
+    # -0.0 + 0.0 is 0.0, which dumps writes for -0.0
+    assert text == "[" + ",".join(row % format(x + 0.0, ".17g") for x in slack.tolist()) + "]"
+
+
+def _witness_rows(slacks):
+    """The text of witnesses ("pair", (0, 1), slack, "x"), one per slack text."""
+    row = '{"detail":"x","indices":[0,1],"kind":"pair","slack":%s}'
+    return "[" + ",".join(row % s for s in slacks) + "]"
+
+
+#: -0.0 on each path of the writer, and the text it gets there
+NEGATIVE_ZEROS = {
+    "float": (-0.0, "0"),
+    "numpy scalars": ([np.float64(-0.0), np.float32(-0.0)], "[0,0]"),
+    "number list": ([-0.0, 0.5, -0.0, 2.0, 3.0, 4.0, 5.0, -0.0], "[0,0.5,0,2,3,4,5,0]"),
+    "number rows": ([[-0.0, 1.0], [1.0, -0.0]] * 4, "[" + ",".join(["[0,1],[1,0]"] * 4) + "]"),
+    "template block": (
+        WitnessColumns([block("pair", [[0, 1]] * 2, [-0.0, 1.0], "x")]),
+        _witness_rows(["0", "1"]),
+    ),
+    "template block, non-finite slacks": (
+        WitnessColumns([block("pair", [[0, 1]] * 2, [-0.0, -INF], "x")]),
+        _witness_rows(["0", '"-inf"']),
+    ),
+    "byte matrix block": (
+        WitnessColumns([block("pair", [[0, 1]] * _VECTOR_MIN, [-0.0, -2.5] * (_VECTOR_MIN // 2), "x")]),
+        _witness_rows(["0", "-2.5"] * (_VECTOR_MIN // 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_ZEROS))
+def test_negative_zero_is_written_0(name):
+    """``%.17g`` writes -0.0 as ``-0``, which ``json`` reads back as the
+    int 0; every path writes ``0`` instead, as for 0.0."""
+    value, expected = NEGATIVE_ZEROS[name]
+    if name.startswith("number"):
+        assert _number_list(value) == expected
+    assert dumps(value) == expected
+    if not isinstance(value, WitnessColumns):
+        assert loop_dumps(value) == expected

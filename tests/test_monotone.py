@@ -583,7 +583,7 @@ class TestRowBlocks:
                     scanned += res.cycle is not None and res.rounds == m - 1
         assert scanned > 0
 
-    def test_peak_memory_is_one_transposed_copy_and_a_block(self):
+    def test_peak_memory_is_one_copy_in_the_kernels_layout_and_a_block(self):
         # the kernel holds wt, one m x m array, and a fixed block of
         # candidates; one more m x m buffer would double the peak
         m = 600
@@ -614,6 +614,15 @@ class TestOverflowingWeights:
     # d_0 . t_0 = d_1 . t_1 = 1 and d_0 . t_1 = d_1 . t_0 = 0: each edge weighs -1
     WIDE_TS = TypeSpace([[1e200, 0.0], [0.0, 1e-200]])
     WIDE_FAMILY = LinearFamily([[1e-200, 0.0], [0.0, 1e200]])
+    # the family's own weights are 0; the swapped family's, t_u . (d_v - d_u),
+    # are -1e308 and 1e308, which sum beyond the float range
+    SWAP_TS = TypeSpace([[1.0, 0.0], [1.0, 1.0]])
+    SWAP_FAMILY = LinearFamily([[1e308, 0.0], [0.0, 0.0]])
+    # <t_0, d_0> = 0.7 of the float range, but 0.6 of it times 2 is beyond:
+    # a product with a fused multiply-add forms it, a plain sum does not
+    BIG = np.finfo(float).max
+    PHI_TS = TypeSpace([[1.0, 2.0], [1.0, 1.9999999999]])
+    PHI_FAMILY = LinearFamily([[-0.5 * BIG, 0.6 * BIG], [0.0, 0.15 * BIG]])
 
     @pytest.mark.parametrize(
         "call",
@@ -642,6 +651,21 @@ class TestOverflowingWeights:
             with pytest.raises(ValueError, match="overflow the float range"):
                 call(ts, fam)
 
+    def test_a_swapped_family_that_overflows_is_rejected_without_a_warning(self):
+        """``check_revenue_equivalence`` forms the swapped family's graph and
+        the potential <t_x, d_x>, which can leave the float range where the
+        family's own weights do not: its one line names the weights, or the
+        potential.  Where the matrix product has no fused multiply-add, the
+        potential's family overflows in its own weights instead."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_cmon(self.SWAP_TS, self.SWAP_FAMILY).passed
+            with pytest.raises(ValueError, match="cmon weights .* overflow the float range"):
+                check_revenue_equivalence(self.SWAP_TS, self.SWAP_FAMILY)
+            for t0 in (0, 1):
+                with pytest.raises(ValueError, match="overflows? the float range"):
+                    check_revenue_equivalence(self.PHI_TS, self.PHI_FAMILY, t0=t0)
+
     def test_an_infinite_bound_scans_finite_weights_and_passes(self, monkeypatch):
         scans = []
         scan = monotone._require_summable
@@ -661,10 +685,12 @@ class TestOverflowingWeights:
                 assert [(w.indices, w.slack) for w in report.witnesses] == [((1 - t0,), 2.0)]
             interval = revenue_interval(ts, fam, anchors={1: 2.0}, target=0)
             assert (interval.lower, interval.upper) == (1.0, 3.0)
-        assert len(scans) == 9  # one scan a call, each passing
+        # one scan a call, each passing, and one more in each call of
+        # check_revenue_equivalence: the swapped family's graph
+        assert len(scans) == 11
         # a bound that is finite scans nothing
         check_cmon(TypeSpace([[1e150, 0.0], [0.0, 1.0]]), LinearFamily([[1e150, 0.0], [0.0, 1.0]]))
-        assert len(scans) == 9
+        assert len(scans) == 11
 
     def test_overflowing_payoffs_raise_no_warning(self):
         score = ScoreTable(reports=[0, 1, 2], linear=self.FAMILY.vectors, constant=[0.0] * 3)

@@ -22,7 +22,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elicit import cli, jsonio
@@ -184,15 +184,6 @@ def _with_option(name, k, text):
     return [str(INPUTS / a) if (INPUTS / a).is_file() else a for a in args]
 
 
-#: (subcommand, option) that prints its value back: given -0.0 it prints
-#: "-0", which ``json`` reads as the int 0, so the output does not survive
-#: its round trip (FOUND in CHANGES.md: ``dumps`` writes -0.0 as "-0").
-#: The fuzz leaves these draws to the strict xfail below.
-ECHOES_NEGATIVE_ZERO = {
-    ("level-convexity", "--eps"), ("myerson", "--t"), ("rev-interval", "--anchor"),
-}
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_an_option_value_at_an_edge_leaves_by_one_output(data):
@@ -200,7 +191,6 @@ def test_an_option_value_at_an_edge_leaves_by_one_output(data):
     name, k = data.draw(st.sampled_from(OPTION_SLOTS[option]))
     command = CASES[name][0]
     text = f"{option}={_option_text(data, name, option, k)}"  # "=" lets "-inf" through
-    assume((command, option) not in ECHOES_NEGATIVE_ZERO or not text.endswith("=-0.0"))
     code, out, err = _run(_with_option(name, k, text))
     if code == 1 and err.startswith(f"elicit {command}: error: argument {option}:"):
         assert out == "" and err.endswith("\n") and err.count("\n") == 1  # argparse's refusal
@@ -208,10 +198,9 @@ def test_an_option_value_at_an_edge_leaves_by_one_output(data):
         assert_one_output(code, out, err)
 
 
-@pytest.mark.xfail(strict=True, reason="dumps writes -0.0 as -0, which json reads as 0")
 @pytest.mark.parametrize(
     "name, k, text",
-    [  # every golden case whose output prints the value back
+    [  # every golden case whose output prints the value back, as 0
         ("level-convexity-pass", None, "--eps=-0.0"),
         ("level-convexity-fail", None, "--eps=-0.0"),
         ("myerson-pass", 3, "--t=-0.0"),

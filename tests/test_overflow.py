@@ -13,6 +13,7 @@ from elicit import (
     MaxAffine,
     NegEntropy,
     PowerDiagramSpec,
+    ScoreTable,
     SquaredNorm,
     StepAllocation,
     TypeSpace,
@@ -22,6 +23,8 @@ from elicit import (
     check_subgradient_selection,
     check_wmon_cells,
     conjugate,
+    dual_report_score,
+    dual_type_score,
     elicitation_game_equilibria,
     eval_convex,
     homothet_transform,
@@ -133,6 +136,41 @@ CASES = [
         r"cmon weights d_i \. \(t_j - t_i\), summed over up to m edges, overflow the float range",
     ),
     (
+        "ScoreTable.evaluate",  # returned inf
+        lambda: ScoreTable([0], [[BIG]], [0.0]).evaluate(0, [10.0]),
+        r"the score of report 0 overflows the float range at \[10.0\]",
+    ),
+    (
+        "ScoreTable.evaluate-negative",  # -1e309 is no -inf constant
+        lambda: ScoreTable([0], [[-BIG]], [0.0]).evaluate(0, [10.0]),
+        r"the score of report 0 overflows the float range at \[10.0\]",
+    ),
+    (
+        "ScoreTable.evaluate-constant",  # 1e308 * 10 + (-inf) is nan
+        lambda: ScoreTable([0], [[BIG]], ["-inf"]).evaluate(0, [10.0]),
+        r"the score of report 0 overflows the float range at \[10.0\]",
+    ),
+    (
+        "ScoreTable.validate_regular",  # answered "no finite-scoring report"
+        lambda: ScoreTable([0, 1], [[0.0], [-BIG]], [0.0, 0.0]).validate_regular(TypeSpace([[1.0], [10.0]])),
+        r"the score of report 1 overflows the float range at \[10.0\]",
+    ),
+    (
+        "dual_report_score",  # <t, d> = 1e309; G*(1e308) = 1e308 on the grid
+        lambda: dual_report_score(FLAT, [BIG], [10.0], UNIT),
+        r"the dual-report score <t, d> - G\*\(d\) overflows the float range at \[10.0\]",
+    ),
+    (
+        "dual_type_score",
+        lambda: dual_type_score(FLAT, [10.0], [BIG]),
+        r"the dual-type score <t, d> - G\(t\) overflows the float range at \[10.0\]",
+    ),
+    (
+        "dual_type_score-difference",  # <t, d> = 1e308 and G(t) = -1e308 are finite
+        lambda: dual_type_score(MaxAffine([[-BIG]], [0.0]), [1.0], [BIG]),
+        r"the dual-type score <t, d> - G\(t\) overflows the float range at \[1.0\]",
+    ),
+    (
         "StepAllocation",  # inf - inf in the increasing check came first
         lambda: StepAllocation(breakpoints=[0.0, np.inf, np.inf], values=[0.0, 1.0, 2.0]),
         "breakpoints must be finite, got inf",
@@ -163,3 +201,13 @@ def test_simplex_sum_beyond_the_float_range_is_off_the_simplex():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="not on the probability simplex"):
             eval_convex(NegEntropy(), [BIG, BIG])
+
+
+def test_a_minus_inf_constant_is_a_score_not_an_overflow():
+    table = ScoreTable([0, 1], [[BIG], [1.0]], ["-inf", 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert table.evaluate(0, [0.5]) == -np.inf
+        table.validate_regular(TypeSpace([[0.5], [1.0]]))
+        with pytest.raises(ValueError, match="no finite-scoring report at type index 0"):
+            ScoreTable([0], [[1.0]], ["-inf"]).validate_regular(UNIT)

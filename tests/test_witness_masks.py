@@ -129,8 +129,9 @@ def case_revenue_equivalence(rng):
             check_revenue_equivalence(ts, fam, t0=t0),
             loop_check_revenue_equivalence(ts, fam, t0, 1e-9),
         )
-    # planted paths from t0 and to t0; -inf ends only in some trials,
-    # since their witnesses' infinite widths cannot be written
+    # planted paths from t0, on the family's graph and on the swapped
+    # family's; -inf ends only in some trials, since their witnesses'
+    # infinite widths cannot be written
     ends = EDGE_PATHS[int(rng.integers(0, 2)) :]
     paths = [rng.choice(ends, size=len(ts)) for _ in range(2)]
     for path in paths:
