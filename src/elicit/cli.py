@@ -59,6 +59,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
         except RecursionError:  # json recurses once per level of nesting
             raise ValueError(f"{path} is nested too deeply to read as JSON") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _read_object(path: str) -> dict:
@@ -140,8 +142,8 @@ def _cmd_synth_payments(args):
     ts, fam = jsonio.load_family_file(_read_json(args.file))
     result = payments.rochet_payments(ts, fam, t0=args.t0, tol=args.tol)
     return {
-        "surplus": result.surplus.tolist(),
-        "payments": result.payments.tolist(),
+        "surplus": result.surplus,
+        "payments": result.payments,
         "baseType": result.base_type,
         "score": jsonio.score_table_to_obj(result.induced_score()),
         "typeSpace": jsonio.typespace_to_obj(ts),
@@ -212,8 +214,8 @@ def _cmd_decision_score(args):
     return {
         "nActions": spec.n_actions,
         "nOutcomes": spec.n_outcomes,
-        "decisions": spec.decisions.tolist(),
-        "scores": spec.scores.tolist(),
+        "decisions": spec.decisions,
+        "scores": spec.scores,
         "unconstrained": spec.unconstrained,
     }
 
@@ -222,7 +224,7 @@ def _cmd_power_label(args):
     diag = jsonio.load_diagram(_read_json(args.diagram))
     pts = jsonio.load_points(_read_json(args.points))
     labeling = properties.power_cells(diag, pts)
-    return {"labels": labeling.labels.tolist(), "ties": labeling.ties.tolist()}
+    return {"labels": labeling.labels, "ties": labeling.ties}
 
 
 def _cmd_fit_weights(args):
@@ -230,7 +232,7 @@ def _cmd_fit_weights(args):
     sample = jsonio.load_sample(_read_json(args.sample))
     result = properties.fit_weights(sites, sample, tol=args.tol)
     if result.feasible:
-        return {"feasible": True, "weights": result.weights.tolist()}
+        return {"feasible": True, "weights": result.weights}
     return {"feasible": False, "witnesses": result.witnesses}
 
 
@@ -264,8 +266,8 @@ def _cmd_game(args):
             {
                 "dIndex": e.d_index,
                 "tIndex": e.t_index,
-                "d": e.d.tolist(),
-                "t": e.t.tolist(),
+                "d": e.d,
+                "t": e.t,
                 "valuePrimal": e.value_primal,
                 "valueDual": e.value_dual,
             }

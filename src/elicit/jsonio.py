@@ -11,7 +11,8 @@ float, str, int, list, tuple and dicts whose keys are all str are
 rendered directly, and so is a :class:`WitnessColumns`, the witnesses of
 every report (``CheckReport.witnesses``) and of an infeasible weight fit;
 numpy scalars and arrays, bool, None, subclasses of the builtin types
-and dicts with other keys are first turned into the builtin value they stand for.
+and dicts with other keys are first turned into the builtin value they
+stand for, but for the float arrays below.
 
 A list (or tuple) of at least ``_LIST_MIN`` items that are all ints,
 all finite floats, or all lists of one length of finite floats, each of
@@ -25,10 +26,16 @@ So an error is raised by the same item, in the same order, either way.
 A block of witnesses is written by one ``%``-template, over the block
 ``_TEXT_CHUNK`` witnesses at a time, when it has fewer than
 ``_VECTOR_MIN`` witnesses or a slack that is not finite.  A longer block
-is written ``_TEXT_CHUNK`` witnesses at a time as one byte matrix, a
-column of NUL-padded text per field, whose NUL bytes are then dropped:
-canonical JSON text never holds a NUL byte, as a str's is written
-``\u0000``.  Both give the same bytes.
+is written by the byte-matrix writer, one row per witness.  So is a
+float64 ``np.ndarray`` (exactly that type) of 1 or 2 dimensions with at
+least ``_VECTOR_MIN`` numbers, all finite: one row per number, in
+row-major order, its brackets and comma a column next to its digits.
+Any other array, with -inf, +inf or nan, fewer numbers, another dtype
+or more dimensions, is written as its ``tolist()``, so an error is
+raised as before.  The writer takes ``_TEXT_CHUNK`` rows at a time as
+one byte matrix, a column of NUL-padded text per field, whose NUL bytes
+are then dropped: canonical JSON text never holds a NUL byte, as a
+str's is written ``\u0000``.  Both ways give the same bytes.
 """
 
 from __future__ import annotations
@@ -105,11 +112,16 @@ def _format_float(x: float) -> str:
 #: witnesses, and the matrices were faster in every block of 384 or more.
 #: Filled by one ``%`` per block, a template with a ``%d`` detail took
 #: 0.87-0.95 us a witness at 128 to 1024 witnesses, and a matrix 0.59-0.68
-#: us a witness at 384, 0.78-0.82 at 256.
+#: us a witness at 384, 0.78-0.82 at 256.  Float64 arrays of at least
+#: this many finite numbers are written as byte matrices too: on the same
+#: VM, random normal rows of 3 took 0.29-0.30 us a number as a matrix at
+#: 384 numbers and 0.16-0.17 at 1800, against 0.51-0.55 for ``tolist()``
+#: and a template at every size; they cross near 220 numbers.
 _VECTOR_MIN = 384
-#: Witnesses per byte matrix, so that its memory does not grow with the
-#: block (about 150 bytes a witness); 4096 wrote blocks of 12 382 and
-#: 23 727 witnesses faster than 1024 or 2048, and as fast as 8192.
+#: Rows (witnesses, or numbers of an array) per byte matrix, so that its
+#: memory does not grow with the block (about 150 bytes a witness); 4096
+#: wrote blocks of 12 382 and 23 727 witnesses faster than 1024 or 2048,
+#: and as fast as 8192.
 _TEXT_CHUNK = 4096
 
 
@@ -117,13 +129,19 @@ def _witness_text(kind, index, slack, detail) -> str:
     """The text of a block of :class:`WitnessColumns`: what writing each
     witness's ``to_obj()`` dict would give, joined by commas.  A block of
     ``_VECTOR_MIN`` or more witnesses with finite slacks is written by
-    :func:`_witness_matrix`; others by one ``%``-template per witness,
-    repeated and filled ``_TEXT_CHUNK`` witnesses at a time.  A slack of
-    -0.0 is written ``0``."""
+    :func:`_matrix_text`, one row per witness; others by one
+    ``%``-template per witness, repeated and filled ``_TEXT_CHUNK``
+    witnesses at a time.  A slack of -0.0 is written ``0``."""
     slack = slack + 0.0  # -0.0 + 0.0 is 0.0
     finite = np.isfinite(slack).all()
     if finite and len(slack) >= _VECTOR_MIN:
-        return _witness_matrix(kind, index, slack, detail)
+        slack = slack.astype(np.float64, copy=False)
+        plan = ['{"detail":', *_text_plan(detail), ',"indices":[']
+        for j in range(index.shape[1]):
+            plan += [","] * (j > 0) + [lambda rows, c, col=index[:, j]: _int_words(col[rows])]
+        plan += ['],"kind":', *_text_plan(kind), ',"slack":']
+        plan += [lambda rows, c: _float_words(slack[rows]), "},"]
+        return _matrix_text(plan, len(slack))
     columns = []
 
     def field(text) -> str:  # the text's JSON string into the template, in field order
@@ -156,21 +174,39 @@ def _witness_text(kind, index, slack, detail) -> str:
     )
 
 
-def _witness_matrix(kind, index, slack, detail) -> str:
-    """:func:`_witness_text` of a block with finite slacks, ``_TEXT_CHUNK``
-    witnesses at a time.  Each field is a column of a byte matrix, one row
-    per witness, and its text may be padded with NUL bytes anywhere in the
-    row; a literal is the same in every row.  The matrix is built as uint32
-    words, a field's words stacked over the witnesses, and turned row-major
-    at the end; then its NULs are dropped, which leaves exactly the
-    witnesses' text: canonical JSON text holds no NUL byte (a str's is
-    written ``\\u0000``)."""
-    slack = slack.astype(np.float64, copy=False)
-    plan = ['{"detail":', *_text_plan(detail), ',"indices":[']
-    for j in range(index.shape[1]):
-        plan += [","] * (j > 0) + [lambda rows, c, col=index[:, j]: _int_words(col[rows])]
-    plan += ['],"kind":', *_text_plan(kind), ',"slack":']
-    plan += [lambda rows, c: _float_words(slack[rows]), "},"]
+def _array_text(a: np.ndarray) -> str:
+    """The text of a float64 array of 1 or 2 dimensions, at least one
+    number and only finite ones, by :func:`_matrix_text`, one row per
+    number in row-major order: a "[" before the first number of an array
+    row, the number, and "]," after the last, "," after the others.  A
+    1-D array is one such row; a 2-D array's rows are put in brackets.
+    What ``format(x, ".17g")`` of each number gives, but -0.0 is written
+    ``0``."""
+    numbers = a.reshape(-1) + 0.0  # -0.0 + 0.0 is 0.0
+    column = np.arange(len(numbers)) % a.shape[-1]
+    opens = _OPENS.take(column == 0)[None]
+    closes = _CLOSES.take(column == a.shape[-1] - 1)[None]
+    plan = [
+        lambda rows, c: opens[:, rows],
+        lambda rows, c: _float_words(numbers[rows]),
+        lambda rows, c: closes[:, rows],
+    ]
+    text = _matrix_text(plan, len(numbers))
+    return text if a.ndim == 1 else "[" + text + "]"
+
+
+def _matrix_text(plan: list, n: int) -> str:
+    """The text of n rows, each of which ends with a comma, joined, but
+    the last row's comma; the plan gives each row's text as a sequence of
+    literals, the same in every row, and columns ``f(rows, c)``, the
+    uint32 words of the texts of the c rows ``rows`` (a slice), one row
+    of words per word of text.  It is written ``_TEXT_CHUNK`` rows at a
+    time as a byte matrix, one row of bytes per row of text, and each text
+    may be padded with NUL bytes anywhere in its row.  The matrix is built
+    as words, a part's words stacked over the rows, and turned row-major
+    at the end; then its NULs are dropped, which leaves exactly the rows'
+    text: canonical JSON text holds no NUL byte (a str's is written
+    ``\\u0000``)."""
     parts = []  # adjacent literals joined
     for part in plan:
         if isinstance(part, str) and parts and isinstance(parts[-1], str):
@@ -179,9 +215,9 @@ def _witness_matrix(kind, index, slack, detail) -> str:
             parts.append(part)
     parts = [_words(p.encode())[:, None] if isinstance(p, str) else p for p in parts]
     text = bytearray()
-    for lo in range(0, len(slack), _TEXT_CHUNK):
-        rows = slice(lo, lo + _TEXT_CHUNK)
-        c = len(slack[rows])
+    for lo in range(0, n, _TEXT_CHUNK):
+        rows = slice(lo, min(lo + _TEXT_CHUNK, n))
+        c = rows.stop - lo
         words = [np.broadcast_to(p, (len(p), c)) if isinstance(p, np.ndarray) else p(rows, c) for p in parts]
         words = np.concatenate(words)
         chunk = bytearray(words.nbytes)
@@ -242,13 +278,20 @@ def _tables():
     - ``layout[:, 17 * (k + 4) + last]``: which bytes of the words of
       :func:`_float_words` its text keeps, for the decimal exponent
       -4 <= k <= 16 and the last digit written, 0 to 16."""
-    q = np.arange(10**4)
-    padded = (q[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
-    lead = padded * ~np.logical_and.accumulate(padded == 48, axis=1)
+    # built by slices, not by division, as a fresh process pays for it
+    padded = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for j in range(4):  # the digit of 10**(3 - j) along axis j
+        padded[..., j] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
+    padded = padded.reshape(10**4, 4)
+    lead = padded.copy()
+    for j in range(4):  # q < 10**(3 - j) has a leading zero at byte j
+        lead[: 10 ** (3 - j), j] = 0
     last = lead.copy()
     last[0, 3] = 48
     quads = np.concatenate([padded, lead, last]).view(np.uint32).ravel()
-    trailing = np.logical_and.accumulate(padded[:, ::-1] == 48, axis=1).sum(axis=1)
+    trailing = np.zeros(10**4, np.intp)
+    for j in range(1, 5):  # one for each power of 10 that divides q
+        trailing[:: 10**j] += 1
     hi, lo = _halves(np.array([float(10**s) for s in range(21)]))
     k, last = np.divmod(np.arange(21 * 17), 17)
     k, last = k[:, None] - 4, last[:, None]
@@ -257,7 +300,7 @@ def _tables():
         np.ones((len(k), 4), bool),  # the sign
         k <= np.array([-1, -1, -2, -3, -4, -5, -5, -5]),  # "0." and the zeros of a fraction below 0.1
         (j >= 0) & (j <= k),
-        np.pad((k >= 0) & (last > k), ((0, 0), (0, 3))),
+        (k >= 0) & (last > k) & (np.arange(4) == 0),  # the point, in a word of its own
         (j >= 0) & (j > k) & (j <= last),
     ]
     layout = (np.concatenate(keep, axis=1) * np.uint8(255)).view(np.uint32).T.copy()
@@ -286,6 +329,9 @@ def _quads(values: np.ndarray, n: int) -> np.ndarray:
 
 
 _MINUS, _POINT = _words(b"-"), _words(b".")
+#: The words of "[" (or none) before, and of "," or "]," after, each
+#: number of an array row, by whether it is the row's first or last.
+_OPENS, _CLOSES = np.array([0, *_words(b"[")], np.uint32), np.concatenate([_words(b","), _words(b"],")])
 
 
 def _int_words(values: np.ndarray) -> np.ndarray:
@@ -351,10 +397,12 @@ def _float_words(x: np.ndarray) -> np.ndarray:
         zeros[more] += trailing.take(groups[g, more])
     last = np.maximum(k, 16 - zeros)
     groups[0] += 10**4  # "\0\0\0" and the first digit
-    chars = quads.take(groups)
-    sign = (np.signbit(x) * _MINUS)[None]
-    leading, point = (np.broadcast_to(w[:, None], (len(w), c)) for w in (_LEADING, _POINT))
-    words = np.concatenate([sign, leading, chars, point, chars])
+    words = np.empty((14, c), np.uint32)  # the sign, "0.000", the digits, a point, the digits
+    words[0] = np.signbit(x) * _MINUS
+    words[1:3] = _LEADING[:, None]
+    quads.take(groups, out=words[3:8], mode="clip")  # in range: "clip" takes unbuffered
+    words[8] = _POINT
+    words[9:] = words[3:8]
     words &= layout.take((k + 4) * 17 + last, axis=1)
     rest = np.flatnonzero(~exact)
     words[:, rest] = 0
@@ -453,14 +501,24 @@ def _write_other(obj: Any, emit, plans: dict) -> None:
     """Numpy values, bool, None, subclasses of the builtin types and dicts
     with a key that is not a str, each rendered as the builtin value it
     stands for."""
+    if isinstance(obj, np.ndarray):
+        if (
+            obj.size >= _VECTOR_MIN
+            and obj.ndim <= 2
+            and obj.dtype == np.float64
+            and type(obj) is np.ndarray
+            and np.isfinite(obj).all()
+        ):
+            emit(_array_text(obj))
+        else:
+            _write(obj.tolist(), emit, plans)
+        return
     if isinstance(obj, np.floating):
         obj = float(obj)
     if isinstance(obj, np.integer):
         obj = int(obj)
     if isinstance(obj, np.bool_):
         obj = bool(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
     if obj is None:
         emit("null")
     elif isinstance(obj, bool):
@@ -502,8 +560,9 @@ def dumps(obj: Any) -> str:
     - a list, tuple or numpy array: an array of its items; a list or
       tuple of ``_LIST_MIN`` or more exact ints, exact finite floats or
       equal-length lists of exact finite floats by one ``%``-template
-      over its values, any other item by item (see the module
-      docstring), with the same text either way;
+      over its values, a 1-D or 2-D float64 array of ``_VECTOR_MIN`` or
+      more finite numbers as byte matrices, any other item by item
+      (see the module docstring), with the same text either way;
     - a ``WitnessColumns``, which ``report.witnesses`` always is: the
       array of its witnesses' ``Witness.to_obj()`` dicts, written straight
       from the columns, a block of ``_VECTOR_MIN`` or more witnesses with
@@ -556,7 +615,7 @@ def convex_to_obj(g: ConvexSpec) -> dict:
     if isinstance(g, MaxAffine):
         return {
             "maxAffine": [
-                {"a": a.tolist(), "b": float(b)}
+                {"a": a, "b": float(b)}
                 for a, b in zip(g.slopes, g.intercepts)
             ]
         }
@@ -581,7 +640,7 @@ def load_typespace(obj: dict) -> TypeSpace:
 
 
 def typespace_to_obj(ts: TypeSpace) -> dict:
-    return {"dim": ts.dim, "points": ts.points.tolist()}
+    return {"dim": ts.dim, "points": ts.points}
 
 
 def load_family_file(obj: dict) -> tuple:
@@ -606,8 +665,8 @@ def load_score_table(obj: dict) -> ScoreTable:
 def score_table_to_obj(score: ScoreTable) -> dict:
     return {
         "reports": list(score.reports),
-        "linear": score.linear.tolist(),
-        "constant": score.constant.tolist(),
+        "linear": score.linear,
+        "constant": score.constant,
     }
 
 
@@ -624,8 +683,8 @@ def load_outcome_table(obj: dict) -> OutcomeScoreTable:
 def outcome_table_to_obj(table: OutcomeScoreTable) -> dict:
     return {
         "nOutcomes": table.n_outcomes,
-        "reports": table.reports.tolist(),
-        "payoffs": table.payoffs.tolist(),
+        "reports": table.reports,
+        "payoffs": table.payoffs,
     }
 
 
@@ -640,7 +699,7 @@ def load_diagram(obj: dict) -> PowerDiagramSpec:
 
 
 def diagram_to_obj(diag: PowerDiagramSpec) -> dict:
-    return {"sites": diag.sites.tolist(), "weights": diag.weights.tolist()}
+    return {"sites": diag.sites, "weights": diag.weights}
 
 
 def load_sample(obj: dict) -> LabeledSample:

@@ -139,15 +139,21 @@ def rochet_payments(
     surplus[t] is the longest-path value from ``t0`` to ``t`` using edge
     weights d_u(v - u); cyclic monotonicity makes this well defined.
     Raises :class:`NotImplementableError` carrying the positive cycle
-    otherwise.  The induced score is verified truthful before returning.
+    otherwise, and ``ValueError`` naming the first type whose payoff
+    <t, d> or payment leaves the float range.  The induced score is
+    verified truthful before returning.
     """
     require_positive(tol)
     fam.check_aligned(ts)
     t0 = _index(t0, len(ts), "base type")
     graph = _cmon_graph(ts.points, fam.vectors)
     surplus = _paths_from(graph, t0, tol).dist
-    own = np.einsum("ij,ij->i", fam.vectors, ts.points)
-    payments = own - surplus
+    with np.errstate(over="ignore", invalid="ignore"):
+        own = np.einsum("ij,ij->i", fam.vectors, ts.points)
+        payments = own - surplus
+    if not np.isfinite(payments).all():  # the surplus is finite: name the payoff if it overflowed
+        _overflow(own, "the payoff <t, d>", ts.points)
+        _overflow(payments, "the payment <t, d> - surplus", ts.points)
     result = PaymentResult(surplus, payments, t0, fam)
     # the payoffs of the post-check take the weights' place
     worst = _gain_scan(result.induced_score(), ts, tol, out=graph.wt).best

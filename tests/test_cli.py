@@ -144,6 +144,29 @@ class TestRoundTrips:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_synth_payments_prints_its_arrays_as_their_lists(self, tmp_path, capsys):
+        # at m = 200 in R^3 the points and functionals take the writer's
+        # array path, surplus and payments the list path: the document
+        # is the text of the same document built from tolist() lists
+        rng = np.random.default_rng(200)
+        points = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-5, 2, size=(200, 1))
+        fam = write(tmp_path, "fam.json", {"typeSpace": {"points": points.tolist()},
+                                           "family": (2 * points).tolist()})
+        code, out, _ = run_cli(["synth-payments", fam], capsys)
+        assert code == 0
+        args = cli._build_parser().parse_args(["synth-payments", fam])
+        doc = cli._cmd_synth_payments(args)
+        assert isinstance(doc["typeSpace"]["points"], np.ndarray)
+        assert doc["typeSpace"]["points"].size >= jsonio._VECTOR_MIN
+
+        def lists(obj):
+            if isinstance(obj, dict):
+                return {k: lists(v) for k, v in obj.items()}
+            return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+        assert out == jsonio.dumps(lists(doc)) + "\n"
+        assert "e-" in out
+
     def test_log_table_neg_inf_round_trip(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["make-score", "--g", "log", "--reports", "grid:4"], capsys
@@ -741,6 +764,26 @@ class TestInputErrors:
         path.write_text('{"typeSpace": {"points": ' + "[" * 3000 + "]" * 3000 + '}, "family": []}')
         self.assert_usage_error(
             ["check-wmon", str(path)], capsys, f"{path} is nested too deeply to read as JSON"
+        )
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"points": ', "Expecting value: line 1 column 12 (char 11)"),
+            (b'{"points": [[0.0]], "labels": ["\xff"]}', "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["syntax", "encoding"],
+    )
+    def test_malformed_json_names_its_file(self, tmp_path, capsys, text, message):
+        # fit-weights reads two files; json's own message did not say which
+        sites = write(tmp_path, "sites.json", {"sites": [[0.0, 0.0], [1.0, 0.0]]})
+        sample = tmp_path / "sample.json"
+        if isinstance(text, bytes):
+            sample.write_bytes(text)
+        else:
+            sample.write_text(text)
+        self.assert_usage_error(
+            ["fit-weights", sites, str(sample)], capsys, f"{sample} is not valid JSON: {message}"
         )
 
     def test_missing_key_is_named(self, tmp_path, capsys):

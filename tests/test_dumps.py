@@ -294,6 +294,137 @@ def test_nan_or_inf_in_the_second_list_raises_as_the_loop_does(bad, message, whe
 
 
 # ---------------------------------------------------------------------------
+# float64 arrays of _VECTOR_MIN or more finite numbers, written as byte matrices
+
+
+#: values each array of these tests cycles through: -0.0, the smallest
+#: subnormal, the edges of fixed notation (1e-4 and 1e17) and their
+#: neighbours, exponent notation, 17-digit fractions and whole numbers
+ARRAY_FLOATS = np.array(EDGE_FLOATS + [1e-4, 1e-5, 9.9999999999999991e-5, 1e-4 * (1 + 2**-52),
+                                       99999999999999984.0, 1.2345e-20, 6.02e23, 1e308, 12.5, 7.0])
+
+
+def float_array(size, seed):
+    """``size`` float64 values: the edge values and random ones of every
+    magnitude, each sign, in a random order."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-12, 20, size=size)
+    values[::3] = rng.choice(ARRAY_FLOATS, size=len(values[::3]))
+    values[1::5] = np.round(values[1::5])
+    return values * rng.choice([-1.0, 1.0], size=size)
+
+
+def array_shapes():
+    """1-D and 2-D shapes of widths 1, 3 and 11: just below, at and just
+    above _VECTOR_MIN numbers, and a few thousand (more than a chunk)."""
+    for width in (None, 1, 3, 11):
+        rows = -(-_VECTOR_MIN // (width or 1))  # the fewest rows that reach _VECTOR_MIN
+        for n in (rows - 1, rows, rows + 1, 4 * _TEXT_CHUNK // (width or 1) + 7):
+            yield (n,) if width is None else (n, width)
+
+
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    """The sizes of the arrays written by the byte-matrix writer."""
+    import elicit.jsonio as jsonio
+
+    calls = []
+    real = jsonio._matrix_text
+
+    def spy(plan, n):
+        calls.append(n)
+        return real(plan, n)
+
+    monkeypatch.setattr(jsonio, "_matrix_text", spy)
+    return calls
+
+
+@pytest.mark.parametrize("shape", list(array_shapes()), ids=str)
+def test_float_arrays_print_as_their_lists(shape, matrix_calls):
+    a = float_array(int(np.prod(shape)), seed=sum(shape)).reshape(shape)
+    assert dumps(a) == loop_dumps(a.tolist())
+    assert dumps({"x": [a, a[:1]]}) == loop_dumps({"x": [a.tolist(), a[:1].tolist()]})
+    # the matrix writes an array from _VECTOR_MIN numbers on, and none below
+    big = [a.size] if a.size >= _VECTOR_MIN else []
+    assert matrix_calls == big * 2
+
+
+def test_the_matrix_takes_an_array_from_vector_min_numbers_on(matrix_calls):
+    for n in (1, _VECTOR_MIN - 1):
+        dumps(np.full(n, 0.5))
+    assert matrix_calls == []
+    dumps(np.full(_VECTOR_MIN, 0.5))
+    dumps(np.full((_VECTOR_MIN, 1), 0.5))
+    assert matrix_calls == [_VECTOR_MIN, _VECTOR_MIN]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_array_values_print_as_format_17g(sign):
+    values = sign * np.tile(ARRAY_FLOATS, _VECTOR_MIN // len(ARRAY_FLOATS) + 1)
+    text = dumps(values)
+    assert text == "[" + ",".join("0" if x == 0 else format(x, ".17g") for x in values.tolist()) + "]"
+    assert "e-" in text and "e+" in text and ",0," in text and "-0," not in text
+
+
+OTHER_ARRAYS = {
+    "-inf": np.concatenate([np.full(_VECTOR_MIN, 0.5), [-INF]]),
+    "float32": np.linspace(-3, 3, 2 * _VECTOR_MIN, dtype=np.float32) ** 3,
+    "big-endian float64": float_array(2 * _VECTOR_MIN, 1).astype(">f8"),
+    "int64": np.arange(-_VECTOR_MIN, _VECTOR_MIN) * 2**40,
+    "bool": np.arange(2 * _VECTOR_MIN) % 3 == 0,
+    "3-D": float_array(8 * _VECTOR_MIN, 2).reshape(4, -1, 2),
+    "no columns": np.zeros((2 * _VECTOR_MIN, 0)),
+    "no rows": np.zeros((0, _VECTOR_MIN)),
+    "0-D": np.array(0.5),
+    "masked": np.ma.masked_array(np.full(2 * _VECTOR_MIN, 0.5), mask=np.arange(2 * _VECTOR_MIN) == 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_ARRAYS))
+def test_other_arrays_keep_the_list_path(name, matrix_calls):
+    a = OTHER_ARRAYS[name]
+    assert dumps(a) == loop_dumps(a.tolist())
+    assert matrix_calls == []
+    if name == "-inf":
+        assert dumps(a).endswith(',"-inf"]')
+    if name == "masked":  # a subclass: its tolist() writes the masked item as null
+        assert dumps(a).startswith("[0.5,0.5,0.5,0.5,0.5,0.5,0.5,null,0.5")
+
+
+VIEWS = {
+    "every other item": lambda a: a[::2],
+    "reversed": lambda a: a[::-1],
+    "transposed": lambda a: a.reshape(-1, 4).T,
+    "a column": lambda a: a.reshape(-1, 3)[:, 1],
+    "every other row, reversed columns": lambda a: a.reshape(-1, 6)[::2, ::-1],
+    "Fortran order": lambda a: np.asfortranarray(a.reshape(-1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_strided_views_print_as_their_lists(name, matrix_calls):
+    view = VIEWS[name](float_array(12 * _VECTOR_MIN, 3))
+    assert view.size >= _VECTOR_MIN and matrix_calls == []
+    assert dumps(view) == loop_dumps(view.tolist())
+    assert matrix_calls == [view.size]
+
+
+@pytest.mark.parametrize("bad,message", [(math.nan, "cannot serialize nan"), (INF, "cannot serialize inf")])
+@pytest.mark.parametrize("shape", [(3 * _VECTOR_MIN,), (_VECTOR_MIN, 3)], ids=["1-D", "2-D"])
+def test_nan_or_inf_in_an_array_raises_as_the_loop_does(bad, message, shape):
+    # the first bad item raises; a -inf before it is written as usual
+    a = np.full(3 * _VECTOR_MIN, 0.5)
+    a[_VECTOR_MIN - 5] = -INF
+    a[_VECTOR_MIN] = bad
+    a[_VECTOR_MIN + 1 :: 7] = math.nan if bad == INF else INF
+    a = a.reshape(shape)
+    for fn, value in ((dumps, a), (loop_dumps, a.tolist())):
+        with pytest.raises(ValueError) as info:
+            fn({"a": value})
+        assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
 # witnesses written from their columns
 
 
@@ -588,6 +719,10 @@ NEGATIVE_ZEROS = {
     "template block, non-finite slacks": (
         WitnessColumns([block("pair", [[0, 1]] * 2, [-0.0, -INF], "x")]),
         _witness_rows(["0", '"-inf"']),
+    ),
+    "byte matrix array": (
+        np.array([[-0.0, -2.5]] * (_VECTOR_MIN // 2)),
+        "[" + ",".join(["[0,-2.5]"] * (_VECTOR_MIN // 2)) + "]",
     ),
     "byte matrix block": (
         WitnessColumns([block("pair", [[0, 1]] * _VECTOR_MIN, [-0.0, -2.5] * (_VECTOR_MIN // 2), "x")]),

@@ -31,10 +31,12 @@ from elicit import (
     make_decision_score,
     make_direct_score,
     make_scoring_rule,
+    rochet_payments,
     subgradient,
 )
 
 BIG = 1e308
+MAX = np.finfo(float).max
 SQ = SquaredNorm()
 FLAT = MaxAffine(slopes=[[0.0]], intercepts=[0.0])  # G = 0
 IDENTITY = MaxAffine(slopes=[[1.0]], intercepts=[0.0])  # G(t) = t
@@ -169,6 +171,21 @@ CASES = [
         "dual_type_score-difference",  # <t, d> = 1e308 and G(t) = -1e308 are finite
         lambda: dual_type_score(MaxAffine([[-BIG]], [0.0]), [1.0], [BIG]),
         r"the dual-type score <t, d> - G\(t\) overflows the float range at \[1.0\]",
+    ),
+    (
+        "rochet_payments",  # <t_0, d_0> = 0.7 of the range, but einsum forms 1.2 of it first
+        lambda: rochet_payments(
+            TypeSpace([[1.0, 2.0], [1.0, 1.9999999999]]),
+            LinearFamily([[-0.5 * MAX, 0.6 * MAX], [0.0, 0.15 * MAX]]),
+        ),
+        r"the payoff <t, d> overflows the float range at \[1.0, 2.0\]",
+    ),
+    (
+        "rochet_payments-payment",  # <t_1, d_1> = 0.9 of the range, its surplus -0.5 of it
+        lambda: rochet_payments(
+            TypeSpace([[1.0, 0.0], [1.0, 1.0]]), LinearFamily([[0.0, -0.5 * MAX], [0.9 * MAX, 0.0]])
+        ),
+        r"the payment <t, d> - surplus overflows the float range at \[1.0, 1.0\]",
     ),
     (
         "StepAllocation",  # inf - inf in the increasing check came first
