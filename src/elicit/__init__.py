@@ -27,19 +27,29 @@ from .core import (
     UnreachableActionError,
     Witness,
     WitnessColumns,
-    bregman_divergence,
     check_subgradient_selection,
     conjugate,
     eval_convex,
     subgradient,
 )
+# properties before duality: the other order adds 2.5 MB to perfbench refute's peak RSS (glibc)
+from .properties import (
+    FitWeightsResult,
+    LabeledSample,
+    Labeling,
+    PowerDiagramSpec,
+    bregman_to_power,
+    check_level_set_convexity,
+    check_wmon_cells,
+    fit_weights,
+    homothet_transform,
+    power_cells,
+    score_from_diagram,
+)
 from .duality import (
     Equilibrium,
     biconjugate,
     check_duality_identities,
-    dual_property,
-    dual_report_score,
-    dual_type_score,
     elicitation_game_equilibria,
 )
 from .monotone import (
@@ -56,26 +66,12 @@ from .payments import (
     revenue_interval,
     rochet_payments,
 )
-from .properties import (
-    FitWeightsResult,
-    LabeledSample,
-    Labeling,
-    PowerDiagramSpec,
-    bregman_to_power,
-    check_level_set_convexity,
-    check_wmon_cells,
-    fit_weights,
-    homothet_transform,
-    power_cells,
-    score_from_diagram,
-)
 from .scoring import (
     DecisionScoreSpec,
     OutcomeScoreTable,
     check_expert_separation,
     check_proper,
     check_truthful,
-    expected_score,
     make_decision_score,
     make_direct_score,
     make_scoring_rule,

@@ -5,14 +5,14 @@ rules, power diagrams) is driven by a convex function together with a
 selection of subgradients.  This module provides the three supported
 representations of a convex function -- a max of affine pieces, the
 squared Euclidean norm, and negative entropy on the probability simplex
--- plus evaluation, subgradient selection, discrete Legendre
-conjugation, and the Bregman-style regret divergence.  The pairwise
-verifiers read their one matrix over pairs (payoffs, gains or weights)
-through :func:`_scan_pairs`, a block of rows of ``_BLOCK_CELLS`` cells
-at a time, and the truthfulness checks of an affine score share one
-deviation-gains pass, :func:`_gain_scan`.  A scoring rule's properness
-(``scoring.check_proper``) is the same pass over beliefs x reports,
-each belief's own column that of its truthful report.
+-- plus evaluation, subgradient selection and discrete Legendre
+conjugation.  The pairwise verifiers read their one matrix over pairs
+(payoffs, gains or weights) through :func:`_scan_pairs`, a block of
+rows of ``_BLOCK_CELLS`` cells at a time, and the truthfulness checks
+of an affine score share one deviation-gains pass, :func:`_gain_scan`.
+A scoring rule's properness (``scoring.check_proper``) is the same
+pass over beliefs x reports, each belief's own column that of its
+truthful report.
 
 Public constructors and functions read the numbers a caller passes with
 :func:`_numbers`, :func:`_as_matrix`, :func:`_as_vector` or
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -69,7 +69,6 @@ __all__ = [
     "conjugate",
     "deviation_gains",
     "check_subgradient_selection",
-    "bregman_divergence",
 ]
 
 #: Absolute tolerance for equality/inequality checks.
@@ -642,6 +641,8 @@ class ScoreTable:
     constant: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.reports, (str, bytes, Mapping)) or not np.iterable(self.reports):
+            raise ValueError(f"reports must be a list of labels, not {type(self.reports).__name__}")
         self.reports = list(self.reports)
         self.linear = _as_matrix(self.linear, "linear")
         self.constant = _as_vector(self.constant, "constant", extended=True)
@@ -655,16 +656,6 @@ class ScoreTable:
     def __len__(self) -> int:
         return len(self.reports)
 
-    def evaluate(self, report_idx: int, t) -> float:
-        """Score of ``report_idx`` as a function of true type ``t``: -inf
-        with a -inf constant, and ``ValueError`` where it overflows."""
-        i, t = _index(report_idx, len(self), "report index"), _as_vector(t, "type")
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = self.linear[i] @ t + self.constant[i]
-        if _overflows(value, self.constant[i]):
-            raise ValueError(f"the score of report {i} overflows the float range at {t.tolist()}")
-        return float(value)
-
     def payoff_matrix(self, ts: TypeSpace, out=None) -> np.ndarray:
         """Matrix V[r, i] = score of report r at type i, written into
         ``out`` if given; ``ValueError``, before anything is allocated,
@@ -676,29 +667,6 @@ class ScoreTable:
             values = np.matmul(self.linear, ts.points.T, out=out)
             values += self.constant[:, None]
         return values
-
-    def validate_regular(self, ts: TypeSpace) -> None:
-        """Gamma-regularity: the best report is finite at every type.  A
-        payoff that overflows raises ``ValueError`` naming its report and
-        type."""
-        values = self.payoff_matrix(ts)
-        over = _overflows(values, self.constant[:, None])
-        if over.any():
-            r, i = np.unravel_index(over.argmax(), over.shape)
-            raise ValueError(
-                f"the score of report {r} overflows the float range at {ts.points[i].tolist()}"
-            )
-        best = values.max(axis=0)
-        if not np.all(np.isfinite(best)):
-            bad = int(np.argmin(np.isfinite(best)))
-            raise ValueError(f"no finite-scoring report at type index {bad}")
-
-
-def _overflows(values, constant):
-    """Where scores ``<linear, t> + constant`` of finite linear parts and
-    types left the float range: +inf or nan, or -inf where the constant
-    is finite."""
-    return ~(values < np.inf) | ((values == -np.inf) & (constant > -np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -879,11 +847,3 @@ def check_subgradient_selection(
     witnesses = WitnessColumns([("pair", pair, scan.values, "subgradient inequality violated")])
     return CheckReport(witnesses, {"tol": tol})
 
-
-def bregman_divergence(g: ConvexSpec, t, t_report) -> float:
-    """Regret of reporting ``t_report`` under truth ``t``:
-    G(t) - G(t') - <t - t', dG_{t'}>.  Nonnegative by convexity."""
-    t = _as_vector(t, "point")
-    t_report = _as_vector(t_report, "report point")
-    d = subgradient(g, t_report)
-    return eval_convex(g, t) - eval_convex(g, t_report) - float((t - t_report) @ d)

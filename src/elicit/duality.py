@@ -1,8 +1,8 @@
-"""The duality quadrangle: dual-report and dual-type scores.
+"""The duality quadrangle: the Fenchel-Young gap between G and G*.
 
-Swapping the report for a dual vector gives the market/menu form
-A(d, t) = <t, d> - G*(d); swapping the type gives A*(t, d) =
-<t, d> - G(t).  Both rest on one quantity, the Fenchel-Young gap
+Swapping the report for a dual vector prices it at G*(d), the
+market/menu form <t, d> - G*(d); swapping the type prices it at G(t),
+the form <t, d> - G(t).  Both rest on one quantity, the Fenchel-Young gap
 G(t) + G*(d) - <t, d>: never negative, and zero exactly when d is a
 subgradient of G at t.  Subgradient membership is operationalized as
 that gap being zero within tolerance rather than by symbolic
@@ -36,43 +36,18 @@ from .core import (
     _overflow,
     _require_cells,
     conjugate,
-    eval_convex,
     require_positive,
 )
-from .properties import LabeledSample
 
 __all__ = [
-    "dual_report_score",
-    "dual_type_score",
     "biconjugate",
     "check_duality_identities",
     "Equilibrium",
     "elicitation_game_equilibria",
-    "dual_property",
 ]
 
 #: Fenchel-Young equality within this counts as subgradient membership.
 EQUALITY_TOL = 1e-6
-
-
-def dual_report_score(g: ConvexSpec, d, t, grid: TypeSpace) -> float:
-    """Menu / market score for reporting the dual vector d: <t, d> - G*(d)."""
-    d, t = _as_vector(d, "dual vector"), _as_vector(t, "type")
-    return _pairing_less(t, d, conjugate(g, d, grid), "the dual-report score <t, d> - G*(d)")
-
-
-def dual_type_score(g: ConvexSpec, t, d) -> float:
-    """Score when the roles flip and d is the true object: <t, d> - G(t)."""
-    d, t = _as_vector(d, "dual vector"), _as_vector(t, "type")
-    return _pairing_less(t, d, eval_convex(g, t), "the dual-type score <t, d> - G(t)")
-
-
-def _pairing_less(t: np.ndarray, d: np.ndarray, price: float, what: str) -> float:
-    """<t, d> - price, a finite float; ``ValueError`` naming ``what`` and
-    the type where it leaves the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = np.array([t @ d - price])
-    return float(_overflow(value, what, t[None])[0])
 
 
 def biconjugate(g: ConvexSpec, t, grid: TypeSpace, duals) -> float:
@@ -163,11 +138,3 @@ def elicitation_game_equilibria(
         for j, i in np.argwhere(np.abs(gap) <= eq_tol)
     ]
 
-
-def dual_property(sample: LabeledSample) -> dict:
-    """Invert the type -> report relation into report -> list of types;
-    insertion order follows first appearance, groups preserve order."""
-    out: dict = {}
-    for point, label in zip(sample.points, sample.labels):
-        out.setdefault(int(label), []).append(point.copy())
-    return {label: np.vstack(points) for label, points in out.items()}

@@ -600,6 +600,7 @@ def load_convex(obj: dict) -> ConvexSpec:
         pieces = obj["maxAffine"]
         if not isinstance(pieces, list) or not pieces:
             raise ValueError("maxAffine must be a nonempty list of pieces")
+        pieces = [require_object(p, f"maxAffine piece {k}") for k, p in enumerate(pieces)]
         return MaxAffine(slopes=[p["a"] for p in pieces], intercepts=[p["b"] for p in pieces])
     if "analytic" in obj:
         kind = obj["analytic"]

@@ -48,7 +48,6 @@ from .core import (
 )
 
 __all__ = [
-    "CheckReport",
     "cmon_weights",
     "longest_paths",
     "check_wmon",

@@ -49,7 +49,6 @@ __all__ = [
     "DecisionScoreSpec",
     "simplex_grid",
     "make_scoring_rule",
-    "expected_score",
     "check_proper",
     "check_expert_separation",
     "make_decision_score",
@@ -164,11 +163,6 @@ class OutcomeScoreTable:
             np.maximum(far, np.abs(self.reports[:, o] - beliefs[:, o, None]), out=far)
         return far
 
-    def find_report(self, p, tol: float = SIMPLEX_TOL) -> Optional[int]:
-        """Index of the first report within ``tol`` of ``p`` in max norm."""
-        hits = np.flatnonzero(self.distances(_numbers(p, "p").reshape(1, -1))[0] <= tol)
-        return int(hits[0]) if hits.size else None
-
 
 def make_scoring_rule(g: ConvexSpec, reports: Sequence) -> OutcomeScoreTable:
     """Build the proper scoring rule generated by a convex function:
@@ -195,14 +189,6 @@ def make_scoring_rule(g: ConvexSpec, reports: Sequence) -> OutcomeScoreTable:
     with np.errstate(over="ignore", invalid="ignore"):  # the table rejects +inf and nan
         payoffs[~edge] = eval_convex(g, inner)[:, None] + d - np.vecdot(d, inner)[:, None]
     return OutcomeScoreTable(reports, payoffs)
-
-
-def expected_score(table: OutcomeScoreTable, report_idx: int, belief) -> float:
-    """Expectation of a report's payoffs under ``belief``; outcomes with
-    zero belief, or one within SIMPLEX_TOL below zero, contribute zero
-    even against a -inf payoff."""
-    i, belief = _index(report_idx, len(table), "report index"), table._beliefs([belief], "belief")
-    return float(table.payoff_matrix(belief)[0, i])
 
 
 def check_proper(

@@ -25,6 +25,8 @@ from elicit import (
     TypeSpace,
     UnreachableActionError,
     Witness,
+    eval_convex,
+    subgradient,
 )
 from elicit.core import DEFAULT_TOL, INTERIOR_EPS, SIMPLEX_TOL, _gain_scan, require_positive
 from elicit.jsonio import dumps
@@ -110,6 +112,15 @@ def kl_divergence(p, q):
     q = np.asarray(q, dtype=float)
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def bregman_matrix(g, points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """D[k, j] = G(t_k) - G(s_j) - <t_k - s_j, dG(s_j)>, the Bregman
+    divergence of point row t_k from site row s_j: G on the rows in one
+    call, and one subgradient per site."""
+    slopes = np.array([subgradient(g, s) for s in sites])
+    gaps = np.vecdot(points[:, None] - sites, slopes)
+    return eval_convex(g, points)[:, None] - eval_convex(g, sites) - gaps
 
 
 # ---------------------------------------------------------------------------

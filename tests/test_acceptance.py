@@ -101,8 +101,8 @@ def test_scoring_rule_round_trip():
     linear = OutcomeScoreTable(reports=grid2, payoffs=grid2.copy())
     report = check_proper(linear, tol=1e-9)
     assert not report.passed
-    truth = linear.find_report([0.6, 0.4])
-    vertex = linear.find_report([1.0, 0.0])
+    # the first report within 1e-9 of each belief, in max norm
+    truth, vertex = (linear.distances([[0.6, 0.4], [1.0, 0.0]]) <= 1e-9).argmax(axis=1).tolist()
     assert any(w.indices == (truth, vertex) for w in report.witnesses)
 
 

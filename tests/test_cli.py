@@ -730,26 +730,36 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "args,doc,message",
         [
-            (
-                ["check-truthful", "{f}"],
-                {
-                    "score": {"reports": 5, "linear": [[0.0]], "constant": [0.0]},
-                    "typeSpace": {"dim": 1, "points": [[0.0]]},
-                },
-                "not iterable",
-            ),
+            *[
+                (
+                    ["check-truthful", "{f}"],
+                    {
+                        "score": {"reports": reports, "linear": [[0.0]], "constant": [0.0]},
+                        "typeSpace": {"dim": 1, "points": [[0.0]]},
+                    },
+                    f"reports must be a list of labels, not {kind}",
+                )
+                # a string or an object used to be read as its characters or keys
+                for reports, kind in [(5, "int"), (None, "NoneType"), ("a", "str"), ({"a": 0}, "dict")]
+            ],
             (
                 ["myerson", "{f}", "--t", "0.5"],
                 {"breakpoints": [0.0], "values": {"a": 1}},
                 "values must hold numbers, not objects",
             ),
-            (["breg2power", "{f}", "{s}"], {"maxAffine": [5]}, "not subscriptable"),
+            *[
+                (args, {"maxAffine": [piece]}, "maxAffine piece 0 must be a JSON object")
+                for args in (["breg2power", "{f}", "{s}"], ["duality-check", "{f}", "{grids}"],
+                             ["game", "{f}", "{grids}"])
+                for piece in (5, [], None, "x")
+            ],
         ],
     )
     def test_field_of_the_wrong_type(self, tmp_path, capsys, args, doc, message):
         f = write(tmp_path, "doc.json", doc)
         s = write(tmp_path, "sites.json", {"sites": [[0.0], [1.0]]})
-        self.assert_usage_error([a.format(f=f, s=s) for a in args], capsys, message)
+        grids = str(GOLDEN_INPUTS / "grids-maxaffine.json")
+        self.assert_usage_error([a.format(f=f, s=s, grids=grids) for a in args], capsys, message)
 
     def test_nested_list_is_not_an_object(self, tmp_path, capsys):
         path = write(tmp_path, "doc.json", {"score": [1, 2], "typeSpace": {"points": [[0.0]]}})

@@ -14,14 +14,19 @@ from elicit import (
     ScoreTable,
     SquaredNorm,
     TypeSpace,
-    bregman_divergence,
     check_subgradient_selection,
     conjugate,
     eval_convex,
     subgradient,
 )
 from elicit import core
-from helpers import central_diff_grad, loop_require_distinct, random_max_affine, random_typespace
+from helpers import (
+    bregman_matrix,
+    central_diff_grad,
+    loop_require_distinct,
+    random_max_affine,
+    random_typespace,
+)
 
 ABS = MaxAffine(slopes=[[1.0], [-1.0]], intercepts=[0.0, 0.0])  # |t|
 HINGE = MaxAffine(slopes=[[0.0], [1.0]], intercepts=[0.0, -1.0])  # max(0, t-1)
@@ -91,13 +96,15 @@ class TestTypes:
 
     def test_score_table_allows_neginf_constant(self):
         table = ScoreTable(reports=[0, 1], linear=[[1.0], [0.0]], constant=[-math.inf, 0.0])
-        assert table.evaluate(0, [5.0]) == -math.inf
-        assert table.evaluate(1, [5.0]) == 0.0
+        assert table.payoff_matrix(TypeSpace([[5.0]]))[:, 0].tolist() == [-math.inf, 0.0]
 
-    def test_regularity_requires_one_finite_row(self):
-        table = ScoreTable(reports=[0], linear=[[0.0]], constant=[-math.inf])
-        with pytest.raises(ValueError):
-            table.validate_regular(TypeSpace([[0.0]]))
+    @pytest.mark.parametrize("reports", ["ab", {"a": 0}, None, 5])
+    def test_score_table_reports_are_a_list_of_labels(self, reports):
+        # a string or a mapping used to be read as its characters or keys
+        with pytest.raises(ValueError, match=r"^reports must be a list of labels, not \w+$"):
+            ScoreTable(reports=reports, linear=[[1.0], [0.0]], constant=[0.0, 0.0])
+        table = ScoreTable(reports=("a", "b"), linear=[[1.0], [0.0]], constant=[0.0, 0.0])
+        assert table.reports == ["a", "b"]
 
 
 class TestEval:
@@ -217,27 +224,24 @@ class TestSelectionCheck:
 
 
 class TestBregman:
+    """The Bregman divergence G(t) - G(s) - <t - s, dG(s)>, formed from
+    ``eval_convex`` and ``subgradient``."""
+
     def test_squared_norm_is_squared_distance(self):
-        d = bregman_divergence(SquaredNorm(), [1.0, 0.0], [0.0, 1.0])
-        assert d == pytest.approx(2.0, abs=1e-12)
+        d = bregman_matrix(SquaredNorm(), np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+        assert d[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_at_report_equal_truth(self):
         for g, t in [(SquaredNorm(), [0.3, -0.7]), (NegEntropy(), [0.4, 0.6])]:
-            assert bregman_divergence(g, t, t) == pytest.approx(0.0, abs=1e-12)
+            d = bregman_matrix(g, np.array([t]), np.array([t]))
+            assert d[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_neg_entropy_matches_kl(self):
         t = np.array([0.5, 0.5])
         r = np.array([0.25, 0.75])
         expect = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        # cross-check the displayed formula directly
-        direct = (
-            eval_convex(NegEntropy(), t)
-            - eval_convex(NegEntropy(), r)
-            - float((t - r) @ subgradient(NegEntropy(), r))
-        )
         assert expect == pytest.approx(0.14384103622589045, abs=1e-12)
-        assert direct == pytest.approx(expect, abs=1e-12)
-        assert bregman_divergence(NegEntropy(), t, r) == pytest.approx(expect, abs=1e-12)
+        assert bregman_matrix(NegEntropy(), t[None], r[None])[0, 0] == pytest.approx(expect, abs=1e-12)
 
 
 class TestInvariants:
@@ -274,9 +278,7 @@ class TestInvariants:
         rng = np.random.default_rng(11)
         g = random_max_affine(rng, 2)
         pts = rng.uniform(-2, 2, size=(10, 2))
-        for t in pts:
-            for r in pts:
-                assert bregman_divergence(g, t, r) >= -1e-9
+        assert (bregman_matrix(g, pts, pts) >= -1e-9).all()
 
     def test_fenchel_young_with_equality_at_subgradients(self):
         rng = np.random.default_rng(3)

@@ -5,7 +5,6 @@ import pytest
 
 from elicit import (
     DomainError,
-    LabeledSample,
     MaxAffine,
     NegEntropy,
     SquaredNorm,
@@ -13,9 +12,6 @@ from elicit import (
     biconjugate,
     check_duality_identities,
     conjugate,
-    dual_property,
-    dual_report_score,
-    dual_type_score,
     elicitation_game_equilibria,
     eval_convex,
     subgradient,
@@ -37,34 +33,26 @@ def lattice_2d(lo=-1.0, hi=1.0, n=21):
 
 
 class TestDualScores:
-    def test_dual_report_recovers_g_at_matched_pair(self):
-        # G*(1) over the grid is 0.5, so <1, 1> - G*(1) = 0.5 = G(1)
-        got = dual_report_score(HALF_SQ, [1.0], [1.0], GRID3)
-        assert got == pytest.approx(0.5, abs=1e-12)
-        assert got == pytest.approx(eval_convex(HALF_SQ, [1.0]), abs=1e-12)
+    """The dual-report score <t, d> - G*(d) and the dual-type score
+    <t, d> - G(t), each formed from ``conjugate`` and ``eval_convex``."""
 
     def test_dual_report_at_subgradient_equals_primal_value(self):
+        # Fenchel-Young with equality: G*(dG(t)) = <t, dG(t)> - G(t)
         for t in GRID3.points:
             d = subgradient(HALF_SQ, t)
-            got = dual_report_score(HALF_SQ, d, t, GRID3)
+            got = t @ d - conjugate(HALF_SQ, d, GRID3)
             assert got == pytest.approx(eval_convex(HALF_SQ, t), abs=1e-9)
 
     def test_zero_dual_gives_minus_min(self):
-        got = dual_report_score(HALF_SQ, [0.0], [0.7], GRID3)
+        got = -conjugate(HALF_SQ, [0.0], GRID3)  # <t, 0> - G*(0) at any t
         min_g = min(eval_convex(HALF_SQ, t) for t in GRID3.points)
         assert got == pytest.approx(-min_g, abs=1e-12)
-
-    def test_dual_type_score_definitions(self):
-        assert dual_type_score(SquaredNorm(), [1.0, 0.0], [2.0, 0.0]) == pytest.approx(
-            1.0, abs=0
-        )
-        assert dual_type_score(HALF_SQ, [1.0], [0.0]) == pytest.approx(-0.5, abs=0)
 
     def test_maximizing_dual_type_score_is_the_conjugate(self):
         # duals aligned with the tangent slopes keep the maximizer on the
         # grid (elsewhere the breakpoint scan makes conjugate() larger)
         for d in ([-1.0], [0.0], [1.0]):
-            best = max(dual_type_score(HALF_SQ, t, d) for t in GRID3.points)
+            best = (GRID3.points @ d - eval_convex(HALF_SQ, GRID3.points)).max()
             assert best == pytest.approx(
                 conjugate(HALF_SQ, np.asarray(d), GRID3), abs=1e-12
             )
@@ -222,27 +210,3 @@ class TestGame:
         assert {(e.d_index, e.t_index) for e in fwd} == {
             (e.t_index, e.d_index) for e in bwd
         }
-
-
-class TestDualProperty:
-    def test_simple_inversion(self):
-        sample = LabeledSample(points=[[0.0], [1.0]], labels=[0, 1])
-        out = dual_property(sample)
-        assert set(out) == {0, 1}
-        assert out[0] == pytest.approx(np.array([[0.0]]), abs=0)
-        assert out[1] == pytest.approx(np.array([[1.0]]), abs=0)
-
-    def test_double_inversion_is_identity(self):
-        sample = LabeledSample(
-            points=[[0.0], [1.0], [2.0], [3.0]], labels=[1, 0, 1, 0]
-        )
-        out = dual_property(sample)
-        rebuilt = [(tuple(p), lab) for lab, pts in out.items() for p in pts]
-        original = [(tuple(p), int(l)) for p, l in zip(sample.points, sample.labels)]
-        assert sorted(rebuilt) == sorted(original)
-
-    def test_repeated_labels_grouped_in_order(self):
-        sample = LabeledSample(points=[[0.0], [2.0], [1.0]], labels=[5, 5, 5])
-        out = dual_property(sample)
-        assert list(out) == [5]
-        assert out[5][:, 0].tolist() == [0.0, 2.0, 1.0]

@@ -23,8 +23,6 @@ from elicit import (
     check_subgradient_selection,
     check_wmon_cells,
     conjugate,
-    dual_report_score,
-    dual_type_score,
     elicitation_game_equilibria,
     eval_convex,
     homothet_transform,
@@ -138,41 +136,6 @@ CASES = [
         r"cmon weights d_i \. \(t_j - t_i\), summed over up to m edges, overflow the float range",
     ),
     (
-        "ScoreTable.evaluate",  # returned inf
-        lambda: ScoreTable([0], [[BIG]], [0.0]).evaluate(0, [10.0]),
-        r"the score of report 0 overflows the float range at \[10.0\]",
-    ),
-    (
-        "ScoreTable.evaluate-negative",  # -1e309 is no -inf constant
-        lambda: ScoreTable([0], [[-BIG]], [0.0]).evaluate(0, [10.0]),
-        r"the score of report 0 overflows the float range at \[10.0\]",
-    ),
-    (
-        "ScoreTable.evaluate-constant",  # 1e308 * 10 + (-inf) is nan
-        lambda: ScoreTable([0], [[BIG]], ["-inf"]).evaluate(0, [10.0]),
-        r"the score of report 0 overflows the float range at \[10.0\]",
-    ),
-    (
-        "ScoreTable.validate_regular",  # answered "no finite-scoring report"
-        lambda: ScoreTable([0, 1], [[0.0], [-BIG]], [0.0, 0.0]).validate_regular(TypeSpace([[1.0], [10.0]])),
-        r"the score of report 1 overflows the float range at \[10.0\]",
-    ),
-    (
-        "dual_report_score",  # <t, d> = 1e309; G*(1e308) = 1e308 on the grid
-        lambda: dual_report_score(FLAT, [BIG], [10.0], UNIT),
-        r"the dual-report score <t, d> - G\*\(d\) overflows the float range at \[10.0\]",
-    ),
-    (
-        "dual_type_score",
-        lambda: dual_type_score(FLAT, [10.0], [BIG]),
-        r"the dual-type score <t, d> - G\(t\) overflows the float range at \[10.0\]",
-    ),
-    (
-        "dual_type_score-difference",  # <t, d> = 1e308 and G(t) = -1e308 are finite
-        lambda: dual_type_score(MaxAffine([[-BIG]], [0.0]), [1.0], [BIG]),
-        r"the dual-type score <t, d> - G\(t\) overflows the float range at \[1.0\]",
-    ),
-    (
         "rochet_payments",  # <t_0, d_0> = 0.7 of the range, but einsum forms 1.2 of it first
         lambda: rochet_payments(
             TypeSpace([[1.0, 2.0], [1.0, 1.9999999999]]),
@@ -224,7 +187,9 @@ def test_a_minus_inf_constant_is_a_score_not_an_overflow():
     table = ScoreTable([0, 1], [[BIG], [1.0]], ["-inf", 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert table.evaluate(0, [0.5]) == -np.inf
-        table.validate_regular(TypeSpace([[0.5], [1.0]]))
-        with pytest.raises(ValueError, match="no finite-scoring report at type index 0"):
-            ScoreTable([0], [[1.0]], ["-inf"]).validate_regular(UNIT)
+        values = table.payoff_matrix(TypeSpace([[0.5], [1.0]]))
+        assert values.tolist() == [[-np.inf, -np.inf], [0.5, 1.0]]
+        # regular: the best report is finite at every type, unless none is
+        assert np.isfinite(values.max(axis=0)).all()
+        values = ScoreTable([0], [[1.0]], ["-inf"]).payoff_matrix(UNIT)
+        assert not np.isfinite(values.max(axis=0)).any()

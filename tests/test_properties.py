@@ -12,7 +12,6 @@ from elicit import (
     PowerDiagramSpec,
     SquaredNorm,
     TypeSpace,
-    bregman_divergence,
     bregman_to_power,
     check_level_set_convexity,
     check_wmon_cells,
@@ -22,7 +21,7 @@ from elicit import (
     score_from_diagram,
     simplex_grid,
 )
-from helpers import kl_divergence
+from helpers import bregman_matrix, kl_divergence
 
 #: How an index field names an entry that is no index.
 INDEX = "is not an integer in the int64 range"
@@ -64,8 +63,9 @@ class TestScoreFromDiagram:
     def test_one_dimensional_rows(self):
         diag = PowerDiagramSpec(sites=[[0.0], [1.0]], weights=[0.0, 0.0])
         score = score_from_diagram(diag)
-        assert score.evaluate(0, [0.4]) == pytest.approx(0.0, abs=0)
-        assert score.evaluate(1, [0.4]) == pytest.approx(-0.2, abs=1e-12)
+        values = score.payoff_matrix(TypeSpace([[0.4]]))[:, 0]
+        assert values[0] == pytest.approx(0.0, abs=0)
+        assert values[1] == pytest.approx(-0.2, abs=1e-12)
 
     def test_argmax_matches_power_labels_randomly(self):
         rng = np.random.default_rng(23)
@@ -374,11 +374,9 @@ class TestBregmanToPower:
         diag = bregman_to_power(NegEntropy(), sites, grid)
         pts = rng.dirichlet(np.ones(2) * 2, size=30)
         labeling = power_cells(diag, pts)
-        for k, t in enumerate(pts):
-            if labeling.ties[k]:
-                continue
-            div = [bregman_divergence(NegEntropy(), t, s) for s in sites]
-            assert int(np.argmin(div)) == labeling.labels[k]
+        nearest = bregman_matrix(NegEntropy(), pts, sites).argmin(axis=1)
+        free = ~labeling.ties
+        assert nearest[free].tolist() == labeling.labels[free].tolist()
 
     @staticmethod
     def off_grid_case(name, rng):
@@ -401,8 +399,7 @@ class TestBregmanToPower:
         g, sites, grid, pts = self.off_grid_case(name, np.random.default_rng(0))
         assert not (grid.points[:, None] == sites).all(axis=2).any()
         labels = power_cells(bregman_to_power(g, sites, grid), pts).labels
-        nearest = [np.argmin([bregman_divergence(g, t, s) for s in sites]) for t in pts]
-        assert labels.tolist() == nearest
+        assert labels.tolist() == bregman_matrix(g, pts, sites).argmin(axis=1).tolist()
 
     def test_single_site_trivial(self):
         sites = np.array([[0.5, 0.5]])

@@ -32,11 +32,8 @@ from elicit import (
     check_revenue_equivalence,
     check_wmon_cells,
     conjugate,
-    dual_report_score,
-    dual_type_score,
     elicitation_game_equilibria,
     eval_convex,
-    expected_score,
     fit_weights,
     homothet_transform,
     make_decision_score,
@@ -92,8 +89,6 @@ CASES = [
         0.5,
     ),
     ("payoff_matrix", lambda x: TABLE.payoff_matrix([[0.5, x]]), "beliefs", 0.5),
-    ("find_report", lambda x: TABLE.find_report([0.5, x]), "p", 0.5),
-    ("expected_score", lambda x: expected_score(TABLE, 0, [0.5, x]), "belief", 0.5),
     ("check_proper", lambda x: check_proper(TABLE, [[0.5, x]]), "belief", 0.5),
     (
         "check_expert_separation",
@@ -115,10 +110,6 @@ CASES = [
         0.5,
     ),
     ("expected_value", lambda x: DECISIONS.expected_value(0, [[0.5, x]]), "belief matrix", 0.5),
-    ("dual_report_score-d", lambda x: dual_report_score(SQ, [x], [0.5], GRID), "dual vector", 0.5),
-    ("dual_report_score-t", lambda x: dual_report_score(SQ, [0.5], [x], GRID), "type", 0.5),
-    ("dual_type_score-d", lambda x: dual_type_score(SQ, [0.5], [x]), "dual vector", 0.5),
-    ("dual_type_score-t", lambda x: dual_type_score(SQ, [x], [0.5]), "type", 0.5),
     ("biconjugate-t", lambda x: biconjugate(SQ, [x], GRID, [[0.5]]), "point", 0.5),
     ("biconjugate-duals", lambda x: biconjugate(SQ, [0.5], GRID, [[x]]), "duals", 0.5),
     ("duality_identities", lambda x: check_duality_identities(SQ, GRID, [[x]]), "duals", 0.5),
@@ -186,13 +177,6 @@ CASES = [
         lambda x: longest_paths(np.zeros((2, 2)), source={0: x}),
         "source values",
         0.5,
-    ),
-    ("ScoreTable.evaluate", lambda x: DIRECT.evaluate(x, [0.5]), "report index", 1.0),
-    (
-        "expected_score-report_idx",
-        lambda x: expected_score(TABLE, x, [0.5, 0.5]),
-        "report index",
-        1.0,
     ),
     (
         "expected_value-report_idx",  # DECISIONS has one report
@@ -301,23 +285,6 @@ def test_a_nan_threshold_is_refused_by_name(call, name):
         call(math.nan)
 
 
-#: (id, the call with x as a report index, the number of reports)
-INDICES = [
-    ("ScoreTable.evaluate", lambda x: DIRECT.evaluate(x, [0.5]), 2),
-    ("expected_score", lambda x: expected_score(TABLE, x, [0.5, 0.5]), 2),
-    ("expected_value", lambda x: DECISIONS.expected_value(x, [[0.5, 0.5]]), 1),
-]
-
-
-@pytest.mark.parametrize("call,size", [i[1:] for i in INDICES], ids=[i[0] for i in INDICES])
-def test_a_report_index_out_of_range_is_refused_by_name(call, size):
-    # numpy would read -1 as the last report
-    for bad in (-1, size, 2**62):
-        with pytest.raises(ValueError, match=rf"^report index must be in \[0, {size}\), got {bad}$"):
-            call(bad)
-    call(size - 1)
-
-
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
 def test_an_allocation_is_read_on_nonnegative_finite_types_only(t):
     with pytest.raises(ValueError, match=rf"^t must be nonnegative and finite, got {t}$"):
@@ -372,6 +339,12 @@ RANGES = [
         lambda x: check_local_truthful(DIRECT, LINE, np.array([0, x]), radius=2.0),
         "report_of entry",
         2,
+    ),
+    (
+        "expected_value-report_idx",
+        lambda x: DECISIONS.expected_value(x, [[0.5, 0.5]]),
+        "report index",
+        1,
     ),
     ("longest_paths-source", lambda x: longest_paths(np.zeros((2, 2)), source=x), "source", 2),
     (
@@ -490,7 +463,6 @@ def test_an_expectation_reads_distributions_and_a_lookup_any_numbers():
     with pytest.raises(ValueError, match=r"^beliefs \[2.0, -1.0\] is not on the probability"):
         TABLE.payoff_matrix([[2.0, -1.0]])
     assert TABLE.distances([[2.0, -1.0]]).tolist() == [[1.5, 1.0]]
-    assert TABLE.find_report([2.0, -1.0]) is None
     # one belief where a list of them belongs: a dimension error, not "belief [0.5] is off"
     with pytest.raises(DimensionMismatchError, match=r"^belief dimension != outcome count$"):
         check_proper(TABLE, [0.5, 0.5])

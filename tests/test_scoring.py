@@ -19,13 +19,13 @@ from elicit import (
     check_proper,
     check_truthful,
     eval_convex,
-    expected_score,
     jsonio,
     make_decision_score,
     make_direct_score,
     make_scoring_rule,
     simplex_grid,
 )
+from elicit.core import SIMPLEX_TOL
 from helpers import (
     loop_check_proper,
     loop_expected_score,
@@ -36,6 +36,11 @@ from helpers import (
 )
 
 GRID2 = simplex_grid(2, 10)
+
+
+def report_of(table, p) -> int:
+    """The index of the first report within SIMPLEX_TOL of ``p`` in max norm."""
+    return int(np.flatnonzero(table.distances([p])[0] <= SIMPLEX_TOL)[0])
 
 
 def linear_table(reports):
@@ -120,7 +125,7 @@ class TestMakeScoringRule:
             if min(p) < 1e-12:
                 continue
             table = make_scoring_rule(SquaredNorm(), [p])
-            assert expected_score(table, 0, p) == pytest.approx(
+            assert table.payoff_matrix([p])[0, 0] == pytest.approx(
                 eval_convex(SquaredNorm(), p), abs=1e-12
             )
 
@@ -128,12 +133,12 @@ class TestMakeScoringRule:
 class TestExpectedScore:
     def test_uniform_brier(self):
         table = make_scoring_rule(SquaredNorm(), GRID2)
-        idx = table.find_report([0.5, 0.5])
-        assert expected_score(table, idx, [0.5, 0.5]) == pytest.approx(0.5, abs=1e-12)
+        idx = report_of(table, [0.5, 0.5])
+        assert table.payoff_matrix([[0.5, 0.5]])[0, idx] == pytest.approx(0.5, abs=1e-12)
 
     def test_log_vertex_zero_times_neg_inf(self):
         table = make_scoring_rule(NegEntropy(), [[1.0, 0.0]])
-        assert expected_score(table, 0, [1.0, 0.0]) == 0.0
+        assert table.payoff_matrix([[1.0, 0.0]])[0, 0] == 0.0
 
     def test_a_minus_inf_term_sinks_an_overflowed_sum(self):
         # the first term overflows to +inf; the -inf term still wins, as
@@ -144,7 +149,6 @@ class TestExpectedScore:
         )
         belief = np.array([1 + 5e-10, -1e-9, 5e-10])
         assert loop_expected_score(table, 0, belief) == -np.inf
-        assert expected_score(table, 0, belief) == -np.inf
         assert table.payoff_matrix([belief])[0].tolist() == [-np.inf, 0.0]
 
     def test_rounding_below_zero_times_neg_inf_is_zero(self):
@@ -155,24 +159,21 @@ class TestExpectedScore:
             payoffs=[[-1, -1, 0], [-1, -np.inf, -1]],
         )
         belief = [1e-10, -1e-10, 1]
-        assert expected_score(table, 1, belief) == 1e-10 * -1 + 0.0 + -1.0
-        assert expected_score(table, 0, belief) == 1e-10 * -1 + -1e-10 * -1 + 0.0
         # +1e-10 is a real probability: against -inf it sinks the score
-        assert expected_score(table, 1, [-1e-10, 1e-10, 1]) == -np.inf
-        assert table.payoff_matrix([belief, [-1e-10, 1e-10, 1]])[:, 1].tolist() == [
-            1e-10 * -1 + 0.0 + -1.0,
-            -np.inf,
+        assert table.payoff_matrix([belief, [-1e-10, 1e-10, 1]]).tolist() == [
+            [1e-10 * -1 + -1e-10 * -1 + 0.0, 1e-10 * -1 + 0.0 + -1.0],
+            [-1e-10 * -1 + 1e-10 * -1 + 0.0, -np.inf],
         ]
 
     def test_nan_belief_is_off_the_simplex(self):
         table = make_scoring_rule(SquaredNorm(), GRID2)
-        with pytest.raises(ValueError, match=r"belief \[nan, nan\] is not on the"):
-            expected_score(table, 0, [math.nan, math.nan])
+        with pytest.raises(ValueError, match=r"beliefs \[nan, nan\] is not on the"):
+            table.payoff_matrix([[math.nan, math.nan]])
 
     def test_brier_vertex_row_against_mixed_belief(self):
         table = make_scoring_rule(SquaredNorm(), [[1.0, 0.0]])
         assert table.payoffs[0] == pytest.approx([1.0, -1.0], abs=1e-12)
-        got = expected_score(table, 0, [0.6, 0.4])
+        got = table.payoff_matrix([[0.6, 0.4]])[0, 0]
         assert got == pytest.approx(0.2, abs=1e-12)
 
 
@@ -185,8 +186,8 @@ class TestCheckProper:
         table = linear_table(GRID2)
         report = check_proper(table)
         assert not report.passed
-        truth = table.find_report([0.6, 0.4])
-        vertex = table.find_report([1.0, 0.0])
+        truth = report_of(table, [0.6, 0.4])
+        vertex = report_of(table, [1.0, 0.0])
         hits = [w for w in report.witnesses if w.indices == (truth, vertex)]
         assert hits, "belief (0.6, 0.4) must prefer reporting (1, 0)"
         assert hits[0].slack == pytest.approx(0.6 - 0.52, abs=1e-12)
@@ -231,7 +232,7 @@ class TestCheckProper:
         extended = make_scoring_rule(SquaredNorm(), GRID2)
         assert check_proper(extended, strict=True).passed
         for p in gap:
-            i, j = table.find_report(p), extended.find_report(p)
+            i, j = report_of(table, p), report_of(extended, p)
             assert table.payoffs[i] == pytest.approx(extended.payoffs[j], abs=1e-12)
 
     def test_strict_flags_duplicate_payoff_rows(self):
@@ -348,7 +349,8 @@ class TestDirectScore:
         score = make_direct_score(g, ts)
         assert check_truthful(score, ts).passed
         # reports 0 (slope +1 at t = 0) and 1 tie at every t >= 0
-        assert score.evaluate(1, [1.0]) == score.evaluate(2, [1.0])
+        values = score.payoff_matrix(TypeSpace([[1.0]]))[:, 0]
+        assert values[1] == values[2]
 
     def test_constant_function_all_rows_identical(self):
         g = MaxAffine(slopes=[[0.0, 0.0]], intercepts=[3.5])
@@ -410,6 +412,5 @@ class TestRoundTrips:
 
     def test_value_function_identity(self):
         table = make_scoring_rule(SquaredNorm(), GRID2)
-        for p in GRID2:
-            best = max(expected_score(table, r, p) for r in range(len(table)))
-            assert best == pytest.approx(eval_convex(SquaredNorm(), p), abs=1e-9)
+        best = table.payoff_matrix(GRID2).max(axis=1)
+        assert best == pytest.approx(eval_convex(SquaredNorm(), GRID2), abs=1e-9)

@@ -31,7 +31,6 @@ from elicit import (
     cli,
     conjugate,
     eval_convex,
-    expected_score,
     fit_weights,
     jsonio,
     make_scoring_rule,
@@ -243,13 +242,13 @@ def case_proper_ties(rng):
 def test_mixed_infinite_terms_score_minus_inf():
     # a belief within tolerance of its report may put -1e-10 on one
     # outcome and 1e-10 on another where a deviation pays -inf; that
-    # deviation's expected score is -inf, as in expected_score, never nan
+    # deviation's expected score is -inf, as in payoff_matrix, never nan
     table = OutcomeScoreTable(
         reports=[[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]],
         payoffs=[[-1.0, -1.0, 0.0], [-np.inf, -np.inf, 0.5], [-1.0, -2.0, -1.0]],
     )
     beliefs = [[1e-10, -1e-10, 1.0], [0.5, 0.0, 0.5]]
-    assert expected_score(table, 1, beliefs[0]) == -np.inf
+    assert table.payoff_matrix(beliefs[:1])[0, 1] == -np.inf
     report = check_proper(table, beliefs)
     assert jsonio.dumps(report.to_obj()) == report_text(
         loop_check_proper(table, beliefs, False, 1e-9)
