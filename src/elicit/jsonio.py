@@ -15,27 +15,28 @@ and dicts with other keys are first turned into the builtin value they
 stand for, but for the float arrays below.
 
 A list (or tuple) of at least ``_LIST_MIN`` items that are all ints,
-all finite floats, or all lists of one length of finite floats, each of
-exactly that type, is written by one ``%``-template over its values,
-``%d`` and ``%.17g``, which give the bytes of ``int.__repr__`` and
-``format(x, ".17g")``.  Every other list, and every shorter one, is
-written item by item: one with -inf, +inf or nan, a bool, a float
-subclass or a numpy scalar among its items, or rows of unequal length.
-So an error is raised by the same item, in the same order, either way.
+each exactly an int, is written by one ``%d`` template, which gives the
+bytes of ``int.__repr__``.  Every other list, and every shorter one, is
+written item by item, so an error is raised by the same item, in the
+same order, as ever.
+
+A float64 ``np.ndarray`` (exactly that type) of 1 or 2 dimensions with
+at least ``_LIST_MIN`` numbers, all finite, is written from the array by
+:func:`_array_text`: below ``_VECTOR_MIN`` numbers by one ``%.17g``
+template, which gives the bytes of ``format(x, ".17g")``; from there on
+by the byte-matrix writer, one row per number in row-major order, its
+brackets and comma a column next to its digits.  Any other array, with
+-inf, +inf or nan, fewer numbers, another dtype or more dimensions, is
+written as its ``tolist()``, so an error is raised as before.
 
 A block of witnesses is written by one ``%``-template, over the block
 ``_TEXT_CHUNK`` witnesses at a time, when it has fewer than
 ``_VECTOR_MIN`` witnesses or a slack that is not finite.  A longer block
-is written by the byte-matrix writer, one row per witness.  So is a
-float64 ``np.ndarray`` (exactly that type) of 1 or 2 dimensions with at
-least ``_VECTOR_MIN`` numbers, all finite: one row per number, in
-row-major order, its brackets and comma a column next to its digits.
-Any other array, with -inf, +inf or nan, fewer numbers, another dtype
-or more dimensions, is written as its ``tolist()``, so an error is
-raised as before.  The writer takes ``_TEXT_CHUNK`` rows at a time as
-one byte matrix, a column of NUL-padded text per field, whose NUL bytes
-are then dropped: canonical JSON text never holds a NUL byte, as a
-str's is written ``\u0000``.  Both ways give the same bytes.
+is written by the byte-matrix writer, one row per witness.  The writer
+takes ``_TEXT_CHUNK`` rows at a time as one byte matrix, a column of
+NUL-padded text per field, whose NUL bytes are then dropped: canonical
+JSON text never holds a NUL byte, as a str's is written ``\u0000``.
+Both ways give the same bytes.
 """
 
 from __future__ import annotations
@@ -176,22 +177,27 @@ def _witness_text(kind, index, slack, detail) -> str:
 
 def _array_text(a: np.ndarray) -> str:
     """The text of a float64 array of 1 or 2 dimensions, at least one
-    number and only finite ones, by :func:`_matrix_text`, one row per
-    number in row-major order: a "[" before the first number of an array
-    row, the number, and "]," after the last, "," after the others.  A
-    1-D array is one such row; a 2-D array's rows are put in brackets.
-    What ``format(x, ".17g")`` of each number gives, but -0.0 is written
-    ``0``."""
+    number and only finite ones, ``format(x, ".17g")`` of each but -0.0
+    written ``0``: below ``_VECTOR_MIN`` numbers by one ``%.17g``
+    template, from there on by :func:`_matrix_text`, one row per number
+    in row-major order: a "[" before the first number of an array row,
+    the number, and "]," after the last, "," after the others.  A 1-D
+    array is one array row; a 2-D array's rows are put in brackets."""
     numbers = a.reshape(-1) + 0.0  # -0.0 + 0.0 is 0.0
-    column = np.arange(len(numbers)) % a.shape[-1]
-    opens = _OPENS.take(column == 0)[None]
-    closes = _CLOSES.take(column == a.shape[-1] - 1)[None]
-    plan = [
-        lambda rows, c: opens[:, rows],
-        lambda rows, c: _float_words(numbers[rows]),
-        lambda rows, c: closes[:, rows],
-    ]
-    text = _matrix_text(plan, len(numbers))
+    width = a.shape[-1]
+    if len(numbers) < _VECTOR_MIN:
+        row = "[" + ",".join(["%.17g"] * width) + "]"
+        text = ",".join([row] * (len(numbers) // width)) % tuple(numbers.tolist())
+    else:
+        column = np.arange(len(numbers)) % width
+        opens = _OPENS.take(column == 0)[None]
+        closes = _CLOSES.take(column == width - 1)[None]
+        plan = [
+            lambda rows, c: opens[:, rows],
+            lambda rows, c: _float_words(numbers[rows]),
+            lambda rows, c: closes[:, rows],
+        ]
+        text = _matrix_text(plan, len(numbers))
     return text if a.ndim == 1 else "[" + text + "]"
 
 
@@ -233,7 +239,7 @@ def _words(text: bytes) -> np.ndarray:
 
 
 def _text_plan(text) -> list:
-    """A text's JSON string for :func:`_witness_matrix`: literals, and
+    """A text's JSON string for :func:`_matrix_text`: literals, and
     columns ``f(rows, c)``, the words of the rows' texts, one row of
     words per word of text.  A template of ``%d`` fields over int columns
     is written field by field; any other text is filled in by
@@ -415,42 +421,10 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     return words
 
 
-#: Lists of at least this many items are tried by :func:`_number_list`;
-#: below it the per-item path is faster, as on three-float vectors.
+#: Int lists and float arrays of at least this many items get one
+#: template; below it the per-item path is faster, as on 3-vectors.
 _LIST_MIN = 8
-_FLOAT_ONLY, _INT_ONLY, _LIST_ONLY = frozenset([float]), frozenset([int]), frozenset([list])
-
-
-def _number_list(obj) -> str | None:
-    """The text of a list (or tuple) of only ints, only finite floats, or
-    lists of one length of only finite floats, each of exactly that type,
-    written by one ``%``-template over its values: ``"%d" % n`` is
-    ``int.__repr__(n)`` and ``"%.17g" % x`` is ``format(x, ".17g")``.
-    None for any other list, and for floats whose sum overflows; the
-    per-item path writes those, and raises where it raised.  A -0.0,
-    which ``%.17g`` writes ``-0``, is written ``0``."""
-    kinds = set(map(type, obj))
-    if kinds == _INT_ONLY:
-        return "[" + ",".join(["%d"] * len(obj)) % tuple(obj) + "]"
-    if kinds == _FLOAT_ONLY:
-        values, template = obj, ",".join(["%.17g"] * len(obj))
-    elif kinds == _LIST_ONLY:
-        widths = set(map(len, obj))
-        if len(widths) != 1:
-            return None
-        values = tuple(itertools.chain.from_iterable(obj))
-        if set(map(type, values)) != _FLOAT_ONLY:
-            return None
-        template = ",".join(["[" + ",".join(["%.17g"] * widths.pop()) + "]"] * len(obj))
-    else:
-        return None
-    total = sum(values)  # inf or nan if any value is
-    if total - total != 0.0:
-        return None
-    text = "[" + template % tuple(values) + "]"
-    if 0.0 in values:  # -0.0 == 0.0, and "-0" then "," or "]" is only its text
-        text = text.replace("-0,", "0,").replace("-0]", "0]")
-    return text
+_INT_ONLY = frozenset([int])
 
 
 def _write(obj: Any, emit, plans: dict) -> None:
@@ -465,11 +439,10 @@ def _write(obj: Any, emit, plans: dict) -> None:
     elif kind is int:
         emit(int.__repr__(obj))
     elif kind is list or kind is tuple:
-        if len(obj) >= _LIST_MIN:
-            text = _number_list(obj)
-            if text is not None:
-                emit(text)
-                return
+        if len(obj) >= _LIST_MIN and set(map(type, obj)) == _INT_ONLY:
+            # "%d" % n is int.__repr__(n)
+            emit("[" + ",".join(["%d"] * len(obj)) % tuple(obj) + "]")
+            return
         emit("[")
         first = True
         for item in obj:
@@ -503,7 +476,7 @@ def _write_other(obj: Any, emit, plans: dict) -> None:
     stands for."""
     if isinstance(obj, np.ndarray):
         if (
-            obj.size >= _VECTOR_MIN
+            obj.size >= _LIST_MIN
             and obj.ndim <= 2
             and obj.dtype == np.float64
             and type(obj) is np.ndarray
@@ -558,10 +531,10 @@ def dumps(obj: Any) -> str:
     - a str: ASCII text with every other character escaped, as
       ``json.dumps`` writes it;
     - a list, tuple or numpy array: an array of its items; a list or
-      tuple of ``_LIST_MIN`` or more exact ints, exact finite floats or
-      equal-length lists of exact finite floats by one ``%``-template
-      over its values, a 1-D or 2-D float64 array of ``_VECTOR_MIN`` or
-      more finite numbers as byte matrices, any other item by item
+      tuple of ``_LIST_MIN`` or more exact ints by one ``%d`` template,
+      a 1-D or 2-D float64 array of ``_LIST_MIN`` or more finite numbers
+      from the array, by one ``%.17g`` template below ``_VECTOR_MIN``
+      numbers and as byte matrices from there on, any other item by item
       (see the module docstring), with the same text either way;
     - a ``WitnessColumns``, which ``report.witnesses`` always is: the
       array of its witnesses' ``Witness.to_obj()`` dicts, written straight

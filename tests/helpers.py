@@ -626,9 +626,10 @@ def loop_bregman_to_power(g, sites):
 
 
 def loop_fit_weights(sites, sample):
-    """The cell-membership rows A w <= b that weight fitting once handed
-    to the dense simplex ``lp.feasible_point``, one row per point k and
-    competitor site j, with (k, label of k, j) per row."""
+    """The cell-membership constraints of weight fitting as rows
+    A w <= b, one row per point k and competitor site j:
+    w_j - w_i <= ||p_j - t_k||^2 - ||p_i - t_k||^2 for the label i of k,
+    with (k, i, j) per row."""
     sites = np.asarray(sites, dtype=float)
     m = len(sites)
     rows, rhs, meta = [], [], []

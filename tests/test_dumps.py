@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from elicit import CheckReport, Witness, WitnessColumns
-from elicit.jsonio import _LIST_MIN, _TEXT_CHUNK, _VECTOR_MIN, _number_list, dumps
+from elicit.jsonio import _LIST_MIN, _TEXT_CHUNK, _VECTOR_MIN, dumps
 from helpers import loop_dumps, report_text
 
 TRIALS = 400
@@ -204,7 +204,8 @@ def test_errors_match_the_loop(value, error, message):
 
 
 # ---------------------------------------------------------------------------
-# lists of numbers written by one template
+# int lists written by one template, and the float arrays of the same
+# numbers written from the array
 
 
 INF = math.inf
@@ -216,41 +217,46 @@ def cycled(values, n):
     return [values[k % len(values)] for k in range(n)]
 
 
-def longest(value) -> int:
-    """The most items of any list in ``value``."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    elif not isinstance(value, (list, tuple)):
-        return 0
-    return max([len(value), *map(longest, value)])
+@pytest.fixture
+def array_calls(monkeypatch):
+    """The sizes of the arrays written from the array, by ``_array_text``."""
+    import elicit.jsonio as jsonio
+
+    calls = []
+    real = jsonio._array_text
+
+    def spy(a):
+        calls.append(a.size)
+        return real(a)
+
+    monkeypatch.setattr(jsonio, "_array_text", spy)
+    return calls
 
 
 @pytest.mark.parametrize("n", [_LIST_MIN - 1, _LIST_MIN, _LIST_MIN + 1, 40])
 @pytest.mark.parametrize(
-    "make",
+    "make,floats",
     [
-        lambda n: cycled(EDGE_FLOATS, n),
-        lambda n: cycled(EDGE_INTS, n),
-        lambda n: tuple(cycled(EDGE_FLOATS[::-1], n)),
-        lambda n: [cycled(EDGE_FLOATS, k + 3)[k:] for k in range(n)],
-        lambda n: [cycled(EDGE_FLOATS, k + 11)[k:] for k in range(n)],
-        lambda n: {"rows": [cycled(EDGE_FLOATS, k + n)[k:] for k in range(2)], "ints": cycled(EDGE_INTS, n)},
+        pytest.param(lambda n: cycled(EDGE_FLOATS, n), True, id="floats"),
+        pytest.param(lambda n: cycled(EDGE_INTS, n), False, id="ints"),
+        pytest.param(lambda n: tuple(cycled(EDGE_FLOATS[::-1], n)), True, id="tuple"),
+        pytest.param(lambda n: [cycled(EDGE_FLOATS, k + 3)[k:] for k in range(n)], True, id="rows-of-3"),
+        pytest.param(lambda n: [cycled(EDGE_FLOATS, k + 11)[k:] for k in range(n)], True, id="rows-of-11"),
+        pytest.param(
+            lambda n: {"rows": [cycled(EDGE_FLOATS, k + n)[k:] for k in range(2)], "ints": cycled(EDGE_INTS, n)},
+            False,
+            id="nested",
+        ),
     ],
-    ids=["floats", "ints", "tuple", "rows-of-3", "rows-of-11", "nested"],
 )
-def test_number_lists_print_as_the_loop_prints(monkeypatch, make, n):
+def test_number_lists_print_as_the_loop_prints(array_calls, make, floats, n):
     value = make(n)
-    templated = []
-
-    def spy(obj):
-        text = _number_list(obj)
-        templated.append(text is not None)
-        return text
-
-    monkeypatch.setattr("elicit.jsonio._number_list", spy)
     assert dumps(value) == loop_dumps(value)
-    # each list tried is written by one template, and lists are tried from the floor on
-    assert all(templated) and bool(templated) == (longest(value) >= _LIST_MIN)
+    assert array_calls == []
+    if floats:  # the same numbers as an array, written from the array from _LIST_MIN numbers on
+        a = np.array(value)
+        assert dumps(a) == loop_dumps(value)
+        assert array_calls == ([a.size] if a.size >= _LIST_MIN else [])
 
 
 FALLBACKS = {
@@ -272,7 +278,6 @@ FALLBACKS = {
 @pytest.mark.parametrize("name", sorted(FALLBACKS))
 def test_other_lists_fall_back_to_the_loop_and_print_as_it_does(name):
     value = FALLBACKS[name]
-    assert _number_list(value) is None
     assert dumps(value) == loop_dumps(value)
 
 
@@ -294,7 +299,8 @@ def test_nan_or_inf_in_the_second_list_raises_as_the_loop_does(bad, message, whe
 
 
 # ---------------------------------------------------------------------------
-# float64 arrays of _VECTOR_MIN or more finite numbers, written as byte matrices
+# float64 arrays of _LIST_MIN or more finite numbers, written from the
+# array: as byte matrices from _VECTOR_MIN numbers on
 
 
 #: values each array of these tests cycles through: -0.0, the smallest
@@ -389,6 +395,44 @@ def test_other_arrays_keep_the_list_path(name, matrix_calls):
         assert dumps(a).endswith(',"-inf"]')
     if name == "masked":  # a subclass: its tolist() writes the masked item as null
         assert dumps(a).startswith("[0.5,0.5,0.5,0.5,0.5,0.5,0.5,null,0.5")
+
+
+def random_arrays(seed, count):
+    """``count`` float64 arrays, 1-D and 2-D, of widths 1 to 12 and 0 to
+    900 numbers, half of them below ``3 * _LIST_MIN``, with the values of
+    ``float_array``; more than half are strided views, and a quarter hold
+    one -inf, +inf or nan."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        size = int(rng.integers(0, 901 if rng.integers(0, 2) else 3 * _LIST_MIN))
+        width = int(rng.integers(1, 13))
+        rows = -(-size // width)
+        shape = (rows, width) if rng.integers(0, 2) else (size,)
+        n = int(np.prod(shape))
+        view = rng.integers(0, 4)
+        base = float_array(2 * n if view == 0 else n, seed + k)
+        if view == 0:  # every other item of a longer array, or of its rows
+            a = base.reshape(shape[:-1] + (2 * shape[-1],))[..., ::2]
+        elif view == 1:  # reversed
+            a = base.reshape(shape)[::-1]
+        elif view == 2 and len(shape) == 2:  # transposed
+            a = base.reshape(shape[::-1]).T
+        else:
+            a = base.reshape(shape)
+        if n and rng.integers(0, 4) == 0:
+            a[np.unravel_index(rng.integers(n), shape)] = rng.choice([-INF, INF, math.nan])
+        yield a
+
+
+def test_random_arrays_print_as_their_lists():
+    sizes = []
+    for a in random_arrays(34, 200):
+        assert outcome(dumps, a) == outcome(loop_dumps, a.tolist())
+        assert outcome(dumps, {"a": a}) == outcome(loop_dumps, {"a": a.tolist()})
+        if np.isfinite(a).all():
+            sizes.append(a.size)
+    # both thresholds are crossed, by arrays of finite numbers
+    assert np.histogram(sizes, [0, _LIST_MIN, _VECTOR_MIN, 10**6])[0].min() >= 10
 
 
 VIEWS = {
@@ -712,6 +756,8 @@ NEGATIVE_ZEROS = {
     "numpy scalars": ([np.float64(-0.0), np.float32(-0.0)], "[0,0]"),
     "number list": ([-0.0, 0.5, -0.0, 2.0, 3.0, 4.0, 5.0, -0.0], "[0,0.5,0,2,3,4,5,0]"),
     "number rows": ([[-0.0, 1.0], [1.0, -0.0]] * 4, "[" + ",".join(["[0,1],[1,0]"] * 4) + "]"),
+    "small 1-D array": (np.array([-0.0, 0.5, -0.0, 2.0, 3.0, 4.0, 5.0, -0.0]), "[0,0.5,0,2,3,4,5,0]"),
+    "small 2-D array": (np.array([[-0.0, 1.0], [1.0, -0.0]] * 4), "[" + ",".join(["[0,1],[1,0]"] * 4) + "]"),
     "template block": (
         WitnessColumns([block("pair", [[0, 1]] * 2, [-0.0, 1.0], "x")]),
         _witness_rows(["0", "1"]),
@@ -736,8 +782,6 @@ def test_negative_zero_is_written_0(name):
     """``%.17g`` writes -0.0 as ``-0``, which ``json`` reads back as the
     int 0; every path writes ``0`` instead, as for 0.0."""
     value, expected = NEGATIVE_ZEROS[name]
-    if name.startswith("number"):
-        assert _number_list(value) == expected
     assert dumps(value) == expected
     if not isinstance(value, WitnessColumns):
         assert loop_dumps(value) == expected

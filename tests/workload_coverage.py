@@ -68,6 +68,12 @@ def _golden_cases() -> dict:
     raise SystemExit("tests/test_golden.py has no CASES")
 
 
+def _golden_argv(args) -> list:
+    """A golden case's arguments, each naming an input file made its path."""
+    paths = [os.path.join(GOLDEN, "inputs", a) for a in args]
+    return [path if os.path.isfile(path) else a for a, path in zip(args, paths)]
+
+
 def _quietly(call) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         call()
@@ -79,10 +85,8 @@ def run_calls(seeds, names) -> int:
     from perfbench import worker, workloads
 
     count = 0
-    inputs = os.path.join(GOLDEN, "inputs")
     for args in _golden_cases().values():
-        paths = [os.path.join(inputs, a) for a in args]  # an argument naming an input file
-        argv = [path if os.path.isfile(path) else a for a, path in zip(args, paths)]
+        argv = _golden_argv(args)
         _quietly(lambda: cli.main(argv))
         count += 1
     for seed in seeds:
