@@ -198,8 +198,8 @@ class WitnessColumns(Sequence):
     """Witnesses kept as columns, in blocks; a :class:`Witness` is built
     only when one is read.  A block is ``(kind, index, slack, detail)``:
     an int array of shape (n, k) whose rows are the witnesses' indices,
-    an array of their n float slacks, and a kind and a detail that are
-    each a *text*.  A text is one str for the whole block, or a
+    an array of their n slacks, each a finite amount, and a kind and a
+    detail that are each a *text*.  A text is one str for the whole block, or a
     ``%``-template with its argument columns, ``(template, args)``:
     witness i's text is ``template % (args[0][i], args[1][i], ...)``,
     filled in only when the witness is read or written.  The args are

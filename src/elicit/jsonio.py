@@ -7,12 +7,12 @@ string "-inf"; +inf and nan are rejected; -0.0 is written ``0``, as 0.0
 is.
 
 The writer, :func:`dumps`, dispatches on the exact type of each value.
-float, str, int, list, tuple and dicts whose keys are all str are
-rendered directly, and so is a :class:`WitnessColumns`, the witnesses of
-every report (``CheckReport.witnesses``) and of an infeasible weight fit;
-numpy scalars and arrays, bool, None, subclasses of the builtin types
-and dicts with other keys are first turned into the builtin value they
-stand for, but for the float arrays below.
+float, str, int, list, tuple and dicts whose keys are all exactly str
+are rendered directly, and so is a :class:`WitnessColumns`, the witnesses
+of every report (``CheckReport.witnesses``) and of an infeasible weight
+fit; numpy scalars and arrays, bool and None are written as the value
+they stand for.  Any other value raises ``TypeError``: a subclass of a
+builtin type, such as an ``IntEnum``, and a dict with another key.
 
 A list (or tuple) of at least ``_LIST_MIN`` items that are all ints,
 each exactly an int, is written by one ``%d`` template, which gives the
@@ -29,14 +29,13 @@ brackets and comma a column next to its digits.  Any other array, with
 -inf, +inf or nan, fewer numbers, another dtype or more dimensions, is
 written as its ``tolist()``, so an error is raised as before.
 
-A block of witnesses is written by one ``%``-template, over the block
-``_TEXT_CHUNK`` witnesses at a time, when it has fewer than
-``_VECTOR_MIN`` witnesses or a slack that is not finite.  A longer block
-is written by the byte-matrix writer, one row per witness.  The writer
-takes ``_TEXT_CHUNK`` rows at a time as one byte matrix, a column of
-NUL-padded text per field, whose NUL bytes are then dropped: canonical
-JSON text never holds a NUL byte, as a str's is written ``\u0000``.
-Both ways give the same bytes.
+A block of witnesses is written by one ``%``-template below
+``_VECTOR_MIN`` witnesses, and from there on by the byte-matrix writer,
+one row per witness, ``_TEXT_CHUNK`` rows at a time as one byte matrix, a
+column of NUL-padded text per field, whose NUL bytes are then dropped:
+canonical JSON text never holds a NUL byte, as a str's is written
+``\u0000``.  Both ways give the same bytes.  A slack is a finite amount:
+a block with a slack of -inf, +inf or nan raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -98,26 +97,24 @@ _STR_ONLY = frozenset([str])
 
 
 def _format_float(x: float) -> str:
+    """A float that is not finite: -inf as ``"-inf"``; +inf and nan raise."""
     if x == -math.inf:
         return '"-inf"'
-    if math.isnan(x) or x == math.inf:
-        raise ValueError(f"cannot serialize {x}")
-    return format(x + 0.0, ".17g")  # -0.0 + 0.0 is 0.0
+    raise ValueError(f"cannot serialize {x}")
 
 
-#: Blocks of at least this many witnesses, all with finite slacks, are
-#: written as byte matrices; smaller ones by one ``%``-template per
-#: witness.  On a 2-CPU x86-64 VM (Python 3.11, numpy 2.4) a matrix block
-#: took about 130 us plus 0.45 us a witness, a template about 0.95 us a
-#: witness (0.65-1.1 us of which is its ``%.17g``): they cross near 260
-#: witnesses, and the matrices were faster in every block of 384 or more.
-#: Filled by one ``%`` per block, a template with a ``%d`` detail took
-#: 0.87-0.95 us a witness at 128 to 1024 witnesses, and a matrix 0.59-0.68
-#: us a witness at 384, 0.78-0.82 at 256.  Float64 arrays of at least
-#: this many finite numbers are written as byte matrices too: on the same
-#: VM, random normal rows of 3 took 0.29-0.30 us a number as a matrix at
-#: 384 numbers and 0.16-0.17 at 1800, against 0.51-0.55 for ``tolist()``
-#: and a template at every size; they cross near 220 numbers.
+#: Blocks of at least this many witnesses are written as byte matrices,
+#: smaller ones by one ``%``-template per witness.  On a 2-CPU x86-64 VM
+#: (Python 3.11, numpy 2.4) a matrix block took about 130 us plus 0.45 us
+#: a witness, a template about 0.95 us a witness (0.65-1.1 us of which is
+#: its ``%.17g``): they cross near 260 witnesses, and the matrices were
+#: faster in every block of 384 or more.  A template with a ``%d`` detail
+#: took 0.87-0.95 us a witness at 128 to 1024 witnesses, and a matrix
+#: 0.59-0.68 us a witness at 384, 0.78-0.82 at 256.  Float64 arrays of at
+#: least this many finite numbers are written as byte matrices too: on
+#: the same VM, random normal rows of 3 took 0.29-0.30 us a number as a
+#: matrix at 384 numbers and 0.16-0.17 at 1800, against 0.51-0.55 for
+#: ``tolist()`` and a template at every size; they cross near 220 numbers.
 _VECTOR_MIN = 384
 #: Rows (witnesses, or numbers of an array) per byte matrix, so that its
 #: memory does not grow with the block (about 150 bytes a witness); 4096
@@ -129,13 +126,14 @@ _TEXT_CHUNK = 4096
 def _witness_text(kind, index, slack, detail) -> str:
     """The text of a block of :class:`WitnessColumns`: what writing each
     witness's ``to_obj()`` dict would give, joined by commas.  A block of
-    ``_VECTOR_MIN`` or more witnesses with finite slacks is written by
-    :func:`_matrix_text`, one row per witness; others by one
-    ``%``-template per witness, repeated and filled ``_TEXT_CHUNK``
-    witnesses at a time.  A slack of -0.0 is written ``0``."""
+    ``_VECTOR_MIN`` or more witnesses is written by :func:`_matrix_text`,
+    one row per witness; a smaller one by one ``%``-template per witness,
+    repeated and filled by one ``%``.  A slack of -0.0 is written ``0``;
+    the first slack that is not finite raises ``ValueError``."""
+    if not np.isfinite(slack).all():
+        raise ValueError(f"cannot serialize {float(slack[~np.isfinite(slack)][0])}")
     slack = slack + 0.0  # -0.0 + 0.0 is 0.0
-    finite = np.isfinite(slack).all()
-    if finite and len(slack) >= _VECTOR_MIN:
+    if len(slack) >= _VECTOR_MIN:
         slack = slack.astype(np.float64, copy=False)
         plan = ['{"detail":', *_text_plan(detail), ',"indices":[']
         for j in range(index.shape[1]):
@@ -158,21 +156,9 @@ def _witness_text(kind, index, slack, detail) -> str:
 
     template = '{"detail":' + field(detail) + ',"indices":[' + ",".join(["%d"] * index.shape[1])
     columns += index.T.tolist()
-    template += '],"kind":' + field(kind) + ',"slack":'
-    if finite:
-        columns.append(slack.tolist())
-        template += "%.17g}"
-    else:  # -inf is written as "-inf"; the first +inf or nan raises
-        columns.append(map(_format_float, slack.tolist()))
-        template += "%s}"
-    # one % per _TEXT_CHUNK witnesses; the fields are read in witness
-    # order before it, so the first +inf or nan slack raises
-    rows, n = zip(*columns), len(slack)
-    return ",".join(
-        ",".join([template] * min(_TEXT_CHUNK, n - lo))
-        % tuple(itertools.chain.from_iterable(itertools.islice(rows, _TEXT_CHUNK)))
-        for lo in range(0, n, _TEXT_CHUNK)
-    )
+    template += '],"kind":' + field(kind) + ',"slack":%.17g}'
+    columns.append(slack.tolist())
+    return ",".join([template] * len(slack)) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 def _array_text(a: np.ndarray) -> str:
@@ -471,9 +457,9 @@ def _write(obj: Any, emit, plans: dict) -> None:
 
 
 def _write_other(obj: Any, emit, plans: dict) -> None:
-    """Numpy values, bool, None, subclasses of the builtin types and dicts
-    with a key that is not a str, each rendered as the builtin value it
-    stands for."""
+    """Numpy arrays and scalars, bool and None; every other value raises
+    ``TypeError``, a subclass of a builtin type and a dict with a key
+    that is not exactly a str included."""
     if isinstance(obj, np.ndarray):
         if (
             obj.size >= _LIST_MIN
@@ -485,34 +471,17 @@ def _write_other(obj: Any, emit, plans: dict) -> None:
             emit(_array_text(obj))
         else:
             _write(obj.tolist(), emit, plans)
-        return
-    if isinstance(obj, np.floating):
-        obj = float(obj)
-    if isinstance(obj, np.integer):
-        obj = int(obj)
-    if isinstance(obj, np.bool_):
-        obj = bool(obj)
-    if obj is None:
-        emit("null")
-    elif isinstance(obj, bool):
+    elif isinstance(obj, np.floating):
+        _write(float(obj), emit, plans)
+    elif isinstance(obj, np.integer):
+        _write(int(obj), emit, plans)
+    elif isinstance(obj, (bool, np.bool_)):
         emit("true" if obj else "false")
-    elif isinstance(obj, int):
-        emit(str(obj))
-    elif isinstance(obj, float):
-        emit(_format_float(obj))
-    elif isinstance(obj, str):
-        emit(_encode_str(obj))
-    elif isinstance(obj, (list, tuple)):
-        _write(list(obj), emit, plans)
-    elif isinstance(obj, dict):
-        # keys are rendered as str(key); of keys with the same str the
-        # value of the last one is written, once per key
-        lookup = {str(k): v for k, v in obj.items()}
-        emit("{")
-        for k, key in enumerate(sorted(str(k) for k in obj)):
-            emit(("," if k else "") + _encode_str(key) + ":")
-            _write(lookup[key], emit, plans)
-        emit("}")
+    elif obj is None:
+        emit("null")
+    elif type(obj) is dict:
+        key = next(key for key in obj if type(key) is not str)
+        raise TypeError(f"cannot serialize {type(key).__name__} key")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -538,12 +507,14 @@ def dumps(obj: Any) -> str:
       (see the module docstring), with the same text either way;
     - a ``WitnessColumns``, which ``report.witnesses`` always is: the
       array of its witnesses' ``Witness.to_obj()`` dicts, written straight
-      from the columns, a block of ``_VECTOR_MIN`` or more witnesses with
-      finite slacks as byte matrices (see the module docstring);
-    - a dict: an object with the keys as ``str(key)`` in sorted order; of
-      keys with the same text, each is written with the last one's value.
+      from the columns, a block of ``_VECTOR_MIN`` or more witnesses as
+      byte matrices (see the module docstring); a slack of -inf, +inf or
+      nan raises ``ValueError("cannot serialize -inf")`` (or ``inf``, ``nan``);
+    - a dict whose keys are all exactly str: an object, keys sorted.
 
-    Anything else raises ``TypeError("cannot serialize <type name>")``.
+    Anything else raises ``TypeError("cannot serialize <type name>")``,
+    a subclass of a builtin type included; a dict with a key of another
+    type, ``TypeError("cannot serialize <key's type name> key")``.
     """
     out: list = []
     _write(obj, out.append, {})

@@ -257,7 +257,9 @@ def check_revenue_equivalence(
     = w(v -> u) + phi(v) - phi(u), phi(x) = <t_x, d_x>: its longest path
     t0 -> x weighs phi(x) - phi(t0) more.  A positive cycle its search
     finds is raised in its order on the swapped graph: reversed, it is a
-    cycle of the family's graph of the same exact weight."""
+    cycle of the family's graph of the same exact weight.  A width beyond
+    the float range, which rounding can give at its edge when every
+    weight and path is finite, raises ``ValueError`` naming its type."""
     require_positive(tol)
     fam.check_aligned(ts)
     t0 = _index(t0, len(ts), "base type")
@@ -265,9 +267,9 @@ def check_revenue_equivalence(
     swapped = _paths_from(_cmon_graph(fam.vectors, ts.points), t0, tol).dist
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.einsum("ij,ij->i", fam.vectors, ts.points)
-        shift = phi - phi[t0]
-    upper = _overflow(shift, "the potential shift <t, d> - <t0, d0>", ts.points) - swapped
-    width = upper - lower  # <= 0 at t0: both of its paths to itself weigh >= 0
+        upper = _overflow(phi - phi[t0], "the potential shift <t, d> - <t0, d0>", ts.points) - swapped
+        width = upper - lower  # <= 0 at t0: both of its paths to itself weigh >= 0
+    _overflow(width, "the surplus interval width", ts.points)
     wide = np.flatnonzero(width > tol)
     detail = ("surplus interval [%.6g, %.6g]", (lower[wide], upper[wide]))
     witnesses = WitnessColumns([("target", wide[:, None], width[wide], detail)])

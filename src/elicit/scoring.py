@@ -255,7 +255,8 @@ def check_expert_separation(
     """Informed beliefs must earn at least ``delta_accept``; the
     uninformed belief ``p_bar`` (witness index -1) at most
     ``delta_reject``, both finite.  A belief with no finite value, -inf
-    under every report, raises ``ValueError`` naming it."""
+    under every report, or whose slack overflows the float range raises
+    ``ValueError`` naming it."""
     require_positive(tol)
     delta_accept = _number(delta_accept, "delta_accept")
     delta_reject = _number(delta_reject, "delta_reject")
@@ -267,10 +268,16 @@ def check_expert_separation(
         raise ValueError(f"{name} scores {best[b]} at its best report: values must be finite")
     values, bar = best[:-1], best[-1:]
     low, high = np.flatnonzero(values < delta_accept - tol), bar[bar > delta_reject + tol]
+    with np.errstate(over="ignore"):  # a slack beyond the float range is named below
+        slack = np.concatenate([delta_accept - values[low], high - delta_reject])
+    if not np.isfinite(slack).all():
+        b = int(np.isfinite(slack).argmin())
+        name = f"belief {low[b]}" if b < len(low) else "p_bar"
+        raise ValueError(f"the slack of {name} overflows the float range")
     below = ("value %.6g below accept threshold", (values[low],))
     above = ("uninformed value %.6g above reject threshold", (high,))
-    informed = ("informed", low[:, None], delta_accept - values[low], below)
-    uninformed = ("uninformed", np.full((len(high), 1), -1), high - delta_reject, above)
+    informed = ("informed", low[:, None], slack[: len(low)], below)
+    uninformed = ("uninformed", np.full((len(high), 1), -1), slack[len(low) :], above)
     info = {"values_in": values.tolist(), "value_bar": float(bar[0]), "tol": tol}
     return CheckReport(WitnessColumns([informed, uninformed]), info)
 

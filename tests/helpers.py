@@ -679,8 +679,9 @@ def recheck_fit_certificate(sites, points, labels, edges, tol):
 
 
 # ---------------------------------------------------------------------------
-# loop reference for the canonical writer: the isinstance-chain writer that
-# normalizes every value before rendering it
+# loop reference for the canonical writer: numpy values are first turned
+# into the builtin values they stand for; then each exact builtin type is
+# rendered, and any other value raises
 
 
 def _loop_format_float(x: float) -> str:
@@ -692,41 +693,43 @@ def _loop_format_float(x: float) -> str:
 
 
 def _loop_write(obj, out: list) -> None:
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, (np.integer,)):
-        obj = int(obj)
-    if isinstance(obj, np.bool_):
-        obj = bool(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
+    elif isinstance(obj, np.floating):
+        obj = float(obj)
+    elif isinstance(obj, np.integer):
+        obj = int(obj)
+    elif isinstance(obj, np.bool_):
+        obj = bool(obj)
+    kind = type(obj)
     if obj is None:
         out.append("null")
-    elif isinstance(obj, bool):
+    elif kind is bool:
         out.append("true" if obj else "false")
-    elif isinstance(obj, int):
+    elif kind is int:
         out.append(str(obj))
-    elif isinstance(obj, float):
+    elif kind is float:
         out.append(_loop_format_float(obj))
-    elif isinstance(obj, str):
+    elif kind is str:
         out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list or kind is tuple:
         out.append("[")
         for k, item in enumerate(obj):
             if k:
                 out.append(",")
             _loop_write(item, out)
         out.append("]")
-    elif isinstance(obj, dict):
+    elif kind is dict:
+        for key in obj:
+            if type(key) is not str:
+                raise TypeError(f"cannot serialize {type(key).__name__} key")
         out.append("{")
-        keys = sorted(str(k) for k in obj)
-        lookup = {str(k): v for k, v in obj.items()}
-        for k, key in enumerate(keys):
+        for k, key in enumerate(sorted(obj)):
             if k:
                 out.append(",")
             out.append(json.dumps(key))
             out.append(":")
-            _loop_write(lookup[key], out)
+            _loop_write(obj[key], out)
         out.append("}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -12,6 +12,7 @@ from elicit import (
     LinearFamily,
     MaxAffine,
     NegEntropy,
+    OutcomeScoreTable,
     PowerDiagramSpec,
     ScoreTable,
     SquaredNorm,
@@ -20,6 +21,8 @@ from elicit import (
     biconjugate,
     bregman_to_power,
     check_duality_identities,
+    check_expert_separation,
+    check_revenue_equivalence,
     check_subgradient_selection,
     check_wmon_cells,
     conjugate,
@@ -46,6 +49,17 @@ A = (0.7 * BIG) ** 0.5  # A^2 and 2 A^2 are finite, 3 A^2 is not
 # at (10, 20) both pieces, 1e309 and 2e309, round to inf: the argmax
 # would pick the first, whose slope is not the subgradient there
 TIED = MaxAffine(slopes=[[BIG, 0.0], [0.0, BIG]], intercepts=[0.0, 0.0])
+
+# every payoff -1e308 or 1e308: a threshold at the other end of the range
+# is missed by 2e308
+LOW, HIGH = OutcomeScoreTable([[0.5, 0.5]], [[-BIG, -BIG]]), OutcomeScoreTable([[0.5, 0.5]], [[BIG, BIG]])
+
+# the unit types with d_0 = (a, x) and d_1 = (x, a + 2**969): each cmon
+# weight of the family and of the swapped family rounds to at most half
+# the float range, and the width of type 1 is exactly the largest float,
+# but its upper end, 2**969 plus half the range, rounds up to 2**1023
+WIDE_A, WIDE_X = 2.0**1021 - 2.0**970 - 2.0**968, -1.5 * 2.0**1022
+WIDE = LinearFamily([[WIDE_A, WIDE_X], [WIDE_X, WIDE_A + 2.0**969]])
 
 CASES = [
     ("eval_convex", lambda: eval_convex(TIED, [10.0, 20.0]), r"G overflows .* \[10.0, 20.0\]"),
@@ -149,6 +163,21 @@ CASES = [
             TypeSpace([[1.0, 0.0], [1.0, 1.0]]), LinearFamily([[0.0, -0.5 * MAX], [0.9 * MAX, 0.0]])
         ),
         r"the payment <t, d> - surplus overflows the float range at \[1.0, 1.0\]",
+    ),
+    (
+        "check_expert_separation",  # 1e308 - (-1e308)
+        lambda: check_expert_separation(LOW, [[0.5, 0.5]], [0.5, 0.5], BIG, -BIG),
+        "the slack of belief 0 overflows the float range",
+    ),
+    (
+        "check_expert_separation-p_bar",  # 1e308 - (-1e308)
+        lambda: check_expert_separation(HIGH, [[0.5, 0.5]], [0.5, 0.5], -BIG, -BIG),
+        "the slack of p_bar overflows the float range",
+    ),
+    (
+        "check_revenue_equivalence-width",
+        lambda: check_revenue_equivalence(TypeSpace([[1.0, 0.0], [0.0, 1.0]]), WIDE),
+        r"the surplus interval width overflows the float range at \[0.0, 1.0\]",
     ),
     (
         "StepAllocation",  # inf - inf in the increasing check came first
